@@ -4,13 +4,14 @@
 # race detector with GOMAXPROCS=4 so the parallel sort/semisort/scan paths
 # — and the parallel pulled-chunk wave scans (TestPulledScanMultiWorker's
 # seeded skewed batch) — actually run multi-worker (a 1-core CI would
-# otherwise never exercise them).
+# otherwise never exercise them), the CLI smoke run, and the benchmark
+# module's own vet + tests.
 
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-json smoke profile
+.PHONY: ci build vet test race bench bench-json smoke benchmark-module profile
 
-ci: build vet race smoke
+ci: build vet race smoke benchmark-module
 
 build:
 	$(GO) build ./...
@@ -21,6 +22,12 @@ vet:
 test:
 	$(GO) test ./...
 
+# benchmark/ is a module of its own (BENCHMARK.json's harness), so root
+# `./...` does not reach it. Vetting and testing it here is the
+# compile-time proof that every product symbol it imports still exists.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # Multi-worker regression net: the forked walks (pulled-chunk scans via
 # TestPulledScanMultiWorker, fork-join updates/relayout via
 # TestUpdateMultiWorker) only exercise their parallel paths above one proc.
@@ -30,8 +37,9 @@ race:
 # CLI smoke tests: the trace exporters must emit parseable output
 # (Chrome trace-event JSON with events, and valid JSONL); the admin server
 # must come up with the flight recorder armed, pass its readiness probe
-# (/readyz, which gates on the published index, not just liveness), serve
-# a lint-clean Prometheus exposition, both flight snapshots, the
+# (/readyz, which gates on the published index, not just liveness), take
+# pimzd-loadgen traffic (the server generates none of its own), serve a
+# lint-clean Prometheus exposition, both flight snapshots, the
 # slow-request capture and a valid SLO snapshot, and — on SIGTERM — drain
 # gracefully and flush valid flight + slow-request dumps whose analyze
 # reports (critical-path and -requests stage attribution) are
@@ -40,7 +48,7 @@ race:
 # /readyz) with mid-load /metrics + /snapshot/slowrequests +
 # /snapshot/slo scrapes and drain cleanly on SIGTERM, and a short
 # in-process saturation sweep must complete; a sharded server (-trees 4)
-# must boot, export the per-shard metrics families and the
+# must boot, take load, export the per-shard metrics families and the
 # /snapshot/shards layout; and the perf trajectory must not regress past
 # 50% between the last two recorded BENCH_*.json reports.
 smoke:
@@ -57,16 +65,16 @@ smoke:
 	$(GO) run ./tools/checkjson -bench .smoke/bench.json
 	$(GO) build -o .smoke/pimzd-serve ./cmd/pimzd-serve
 	$(GO) build -o .smoke/pimzd-trace ./cmd/pimzd-trace
+	$(GO) build -o .smoke/pimzd-loadgen ./cmd/pimzd-loadgen
 	./.smoke/pimzd-serve -addr 127.0.0.1:0 -port-file .smoke/port \
-		-n 20000 -batch 1000 -p 128 -iters 10 -duration 60s \
+		-n 20000 -p 128 -duration 60s \
 		-flight 128 -slow-k 8 -flight-out .smoke/flight.json \
 		-req-slow-k 8 -requests-out .smoke/requests.json & \
 	SERVE_PID=$$!; \
 	for i in $$(seq 1 100); do test -s .smoke/port && break; sleep 0.1; done; \
 	test -s .smoke/port || { kill $$SERVE_PID; echo "serve: no port file"; exit 1; }; \
 	ADDR=$$(cat .smoke/port); \
-	for i in $$(seq 1 100); do \
-		curl -fsS "http://$$ADDR/readyz" > /dev/null 2>&1 && break; sleep 0.2; done; \
+	./.smoke/pimzd-loadgen -http $$ADDR -workers 4 -count 100 -n 20000 > /dev/null && \
 	curl -fsS "http://$$ADDR/healthz" > /dev/null && \
 	curl -fsS "http://$$ADDR/readyz" > /dev/null && \
 	curl -fsS "http://$$ADDR/metrics" > .smoke/metrics.txt && \
@@ -89,9 +97,8 @@ smoke:
 	GOMAXPROCS=1 ./.smoke/pimzd-trace analyze -requests .smoke/requests.json > .smoke/req1.txt
 	GOMAXPROCS=4 ./.smoke/pimzd-trace analyze -requests .smoke/requests.json > .smoke/req4.txt
 	cmp .smoke/req1.txt .smoke/req4.txt
-	$(GO) build -o .smoke/pimzd-loadgen ./cmd/pimzd-loadgen
 	./.smoke/pimzd-serve -addr 127.0.0.1:0 -port-file .smoke/cport \
-		-tcp 127.0.0.1:0 -tcp-port-file .smoke/ctcp -ops "" \
+		-tcp 127.0.0.1:0 -tcp-port-file .smoke/ctcp \
 		-n 20000 -p 128 -duration 60s & \
 	SERVE_PID=$$!; \
 	for i in $$(seq 1 100); do test -s .smoke/cport && test -s .smoke/ctcp && break; sleep 0.1; done; \
@@ -114,13 +121,12 @@ smoke:
 	$(GO) run ./tools/checkjson -promtext .smoke/serve-metrics.txt
 	$(GO) run ./tools/checkjson -slo .smoke/load-slo.json
 	./.smoke/pimzd-serve -addr 127.0.0.1:0 -port-file .smoke/sport \
-		-trees 4 -n 20000 -batch 1000 -p 128 -iters 10 -duration 60s & \
+		-trees 4 -n 20000 -p 128 -duration 60s & \
 	SERVE_PID=$$!; \
 	for i in $$(seq 1 100); do test -s .smoke/sport && break; sleep 0.1; done; \
 	test -s .smoke/sport || { kill $$SERVE_PID; echo "serve: no port file"; exit 1; }; \
 	ADDR=$$(cat .smoke/sport); \
-	for i in $$(seq 1 100); do \
-		curl -fsS "http://$$ADDR/healthz" > /dev/null 2>&1 && break; sleep 0.2; done; \
+	./.smoke/pimzd-loadgen -http $$ADDR -workers 4 -count 100 -n 20000 > /dev/null && \
 	curl -fsS "http://$$ADDR/metrics" > .smoke/shard-metrics.txt && \
 	curl -fsS "http://$$ADDR/snapshot/shards" > .smoke/shards.json; \
 	RC=$$?; \

@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
+	"sort"
 	"time"
 
 	"pimzdtree/internal/core"
+	"pimzdtree/internal/geom"
 	"pimzdtree/internal/serve"
 	"pimzdtree/internal/stats"
 	"pimzdtree/internal/workload"
@@ -45,23 +48,73 @@ var saturateSteps = []float64{500, 1000, 2000, 4000, 8000, 16000, 32000}
 
 const saturateStepDuration = 400 * time.Millisecond
 
+// submitFunc admits one request or sheds it; an admitted request's Done
+// channel closes once it has been served.
+type submitFunc func(*serve.Request) error
+
+// fifoDispatcher is the request-at-a-time baseline: a bounded arrival
+// queue in front of the same engine the pipeline phase uses, with exactly
+// one request in flight. The engine's builder therefore never has two
+// requests to coalesce — every request is its own epoch and its own tree
+// batch, served in arrival order — so a sweep through the dispatcher and a
+// sweep straight into the engine differ in batch formation only.
+type fifoDispatcher struct {
+	// queue is bounded like the engine's own admission control (point-ops;
+	// the sweep sends one-point requests), so an overloaded baseline sheds
+	// instead of queueing without limit.
+	queue chan *serve.Request
+	done  chan struct{}
+}
+
+func newFIFODispatcher(e *serve.Engine) *fifoDispatcher {
+	d := &fifoDispatcher{queue: make(chan *serve.Request, 1<<16), done: make(chan struct{})}
+	go func() {
+		defer close(d.done)
+		for r := range d.queue {
+			if err := e.Submit(r); err != nil {
+				// The queue never holds an invalid request and nothing else
+				// feeds or stops the engine: only a bug gets here, and
+				// dropping r would hang whoever waits on it.
+				panic(fmt.Sprintf("bench: fifo dispatcher: engine refused an admitted request: %v", err))
+			}
+			<-r.Done()
+		}
+	}()
+	return d
+}
+
+// submit queues r behind every earlier arrival, shedding at capacity.
+func (d *fifoDispatcher) submit(r *serve.Request) error {
+	select {
+	case d.queue <- r:
+		return nil
+	default:
+		return serve.ErrQueueFull
+	}
+}
+
+// stop serves what is queued and returns once the dispatcher has exited.
+func (d *fifoDispatcher) stop() {
+	close(d.queue)
+	<-d.done
+}
+
 // Saturate sweeps both serving modes over identical fresh trees.
 func Saturate(p Params) []SaturateRow {
 	p.fill()
 	var rows []SaturateRow
-	for _, mode := range []serve.Mode{serve.ModeFIFO, serve.ModePipeline} {
+	for _, mode := range []string{"fifo", "pipeline"} {
 		data := workload.Uniform(p.Seed, p.WarmupN, p.Dims)
 		r := newPIMRunner(p, core.ThroughputOptimized, data, nil)
 		boxes := workload.QueryBoxes(p.Seed+1, data, 256, 64)
-		eng := serve.New(serve.Config{Backend: serve.NewTreeBackend(r.tree), Mode: mode})
-		rep := serve.RunSaturation(serve.SaturationConfig{
-			Engine:       eng,
-			Seed:         p.Seed,
-			Data:         data,
-			Boxes:        boxes,
-			Offered:      saturateSteps,
-			StepDuration: saturateStepDuration,
-		})
+		eng := serve.New(serve.Config{Backend: serve.NewTreeBackend(r.tree)})
+		submit, stop := submitFunc(eng.Submit), func() {}
+		if mode == "fifo" {
+			d := newFIFODispatcher(eng)
+			submit, stop = d.submit, d.stop
+		}
+		steps := runSaturation(submit, p.Seed, data, boxes, saturateSteps, saturateStepDuration)
+		stop()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		eng.Shutdown(ctx)
 		cancel()
@@ -70,38 +123,144 @@ func Saturate(p Params) []SaturateRow {
 		// MOp/s tracks serving capacity (requests completed per second at
 		// the highest load the mode absorbed).
 		best := -1
-		for i, pt := range rep.Points {
-			if pt.Sustained() && (best < 0 || pt.Completed > rep.Points[best].Completed) {
+		for i, pt := range steps {
+			if pt.Sustained && (best < 0 || pt.Completed > steps[best].Completed) {
 				best = i
 			}
 		}
 		if best < 0 { // nothing sustained: fall back to the busiest step
-			for i, pt := range rep.Points {
-				if best < 0 || pt.Completed > rep.Points[best].Completed {
+			for i, pt := range steps {
+				if best < 0 || pt.Completed > steps[best].Completed {
 					best = i
 				}
 			}
 		}
-		if best >= 0 && rep.Points[best].Completed > 0 {
-			RecordPhase(mode.String(), saturateStepDuration.Seconds(), rep.Points[best].Completed)
+		if best >= 0 && steps[best].Completed > 0 {
+			RecordPhase(mode, saturateStepDuration.Seconds(), steps[best].Completed)
 		}
-		for _, pt := range rep.Points {
-			countOps(pt.Completed)
-			rows = append(rows, SaturateRow{
-				Mode:        rep.Mode,
-				OfferedRPS:  pt.OfferedRPS,
-				AchievedRPS: pt.AchievedRPS,
-				Completed:   pt.Completed,
-				Shed:        pt.Shed,
-				Errors:      pt.Errors,
-				P50:         pt.P50,
-				P99:         pt.P99,
-				P999:        pt.P999,
-				Sustained:   pt.Sustained(),
-			})
+		for i := range steps {
+			steps[i].Mode = mode
+			countOps(steps[i].Completed)
 		}
+		rows = append(rows, steps...)
 	}
 	return rows
+}
+
+// Open-loop load generation. Arrivals follow a Poisson process at the
+// offered rate — the generator does NOT wait for responses before the next
+// arrival, so queueing delay cannot throttle the offered load (the classic
+// closed-loop measurement bug that hides saturation). Each step records
+// completed/shed counts and the end-to-end latency distribution.
+
+// runSaturation offers each load step to submit in turn.
+func runSaturation(submit submitFunc, seed int64, data []geom.Point, boxes []geom.Box, offered []float64, step time.Duration) []SaturateRow {
+	rows := make([]SaturateRow, len(offered))
+	for i, rps := range offered {
+		rows[i] = runStep(submit, rand.New(rand.NewSource(seed+int64(i)*7919)), data, boxes, rps, step)
+	}
+	return rows
+}
+
+// pendingReq tracks an in-flight request's submit time.
+type pendingReq struct {
+	r     *serve.Request
+	start time.Time
+}
+
+// runStep runs one offered-load step: a dispatcher submits on the
+// Poisson schedule while a collector awaits completions, so waiting
+// never delays arrivals.
+func runStep(submit submitFunc, rng *rand.Rand, data []geom.Point, boxes []geom.Box, rps float64, dur time.Duration) SaturateRow {
+	pt := SaturateRow{OfferedRPS: rps}
+
+	// Sized past any step's arrival count (top step: 32k req/s for 0.4 s),
+	// so handing a request to the collector never blocks the schedule.
+	pending := make(chan pendingReq, 1<<16)
+	latencies := make([]float64, 0, int(rps*dur.Seconds())+16)
+	collectorDone := make(chan struct{})
+	go func() {
+		defer close(collectorDone)
+		for pr := range pending {
+			<-pr.r.Done()
+			if pr.r.Resp.Err != nil {
+				pt.Errors++
+				continue
+			}
+			latencies = append(latencies, time.Since(pr.start).Seconds())
+		}
+	}()
+
+	start := time.Now()
+	deadline := start.Add(dur)
+	next := start
+	for {
+		now := time.Now()
+		if now.After(deadline) {
+			break
+		}
+		if now.Before(next) {
+			time.Sleep(next.Sub(now))
+		}
+		r := makeLoadRequest(rng, data, boxes)
+		submitAt := time.Now()
+		if err := submit(r); err != nil {
+			pt.Shed++
+		} else {
+			pending <- pendingReq{r: r, start: submitAt}
+		}
+		// Poisson arrivals: exponential inter-arrival, scheduled on an
+		// absolute timeline so a slow submit bursts to catch up instead
+		// of silently lowering the offered rate.
+		next = next.Add(time.Duration(rng.ExpFloat64() / rps * float64(time.Second)))
+	}
+	close(pending)
+	<-collectorDone
+
+	pt.Completed = len(latencies)
+	pt.AchievedRPS = float64(pt.Completed) / time.Since(start).Seconds()
+	sort.Float64s(latencies)
+	pt.P50 = quantile(latencies, 0.50)
+	pt.P99 = quantile(latencies, 0.99)
+	pt.P999 = quantile(latencies, 0.999)
+	// Sustained: shedding stayed under 1% and completions kept up with
+	// arrivals (>= 95%).
+	if total := pt.Completed + pt.Shed + pt.Errors; total > 0 {
+		pt.Sustained = float64(pt.Shed)/float64(total) < 0.01 && pt.AchievedRPS >= 0.95*pt.OfferedRPS
+	}
+	return pt
+}
+
+// makeLoadRequest draws a one-point (one-box) request from the pools under
+// a read-heavy serving mix: 70% search, 15% insert, 5% delete, 8% 8-NN,
+// 2% box count. Coalescing is the engine's job, not the client's.
+func makeLoadRequest(rng *rand.Rand, data []geom.Point, boxes []geom.Box) *serve.Request {
+	var r *serve.Request
+	switch n := rng.Intn(100); {
+	case n < 70:
+		r = serve.NewRequest(serve.OpSearch)
+	case n < 85:
+		r = serve.NewRequest(serve.OpInsert)
+	case n < 90:
+		r = serve.NewRequest(serve.OpDelete)
+	case n < 98:
+		r = serve.NewRequest(serve.OpKNN)
+		r.K = 8
+	default:
+		r = serve.NewRequest(serve.OpBox)
+		r.Boxes = []geom.Box{boxes[rng.Intn(len(boxes))]}
+		return r
+	}
+	r.Pts = []geom.Point{data[rng.Intn(len(data))]}
+	return r
+}
+
+// quantile reads the q-quantile from sorted samples.
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 // maxSustained returns the highest sustained achieved rate per mode.

@@ -16,10 +16,13 @@ const boxMsgBytes = 40
 // push-pull over the meta-nodes that intersect each box, with fully
 // contained subtrees answered from the node's exact master size.
 func (t *Tree) BoxCount(boxes []geom.Box) []int64 {
+	counts := make([]int64, len(boxes))
+	if t.root == nil {
+		return counts
+	}
 	rec := t.sys.Recorder()
 	rec.BeginOp("box-count")
 	defer rec.EndOp()
-	counts := make([]int64, len(boxes))
 	t.boxWave(boxes, func(qi int32, size int64) {
 		atomic.AddInt64(&counts[qi], size)
 	}, nil)

@@ -222,6 +222,61 @@ func TestContains(t *testing.T) {
 	}
 }
 
+// TestContainsBatchDifferential pins the batch membership convention every
+// serving layer shares against the single-query path and a set oracle:
+// present, absent and duplicated queries, duplicated stored points, the
+// empty batch, and the emptied tree (which must answer without running —
+// or charging — a search).
+func TestContainsBatchDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	stored := randPoints(rng, 3000, 3, 1<<12)
+	stored = append(stored, stored[:40]...) // duplicate stored points
+	tr := New(testConfig(ThroughputOptimized), stored)
+	oracle := make(map[geom.Point]bool, len(stored))
+	for _, p := range stored {
+		oracle[p] = true
+	}
+
+	batch := append([]geom.Point(nil), stored[:200]...)
+	batch = append(batch, randPoints(rng, 200, 3, 1<<12)...) // mostly absent, same region
+	batch = append(batch, geom.P3(1<<20, 1<<20, 1<<20))      // absent, far away
+	batch = append(batch, batch[:50]...)                     // duplicated queries
+	check := func(stage string) {
+		t.Helper()
+		got := tr.ContainsBatch(batch)
+		if len(got) != len(batch) {
+			t.Fatalf("%s: %d answers for %d queries", stage, len(got), len(batch))
+		}
+		for i, p := range batch {
+			if got[i] != oracle[p] {
+				t.Fatalf("%s: ContainsBatch[%d](%v) = %v, oracle %v", stage, i, p, got[i], oracle[p])
+			}
+			if one := tr.Contains(p); one != got[i] {
+				t.Fatalf("%s: Contains(%v) = %v, ContainsBatch says %v", stage, p, one, got[i])
+			}
+		}
+	}
+	check("built")
+	if got := tr.ContainsBatch(nil); len(got) != 0 {
+		t.Fatalf("empty batch: %d answers", len(got))
+	}
+
+	// One stored instance of each duplicate gone: the point is still there.
+	tr.Delete(stored[:40])
+	check("one duplicate instance deleted")
+
+	tr.Delete(stored[40:])
+	if tr.Size() != 0 {
+		t.Fatalf("tree not emptied: size %d", tr.Size())
+	}
+	clear(oracle)
+	before := tr.System().Metrics()
+	check("emptied")
+	if after := tr.System().Metrics(); after != before {
+		t.Fatalf("membership on an empty tree charged the model: %+v -> %+v", before, after)
+	}
+}
+
 func TestInsertMatchesBulkBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := randPoints(rng, 12000, 3, 1<<20)

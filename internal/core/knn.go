@@ -30,7 +30,8 @@ func pimDistCost(metric geom.Metric, dims uint8) int64 {
 }
 
 // KNN returns the k nearest neighbors (exact, l2 metric) of each query,
-// each sorted by increasing distance.
+// each sorted by increasing distance. k clamps to the stored point count;
+// an empty tree yields empty neighbor lists.
 func (t *Tree) KNN(queries []geom.Point, k int) [][]Neighbor {
 	return t.knnWithMetric(queries, k, geom.L2, nil)
 }
@@ -72,6 +73,7 @@ func (t *Tree) knnWithMetric(queries []geom.Point, k int, fine geom.Metric, caps
 	if t.root == nil || k <= 0 {
 		return out
 	}
+	k = min(k, t.Size()) // no query has more neighbors than stored points
 	rec := t.sys.Recorder()
 	rec.BeginOp("knn")
 	defer rec.EndOp()

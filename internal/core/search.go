@@ -525,21 +525,36 @@ func (t *Tree) roundOverGroups(groups []chunkGroup, handler func(m *pim.Module, 
 	})
 }
 
-// Contains reports whether the tree stores a point equal to p. It uses a
-// single-query search (mainly for tests; real workloads batch).
-func (t *Tree) Contains(p geom.Point) bool {
-	res := t.Search([]geom.Point{p})
-	term := res[0].Terminal
-	if term == nil || !term.IsLeaf() {
-		return false
+// ContainsBatch answers exact point membership for the batch: the batch
+// search routes every key to its terminal node, and a host-side check
+// tests whether the terminal leaf actually stores the queried point
+// (terminal nodes for absent keys are the divergence point, not a leaf
+// holding the key). An empty tree answers without running a search.
+func (t *Tree) ContainsBatch(points []geom.Point) []bool {
+	found := make([]bool, len(points))
+	if t.root == nil {
+		return found
 	}
-	key := morton.EncodePoint(p)
-	for i, k := range term.Keys {
-		if k == key && term.Pts[i].Equal(p) {
-			return true
+	for i, r := range t.Search(points) {
+		term := r.Terminal
+		if term == nil || !term.IsLeaf() {
+			continue
+		}
+		key := morton.EncodePoint(points[i])
+		for j, k := range term.Keys {
+			if k == key && term.Pts[j].Equal(points[i]) {
+				found[i] = true
+				break
+			}
 		}
 	}
-	return false
+	return found
+}
+
+// Contains reports whether the tree stores a point equal to p — a
+// single-query ContainsBatch (mainly for tests; real workloads batch).
+func (t *Tree) Contains(p geom.Point) bool {
+	return t.ContainsBatch([]geom.Point{p})[0]
 }
 
 func max64(a, b int64) int64 {

@@ -279,19 +279,6 @@ type SearchResult struct {
 	Terminal *node
 }
 
-// Found reports whether the search ended at a leaf containing key.
-func (r SearchResult) Found(key uint64) bool {
-	if r.Terminal == nil || !r.Terminal.isLeaf() {
-		return false
-	}
-	for _, k := range r.Terminal.keys {
-		if k == key {
-			return true
-		}
-	}
-	return false
-}
-
 // Search routes a batch of points to their leaves under the straw-man
 // execution model and returns per-query results.
 func (t *Tree) Search(points []geom.Point) []SearchResult {

@@ -29,6 +29,19 @@ func TestPlacementString(t *testing.T) {
 	}
 }
 
+// found reports whether the search ended at a leaf containing key.
+func found(r SearchResult, key uint64) bool {
+	if r.Terminal == nil || !r.Terminal.isLeaf() {
+		return false
+	}
+	for _, k := range r.Terminal.keys {
+		if k == key {
+			return true
+		}
+	}
+	return false
+}
+
 func TestSearchFindsStoredPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randPoints(rng, 20000, 1<<20)
@@ -39,7 +52,7 @@ func TestSearchFindsStoredPoints(t *testing.T) {
 		}
 		res := tr.Search(pts[:300])
 		for i, r := range res {
-			if !r.Found(morton.EncodePoint(pts[i])) {
+			if !found(r, morton.EncodePoint(pts[i])) {
 				t.Fatalf("%v: query %d not found", placement, i)
 			}
 		}
@@ -52,7 +65,7 @@ func TestSearchMissesAbsentPoints(t *testing.T) {
 	tr := New(Config{Dims: 3, Machine: machine(32), Placement: NodeHashed}, pts)
 	probe := geom.P3(1<<20, 1<<20, 1<<20)
 	res := tr.Search([]geom.Point{probe})
-	if res[0].Found(morton.EncodePoint(probe)) {
+	if found(res[0], morton.EncodePoint(probe)) {
 		t.Fatal("phantom point found")
 	}
 }

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -14,37 +17,11 @@ import (
 	"pimzdtree/internal/obs"
 )
 
-// Mode selects the engine's scheduling policy.
-type Mode uint8
-
-const (
-	// ModePipeline is the epoch pipeline: coalesce whatever has queued
-	// into per-op-type native batches, fence reads against the published
-	// snapshot, overlap epoch building with epoch execution.
-	ModePipeline Mode = iota
-	// ModeFIFO is the pre-engine baseline for comparison: one request at
-	// a time, in strict arrival order, each as its own tree batch. Same
-	// queues, same responses — only batch formation differs, so a
-	// saturation sweep isolates the coalescing win.
-	ModeFIFO
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	if m == ModeFIFO {
-		return "fifo"
-	}
-	return "pipeline"
-}
-
 // Config configures an Engine.
 type Config struct {
 	// Backend is the index being served (required).
 	Backend Backend
-	// Mode selects pipeline coalescing (default) or the FIFO baseline.
-	Mode Mode
-	// Shards is the intake shard count (0 = GOMAXPROCS; FIFO forces 1 so
-	// drain order is arrival order).
+	// Shards is the intake shard count (0 = GOMAXPROCS).
 	Shards int
 	// MaxQueuedOps bounds admitted-but-incomplete point-ops; beyond it
 	// submissions shed with ErrQueueFull (0 = 65536).
@@ -83,9 +60,6 @@ func (c *Config) fill() {
 	if c.Backend == nil {
 		panic("serve: Config.Backend is required")
 	}
-	if c.Mode == ModeFIFO {
-		c.Shards = 1
-	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -113,6 +87,7 @@ type engineMetrics struct {
 	epochs   *metrics.Counter       // pimzd_epochs_total
 	stageSec *metrics.HistogramVec2 // pimzd_request_stage_seconds{op,stage}
 	fanout   *metrics.Histogram     // pimzd_shard_fanout
+	panics   *metrics.Counter       // pimzd_backend_panics_total
 }
 
 func newEngineMetrics(reg *metrics.Registry) engineMetrics {
@@ -145,6 +120,8 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 			Name: "pimzd_shard_fanout",
 			Help: "Shards touched per routed query (sharded backends with fan-out capture on).",
 			Wall: true}, Buckets: metrics.CountBuckets()}),
+		panics: reg.NewCounter(metrics.Opts{Name: "pimzd_backend_panics_total",
+			Help: "Epochs abandoned because the backend panicked; their unfinished requests failed with an internal error.", Wall: true}),
 	}
 }
 
@@ -185,8 +162,8 @@ type Engine struct {
 	foundArena []bool
 
 	// fan-out capture scratch (executor goroutine only; valid for the
-	// duration of one run* call — requests alias fanChunkSpans entries
-	// and read them only inside finish, before the next run* resets)
+	// duration of one runOp call — requests alias fanChunkSpans entries
+	// and read them only inside finish, before the next runOp resets)
 	fanPerQ        []int32
 	fanChunkSpans  [][]obs.FanoutSpan
 	fanChunkPruned []int32
@@ -291,7 +268,6 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 
 // Stats is a point-in-time engine snapshot (served by /v1/status).
 type Stats struct {
-	Mode            string `json:"mode"`
 	Epoch           uint64 `json:"epoch"`
 	EpochsRun       int64  `json:"epochs_run"`
 	QueuedOps       int64  `json:"queued_ops"`
@@ -302,7 +278,6 @@ type Stats struct {
 // Stats returns a snapshot of the engine's state.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Mode:            e.cfg.Mode.String(),
 		Epoch:           e.cfg.Backend.Epoch(),
 		EpochsRun:       e.epochsRun.Load(),
 		QueuedOps:       e.in.queuedOps(),
@@ -356,8 +331,33 @@ func (e *Engine) builder() {
 func (e *Engine) executor() {
 	defer close(e.execDone)
 	for plan := range e.planCh {
-		e.execute(plan)
+		e.runPlan(plan)
 	}
+}
+
+// runPlan executes one plan and contains a panicking backend: the plan's
+// unfinished requests fail with ErrBackendPanic (releasing their admission
+// ops through finish), the panic is reported and counted, and the executor
+// moves on to the next plan. Whatever state the backend was left in is the
+// backend's problem; the engine's own state is rebuilt per plan.
+func (e *Engine) runPlan(p *epochPlan) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "serve: backend panic: %v\n%s", v, debug.Stack())
+		e.m.panics.Add(1)
+		for _, r := range p.all {
+			select {
+			case <-r.done: // completed before the panic
+			default:
+				r.Resp.Err = ErrBackendPanic
+				e.finish(r)
+			}
+		}
+	}()
+	e.execute(p)
 }
 
 // execute runs one epoch: read phase against the published snapshot
@@ -365,10 +365,6 @@ func (e *Engine) executor() {
 func (e *Engine) execute(p *epochPlan) {
 	if e.aborted.Load() {
 		e.failAll(p.all)
-		return
-	}
-	if e.cfg.Mode == ModeFIFO {
-		e.executeFIFO(p)
 		return
 	}
 	stampAll(p.all, bFenced)
@@ -396,9 +392,9 @@ func (e *Engine) execute(p *epochPlan) {
 	// engine drives the tree (a bug this counter surfaces).
 	readStart := time.Now()
 	readEpoch := e.cfg.Backend.Epoch()
-	e.runSearches(searches, readEpoch)
+	e.runOp(OpSearch, 0, searches, readEpoch)
 	e.runKNNs(knns, readEpoch)
-	e.runBoxes(boxes, readEpoch)
+	e.runOp(OpBox, 0, boxes, readEpoch)
 	if got := e.cfg.Backend.Epoch(); got != readEpoch {
 		e.fenceViolations.Add(1)
 	}
@@ -409,8 +405,8 @@ func (e *Engine) execute(p *epochPlan) {
 	// Update phase: inserts apply before deletes; both publish epochs
 	// that the next plan's read phase will observe.
 	updStart := time.Now()
-	e.runUpdates(inserts, OpInsert)
-	e.runUpdates(deletes, OpDelete)
+	e.runOp(OpInsert, 0, inserts, 0)
+	e.runOp(OpDelete, 0, deletes, 0)
 	if len(inserts)+len(deletes) > 0 {
 		e.m.epochSec.With("update").Observe(time.Since(updStart).Seconds())
 	}
@@ -418,58 +414,6 @@ func (e *Engine) execute(p *epochPlan) {
 	for _, b := range barriers {
 		b.Resp.Epoch = e.cfg.Backend.Epoch()
 		e.finish(b)
-	}
-	e.epochsRun.Add(1)
-	e.m.epochs.Add(1)
-}
-
-// executeFIFO runs every request of the plan individually, in arrival
-// order (shards=1 in FIFO mode, so drain order is arrival order).
-func (e *Engine) executeFIFO(p *epochPlan) {
-	for _, r := range p.all {
-		if e.aborted.Load() {
-			r.fail(ErrDrainDeadline)
-			e.in.releaseOps(r.opCount())
-			continue
-		}
-		r.stamp(bFenced)
-		switch r.Op {
-		case OpSearch:
-			found := e.cfg.Backend.SearchBatch(r.Pts)
-			r.Resp.Found = found
-			r.Resp.Epoch = e.cfg.Backend.Epoch()
-		case OpKNN:
-			r.Resp.Neighbors = e.cfg.Backend.KNNBatch(r.Pts, r.K)
-			r.Resp.Epoch = e.cfg.Backend.Epoch()
-		case OpBox:
-			r.Resp.Counts = e.cfg.Backend.BoxCountBatch(r.Boxes)
-			r.Resp.Epoch = e.cfg.Backend.Epoch()
-		case OpInsert:
-			e.cfg.Backend.InsertBatch(r.Pts)
-			r.Resp.Applied = len(r.Pts)
-			r.Resp.Epoch = e.cfg.Backend.Epoch()
-		case OpDelete:
-			e.cfg.Backend.DeleteBatch(r.Pts)
-			r.Resp.Applied = len(r.Pts)
-			r.Resp.Epoch = e.cfg.Backend.Epoch()
-		case opBarrier:
-			r.Resp.Epoch = e.cfg.Backend.Epoch()
-		}
-		r.stamp(bExecuted)
-		r.Resp.Trace = e.lastTrace()
-		r.firstTrace = r.Resp.Trace
-		if e.fanSrc != nil {
-			if rep := e.fanSrc.TakeFanout(); rep != nil {
-				r.fanMax = int32(rep.MaxFanout())
-				r.fanPruned = int32(rep.Pruned)
-				r.fanSpans = rep.Shards
-				for _, f := range rep.PerQuery {
-					e.m.fanout.Observe(float64(f))
-				}
-			}
-		}
-		e.m.batchOps.With(r.Op.String()).Observe(float64(r.opCount()))
-		e.finish(r)
 	}
 	e.epochsRun.Add(1)
 	e.m.epochs.Add(1)
@@ -484,51 +428,8 @@ func (e *Engine) lastTrace() uint64 {
 	return e.cfg.Flight.LastTrace()
 }
 
-// runSearches coalesces all search requests into MaxBatch-sized native
-// batches over a flat point arena and scatters membership bits back.
-func (e *Engine) runSearches(reqs []*Request, epoch uint64) {
-	if len(reqs) == 0 {
-		return
-	}
-	total := 0
-	for _, r := range reqs {
-		total += len(r.Pts)
-	}
-	if cap(e.ptsArena) < total {
-		e.ptsArena = make([]geom.Point, total)
-	}
-	if cap(e.foundArena) < total {
-		e.foundArena = make([]bool, total)
-	}
-	pts := e.ptsArena[:0]
-	for _, r := range reqs {
-		pts = append(pts, r.Pts...)
-	}
-	found := e.foundArena[:total]
-	traces, ok := e.runChunked("search", total, func(lo, hi int) {
-		copy(found[lo:hi], e.cfg.Backend.SearchBatch(pts[lo:hi]))
-	})
-	if !ok {
-		markAborted(reqs)
-	}
-	off := 0
-	for _, r := range reqs {
-		n := len(r.Pts)
-		r.stamp(bExecuted)
-		if r.Resp.Err == nil {
-			r.Resp.Found = append([]bool(nil), found[off:off+n]...)
-			r.Resp.Epoch = epoch
-			r.Resp.Trace = traceAt(traces, off+n-1, e.cfg.MaxBatch)
-			r.firstTrace = traceAt(traces, off, e.cfg.MaxBatch)
-			e.attachFanout(r, off, n)
-		}
-		off += n
-		e.finish(r)
-	}
-}
-
-// runKNNs groups kNN requests by k (ascending, deterministic), runs one
-// coalesced batch sequence per distinct k, and scatters neighbor lists.
+// runKNNs groups kNN requests by k (ascending, deterministic) and runs
+// one coalesced batch sequence per distinct k.
 func (e *Engine) runKNNs(reqs []*Request, epoch uint64) {
 	if len(reqs) == 0 {
 		return
@@ -543,119 +444,119 @@ func (e *Engine) runKNNs(reqs []*Request, epoch uint64) {
 	}
 	sort.Ints(ks)
 	for _, k := range ks {
-		group := byK[k]
-		total := 0
-		for _, r := range group {
-			total += len(r.Pts)
+		e.runOp(OpKNN, k, byK[k], epoch)
+	}
+}
+
+// runOp is the one gather → execute → scatter routine: it coalesces reqs
+// (all of one op, drain order preserved; kNN: all of one k) into a flat
+// arena, runs it through the backend in MaxBatch-sized native batches —
+// recording the flight trace ID, fan-out report and batch size of each —
+// and scatters every request its slice of the results. Reads report
+// readEpoch, the snapshot the whole read phase ran against; each update
+// batch publishes a new epoch and a request reports the one its last
+// point landed in. A shutdown abort mid-sequence stops before the next
+// batch and fails the whole group with ErrDrainDeadline (some batches may
+// have executed, but no request gets partial results).
+func (e *Engine) runOp(op Op, k int, reqs []*Request, readEpoch uint64) {
+	if len(reqs) == 0 {
+		return
+	}
+	total := 0
+	for _, r := range reqs {
+		total += r.items()
+	}
+	var pts []geom.Point
+	var boxes []geom.Box
+	if op == OpBox {
+		if cap(e.boxArena) < total {
+			e.boxArena = make([]geom.Box, total)
 		}
+		boxes = e.boxArena[:0]
+		for _, r := range reqs {
+			boxes = append(boxes, r.Boxes...)
+		}
+	} else {
 		if cap(e.ptsArena) < total {
 			e.ptsArena = make([]geom.Point, total)
 		}
-		pts := e.ptsArena[:0]
-		for _, r := range group {
+		pts = e.ptsArena[:0]
+		for _, r := range reqs {
 			pts = append(pts, r.Pts...)
 		}
-		neighbors := make([][]core.Neighbor, total)
-		traces, ok := e.runChunked("knn", total, func(lo, hi int) {
-			copy(neighbors[lo:hi], e.cfg.Backend.KNNBatch(pts[lo:hi], k))
-		})
-		if !ok {
-			markAborted(group)
+	}
+
+	maxBatch := e.cfg.MaxBatch
+	nChunks := (total + maxBatch - 1) / maxBatch
+	var (
+		found     []bool            // OpSearch: engine scratch, copied out per request
+		neighbors [][]core.Neighbor // OpKNN: shared, requests alias their slice
+		counts    []int64           // OpBox: shared, requests alias their slice
+		epochs    []uint64          // updates: epoch published by each batch
+	)
+	switch op {
+	case OpSearch:
+		if cap(e.foundArena) < total {
+			e.foundArena = make([]bool, total)
 		}
-		off := 0
-		for _, r := range group {
-			n := len(r.Pts)
-			r.stamp(bExecuted)
-			if r.Resp.Err == nil {
+		found = e.foundArena[:total]
+	case OpKNN:
+		neighbors = make([][]core.Neighbor, total)
+	case OpBox:
+		counts = make([]int64, total)
+	default:
+		epochs = make([]uint64, 0, nChunks)
+	}
+
+	b := e.cfg.Backend
+	traces := make([]uint64, nChunks)
+	e.resetFanout(total, nChunks)
+	for c := 0; c < nChunks; c++ {
+		if e.aborted.Load() {
+			markAborted(reqs)
+			break
+		}
+		lo := c * maxBatch
+		hi := min(lo+maxBatch, total)
+		switch op {
+		case OpSearch:
+			copy(found[lo:hi], b.SearchBatch(pts[lo:hi]))
+		case OpKNN:
+			copy(neighbors[lo:hi], b.KNNBatch(pts[lo:hi], k))
+		case OpBox:
+			copy(counts[lo:hi], b.BoxCountBatch(boxes[lo:hi]))
+		case OpInsert:
+			b.InsertBatch(pts[lo:hi])
+			epochs = append(epochs, b.Epoch())
+		case OpDelete:
+			b.DeleteBatch(pts[lo:hi])
+			epochs = append(epochs, b.Epoch())
+		}
+		traces[c] = e.lastTrace()
+		e.captureFanout(c, lo, hi)
+		e.m.batchOps.With(op.String()).Observe(float64(hi - lo))
+	}
+
+	off := 0
+	for _, r := range reqs {
+		n := r.items()
+		r.stamp(bExecuted)
+		if r.Resp.Err == nil {
+			last := (off + n - 1) / maxBatch
+			r.Resp.Epoch = readEpoch
+			switch op {
+			case OpSearch:
+				r.Resp.Found = append([]bool(nil), found[off:off+n]...)
+			case OpKNN:
 				r.Resp.Neighbors = neighbors[off : off+n : off+n]
-				r.Resp.Epoch = epoch
-				r.Resp.Trace = traceAt(traces, off+n-1, e.cfg.MaxBatch)
-				r.firstTrace = traceAt(traces, off, e.cfg.MaxBatch)
-				e.attachFanout(r, off, n)
+			case OpBox:
+				r.Resp.Counts = counts[off : off+n : off+n]
+			default:
+				r.Resp.Applied = n
+				r.Resp.Epoch = epochs[last]
 			}
-			off += n
-			e.finish(r)
-		}
-	}
-}
-
-// runBoxes coalesces box-count requests.
-func (e *Engine) runBoxes(reqs []*Request, epoch uint64) {
-	if len(reqs) == 0 {
-		return
-	}
-	total := 0
-	for _, r := range reqs {
-		total += len(r.Boxes)
-	}
-	if cap(e.boxArena) < total {
-		e.boxArena = make([]geom.Box, total)
-	}
-	boxes := e.boxArena[:0]
-	for _, r := range reqs {
-		boxes = append(boxes, r.Boxes...)
-	}
-	counts := make([]int64, total)
-	traces, ok := e.runChunked("box", total, func(lo, hi int) {
-		copy(counts[lo:hi], e.cfg.Backend.BoxCountBatch(boxes[lo:hi]))
-	})
-	if !ok {
-		markAborted(reqs)
-	}
-	off := 0
-	for _, r := range reqs {
-		n := len(r.Boxes)
-		r.stamp(bExecuted)
-		if r.Resp.Err == nil {
-			r.Resp.Counts = counts[off : off+n : off+n]
-			r.Resp.Epoch = epoch
-			r.Resp.Trace = traceAt(traces, off+n-1, e.cfg.MaxBatch)
-			r.firstTrace = traceAt(traces, off, e.cfg.MaxBatch)
-			e.attachFanout(r, off, n)
-		}
-		off += n
-		e.finish(r)
-	}
-}
-
-// runUpdates coalesces insert or delete requests (drain order preserved)
-// into MaxBatch-sized update batches; each batch publishes a new epoch.
-func (e *Engine) runUpdates(reqs []*Request, op Op) {
-	if len(reqs) == 0 {
-		return
-	}
-	total := 0
-	for _, r := range reqs {
-		total += len(r.Pts)
-	}
-	if cap(e.ptsArena) < total {
-		e.ptsArena = make([]geom.Point, total)
-	}
-	pts := e.ptsArena[:0]
-	for _, r := range reqs {
-		pts = append(pts, r.Pts...)
-	}
-	epochs := make([]uint64, 0, total/e.cfg.MaxBatch+1)
-	traces, ok := e.runChunked(op.String(), total, func(lo, hi int) {
-		if op == OpInsert {
-			e.cfg.Backend.InsertBatch(pts[lo:hi])
-		} else {
-			e.cfg.Backend.DeleteBatch(pts[lo:hi])
-		}
-		epochs = append(epochs, e.cfg.Backend.Epoch())
-	})
-	if !ok {
-		markAborted(reqs)
-	}
-	off := 0
-	for _, r := range reqs {
-		n := len(r.Pts)
-		r.stamp(bExecuted)
-		if r.Resp.Err == nil {
-			r.Resp.Applied = n
-			r.Resp.Epoch = epochs[(off+n-1)/e.cfg.MaxBatch]
-			r.Resp.Trace = traceAt(traces, off+n-1, e.cfg.MaxBatch)
-			r.firstTrace = traceAt(traces, off, e.cfg.MaxBatch)
+			r.Resp.Trace = traces[last]
+			r.firstTrace = traces[off/maxBatch]
 			e.attachFanout(r, off, n)
 		}
 		off += n
@@ -674,30 +575,7 @@ func markAborted(reqs []*Request) {
 	}
 }
 
-// runChunked executes fn over [0,total) in MaxBatch-sized chunks,
-// recording the flight-recorder trace ID after each chunk. A shutdown
-// abort mid-sequence stops before the next chunk and returns ok=false —
-// the caller then fails its whole request group with ErrDrainDeadline
-// (some chunks may have executed, but no request gets partial results).
-func (e *Engine) runChunked(op string, total int, fn func(lo, hi int)) (traces []uint64, ok bool) {
-	nChunks := (total + e.cfg.MaxBatch - 1) / e.cfg.MaxBatch
-	traces = make([]uint64, nChunks)
-	e.resetFanout(total, nChunks)
-	for c := 0; c < nChunks; c++ {
-		if e.aborted.Load() {
-			return traces, false
-		}
-		lo := c * e.cfg.MaxBatch
-		hi := min(lo+e.cfg.MaxBatch, total)
-		fn(lo, hi)
-		traces[c] = e.lastTrace()
-		e.captureFanout(c, lo, hi)
-		e.m.batchOps.With(op).Observe(float64(hi - lo))
-	}
-	return traces, true
-}
-
-// resetFanout sizes the fan-out scratch for a chunked run and clears the
+// resetFanout sizes the fan-out scratch for one runOp and clears the
 // live flag. Invalidates any spans requests from the previous run still
 // alias — those are only read inside finish, which has already happened.
 func (e *Engine) resetFanout(total, nChunks int) {
@@ -746,7 +624,7 @@ func (e *Engine) captureFanout(c, lo, hi int) {
 // attachFanout hands a scattered request its fan-out context: the max
 // per-query fan-out across its own queries, and the span breakdown of the
 // chunk that served its tail. The spans alias engine scratch — valid
-// until the next chunked run, i.e. through this request's finish.
+// until the next runOp, i.e. through this request's finish.
 func (e *Engine) attachFanout(r *Request, off, n int) {
 	if !e.fanLive || n == 0 {
 		return
@@ -762,18 +640,6 @@ func (e *Engine) attachFanout(r *Request, off, n int) {
 		r.fanSpans = e.fanChunkSpans[c]
 		r.fanPruned = e.fanChunkPruned[c]
 	}
-}
-
-// traceAt returns the trace of the chunk containing flat index i.
-func traceAt(traces []uint64, i, maxBatch int) uint64 {
-	if len(traces) == 0 {
-		return 0
-	}
-	c := i / maxBatch
-	if c >= len(traces) {
-		c = len(traces) - 1
-	}
-	return traces[c]
 }
 
 // finish completes one request: latency histogram (exemplared with the

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +16,7 @@ import (
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/costmodel"
 	"pimzdtree/internal/geom"
+	"pimzdtree/internal/metrics"
 	"pimzdtree/internal/workload"
 )
 
@@ -24,10 +29,10 @@ func testTree(t *testing.T, n int) (*core.Tree, []geom.Point) {
 	return tr, data
 }
 
-func testEngine(t *testing.T, mode Mode, n int) (*Engine, []geom.Point) {
+func testEngine(t *testing.T, n int) (*Engine, []geom.Point) {
 	t.Helper()
 	tr, data := testTree(t, n)
-	e := New(Config{Backend: NewTreeBackend(tr), Mode: mode})
+	e := New(Config{Backend: NewTreeBackend(tr)})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -53,57 +58,53 @@ func searchReq(pts ...geom.Point) *Request {
 }
 
 func TestEngineBasicOps(t *testing.T) {
-	for _, mode := range []Mode{ModePipeline, ModeFIFO} {
-		t.Run(mode.String(), func(t *testing.T) {
-			e, data := testEngine(t, mode, 5000)
+	e, data := testEngine(t, 5000)
 
-			resp := mustDo(t, e, searchReq(data[0], data[1]))
-			if !resp.Found[0] || !resp.Found[1] {
-				t.Fatalf("stored points not found: %v", resp.Found)
-			}
+	resp := mustDo(t, e, searchReq(data[0], data[1]))
+	if !resp.Found[0] || !resp.Found[1] {
+		t.Fatalf("stored points not found: %v", resp.Found)
+	}
 
-			absent := geom.Point{Dims: 3}
-			absent.Coords = [4]uint32{0xdeadbeef, 0xfeedface, 0x12345678, 0}
-			ins := NewRequest(OpInsert)
-			ins.Pts = []geom.Point{absent}
-			if got := mustDo(t, e, ins); got.Applied != 1 {
-				t.Fatalf("insert applied %d", got.Applied)
-			}
-			if resp := mustDo(t, e, searchReq(absent)); !resp.Found[0] {
-				t.Fatal("inserted point not visible to later search")
-			}
+	absent := geom.Point{Dims: 3}
+	absent.Coords = [4]uint32{0xdeadbeef, 0xfeedface, 0x12345678, 0}
+	ins := NewRequest(OpInsert)
+	ins.Pts = []geom.Point{absent}
+	if got := mustDo(t, e, ins); got.Applied != 1 {
+		t.Fatalf("insert applied %d", got.Applied)
+	}
+	if resp := mustDo(t, e, searchReq(absent)); !resp.Found[0] {
+		t.Fatal("inserted point not visible to later search")
+	}
 
-			knn := NewRequest(OpKNN)
-			knn.Pts = []geom.Point{data[10]}
-			knn.K = 3
-			nresp := mustDo(t, e, knn)
-			if len(nresp.Neighbors) != 1 || len(nresp.Neighbors[0]) != 3 {
-				t.Fatalf("knn shape: %d lists", len(nresp.Neighbors))
-			}
-			if nresp.Neighbors[0][0].Dist != 0 {
-				t.Fatalf("nearest neighbor of a stored point should be itself, dist=%d", nresp.Neighbors[0][0].Dist)
-			}
+	knn := NewRequest(OpKNN)
+	knn.Pts = []geom.Point{data[10]}
+	knn.K = 3
+	nresp := mustDo(t, e, knn)
+	if len(nresp.Neighbors) != 1 || len(nresp.Neighbors[0]) != 3 {
+		t.Fatalf("knn shape: %d lists", len(nresp.Neighbors))
+	}
+	if nresp.Neighbors[0][0].Dist != 0 {
+		t.Fatalf("nearest neighbor of a stored point should be itself, dist=%d", nresp.Neighbors[0][0].Dist)
+	}
 
-			boxes := workload.QueryBoxes(7, data, 4, 32)
-			breq := NewRequest(OpBox)
-			breq.Boxes = boxes
-			bresp := mustDo(t, e, breq)
-			if len(bresp.Counts) != len(boxes) {
-				t.Fatalf("box counts: %d", len(bresp.Counts))
-			}
+	boxes := workload.QueryBoxes(7, data, 4, 32)
+	breq := NewRequest(OpBox)
+	breq.Boxes = boxes
+	bresp := mustDo(t, e, breq)
+	if len(bresp.Counts) != len(boxes) {
+		t.Fatalf("box counts: %d", len(bresp.Counts))
+	}
 
-			del := NewRequest(OpDelete)
-			del.Pts = []geom.Point{absent}
-			mustDo(t, e, del)
-			if resp := mustDo(t, e, searchReq(absent)); resp.Found[0] {
-				t.Fatal("deleted point still visible")
-			}
-		})
+	del := NewRequest(OpDelete)
+	del.Pts = []geom.Point{absent}
+	mustDo(t, e, del)
+	if resp := mustDo(t, e, searchReq(absent)); resp.Found[0] {
+		t.Fatal("deleted point still visible")
 	}
 }
 
 func TestEngineEpochVisibility(t *testing.T) {
-	e, _ := testEngine(t, ModePipeline, 2000)
+	e, _ := testEngine(t, 2000)
 	p := geom.Point{Dims: 3, Coords: [4]uint32{1, 2, 3, 0}}
 
 	before := mustDo(t, e, searchReq(p)).Epoch
@@ -123,7 +124,7 @@ func TestEngineEpochVisibility(t *testing.T) {
 }
 
 func TestEngineValidation(t *testing.T) {
-	e, data := testEngine(t, ModePipeline, 1000)
+	e, data := testEngine(t, 1000)
 	cases := []*Request{
 		NewRequest(OpSearch), // empty batch
 		func() *Request {
@@ -298,7 +299,7 @@ func TestShutdownDrainDeadline(t *testing.T) {
 // mixed workload. Run under -race (make race) this is the data-race net
 // for the whole intake/builder/executor pipeline.
 func TestConcurrentClients(t *testing.T) {
-	e, data := testEngine(t, ModePipeline, 20000)
+	e, data := testEngine(t, 20000)
 
 	const goroutines = 16
 	const perG = 60
@@ -348,7 +349,7 @@ func TestConcurrentClients(t *testing.T) {
 // engine and asserts the epoch fence never trips: every read phase ran
 // against one stable published root.
 func TestSnapshotIsolation(t *testing.T) {
-	e, data := testEngine(t, ModePipeline, 20000)
+	e, data := testEngine(t, 20000)
 
 	stop := make(chan struct{})
 	var writerErr atomic.Value
@@ -396,7 +397,7 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 func TestBarrierOrdersAllPriorWork(t *testing.T) {
-	e, _ := testEngine(t, ModePipeline, 2000)
+	e, _ := testEngine(t, 2000)
 	var reqs []*Request
 	for i := 0; i < 20; i++ {
 		r := NewRequest(OpInsert)
@@ -417,5 +418,102 @@ func TestBarrierOrdersAllPriorWork(t *testing.T) {
 		default:
 			t.Fatalf("request %d not complete when barrier returned", i)
 		}
+	}
+}
+
+// panicBackend panics inside every search batch whose 1-based ordinal is
+// listed — a stand-in for a backend bug (or a corrupted tree) surfacing
+// mid-epoch.
+type panicBackend struct {
+	Backend
+	searches int
+	panicOn  map[int]bool
+}
+
+func (b *panicBackend) SearchBatch(pts []geom.Point) []bool {
+	b.searches++
+	if b.panicOn[b.searches] {
+		panic(fmt.Sprintf("injected backend panic in search batch %d", b.searches))
+	}
+	return b.Backend.SearchBatch(pts)
+}
+
+// TestBackendPanicIsContained: a panicking backend costs the requests of
+// its epoch — failed with ErrBackendPanic (HTTP 500, a non-OK wire frame),
+// their admission ops released — and nothing else: no waiter hangs, the
+// next request succeeds, the panic is counted, Shutdown still drains.
+func TestBackendPanicIsContained(t *testing.T) {
+	tr, data := testTree(t, 2000)
+	reg := metrics.New()
+	e := New(Config{
+		Backend:  &panicBackend{Backend: NewTreeBackend(tr), panicOn: map[int]bool{2: true, 4: true, 6: true}},
+		Registry: reg,
+	})
+
+	// Search batch 1 is healthy. Batch 2 panics: the search fails, and so
+	// does whatever was coalesced into the same epoch behind it (here the
+	// barrier; nothing of the epoch may be left pending).
+	if resp := mustDo(t, e, searchReq(data[0])); !resp.Found[0] {
+		t.Fatal("healthy search lost a stored point")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := e.Do(ctx, searchReq(data[1])); !errors.Is(err, ErrBackendPanic) {
+		t.Fatalf("search in the panicking epoch: want ErrBackendPanic, got %v", err)
+	}
+	if got := e.Stats().QueuedOps; got != 0 {
+		t.Fatalf("admission depth %d after the failed epoch, want 0 (ops not released)", got)
+	}
+	if err := e.Barrier(ctx); err != nil {
+		t.Fatalf("barrier after a backend panic: %v", err)
+	}
+	if resp := mustDo(t, e, searchReq(data[2])); !resp.Found[0] { // batch 3
+		t.Fatal("engine stopped serving after a backend panic")
+	}
+
+	// HTTP: batch 4 panics -> 500 (not a retryable 503); batch 5 is fine.
+	srv := httptest.NewServer(NewHTTPHandler(e))
+	defer srv.Close()
+	coords := [][]uint32{data[3].Coords[:3]}
+	if resp, body := postJSON(t, srv.URL+"/v1/search", httpReq{Points: coords}); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("http search in the panicking epoch: %d %s, want 500", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, srv.URL+"/v1/search", httpReq{Points: coords}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("http search after the panic: %d %s", resp.StatusCode, body)
+	}
+
+	// Wire: batch 6 panics -> a non-OK frame, the connection survives and
+	// serves batch 7.
+	tcp, err := ServeTCP("127.0.0.1:0", e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	cl, err := DialTCP(tcp.Addr(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var werr *WireError
+	if err := cl.Do(searchReq(data[4])); !errors.As(err, &werr) || werr.Status == wireOK {
+		t.Fatalf("wire search in the panicking epoch: want a non-OK WireError, got %v", err)
+	}
+	r := searchReq(data[4])
+	if err := cl.Do(r); err != nil || !r.Resp.Found[0] {
+		t.Fatalf("wire search after the panic: err=%v found=%v", err, r.Resp.Found)
+	}
+
+	if got := e.m.panics.Value(); got != 3 {
+		t.Fatalf("pimzd_backend_panics_total = %v, want 3", got)
+	}
+	var expo bytes.Buffer
+	if err := reg.WriteTextOpts(&expo, metrics.ExpoOpts{ModeledOnly: true}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(expo.String(), "pimzd_backend_panics_total") {
+		t.Fatal("pimzd_backend_panics_total leaked into the modeled-only exposition (must be Wall)")
+	}
+	if err := e.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown after backend panics: %v", err)
 	}
 }

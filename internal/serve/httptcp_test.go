@@ -31,7 +31,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 }
 
 func TestHTTPAPI(t *testing.T) {
-	e, data := testEngine(t, ModePipeline, 5000)
+	e, data := testEngine(t, 5000)
 	srv := httptest.NewServer(NewHTTPHandler(e))
 	defer srv.Close()
 
@@ -107,7 +107,7 @@ func TestHTTPAPI(t *testing.T) {
 	var stats Stats
 	json.NewDecoder(st.Body).Decode(&stats)
 	st.Body.Close()
-	if stats.Mode != "pipeline" || stats.FenceViolations != 0 {
+	if stats.FenceViolations != 0 {
 		t.Fatalf("status: %+v", stats)
 	}
 
@@ -127,7 +127,7 @@ func TestHTTPAPI(t *testing.T) {
 }
 
 func TestHTTPShutdown503(t *testing.T) {
-	e, data := testEngine(t, ModePipeline, 2000)
+	e, data := testEngine(t, 2000)
 	srv := httptest.NewServer(NewHTTPHandler(e))
 	defer srv.Close()
 
@@ -146,7 +146,7 @@ func TestHTTPShutdown503(t *testing.T) {
 }
 
 func TestTCPServerEndToEnd(t *testing.T) {
-	e, data := testEngine(t, ModePipeline, 5000)
+	e, data := testEngine(t, 5000)
 	ts, err := ServeTCP("127.0.0.1:0", e)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestTCPServerEndToEnd(t *testing.T) {
 // TestParallelMixedClients drives HTTP and TCP clients at the same time
 // — the cross-protocol race net (run under make race).
 func TestParallelMixedClients(t *testing.T) {
-	e, data := testEngine(t, ModePipeline, 10000)
+	e, data := testEngine(t, 10000)
 	hsrv := httptest.NewServer(NewHTTPHandler(e))
 	defer hsrv.Close()
 	ts, err := ServeTCP("127.0.0.1:0", e)
@@ -284,7 +284,7 @@ func TestParallelMixedClients(t *testing.T) {
 }
 
 func TestTCPShutdownDrain(t *testing.T) {
-	e, data := testEngine(t, ModePipeline, 2000)
+	e, data := testEngine(t, 2000)
 	ts, err := ServeTCP("127.0.0.1:0", e)
 	if err != nil {
 		t.Fatal(err)

@@ -48,9 +48,9 @@ func (o Op) String() string {
 	}
 }
 
-// Sentinel errors a request can complete with. HTTP maps all three to
-// 503 (the client should back off and retry); the wire protocol has a
-// status code per case.
+// Sentinel errors a request can complete with. HTTP maps the first three
+// to 503 (the client should back off and retry) and the wire protocol has
+// a status code for each of them.
 var (
 	// ErrQueueFull is admission control: the intake queue is at capacity
 	// and the request was shed instead of enqueued.
@@ -60,6 +60,10 @@ var (
 	// ErrDrainDeadline completes requests still pending when the shutdown
 	// drain deadline passes: they were accepted but not executed.
 	ErrDrainDeadline = errors.New("serve: shutdown drain deadline exceeded")
+	// ErrBackendPanic completes the requests of an epoch whose backend
+	// call panicked: an internal error (HTTP 500, a non-OK wire frame),
+	// not back-pressure — the engine keeps serving.
+	ErrBackendPanic = errors.New("serve: internal error: backend panicked")
 )
 
 // BadRequestError reports malformed client input (wrong dimensionality,
@@ -120,24 +124,20 @@ func (r *Request) Done() <-chan struct{} { return r.done }
 // complete fills the terminal state and releases the waiter.
 func (r *Request) complete() { close(r.done) }
 
-// fail completes the request with an error.
-func (r *Request) fail(err error) {
-	r.Resp.Err = err
-	r.complete()
-}
-
 // opCount returns the number of point-operations the request admits into
 // the queue (admission control is sized in ops, not requests, so one
 // giant batch cannot starve a thousand small ones unaccounted).
 func (r *Request) opCount() int64 {
+	return int64(max(r.items(), 1)) // a barrier still occupies a slot
+}
+
+// items returns how many points (boxes for OpBox) the request contributes
+// to its coalesced batch.
+func (r *Request) items() int {
 	if r.Op == OpBox {
-		return int64(len(r.Boxes))
+		return len(r.Boxes)
 	}
-	n := int64(len(r.Pts))
-	if n == 0 {
-		n = 1 // barriers and degenerate requests still occupy a slot
-	}
-	return n
+	return len(r.Pts)
 }
 
 // Response is the terminal state of a request. Exactly the fields for the

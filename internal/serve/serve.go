@@ -42,7 +42,6 @@ package serve
 import (
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/geom"
-	"pimzdtree/internal/morton"
 )
 
 // Backend is the batch interface the engine drives. *core.Tree is the
@@ -74,32 +73,8 @@ func NewTreeBackend(t *core.Tree) *TreeBackend { return &TreeBackend{T: t} }
 // Dims returns the indexed dimensionality.
 func (b *TreeBackend) Dims() uint8 { return b.T.Dims() }
 
-// SearchBatch answers point membership for the batch: the tree's batch
-// search routes every key to its terminal node, and a host-side check
-// tests whether the terminal leaf actually stores the queried point
-// (terminal nodes for absent keys are the divergence point, not a leaf
-// holding the key).
-func (b *TreeBackend) SearchBatch(pts []geom.Point) []bool {
-	found := make([]bool, len(pts))
-	if b.T.Size() == 0 {
-		return found
-	}
-	res := b.T.Search(pts)
-	for i, r := range res {
-		term := r.Terminal
-		if term == nil || !term.IsLeaf() {
-			continue
-		}
-		key := morton.EncodePoint(pts[i])
-		for j, k := range term.Keys {
-			if k == key && term.Pts[j].Equal(pts[i]) {
-				found[i] = true
-				break
-			}
-		}
-	}
-	return found
-}
+// SearchBatch answers exact point membership for the batch.
+func (b *TreeBackend) SearchBatch(pts []geom.Point) []bool { return b.T.ContainsBatch(pts) }
 
 // InsertBatch applies one insert batch.
 func (b *TreeBackend) InsertBatch(pts []geom.Point) { b.T.Insert(pts) }
@@ -107,24 +82,14 @@ func (b *TreeBackend) InsertBatch(pts []geom.Point) { b.T.Insert(pts) }
 // DeleteBatch applies one delete batch.
 func (b *TreeBackend) DeleteBatch(pts []geom.Point) { b.T.Delete(pts) }
 
-// KNNBatch answers exact kNN (l2) for the batch. k is clamped to the
-// current tree size; an empty tree yields empty neighbor lists.
+// KNNBatch answers exact kNN (l2) for the batch (k clamps to the tree
+// size; an empty tree yields empty neighbor lists — see core.Tree.KNN).
 func (b *TreeBackend) KNNBatch(pts []geom.Point, k int) [][]core.Neighbor {
-	if n := b.T.Size(); n == 0 {
-		return make([][]core.Neighbor, len(pts))
-	} else if k > n {
-		k = n
-	}
 	return b.T.KNN(pts, k)
 }
 
 // BoxCountBatch counts stored points per box.
-func (b *TreeBackend) BoxCountBatch(boxes []geom.Box) []int64 {
-	if b.T.Size() == 0 {
-		return make([]int64, len(boxes))
-	}
-	return b.T.BoxCount(boxes)
-}
+func (b *TreeBackend) BoxCountBatch(boxes []geom.Box) []int64 { return b.T.BoxCount(boxes) }
 
 // Epoch returns the tree's published update epoch.
 func (b *TreeBackend) Epoch() uint64 { return b.T.Epoch() }

@@ -50,7 +50,7 @@ var bootTime = time.Now()
 func nowNanos() int64 { return int64(time.Since(bootTime)) }
 
 // stamp records boundary b if it has not been stamped yet (the first
-// stamp wins; barriers and FIFO mode may pass a boundary twice).
+// stamp wins).
 func (r *Request) stamp(b int) {
 	if r.ts[b] == 0 {
 		r.ts[b] = nowNanos()

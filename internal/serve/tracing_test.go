@@ -63,7 +63,6 @@ func TestHotShardStormAttribution(t *testing.T) {
 	tracer := NewRequestTracer(RequestTraceConfig{SlowK: 8})
 	e := New(Config{
 		Backend:  &slowShardBackend{Index: idx, delay: 2 * time.Millisecond},
-		Mode:     ModePipeline,
 		Flight:   fr,
 		Requests: tracer,
 	})
@@ -172,7 +171,7 @@ func TestObserveStagesZeroAlloc(t *testing.T) {
 	// fast path, the steady state under a healthy server.
 	tracer := NewRequestTracer(RequestTraceConfig{SlowWallSeconds: 3600, SlowK: 4})
 	e := New(Config{
-		Backend: NewTreeBackend(tr), Mode: ModePipeline,
+		Backend:  NewTreeBackend(tr),
 		Registry: reg, Requests: tracer, SLO: slo,
 	})
 	defer func() {
@@ -285,7 +284,7 @@ func TestWireCompatOptionalID(t *testing.T) {
 // server must answer with a bad-request frame and keep the connection
 // serving subsequent valid requests.
 func TestWireGarbageOptionalFieldSurvivesConnection(t *testing.T) {
-	e, data := testEngine(t, ModePipeline, 4000)
+	e, data := testEngine(t, 4000)
 	ts, err := ServeTCP("127.0.0.1:0", e)
 	if err != nil {
 		t.Fatalf("serve tcp: %v", err)

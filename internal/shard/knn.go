@@ -30,30 +30,6 @@ import (
 
 const knnMsgBytes = 24 // modeled per-candidate message, mirrors core's kNN wave
 
-// knnTree answers kNN on one tree with the serve-layer conventions:
-// k clamps to the tree size, an empty tree yields empty lists.
-func knnTree(t *core.Tree, queries []geom.Point, k int) [][]core.Neighbor {
-	if n := t.Size(); n == 0 {
-		return make([][]core.Neighbor, len(queries))
-	} else if k > n {
-		k = n
-	}
-	return t.KNN(queries, k)
-}
-
-// knnTreeWithin is knnTree for the fan-out phase: each query ships its
-// current k-th-best distance as an inclusive sphere cap, so a foreign
-// tree (whose key region may be far from the query) fetches only
-// potential improvements instead of deriving its own, far larger sphere.
-func knnTreeWithin(t *core.Tree, queries []geom.Point, k int, caps []uint64) [][]core.Neighbor {
-	if n := t.Size(); n == 0 {
-		return make([][]core.Neighbor, len(queries))
-	} else if k > n {
-		k = n
-	}
-	return t.KNNWithin(queries, k, caps)
-}
-
 // KNNBatch answers exact kNN (squared l2) for the batch across all
 // shards. k is clamped to the total stored point count; an empty index
 // yields empty neighbor lists.
@@ -61,7 +37,7 @@ func (x *Index) KNNBatch(queries []geom.Point, k int) [][]core.Neighbor {
 	if t := x.single(); t != nil {
 		x.mu.Lock()
 		defer x.mu.Unlock()
-		return knnTree(t, queries, k)
+		return t.KNN(queries, k)
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -83,7 +59,7 @@ func (x *Index) KNNBatch(queries []geom.Point, k int) [][]core.Neighbor {
 	homeRes := make([][][]core.Neighbor, len(x.sh))
 	x.forEach(flat, offs, func(s int, seg []geom.Point) {
 		x.fanShard(s, len(seg), func() {
-			homeRes[s] = knnTree(x.sh[s].tree, seg, k)
+			homeRes[s] = x.sh[s].tree.KNN(seg, k)
 		})
 	})
 	x.mergeWindows()
@@ -138,7 +114,7 @@ func (x *Index) KNNBatch(queries []geom.Point, k int) [][]core.Neighbor {
 	parallel.For(len(x.sh), func(s int) {
 		if len(subQ[s]) > 0 {
 			x.fanShard(s, len(subQ[s]), func() {
-				farRes[s] = knnTreeWithin(x.sh[s].tree, subQ[s], k, subCap[s])
+				farRes[s] = x.sh[s].tree.KNNWithin(subQ[s], k, subCap[s])
 			})
 		}
 	})

@@ -3,7 +3,6 @@ package shard
 import (
 	"math/bits"
 
-	"pimzdtree/internal/core"
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/morton"
 	"pimzdtree/internal/parallel"
@@ -96,37 +95,12 @@ func (x *Index) mergeWindows() {
 	}
 }
 
-// searchTree answers exact point membership against one tree: batch
-// search to the terminal node, then a host-side check that the terminal
-// leaf actually stores the queried point (mirrors serve.TreeBackend).
-func searchTree(t *core.Tree, pts []geom.Point) []bool {
-	found := make([]bool, len(pts))
-	if t.Size() == 0 {
-		return found
-	}
-	res := t.Search(pts)
-	for i, r := range res {
-		term := r.Terminal
-		if term == nil || !term.IsLeaf() {
-			continue
-		}
-		key := morton.EncodePoint(pts[i])
-		for j, k := range term.Keys {
-			if k == key && term.Pts[j].Equal(pts[i]) {
-				found[i] = true
-				break
-			}
-		}
-	}
-	return found
-}
-
 // SearchBatch answers point membership for the batch across all shards.
 func (x *Index) SearchBatch(pts []geom.Point) []bool {
 	if t := x.single(); t != nil {
 		x.mu.Lock()
 		defer x.mu.Unlock()
-		return searchTree(t, pts)
+		return t.ContainsBatch(pts)
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -142,7 +116,7 @@ func (x *Index) SearchBatch(pts []geom.Point) []bool {
 	results := make([][]bool, len(x.sh))
 	x.forEach(flat, offs, func(s int, seg []geom.Point) {
 		x.fanShard(s, len(seg), func() {
-			results[s] = searchTree(x.sh[s].tree, seg)
+			results[s] = x.sh[s].tree.ContainsBatch(seg)
 		})
 	})
 	x.mergeWindows()
@@ -220,14 +194,6 @@ func (x *Index) DeleteBatch(pts []geom.Point) {
 	x.epoch.Add(1)
 }
 
-// boxCountTree counts per-box stored points on one tree (empty-safe).
-func boxCountTree(t *core.Tree, boxes []geom.Box) []int64 {
-	if t.Size() == 0 {
-		return make([]int64, len(boxes))
-	}
-	return t.BoxCount(boxes)
-}
-
 // BoxCountBatch counts stored points per box. Each box fans out only to
 // shards whose key range can intersect it (some aligned block of the
 // range overlaps the box) — the minimal shard cover, since the blocks
@@ -237,7 +203,7 @@ func (x *Index) BoxCountBatch(boxes []geom.Box) []int64 {
 	if t := x.single(); t != nil {
 		x.mu.Lock()
 		defer x.mu.Unlock()
-		return boxCountTree(t, boxes)
+		return t.BoxCount(boxes)
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -273,7 +239,7 @@ func (x *Index) BoxCountBatch(boxes []geom.Box) []int64 {
 	parallel.For(len(x.sh), func(s int) {
 		if len(subBoxes[s]) > 0 {
 			x.fanShard(s, len(subBoxes[s]), func() {
-				counts[s] = boxCountTree(x.sh[s].tree, subBoxes[s])
+				counts[s] = x.sh[s].tree.BoxCount(subBoxes[s])
 			})
 		}
 	})

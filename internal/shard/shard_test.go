@@ -42,11 +42,11 @@ func randPoints(rng *rand.Rand, n int, dims uint8, limit uint32) []geom.Point {
 // S==1 pass-through uses, on a bare core.Tree.
 type refBackend struct{ t *core.Tree }
 
-func (b refBackend) search(pts []geom.Point) []bool { return searchTree(b.t, pts) }
+func (b refBackend) search(pts []geom.Point) []bool { return b.t.ContainsBatch(pts) }
 func (b refBackend) knn(pts []geom.Point, k int) [][]core.Neighbor {
-	return knnTree(b.t, pts, k)
+	return b.t.KNN(pts, k)
 }
-func (b refBackend) boxCount(boxes []geom.Box) []int64 { return boxCountTree(b.t, boxes) }
+func (b refBackend) boxCount(boxes []geom.Box) []int64 { return b.t.BoxCount(boxes) }
 
 // TestShardedDifferential: every batch op on a sharded index must return
 // exactly what the same op returns on one tree over the same points —
@@ -208,9 +208,9 @@ func identityScenario(t *testing.T, trees int) (exposition, jsonl []byte) {
 	if trees == 0 { // bare tree, the unsharded path
 		tr := core.New(core.Config{
 			Dims: 3, Machine: testMachine(64), Tuning: core.ThroughputOptimized, Obs: rec}, warm)
-		search = func(p []geom.Point) []bool { return searchTree(tr, p) }
-		knn = func(p []geom.Point, k int) [][]core.Neighbor { return knnTree(tr, p, k) }
-		boxc = func(b []geom.Box) []int64 { return boxCountTree(tr, b) }
+		search = func(p []geom.Point) []bool { return tr.ContainsBatch(p) }
+		knn = func(p []geom.Point, k int) [][]core.Neighbor { return tr.KNN(p, k) }
+		boxc = func(b []geom.Box) []int64 { return tr.BoxCount(b) }
 		insert = tr.Insert
 		del = tr.Delete
 	} else {
