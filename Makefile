@@ -2,8 +2,9 @@
 #
 # `make ci` is the gate: build, vet, then the full test suite under the
 # race detector with GOMAXPROCS=4 so the parallel sort/semisort/scan paths
-# — and the parallel pulled-chunk wave scans (TestPulledScanMultiWorker's
-# seeded skewed batch) — actually run multi-worker (a 1-core CI would
+# — and the forked round handlers, per-query host loops and pulled-chunk
+# wave scans (TestPushedRoundMultiWorker, TestPulledScanMultiWorker,
+# pim's TestRoundSchedule) — actually run multi-worker (a 1-core CI would
 # otherwise never exercise them), the CLI smoke run, and the benchmark
 # module's own vet + tests.
 
@@ -28,8 +29,10 @@ test:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Multi-worker regression net: the forked walks (pulled-chunk scans via
-# TestPulledScanMultiWorker, fork-join updates/relayout via
+# Multi-worker regression net: the forked paths (module handlers of rounds
+# above pim's work threshold and the per-query kNN/box host loops via
+# TestPushedRoundMultiWorker and pim's TestRoundSchedule, pulled-chunk
+# scans via TestPulledScanMultiWorker, fork-join updates/relayout via
 # TestUpdateMultiWorker) only exercise their parallel paths above one proc.
 race:
 	GOMAXPROCS=4 $(GO) test -race ./...

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"pimzdtree/internal/geom"
+	"pimzdtree/internal/parallel"
 )
 
 // boxMsgBytes is the modeled per-query message of a box wave (two corners
@@ -29,71 +29,53 @@ func (t *Tree) BoxCount(boxes []geom.Box) []int64 {
 	return counts
 }
 
-// BoxFetch returns, for each query box, all stored points inside it.
+// BoxFetch returns, for each query box, all stored points inside it, in
+// the order the traversal meets them (L0 leaves, then wave by wave, modules
+// ascending) — the same at any GOMAXPROCS.
 func (t *Tree) BoxFetch(boxes []geom.Box) [][]geom.Point {
 	rec := t.sys.Recorder()
 	rec.BeginOp("box-fetch")
 	defer rec.EndOp()
-	out := make([][]geom.Point, len(boxes))
-	collected := make([]fetchSink, len(boxes))
-	t.boxWave(boxes, nil, collected)
-	for i := range out {
-		out[i] = collected[i].pts
-	}
-	return out
-}
-
-// fetchSink gathers fetched points for one query; each query's slice is
-// appended under its own lock because several chunks within one wave may
-// serve the same query concurrently.
-type fetchSink struct {
-	mu  sync.Mutex
-	pts []geom.Point
+	t.found.reset()
+	t.boxWave(boxes, nil, &t.found)
+	return t.found.gather(len(boxes), true)
 }
 
 // boxWave drives the push-pull traversal shared by BoxCount and BoxFetch.
 // onSize (count mode) receives the exact size of every maximal contained
-// subtree and every matched leaf point; collected (fetch mode) gathers the
-// in-box points themselves.
-func (t *Tree) boxWave(boxes []geom.Box, onSize func(int32, int64), collected []fetchSink) {
+// subtree and every matched leaf point, from several workers at once; sink
+// (fetch mode) gathers the in-box points themselves.
+func (t *Tree) boxWave(boxes []geom.Box, onSize func(int32, int64), sink *pointSink) {
 	if t.root == nil || len(boxes) == 0 {
 		return
 	}
-	fetch := collected != nil
-
-	add := func(qi int32, size int64) {
-		if !fetch {
-			onSize(qi, size)
-		}
-	}
-	addPoint := func(qi int32, p geom.Point) {
-		if fetch {
-			collected[qi].mu.Lock()
-			collected[qi].pts = append(collected[qi].pts, p)
-			collected[qi].mu.Unlock()
-		} else {
-			onSize(qi, 1)
-		}
-	}
+	// In fetch mode finds go to the sink, by host worker for the L0 prefix
+	// and then by group of each wave; base is the stage's first slot. (A
+	// nil sink hands out nil buffers, which is count mode to the scans.)
+	base := sink.extend(parallel.Workers())
 
 	// CPU phase: expand the L0 region of each query.
-	frontier := t.frontierBuf[:0]
-	var cpuWork int64
-	for i := range boxes {
-		cpuWork += t.expandL0Box(int32(i), t.root, boxes[i], fetch, add, addPoint, &frontier)
-	}
-	t.frontierBuf = frontier
-	t.sys.CPUPhase(cpuWork, 0, 0)
+	frontier := t.expandL0(len(boxes), func(worker int, qi int32, frontier *[]entry) int64 {
+		work := t.expandL0Box(qi, t.root, boxes[qi], onSize, sink.open(base+worker, worker), frontier)
+		sink.close(base+worker, worker)
+		return work
+	})
 
 	// Push-pull waves over chunk entries, one meta-level per round.
+	prep := func(nGroups int) { base = sink.extend(nGroups) }
 	scan := func(c *Chunk, e entry, cpuSide bool, worker, gi int, exits *[]entry) (int64, int64) {
-		return t.boxChunkScan(c, e, boxes[e.qi], fetch, add, addPoint, exits)
+		work, outBytes := t.boxChunkScan(c, e, boxes[e.qi], onSize, sink.open(base+gi, worker), exits)
+		sink.close(base+gi, worker)
+		return work, outBytes
 	}
-	t.runPushPullWaves(frontier, boxMsgBytes, scan, nil, nil)
+	t.runPushPullWaves(frontier, boxMsgBytes, scan, prep, nil)
 }
 
-// expandL0Box expands one query through the CPU-resident L0 region.
-func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, fetchMode bool, add func(int32, int64), addPoint func(int32, geom.Point), frontier *[]entry) int64 {
+// expandL0Box expands one query through the CPU-resident L0 region. found
+// is nil in count mode (sizes go to add) and collects the in-box points in
+// fetch mode.
+func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, add func(int32, int64), found *[]foundPoint, frontier *[]entry) int64 {
+	fetchMode := found != nil
 	var work int64
 	var rec func(n *Node)
 	rec = func(n *Node) {
@@ -116,7 +98,7 @@ func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, fetchMode bool, add 
 			work += int64(len(n.Pts)) * int64(t.cfg.Dims)
 			if fetchMode {
 				forEachLeafBoxHit(n, box, func(i int) {
-					addPoint(qi, n.Pts[i])
+					*found = append(*found, foundPoint{qi: qi, p: n.Pts[i]})
 				})
 			} else if cnt := countLeafBox(n, box); cnt > 0 {
 				// Per-point count callbacks fold into one add: the counts
@@ -133,8 +115,10 @@ func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, fetchMode bool, add 
 }
 
 // boxChunkScan traverses one chunk for one box query, reporting contained
-// subtrees, in-box leaf points, and exits to child chunks.
-func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, fetch bool, add func(int32, int64), addPoint func(int32, geom.Point), exits *[]entry) (work, outBytes int64) {
+// subtrees (to add; count mode), in-box leaf points (into *found; fetch
+// mode, nil otherwise), and exits to child chunks.
+func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, add func(int32, int64), found *[]foundPoint, exits *[]entry) (work, outBytes int64) {
+	fetch := found != nil
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		work += 4
@@ -156,7 +140,7 @@ func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, fetch bool, add fun
 			// Fetch of a contained subtree: stream the points held in
 			// this chunk; portions in descendant chunks continue as
 			// (still fully contained) exits.
-			w, b := t.fetchSubtreeChunk(c, e.qi, n, addPoint, exits)
+			w, b := fetchSubtreeChunk(c, e.qi, n, found, exits)
 			work += w
 			outBytes += b
 			return
@@ -165,7 +149,7 @@ func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, fetch bool, add fun
 			work += int64(len(n.Pts)) * int64(t.cfg.Dims)
 			if fetch {
 				forEachLeafBoxHit(n, box, func(i int) {
-					addPoint(e.qi, n.Pts[i])
+					*found = append(*found, foundPoint{qi: e.qi, p: n.Pts[i]})
 					outBytes += pointBytes
 				})
 			} else if cnt := countLeafBox(n, box); cnt > 0 {
@@ -189,18 +173,18 @@ func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, fetch bool, add fun
 
 // fetchSubtreeChunk streams every point of a fully contained subtree that
 // lives inside chunk c, emitting exits for descendant chunks.
-func (t *Tree) fetchSubtreeChunk(c *Chunk, qi int32, n *Node, addPoint func(int32, geom.Point), exits *[]entry) (work, outBytes int64) {
+func fetchSubtreeChunk(c *Chunk, qi int32, n *Node, found *[]foundPoint, exits *[]entry) (work, outBytes int64) {
 	if n.Chunk != c {
 		*exits = append(*exits, entry{qi: qi, node: n})
 		return 1, resultMsgBytes
 	}
 	if n.IsLeaf() {
 		for _, p := range n.Pts {
-			addPoint(qi, p)
+			*found = append(*found, foundPoint{qi: qi, p: p})
 		}
 		return int64(len(n.Pts)), int64(len(n.Pts)) * pointBytes
 	}
-	wl, bl := t.fetchSubtreeChunk(c, qi, n.Left, addPoint, exits)
-	wr, br := t.fetchSubtreeChunk(c, qi, n.Right, addPoint, exits)
+	wl, bl := fetchSubtreeChunk(c, qi, n.Left, found, exits)
+	wr, br := fetchSubtreeChunk(c, qi, n.Right, found, exits)
 	return wl + wr + 1, bl + br
 }

@@ -276,9 +276,9 @@ type Tree struct {
 	// (see router.go); the remaining buffers back the dense per-module
 	// accounting that replaced the old per-batch maps.
 	router      waveRouter
-	knnFoundBuf [][]knnFound
-	knnCandBuf  []candState
-	knnArena    []Neighbor // final-filter candidate arena (select.go)
+	knnFoundBuf [][]knnFound  // stage-A finds, one slot per group of the wave
+	found       pointSink     // sphere / box-fetch finds (wave.go)
+	workers     []hostScratch // one per host worker (wave.go)
 	activeBuf   []int
 	upStats     updateStats
 	moveBuf     []int64

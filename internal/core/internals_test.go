@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -177,7 +178,7 @@ func TestBallInBox(t *testing.T) {
 }
 
 func TestCandState(t *testing.T) {
-	cs := newCandState(3)
+	cs := &candState{bound: math.MaxUint64}
 	cs.add(geom.P2(1, 1), 10, 3)
 	cs.add(geom.P2(2, 2), 5, 3)
 	cs.add(geom.P2(3, 3), 20, 3)

@@ -3,10 +3,10 @@ package core
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"pimzdtree/internal/costmodel"
 	"pimzdtree/internal/geom"
+	"pimzdtree/internal/parallel"
 )
 
 // Neighbor is one kNN result; Dist is the squared l2 distance.
@@ -134,126 +134,106 @@ func (t *Tree) knnWithMetric(queries []geom.Point, k int, fine geom.Metric, caps
 	// --- CPU: derive the candidate spheres (step 3 setup) ---
 	// Exact fine-metric distances on the <=k candidates; rF is the k-th
 	// best; the stage-B pruning bound follows from the metric's relation
-	// to the coarse norm.
+	// to the coarse norm:
+	//   fine = l2 (squared): ||x||1 <= sqrt(D)*||x||2,
+	//   fine = linf:         ||x||1 <= D*||x||inf,
+	//   fine = l1:           identity,
+	// margin being the per-axis half-width that contains the fine-metric
+	// ball of radius rF, which picks the stage-B start (N_q2): the lowest
+	// trace node enclosing it. Every query is independent of the others.
 	rec.BeginPhase("derive-sphere")
-	rF := make([]uint64, len(queries))
-	var cpuWork int64
-	for i := range queries {
-		c := cands[i]
-		for j := range c {
-			c[j].Dist = fine.Dist(c[j].Point, queries[i])
-		}
-		cpuWork += int64(len(c)) * int64(t.cfg.Dims+4)
-		if len(c) == 0 {
-			rF[i] = 0
-			continue
-		}
-		// Only the k-th smallest distance matters (tie-independent), so an
-		// expected-linear quickselect replaces the old full sort.
-		kth := k
-		if kth > len(c) {
-			kth = len(c)
-		}
-		selectSmallest(c, kth, lessByDist)
-		var r uint64
-		for _, nb := range c[:kth] {
-			if nb.Dist > r {
-				r = nb.Dist
+	coarseBound := make([]uint64, len(queries))
+	startsB := make([]*Node, len(queries))
+	d := float64(t.cfg.Dims)
+	forQueries(len(queries), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := cands[i]
+			for j := range c {
+				c[j].Dist = fine.Dist(c[j].Point, queries[i])
 			}
-		}
-		rF[i] = r
-	}
-	// A shipped cap bounds the sphere: the caller promises it needs no
-	// neighbor beyond caps[i] (inclusive), so a larger derived radius
-	// shrinks to the cap. The reverse edge matters too: a seeded stage A
-	// can return fewer than k candidates (nothing else within the cap
-	// ball of its start subtree), and then the cap itself — not the
-	// incomplete candidates' max — is the only sound radius.
-	if caps != nil {
-		for i := range rF {
-			if len(cands[i]) < k || caps[i] < rF[i] {
-				rF[i] = caps[i]
+			// Only the k-th smallest distance matters (tie-independent), so
+			// an expected-linear quickselect replaces a full sort.
+			selectSmallest(c, k, lessByDist)
+			var rF uint64
+			for _, nb := range c[:min(k, len(c))] {
+				rF = max(rF, nb.Dist)
 			}
+			// A shipped cap bounds the sphere: the caller promises it needs
+			// no neighbor beyond caps[i] (inclusive), so a larger derived
+			// radius shrinks to the cap. The reverse edge matters too: a
+			// seeded stage A can return fewer than k candidates (nothing
+			// else within the cap ball of its start subtree), and then the
+			// cap itself — not the incomplete candidates' max — is the only
+			// sound radius.
+			if caps != nil && (len(c) < k || caps[i] < rF) {
+				rF = caps[i]
+			}
+			margin := rF
+			coarseBound[i] = rF
+			switch {
+			case fine == geom.L2:
+				r := math.Sqrt(float64(rF))
+				margin = uint64(math.Ceil(r))
+				if coarse == geom.L1 {
+					coarseBound[i] = uint64(math.Ceil(r * math.Sqrt(d)))
+				}
+			case fine == geom.LInf && coarse == geom.L1:
+				coarseBound[i] = rF * uint64(d)
+			}
+			startsB[i] = t.lowestEnclosing(res[i].Trace, queries[i], margin)
 		}
+	})
+	var nCands int64
+	for _, c := range cands {
+		nCands += int64(len(c))
 	}
-	t.sys.CPUPhase(cpuWork, 0, 0)
+	t.sys.CPUPhase(nCands*int64(t.cfg.Dims+4), 0, 0)
 	rec.EndPhase()
 
 	// --- Stage B: fetch the sphere contents (steps 3-4) ---
-	// margin is the per-axis half-width that contains the fine-metric
-	// ball of radius rF; coarseBound converts rF into the coarse metric:
-	//   fine = l2 (squared): ||x||1 <= sqrt(D)*||x||2,
-	//   fine = linf:         ||x||1 <= D*||x||inf,
-	//   fine = l1:           identity.
-	coarseBound := make([]uint64, len(queries))
-	margin := make([]uint64, len(queries))
-	d := float64(t.cfg.Dims)
-	for i := range queries {
-		switch fine {
-		case geom.L2:
-			r := math.Sqrt(float64(rF[i]))
-			margin[i] = uint64(math.Ceil(r))
-			if coarse == geom.L1 {
-				coarseBound[i] = uint64(math.Ceil(r * math.Sqrt(d)))
-			} else {
-				coarseBound[i] = rF[i]
-			}
-		case geom.LInf:
-			margin[i] = rF[i]
-			if coarse == geom.L1 {
-				coarseBound[i] = rF[i] * uint64(d)
-			} else {
-				coarseBound[i] = rF[i]
-			}
-		default: // L1
-			margin[i] = rF[i]
-			coarseBound[i] = rF[i]
-		}
-	}
-	startsB := make([]*Node, len(queries))
-	for i := range queries {
-		startsB[i] = t.lowestEnclosing(res[i].Trace, queries[i], margin[i])
-	}
 	rec.BeginPhase("stage-B-sphere")
 	sphere := t.collectSphere(queries, startsB, coarseBound, coarse)
 	rec.EndPhase()
 
 	// --- Step 5: exact CPU filter ---
-	// Candidates land in a tree-owned flat arena reused across queries;
-	// only the k survivors are copied out. Instead of fully sorting every
-	// sphere, quickselect under the (Dist, Point) total order cuts the
-	// arena to its smallest m = k + |candsA| entries — duplicates can only
-	// pair a stage-A candidate with its sphere copy or repeat a stored
+	// A query's candidates land in its worker's flat arena, reused query to
+	// query; only the k survivors are copied out. Instead of fully sorting
+	// every sphere, quickselect under the (Dist, Point) total order cuts
+	// the arena to its smallest m = k + |candsA| entries — duplicates can
+	// only pair a stage-A candidate with its sphere copy or repeat a stored
 	// multi-point, so m is grown (rarely) until the prefix holds k distinct
 	// values. The selected prefix is exactly the first m of the full sort,
-	// so the output is identical to the old sort-everything path.
+	// so the output does not depend on the order the sphere arrived in.
 	rec.BeginPhase("final-filter")
-	cpuWork = 0
-	arena := t.knnArena[:0]
-	for i := range queries {
-		pts := sphere[i]
-		arena = arena[:0]
-		for _, p := range pts {
-			arena = append(arena, Neighbor{Point: p, Dist: fine.Dist(p, queries[i])})
-		}
-		cpuWork += int64(len(pts)) * int64(t.cfg.Dims+2)
-		// Candidates from stage A are sphere members too; merging them
-		// costs nothing extra and covers the k < |tree| < sphere edge.
-		arena = append(arena, cands[i]...)
-		ns := selectFinalNeighbors(arena, k, k+len(cands[i]))
-		if caps != nil {
-			// Stage-A candidates may lie beyond the shipped cap; they were
-			// only radius seeds, not results.
-			for len(ns) > 0 && ns[len(ns)-1].Dist > caps[i] {
-				ns = ns[:len(ns)-1]
+	ws := t.hostWorkers()
+	forQueries(len(queries), func(worker, lo, hi int) {
+		arena := ws[worker].arena
+		for i := lo; i < hi; i++ {
+			arena = arena[:0]
+			for _, p := range sphere[i] {
+				arena = append(arena, Neighbor{Point: p, Dist: fine.Dist(p, queries[i])})
 			}
+			// Candidates from stage A are sphere members too; merging them
+			// costs nothing extra and covers the k < |tree| < sphere edge.
+			arena = append(arena, cands[i]...)
+			ns := selectFinalNeighbors(arena, k, k+len(cands[i]))
+			if caps != nil {
+				// Stage-A candidates may lie beyond the shipped cap; they
+				// were only radius seeds, not results.
+				for len(ns) > 0 && ns[len(ns)-1].Dist > caps[i] {
+					ns = ns[:len(ns)-1]
+				}
+			}
+			out[i] = make([]Neighbor, len(ns))
+			copy(out[i], ns)
 		}
-		res := make([]Neighbor, len(ns))
-		copy(res, ns)
-		out[i] = res
+		ws[worker].arena = arena
+	})
+	var nSphere int64
+	for _, pts := range sphere {
+		nSphere += int64(len(pts))
 	}
-	t.knnArena = arena
-	t.sys.CPUPhase(cpuWork+int64(len(queries))*int64(k)*costmodel.WorkHeapOp, 0, 0)
+	t.sys.CPUPhase(nSphere*int64(t.cfg.Dims+2)+int64(len(queries))*int64(k)*costmodel.WorkHeapOp, 0, 0)
 	rec.EndPhase()
 	return out
 }
@@ -313,10 +293,6 @@ type candState struct {
 	bound uint64     // k-th best coarse distance (MaxUint64 until full)
 }
 
-func newCandState(k int) *candState {
-	return &candState{best: make([]Neighbor, 0, k), bound: math.MaxUint64}
-}
-
 // reset prepares a reused candState for one chunk scan, seeding it with
 // the query's shipped bound.
 func (cs *candState) reset(bound uint64) {
@@ -350,39 +326,36 @@ func (cs *candState) add(p geom.Point, d uint64, k int) {
 // before anything is found, so capped queries never expand nodes beyond
 // their shipped ball.
 func (t *Tree) collectKCandidates(queries []geom.Point, starts []*Node, k int, coarse geom.Metric, seeds []uint64) [][]Neighbor {
-	states := make([]*candState, len(queries))
+	states := make([]candState, len(queries))
+	// One backing array for every query's set; add appends before it cuts
+	// back to k, hence k+1 apiece.
+	best := make([]Neighbor, len(queries)*(k+1))
 	for i := range states {
-		states[i] = newCandState(k)
+		states[i] = candState{best: best[i*(k+1) : i*(k+1) : (i+1)*(k+1)], bound: math.MaxUint64}
 		if seeds != nil {
 			states[i].bound = seeds[i]
 		}
 	}
 	// Expand the CPU-resident L0 prefix of each start node.
-	frontier := t.frontierBuf[:0]
-	var cpuWork int64
-	for i := range queries {
-		cpuWork += t.expandL0KNN(int32(i), starts[i], queries[i], states[i], k, coarse, &frontier)
-	}
-	t.frontierBuf = frontier
-	t.sys.CPUPhase(cpuWork, 0, 0)
+	frontier := t.expandL0(len(queries), func(_ int, qi int32, frontier *[]entry) int64 {
+		return t.expandL0KNN(qi, starts[qi], queries[qi], &states[qi], k, coarse, frontier)
+	})
 
 	// Bounds are snapshotted per wave: modules prune against the bound
 	// shipped with the query; the CPU re-tightens between waves.
 	bounds := make([]uint64, len(states))
-	refreshBounds := func() {
-		for i, cs := range states {
-			bounds[i] = cs.bound
-		}
+	for i := range states {
+		bounds[i] = states[i].bound
 	}
-	refreshBounds()
 
 	// Candidates land in per-group slots (indexed by the wave's gi) and
 	// merge in gi order, so the fold into the per-query sets — and with it
 	// every bound, and every downstream modeled cost — is identical no
 	// matter how the groups were scheduled across modules and host workers.
-	prep := func(nGroups, nWorkers int) { t.ensureKNNWaveScratch(nGroups, nWorkers) }
+	ws := t.hostWorkers()
+	prep := func(nGroups int) { growSlots(&t.knnFoundBuf, nGroups) }
 	scan := func(c *Chunk, e entry, cpuSide bool, worker, gi int, exits *[]entry) (int64, int64) {
-		local := &t.knnCandBuf[worker]
+		local := &ws[worker].cand
 		local.reset(bounds[e.qi])
 		work, outBytes := t.knnChunkScan(c, e, queries[e.qi], local, k, coarse, exits, &t.knnFoundBuf[gi])
 		if cpuSide {
@@ -393,30 +366,39 @@ func (t *Tree) collectKCandidates(queries []geom.Point, starts []*Node, k int, c
 	}
 	afterWave := func(exits []entry) []entry {
 		// CPU merge: fold this wave's candidates into the per-query sets
-		// and re-prune the exits against the tightened bounds.
-		var mergeWork int64
+		// and re-prune the exits against the tightened bounds. Each worker
+		// owns a contiguous range of queries and folds that range's finds,
+		// walking the slots in gi order like the serial fold does.
+		var nFound int64
 		for _, fs := range t.knnFoundBuf {
-			for _, f := range fs {
-				states[f.qi].add(f.p, f.d, k)
-				mergeWork += costmodel.WorkHeapOp
-			}
+			nFound += int64(len(fs))
 		}
-		refreshBounds()
+		parallel.BlocksN(forkWidth(len(queries)), len(queries), func(_, lo, hi int) {
+			for _, fs := range t.knnFoundBuf {
+				for _, f := range fs {
+					if qi := int(f.qi); lo <= qi && qi < hi {
+						states[qi].add(f.p, f.d, k)
+					}
+				}
+			}
+			for i := lo; i < hi; i++ {
+				bounds[i] = states[i].bound
+			}
+		})
 		next := exits[:0]
 		for _, e := range exits {
-			if e.node.Box.MinDistTo(queries[e.qi], coarse) <= states[e.qi].bound {
+			if e.node.Box.MinDistTo(queries[e.qi], coarse) <= bounds[e.qi] {
 				next = append(next, e)
 			}
-			mergeWork += 4
 		}
-		t.sys.CPUPhase(mergeWork, 0, 0)
+		t.sys.CPUPhase(nFound*costmodel.WorkHeapOp+int64(len(exits))*4, 0, 0)
 		return next
 	}
 	t.runPushPullWaves(frontier, knnMsgBytes, scan, prep, afterWave)
 
 	out := make([][]Neighbor, len(queries))
-	for i, cs := range states {
-		out[i] = cs.best
+	for i := range states {
+		out[i] = states[i].best
 	}
 	return out
 }
@@ -459,27 +441,6 @@ type knnFound struct {
 	d  uint64
 }
 
-// ensureKNNWaveScratch sizes the per-group found slots and per-worker
-// candidate scratch for one wave, truncating reused slots to length 0
-// (capacity persists, so steady-state waves allocate nothing).
-func (t *Tree) ensureKNNWaveScratch(nGroups, nWorkers int) {
-	if cap(t.knnFoundBuf) < nGroups {
-		next := make([][]knnFound, nGroups)
-		copy(next, t.knnFoundBuf[:cap(t.knnFoundBuf)])
-		t.knnFoundBuf = next
-	}
-	t.knnFoundBuf = t.knnFoundBuf[:nGroups]
-	for i := range t.knnFoundBuf {
-		t.knnFoundBuf[i] = t.knnFoundBuf[i][:0]
-	}
-	if cap(t.knnCandBuf) < nWorkers {
-		next := make([]candState, nWorkers)
-		copy(next, t.knnCandBuf[:cap(t.knnCandBuf)])
-		t.knnCandBuf = next
-	}
-	t.knnCandBuf = t.knnCandBuf[:nWorkers]
-}
-
 // knnChunkScan traverses one chunk for one query on a PIM module: nodes in
 // the chunk are pruned against the shipped bound under the coarse metric
 // (carried by local, a reset per-worker scratch), leaf points are scored,
@@ -519,39 +480,38 @@ func (t *Tree) knnChunkScan(c *Chunk, e entry, q geom.Point, local *candState, k
 }
 
 // collectSphere runs the stage-B push-pull descent (Alg. 3 step 4): from
-// each query's N_q2, fetch every point within the coarse-metric bound.
+// each query's N_q2, fetch every point within the coarse-metric bound. The
+// returned lists alias t.found's arena and die with the next fetch.
 func (t *Tree) collectSphere(queries []geom.Point, starts []*Node, bound []uint64, coarse geom.Metric) [][]geom.Point {
-	out := make([][]geom.Point, len(queries))
-	frontier := t.frontierBuf[:0]
-	var cpuWork int64
-	for i := range queries {
-		cpuWork += t.expandL0Sphere(int32(i), starts[i], queries[i], bound[i], coarse, &out[i], &frontier)
-	}
-	t.frontierBuf = frontier
-	t.sys.CPUPhase(cpuWork, 0, 0)
+	sink := &t.found
+	sink.reset()
+	base := sink.extend(parallel.Workers())
+	frontier := t.expandL0(len(queries), func(worker int, qi int32, frontier *[]entry) int64 {
+		work := t.expandL0Sphere(qi, starts[qi], queries[qi], bound[qi], coarse, sink.open(base+worker, worker), frontier)
+		sink.close(base+worker, worker)
+		return work
+	})
 
-	// Several chunks of one wave may serve the same query concurrently;
-	// per-query locks guard the result slices (per-query order may vary
-	// with scheduling, but callers treat each slice as a set).
-	locks := make([]sync.Mutex, len(queries))
+	// Several chunks of one wave may serve the same query concurrently, so
+	// finds go to the sink by group and regroup by query after the last
+	// wave.
 	pimCost := pimDistCost(coarse, t.cfg.Dims)
+	prep := func(nGroups int) { base = sink.extend(nGroups) }
 	scan := func(c *Chunk, e entry, cpuSide bool, worker, gi int, exits *[]entry) (int64, int64) {
 		distCost := pimCost
 		if cpuSide {
 			distCost = int64(t.cfg.Dims)
 		}
-		return t.sphereChunkScan(c, e, queries[e.qi], bound[e.qi], coarse, distCost, func(p geom.Point) {
-			locks[e.qi].Lock()
-			out[e.qi] = append(out[e.qi], p)
-			locks[e.qi].Unlock()
-		}, exits)
+		work, outBytes := t.sphereChunkScan(c, e, queries[e.qi], bound[e.qi], coarse, distCost, sink.open(base+gi, worker), exits)
+		sink.close(base+gi, worker)
+		return work, outBytes
 	}
-	t.runPushPullWaves(frontier, knnMsgBytes, scan, nil, nil)
-	return out
+	t.runPushPullWaves(frontier, knnMsgBytes, scan, prep, nil)
+	return sink.gather(len(queries), false)
 }
 
 // expandL0Sphere walks the CPU-resident L0 part of a sphere fetch.
-func (t *Tree) expandL0Sphere(qi int32, n *Node, q geom.Point, bound uint64, coarse geom.Metric, out *[]geom.Point, frontier *[]entry) int64 {
+func (t *Tree) expandL0Sphere(qi int32, n *Node, q geom.Point, bound uint64, coarse geom.Metric, found *[]foundPoint, frontier *[]entry) int64 {
 	var work int64
 	var rec func(n *Node)
 	rec = func(n *Node) {
@@ -566,7 +526,7 @@ func (t *Tree) expandL0Sphere(qi int32, n *Node, q geom.Point, bound uint64, coa
 		if n.IsLeaf() {
 			work += int64(len(n.Pts)) * int64(q.Dims)
 			scanLeafSphere(n, q, coarse, bound, func(p geom.Point) {
-				*out = append(*out, p)
+				*found = append(*found, foundPoint{qi: qi, p: p})
 			})
 			return
 		}
@@ -578,8 +538,9 @@ func (t *Tree) expandL0Sphere(qi int32, n *Node, q geom.Point, bound uint64, coa
 }
 
 // sphereChunkScan traverses one chunk collecting every point within the
-// coarse bound (via addPoint) and the exits that still intersect the ball.
-func (t *Tree) sphereChunkScan(c *Chunk, e entry, q geom.Point, bound uint64, coarse geom.Metric, distCost int64, addPoint func(geom.Point), exits *[]entry) (work, outBytes int64) {
+// coarse bound (into *found) and the exits that still intersect the ball.
+func (t *Tree) sphereChunkScan(c *Chunk, e entry, q geom.Point, bound uint64, coarse geom.Metric, distCost int64, found *[]foundPoint, exits *[]entry) (work, outBytes int64) {
+	addPoint := func(p geom.Point) { *found = append(*found, foundPoint{qi: e.qi, p: p}) }
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		work += 4

@@ -17,6 +17,9 @@ import "pimzdtree/internal/parallel"
 //	slot[m]                          dense index of m in active (active m only)
 //	pushBase[m]                      rank of m's first pushed group in the
 //	                                 module-major pushed enumeration
+//	queued                           queries in the pushed groups: the work
+//	                                 the round's handlers share, which
+//	                                 pim.System.RoundN sizes its schedule by
 //
 // The deterministic ascending active order is load-bearing: the previous
 // maps handed pim.System.Round a map-iteration-order active list, which
@@ -36,6 +39,7 @@ type waveRouter struct {
 	slot     []int32
 	active   []int
 	perm     []chunkGroup
+	queued   int // entries across the routed round's pushed groups
 
 	// partition() output, preserving group order (the host scans pulled
 	// groups in this order so result merges stay deterministic).
@@ -97,8 +101,10 @@ func (r *waveRouter) route(p int, pulled, pushed []chunkGroup) {
 	for _, g := range pulled {
 		r.pcount[g.chunk.Module]++
 	}
+	r.queued = 0
 	for _, g := range pushed {
 		r.counts[g.chunk.Module]++
+		r.queued += len(g.entries)
 	}
 	r.active = r.active[:0]
 	for m := 0; m < p; m++ {
@@ -146,10 +152,10 @@ func (r *waveRouter) pushesOf(m int) []chunkGroup { return r.perm[r.mids[m]:r.of
 
 // growSlots returns n reusable slots from *arena, each truncated to len 0
 // (capacity is kept, so steady-state waves reuse the same backing arrays).
-func growSlots(arena *[][]entry, n int) [][]entry {
+func growSlots[T any](arena *[][]T, n int) [][]T {
 	a := *arena
 	if cap(a) < n {
-		next := make([][]entry, n)
+		next := make([][]T, n)
 		copy(next, a[:cap(a)])
 		a = next
 	}
@@ -191,21 +197,22 @@ func (r *waveRouter) nextFrontier(wave int) []entry {
 }
 
 // scanPulled runs the host-side traversal of the pulled groups in parallel
-// across groups (serial within a group), keeping the BSP accounting exact:
-// per-worker work/byte accumulators are summed into one total, and any
-// per-group output must land in a per-group (or per-query) slot so callers
-// can merge it deterministically regardless of scheduling. body receives
-// the worker index (for caller-side scratch, offset by workerBase) and the
-// group index, and returns the group's host work and result bytes. The
-// returned totals include the pulled structure bytes each group ships.
-func (t *Tree) scanPulled(pulled []chunkGroup, workerBase int, body func(worker, gi int, g chunkGroup) (work, bytes int64)) (work, bytes int64) {
-	r := &t.router
-	workers := parallel.Workers()
-	wAcc, bAcc := r.accumulators(workers)
-	parallel.BlocksN(workers, len(pulled), func(worker, lo, hi int) {
+// across groups (serial within a group; workers claim groups dynamically,
+// because pulled groups are the skewed ones), keeping the BSP accounting
+// exact: per-worker work/byte accumulators are summed into one total, and
+// any per-group output must land in a per-group (or per-query) slot so
+// callers can merge it deterministically regardless of scheduling. body
+// receives the worker index (for caller-side scratch; the round that ships
+// the pulled structures has joined by now, so its worker ids are free
+// again) and the group index, and returns the group's host work and result
+// bytes. The returned totals include the pulled structure bytes each group
+// ships.
+func (t *Tree) scanPulled(pulled []chunkGroup, body func(worker, gi int, g chunkGroup) (work, bytes int64)) (work, bytes int64) {
+	wAcc, bAcc := t.router.accumulators(parallel.Workers())
+	parallel.ForDynamic(len(pulled), func(worker, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g := pulled[i]
-			w, b := body(workerBase+worker, i, g)
+			w, b := body(worker, i, g)
 			wAcc[worker] += w
 			bAcc[worker] += b + g.chunk.StructBytes
 		}

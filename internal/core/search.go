@@ -156,7 +156,7 @@ func (t *Tree) searchL0(keys []uint64, opts searchOpts, res []SearchResult) []en
 		// Alg. 1 step 1 option (2): split Q into P groups, each searched
 		// against the module's L0 replica.
 		p := t.P()
-		t.sys.Round(t.sys.AllModules(), func(m *pim.Module) {
+		t.sys.RoundN(t.sys.AllModules(), len(keys), func(m *pim.Module) {
 			lo := m.ID * len(keys) / p
 			hi := (m.ID + 1) * len(keys) / p
 			m.Recv(int64(hi-lo) * queryMsgBytes)
@@ -438,7 +438,7 @@ func (t *Tree) pullAndAdvance(keys []uint64, opts searchOpts, res []SearchResult
 		}
 	})
 	pullSlots := r.pullSlots(len(pulled))
-	cpuWork, cpuBytes := t.scanPulled(pulled, 0, func(worker, gi int, g chunkGroup) (int64, int64) {
+	cpuWork, cpuBytes := t.scanPulled(pulled, func(worker, gi int, g chunkGroup) (int64, int64) {
 		var work int64
 		for _, e := range g.entries {
 			nd, visited := t.traverseChunkMaster(keys[e.qi], e.node, opts, &res[e.qi])
@@ -460,10 +460,13 @@ func (t *Tree) pullAndAdvance(keys []uint64, opts searchOpts, res []SearchResult
 
 // pullAndAdvanceInRound executes one combined push-pull BSP round over L2
 // groups: pulled chunks ship masters, pushed queries run on modules; both
-// advance exactly one meta-level. record must tolerate concurrent calls
-// for distinct queries (each query appears in exactly one group, and the
-// sole caller writes a per-query slot), which lets the pulled groups'
-// host traversals run in parallel across groups.
+// advance exactly one meta-level. The module handlers run concurrently
+// once the pushed groups hold enough queries (pim.System.RoundN): each
+// writes only its module's result slot and the SearchResults of its own
+// groups' queries. record must tolerate concurrent calls for distinct
+// queries (each query appears in exactly one group, and the sole caller
+// writes a per-query slot), which lets the pulled groups' host traversals
+// run in parallel across groups.
 func (t *Tree) pullAndAdvanceInRound(keys []uint64, opts searchOpts, res []SearchResult, pulled, pushed []chunkGroup, record func(int32, *Node)) {
 	r := &t.router
 	r.route(t.P(), pulled, pushed)
@@ -471,7 +474,7 @@ func (t *Tree) pullAndAdvanceInRound(keys []uint64, opts searchOpts, res []Searc
 		return
 	}
 	resSlots := r.resSlots(len(r.active))
-	t.sys.Round(r.active, func(m *pim.Module) {
+	t.sys.RoundN(r.active, r.queued, func(m *pim.Module) {
 		slot := r.slot[m.ID]
 		out := resSlots[slot]
 		for _, g := range r.pullsOf(m.ID) {
@@ -496,7 +499,7 @@ func (t *Tree) pullAndAdvanceInRound(keys []uint64, opts searchOpts, res []Searc
 		}
 	}
 	if len(pulled) > 0 {
-		cpuWork, cpuBytes := t.scanPulled(pulled, 0, func(worker, gi int, g chunkGroup) (int64, int64) {
+		cpuWork, cpuBytes := t.scanPulled(pulled, func(worker, gi int, g chunkGroup) (int64, int64) {
 			var work int64
 			for _, e := range g.entries {
 				nd, visited := t.traverseChunkMaster(keys[e.qi], e.node, opts, &res[e.qi])
@@ -513,12 +516,14 @@ func (t *Tree) pullAndAdvanceInRound(keys []uint64, opts searchOpts, res []Searc
 }
 
 // roundOverGroups runs one BSP round with each group's queries processed
-// on the group's module (active modules ascending, groups in group order
-// within each module).
+// on the group's module (groups in group order within each module).
+// Handlers of different modules run concurrently once the groups hold
+// enough queries (pim.System.RoundN), so a handler may only write state of
+// its own module and of its own groups' queries.
 func (t *Tree) roundOverGroups(groups []chunkGroup, handler func(m *pim.Module, g chunkGroup)) {
 	r := &t.router
 	r.route(t.P(), nil, groups)
-	t.sys.Round(r.active, func(m *pim.Module) {
+	t.sys.RoundN(r.active, r.queued, func(m *pim.Module) {
 		for _, g := range r.pushesOf(m.ID) {
 			handler(m, g)
 		}

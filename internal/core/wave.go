@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"pimzdtree/internal/geom"
 	"pimzdtree/internal/parallel"
 	"pimzdtree/internal/pim"
 )
@@ -12,11 +14,14 @@ import (
 // traversal sends back to the CPU. cpuSide is true when the chunk was
 // pulled and the traversal runs on the host (implementations typically
 // rebate the PIM multiply premium there). Implementations must be safe for
-// concurrent invocation on different chunk groups; worker is a stable
-// scratch index (distinct concurrent invocations never share one) and gi
-// is the group's rank in the wave's deterministic enumeration — pushed
-// groups module-major first, then pulled groups in group order — so
-// per-group result slots can be merged in a scheduling-independent order.
+// concurrent invocation on different chunk groups — a wave's module
+// handlers run on several host workers once the frontier is large enough
+// (pim.System.RoundN), and so do the pulled groups' host scans; worker
+// (< parallel.Workers()) is a stable scratch index (distinct concurrent
+// invocations never share one) and gi is the group's rank in the wave's
+// deterministic enumeration — pushed groups module-major first, then
+// pulled groups in group order — so per-group result slots can be merged
+// in a scheduling-independent order.
 type waveScanFunc func(c *Chunk, e entry, cpuSide bool, worker, gi int, exits *[]entry) (work, outBytes int64)
 
 // runPushPullWaves drives the generic push-pull BSP loop shared by kNN and
@@ -24,19 +29,19 @@ type waveScanFunc func(c *Chunk, e entry, cpuSide bool, worker, gi int, exits *[
 // wave groups the frontier by meta-node, pulls chunks holding more than
 // K = B queries (the paper's L2 threshold) to the CPU, pushes the rest to
 // their modules in a single round, and advances every query one meta-level.
-// prepWave (optional) runs after routing with the wave's group and worker
-// counts, so scans can size per-group result slots and per-worker scratch.
-// afterWave (optional) runs between waves on the collected exits — kNN uses
-// it to tighten bounds and prune — and returns the next frontier.
+// prepWave (optional) runs after routing with the wave's group count, so
+// scans can size per-group result slots. afterWave (optional) runs between
+// waves on the collected exits — kNN uses it to tighten bounds and prune —
+// and returns the next frontier.
 //
 // Routing runs on the Tree's CSR router: no per-wave maps, and the pulled
 // groups' host traversals run in parallel across groups with per-worker
 // accumulators feeding one CPU phase (waveScanFunc requires cross-group
-// concurrency safety). Exits still concatenate in the fixed order
-// (active modules ascending, then pulled groups in group order), so the
-// next frontier — and everything order-sensitive downstream — is identical
-// to the serial schedule.
-func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanFunc, prepWave func(nGroups, nWorkers int), afterWave func([]entry) []entry) {
+// concurrency safety). Exits land in per-module and per-pulled-group slots
+// and concatenate in a fixed order (active modules ascending, then pulled
+// groups in group order), so the next frontier — and everything
+// order-sensitive downstream — is identical to the serial schedule.
+func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanFunc, prepWave func(nGroups int), afterWave func([]entry) []entry) {
 	rec := t.sys.Recorder()
 	r := &t.router
 	for wave := 0; len(frontier) > 0; wave++ {
@@ -50,21 +55,16 @@ func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanF
 		r.route(t.P(), pulled, pushed)
 		active := r.active
 		nPush := len(pushed)
-		hostWorkers := 0
-		if len(pulled) > 0 {
-			hostWorkers = parallel.Workers()
-		}
 		if prepWave != nil {
-			prepWave(len(groups), len(active)+hostWorkers)
+			prepWave(len(groups))
 		}
 		exitSlots := r.exitSlots(len(active))
 		pullSlots := r.pullSlots(len(pulled))
 
 		// One BSP round: pulled chunks ship their masters up; pushed
 		// queries execute on their modules.
-		t.sys.Round(active, func(m *pim.Module) {
-			slot := r.slot[m.ID]
-			exits := &exitSlots[slot]
+		t.sys.RoundN(active, r.queued, func(m *pim.Module) {
+			exits := &exitSlots[r.slot[m.ID]]
 			for _, g := range r.pullsOf(m.ID) {
 				m.Send(g.chunk.StructBytes)
 			}
@@ -72,7 +72,7 @@ func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanF
 			for j, g := range r.pushesOf(m.ID) {
 				m.Recv(int64(len(g.entries)) * msgBytes)
 				for _, e := range g.entries {
-					work, outBytes := scan(g.chunk, e, false, int(slot), base+j, exits)
+					work, outBytes := scan(g.chunk, e, false, m.Worker(), base+j, exits)
 					m.Work(work)
 					m.Send(outBytes)
 				}
@@ -83,7 +83,7 @@ func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanF
 		// crossed the channel above; the payload bytes each traversal
 		// actually reads cross (and hit host DRAM) per visit.
 		if len(pulled) > 0 {
-			pullWork, pullBytes := t.scanPulled(pulled, len(active), func(worker, gi int, g chunkGroup) (int64, int64) {
+			pullWork, pullBytes := t.scanPulled(pulled, func(worker, gi int, g chunkGroup) (int64, int64) {
 				var work, bytes int64
 				for _, e := range g.entries {
 					w, b := scan(g.chunk, e, true, worker, nPush+gi, &pullSlots[gi])
@@ -112,4 +112,214 @@ func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanF
 		}
 		frontier = next
 	}
+}
+
+// hostForkMin is the batch size (queries) from which the per-query host
+// loops around the waves — L0 prefixes, sphere derivation, the final kNN
+// filter, the stage-A merge — run on the host's workers. A query costs
+// such a loop 0.2-2 us, so a few hundred pay for the fork; the one- to
+// sixteen-query batches of a serving epoch stay on the caller.
+const hostForkMin = 256
+
+// hostScratch is one host worker's private scratch, indexed by the worker
+// ids parallel.ForDynamic / BlocksN and pim.Module.Worker hand out: the
+// worker may be running a module's handler, a pulled group's scan or a
+// block of per-query host work, but never two of them at once.
+type hostScratch struct {
+	cand  candState  // stage-A chunk-scan candidate set
+	arena []Neighbor // final-filter candidates of the query in hand
+	front []entry    // L0-prefix chunk entries of the worker's query block
+	work  int64      // host work of the worker's share of the current loop
+}
+
+// hostWorkers returns the per-worker scratch, one per host worker.
+func (t *Tree) hostWorkers() []hostScratch {
+	n := parallel.Workers()
+	if cap(t.workers) < n {
+		next := make([]hostScratch, n)
+		copy(next, t.workers[:cap(t.workers)])
+		t.workers = next
+	}
+	t.workers = t.workers[:n]
+	return t.workers
+}
+
+// forkWidth returns how many workers a per-query host loop over n queries
+// spreads across: all of them from hostForkMin up, else the caller alone.
+func forkWidth(n int) int {
+	if n < hostForkMin {
+		return 1
+	}
+	return parallel.Workers()
+}
+
+// forQueries runs body(worker, lo, hi) over the n queries of a batch: on
+// the host's workers, claiming runs dynamically (per-query cost is
+// data-dependent), when the batch is large enough to pay for the fork,
+// else on the caller as worker 0. Results must land in per-query slots.
+func forQueries(n int, body func(worker, lo, hi int)) {
+	if n >= hostForkMin {
+		parallel.ForDynamic(n, body)
+	} else if n > 0 {
+		body(0, 0, n)
+	}
+}
+
+// expandL0 walks the CPU-resident L0 prefix of a wave traversal for each
+// of the batch's n queries — expand(worker, qi, frontier) appends query
+// qi's chunk entries and returns its host work — charges the summed work
+// as one CPU phase and returns the first wave's frontier. Large batches
+// split into one contiguous query block per worker, and the blocks'
+// frontiers concatenate in worker order, which is query order: the
+// frontier is the one the serial loop builds, whatever GOMAXPROCS is.
+func (t *Tree) expandL0(n int, expand func(worker int, qi int32, frontier *[]entry) int64) []entry {
+	ws := t.hostWorkers()[:forkWidth(n)]
+	for w := range ws {
+		ws[w].front, ws[w].work = ws[w].front[:0], 0
+	}
+	parallel.BlocksN(len(ws), n, func(w, lo, hi int) {
+		front := ws[w].front
+		var work int64
+		for i := lo; i < hi; i++ {
+			work += expand(w, int32(i), &front)
+		}
+		ws[w].front, ws[w].work = front, work
+	})
+	frontier := t.frontierBuf[:0]
+	var cpuWork int64
+	for w := range ws {
+		frontier = append(frontier, ws[w].front...)
+		cpuWork += ws[w].work
+	}
+	t.frontierBuf = frontier
+	t.sys.CPUPhase(cpuWork, 0, 0)
+	return frontier
+}
+
+// foundPoint is one stored point a traversal matched to query qi.
+type foundPoint struct {
+	qi int32
+	p  geom.Point
+}
+
+// pointSink collects the points a multi-wave traversal (kNN sphere fetch,
+// box fetch) finds, without per-query locks. Every host worker appends to a
+// buffer of its own; a slot — one per worker for the L0 prefix, then one
+// per group of each wave, in the wave's deterministic group enumeration —
+// records which stretch of which buffer holds its finds, and gather
+// regroups them by query in slot order, i.e. in exactly the order a serial
+// traversal would have appended them: the same answer lists at any
+// GOMAXPROCS, out of W buffers that persist across batches.
+//
+// A slot's finds must be appended by one worker with no other slot's in
+// between (open panics otherwise). Waves guarantee it: a module handler or
+// a pulled-group scan works through a group's entries back to back.
+type pointSink struct {
+	bufs  []sinkBuf
+	segs  []sinkSeg    // per slot
+	offs  []int        // gather's per-query offsets
+	arena []geom.Point // gather's backing array, unless the caller owns it
+}
+
+// sinkBuf is one worker's append buffer, a cache line to itself because
+// the workers append concurrently.
+type sinkBuf struct {
+	pts []foundPoint
+	_   [64 - 24]byte
+}
+
+// sinkSeg locates a slot's finds: bufs[worker].pts[lo:hi].
+type sinkSeg struct{ worker, lo, hi int }
+
+// sinkSlack is the number of points, beyond four times what the last
+// traversal put there, that a sink buffer may keep allocated.
+const sinkSlack = 1 << 14
+
+// reset empties the sink for a new traversal. Buffers are kept for reuse,
+// but not at any price: one rare query can sweep a dense cluster and leave
+// megabytes behind that a tree serving small batches never fills again.
+func (ps *pointSink) reset() {
+	if n := parallel.Workers(); len(ps.bufs) < n {
+		ps.bufs = append(ps.bufs, make([]sinkBuf, n-len(ps.bufs))...)
+	}
+	for w := range ps.bufs {
+		b := &ps.bufs[w]
+		if cap(b.pts) > 4*len(b.pts)+sinkSlack {
+			b.pts = nil
+		}
+		b.pts = b.pts[:0]
+	}
+	ps.segs = ps.segs[:0]
+}
+
+// extend adds n empty slots and returns the index of the first. Like open
+// and close it accepts a nil sink, which collects nothing.
+func (ps *pointSink) extend(n int) int {
+	if ps == nil {
+		return 0
+	}
+	base := len(ps.segs)
+	ps.segs = slices.Grow(ps.segs, n)[:base+n]
+	clear(ps.segs[base:])
+	return base
+}
+
+// open returns the buffer worker appends slot's finds to; close ends the
+// stretch. A slot may be opened and closed any number of times.
+func (ps *pointSink) open(slot, worker int) *[]foundPoint {
+	if ps == nil {
+		return nil
+	}
+	seg, buf := &ps.segs[slot], &ps.bufs[worker].pts
+	switch {
+	case seg.lo == seg.hi:
+		seg.worker, seg.lo, seg.hi = worker, len(*buf), len(*buf)
+	case seg.worker != worker || seg.hi != len(*buf):
+		panic("core: pointSink slot filled from two places at once")
+	}
+	return buf
+}
+
+func (ps *pointSink) close(slot, worker int) {
+	if ps != nil {
+		ps.segs[slot].hi = len(ps.bufs[worker].pts)
+	}
+}
+
+// gather returns, per query, the points found for it. With own the lists
+// share one fresh backing array the caller may keep; otherwise they alias
+// the sink's arena and die with the next gather.
+func (ps *pointSink) gather(nq int, own bool) [][]geom.Point {
+	out := make([][]geom.Point, nq)
+	if cap(ps.offs) < nq+1 {
+		ps.offs = make([]int, nq+1)
+	}
+	offs := ps.offs[:nq+1]
+	clear(offs)
+	for w := range ps.bufs {
+		for _, f := range ps.bufs[w].pts {
+			offs[f.qi+1]++
+		}
+	}
+	for i := 0; i < nq; i++ {
+		offs[i+1] += offs[i]
+	}
+	arena := ps.arena
+	if own || cap(arena) < offs[nq] || cap(arena) > 4*offs[nq]+sinkSlack {
+		arena = make([]geom.Point, offs[nq])
+		if !own {
+			ps.arena = arena
+		}
+	}
+	// Each list starts empty with exactly its final capacity, so the
+	// appends below fill the arena in place.
+	for qi := range out {
+		out[qi] = arena[offs[qi]:offs[qi]:offs[qi+1]]
+	}
+	for _, seg := range ps.segs {
+		for _, f := range ps.bufs[seg.worker].pts[seg.lo:seg.hi] {
+			out[f.qi] = append(out[f.qi], f.p)
+		}
+	}
+	return out
 }

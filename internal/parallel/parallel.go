@@ -15,6 +15,7 @@ package parallel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // grain is the sequential cutoff for recursive splitting. Small enough to
@@ -48,13 +49,18 @@ func Workers() int {
 	return maxProcs()
 }
 
-// For runs body(i) for every i in [0, n) in parallel.
+// For runs body(i) for every i in [0, n) in parallel. See ForRange for the
+// sequential cutoff.
 func For(n int, body func(i int)) {
 	ForRange(0, n, body)
 }
 
 // ForRange runs body(i) for every i in [lo, hi) in parallel using recursive
-// binary splitting.
+// binary splitting. The sequential cutoff (grain, 2048) is an element
+// count chosen for cheap bodies — a key encode, a slot write: a range of
+// up to 2048 indexes runs on the calling goroutine however expensive each
+// body is. Loops over few, heavy items (module handlers, shards, queries
+// with data-dependent cost) want ForDynamic instead.
 func ForRange(lo, hi int, body func(i int)) {
 	if hi-lo <= 0 {
 		return
@@ -116,6 +122,60 @@ func BlocksN(p, n int, body func(worker, lo, hi int)) {
 			body(w, lo, hi)
 		}(w, lo, hi)
 	}
+	wg.Wait()
+}
+
+// ForDynamic is the coarse-grained loop: body(worker, lo, hi) covers [0, n)
+// in short runs of consecutive indexes that min(Workers(), n) goroutines —
+// the caller is worker 0 — claim from a shared atomic cursor until none are
+// left, so one expensive index (the hot cluster's module, the kNN query
+// whose sphere sweeps it) delays its own run only, not a fixed 1/p share of
+// the range. worker < Workers() is a stable scratch index: concurrent body
+// calls never share one. Which worker gets which run is up to the
+// scheduler, so anything order-sensitive must land in per-index slots.
+//
+// There is no sequential cutoff: every call with n > 1 above one proc
+// forks, and whether the work pays for that (a few microseconds) is the
+// caller's decision — it knows what an index costs, this package does not.
+func ForDynamic(n int, body func(worker, lo, hi int)) {
+	p := maxProcs()
+	if p > n {
+		p = n
+	}
+	if p <= 1 {
+		if n > 0 {
+			body(0, 0, n)
+		}
+		return
+	}
+	// Eight runs per worker bound the tail at 1/8 of a fair share.
+	run := n / (8 * p)
+	if run < 1 {
+		run = 1
+	}
+	var cursor atomic.Int64
+	claim := func(w int) {
+		for {
+			hi := int(cursor.Add(int64(run)))
+			lo := hi - run
+			if lo >= n {
+				return
+			}
+			if hi > n {
+				hi = n
+			}
+			body(w, lo, hi)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(p - 1)
+	for w := 1; w < p; w++ {
+		go func(w int) {
+			defer wg.Done()
+			claim(w)
+		}(w)
+	}
+	claim(0)
 	wg.Wait()
 }
 

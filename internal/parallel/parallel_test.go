@@ -365,3 +365,41 @@ func TestParallelPathsUnderGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// TestForDynamic checks the coarse-grained loop's contract: every index is
+// covered exactly once by runs that stay inside [0, n), worker ids stay
+// below the worker count, and a single proc (or n <= 1) runs on the caller.
+func TestForDynamic(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+
+	for _, n := range []int{0, 1, 2, 3, 31, 32, 33, 1000} {
+		seen := make([]int32, n)
+		ForDynamic(n, func(w, lo, hi int) {
+			if w < 0 || w >= 4 || lo < 0 || lo >= hi || hi > n {
+				t.Errorf("n=%d: body(%d, %d, %d)", n, w, lo, hi)
+				return
+			}
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&seen[i], 1)
+			}
+		})
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
+			}
+		}
+	}
+
+	runtime.GOMAXPROCS(1)
+	calls := 0 // unsynchronized on purpose: one proc must mean one goroutine
+	ForDynamic(100, func(w, lo, hi int) {
+		calls++
+		if w != 0 || lo != 0 || hi != 100 {
+			t.Errorf("single proc: body(%d, %d, %d)", w, lo, hi)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("single proc: %d calls, want 1", calls)
+	}
+}

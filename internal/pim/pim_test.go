@@ -1,9 +1,12 @@
 package pim
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pimzdtree/internal/costmodel"
 )
@@ -332,4 +335,124 @@ func TestWriteTrace(t *testing.T) {
 	if !strings.Contains(buf.String(), "round") || !strings.Contains(buf.String(), "7") {
 		t.Fatalf("trace output missing content:\n%s", buf.String())
 	}
+}
+
+// TestRoundSchedule pins the two schedules of a round: below the work
+// threshold (and for every plain Round) the handlers run one after another
+// in active order as worker 0; from the threshold up they run on more than
+// one goroutine. Each handler runs exactly once either way, and the
+// accounting is the same.
+func TestRoundSchedule(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	const p = 64
+	run := func(entries int, handler func(m *Module)) ([]int32, RoundStats) {
+		s := newTestSystem(p)
+		calls := make([]int32, p)
+		st := s.RoundN(s.AllModules(), entries, func(m *Module) {
+			atomic.AddInt32(&calls[m.ID], 1)
+			m.Work(int64(m.ID + 1))
+			handler(m)
+		})
+		return calls, st
+	}
+	once := func(calls []int32) {
+		t.Helper()
+		for id, c := range calls {
+			if c != 1 {
+				t.Fatalf("module %d: handler ran %d times, want 1", id, c)
+			}
+		}
+	}
+
+	// Serial: no synchronization at all around order — the race detector
+	// would flag a second goroutine.
+	var order []int
+	calls, serial := run(forkMinEntries-1, func(m *Module) {
+		if m.Worker() != 0 {
+			t.Errorf("module %d below the threshold ran as worker %d", m.ID, m.Worker())
+		}
+		order = append(order, m.ID)
+	})
+	once(calls)
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("serial round visited %v, want ascending", order)
+		}
+	}
+
+	// Forked: every handler waits until two different workers have entered
+	// one, which only returns if a second goroutine really runs handlers.
+	var mu sync.Mutex
+	workers := map[int]bool{}
+	two := make(chan struct{})
+	calls, forked := run(forkMinEntries, func(m *Module) {
+		mu.Lock()
+		if !workers[m.Worker()] {
+			workers[m.Worker()] = true
+			if len(workers) == 2 {
+				close(two)
+			}
+		}
+		mu.Unlock()
+		select {
+		case <-two:
+		case <-time.After(10 * time.Second):
+			t.Errorf("module %d: no second worker showed up", m.ID)
+		}
+	})
+	once(calls)
+	for w := range workers {
+		if w < 0 || w >= 4 {
+			t.Fatalf("worker id %d outside [0, GOMAXPROCS)", w)
+		}
+	}
+	if forked != serial {
+		t.Fatalf("forked round stats %+v differ from serial %+v", forked, serial)
+	}
+}
+
+// TestSerialRoundAllocatesNothing guards the small-round path the serving
+// workloads live on (tens of thousands of rounds of a few modules each).
+func TestSerialRoundAllocatesNothing(t *testing.T) {
+	s := newTestSystem(8)
+	all := s.AllModules()
+	if n := testing.AllocsPerRun(100, func() {
+		s.Round(all, func(m *Module) { m.Recv(64) })
+	}); n != 0 {
+		t.Fatalf("serial round allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkRound measures the simulator's own cost per round at the two
+// ends: the 8-module byte-delivery round of a small serving epoch (plain
+// loop; pim.host_us_per_round on wire-read and serve-mixed is made of
+// these) and a 2048-module round whose handlers do real work (forked).
+func BenchmarkRound(b *testing.B) {
+	b.Run("trivial-8", func(b *testing.B) {
+		s := newTestSystem(8)
+		all := s.AllModules()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Round(all, func(m *Module) { m.Recv(64) })
+		}
+	})
+	b.Run("heavy-2048", func(b *testing.B) {
+		s := newTestSystem(2048)
+		all := s.AllModules()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.RoundN(all, 8*len(all), func(m *Module) {
+				// Eight queued entries of ~250 ns each.
+				x := uint64(m.ID)
+				for j := 0; j < 8*64; j++ {
+					x = Hash64(x)
+				}
+				m.Work(int64(x & 0xff))
+			})
+		}
+	})
 }

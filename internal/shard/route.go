@@ -74,7 +74,10 @@ func (x *Index) chargeRoute(n int) {
 	x.router.CPUPhase(work, int64(n)*2*routePointBytes, 0)
 }
 
-// forEach runs fn for every non-empty segment, fork-join across shards.
+// forEach runs fn for every non-empty segment, one shard after another on
+// the calling goroutine: parallel.For's sequential cutoff is 2048 indexes
+// and no index has that many shards. (Shards own disjoint state, so the
+// calls could run concurrently; ROADMAP has why they do not yet.)
 func (x *Index) forEach(flat []geom.Point, offs []int, fn func(s int, seg []geom.Point)) {
 	parallel.For(len(x.sh), func(s int) {
 		if seg := flat[offs[s]:offs[s+1]]; len(seg) > 0 {

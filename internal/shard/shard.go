@@ -15,8 +15,10 @@
 // radius.
 //
 // The router splits every batch with a single counting pass, runs the
-// shards fork-join in parallel (each shard owns its own pim.System —
-// its own rack), and merges results and observability deterministically:
+// shards as one fork-join phase (each shard owns its own pim.System — its
+// own rack, and the modeled wall is the slowest shard's; on the host the S
+// calls run one after another today, see forEach), and merges results and
+// observability deterministically:
 // per-shard obs recorders are drained into the parent recorder in shard
 // order (obs.MergeWindow), so exports and modeled metrics are
 // byte-identical at any GOMAXPROCS. With Trees == 1 the Index is a pure
