@@ -7,12 +7,10 @@
 //	pimzd-bench -experiment fig5a -warmup 1000000 -batch 100000
 //	pimzd-bench -experiment table3
 //
-// Experiments: fig5a fig5b fig5c fig6 fig7 fig8 fig9 table2 table3
-// latency dims datasets all; extensions: energy strawman pscale future
-// bounds saturate (wall-clock serving sweep, excluded from `all`)
-// shardscale (Morton-prefix multi-tree scale-out, excluded from `all`).
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured values.
+// The experiment ids are internal/bench's Experiments table (`-h` lists
+// them); `all` runs every panel whose CSV is modeled time, which is
+// byte-identical at any GOMAXPROCS. See DESIGN.md for the experiment index
+// and EXPERIMENTS.md for paper-vs-measured values.
 package main
 
 import (
@@ -22,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"pimzdtree/internal/bench"
@@ -86,7 +83,7 @@ func writeTraces(dir, id string, rec *obs.Recorder) error {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment id (fig5a..fig9, table2, table3, latency, dims, energy, datasets, all)")
+		experiment = flag.String("experiment", "all", bench.ExperimentUsage())
 		format     = flag.String("format", "table", "output format: table or csv")
 		warmup     = flag.Int("warmup", bench.Defaults().WarmupN, "warmup points before measurement")
 		batch      = flag.Int("batch", bench.Defaults().BatchOps, "point operations per measured batch")
@@ -96,7 +93,6 @@ func main() {
 		file       = flag.String("file", "", "run the fig5 operation suite on a point file (binary PTS1 or CSV) instead of a synthetic dataset")
 		traceOut   = flag.String("trace-out", "", "directory for per-experiment traces (<id>.trace.json Chrome format + <id>.jsonl)")
 		traceSmp   = flag.Int("trace-sample", 0, "with -trace-out, snapshot module loads every N rounds (0 = off)")
-		benchJSON  = flag.String("bench-json", "", "write per-experiment harness wall-clock and MOp/s to this JSON file")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 		serveAddr  = flag.String("serve", "", "serve live metrics (/metrics, /healthz, /debug/pprof) on this address while experiments run (host:0 for an ephemeral port)")
@@ -108,6 +104,11 @@ func main() {
 		slowK       = flag.Int("slow-k", 16, "with -flight-out, retained slow-op records")
 	)
 	flag.Parse()
+	selected, err := bench.Select(*experiment)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	obs.ServePprof(*pprofAddr)
 	if *cpuProfile != "" {
 		fd, err := os.Create(*cpuProfile)
@@ -221,205 +222,27 @@ func main() {
 		}
 	}
 
-	// Harness perf trajectory: wall-clock seconds and executed-op
-	// throughput per panel, written as JSON so perf PRs can diff the
-	// simulator's own speed separately from the (byte-stable) modeled CSVs.
-	var perf *bench.PerfReport
-	if *benchJSON != "" {
-		perf = &bench.PerfReport{
-			WarmupN:  p.WarmupN,
-			BatchOps: p.BatchOps,
-			P:        p.P,
-			Traced:   *traceOut != "",
-		}
-	}
-	flushPerf := func() {
-		if perf == nil {
-			return
-		}
-		fd, err := os.Create(*benchJSON)
-		if err == nil {
-			err = perf.WriteJSON(fd)
-			if cerr := fd.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	run := func(id string) {
+	run := func(e bench.Experiment) {
 		start := time.Now()
-		bench.ResetOpsCount()
 		if !csvMode {
-			fmt.Printf("== %s ==\n", id)
+			fmt.Printf("== %s ==\n", e.ID)
 		}
 		// Each experiment gets a fresh recorder so its trace files stand
 		// alone; with tracing and serving both off, p.Obs stays nil and
 		// nothing changes.
 		rec := newRecorder()
 		p.Obs = rec
-		switch id {
-		case "fig5a", "fig5b", "fig5c":
-			ds := map[string]workload.Dataset{
-				"fig5a": workload.DatasetUniform,
-				"fig5b": workload.DatasetCosmos,
-				"fig5c": workload.DatasetOSM,
-			}[id]
-			rows := bench.Fig5(ds, p)
-			if csvMode {
-				check(bench.Fig5CSV(os.Stdout, rows))
-			} else {
-				bench.RenderFig5(os.Stdout, ds, rows)
-			}
-		case "fig6":
-			rows := bench.Fig6(p)
-			if csvMode {
-				check(bench.Fig6CSV(os.Stdout, rows))
-			} else {
-				bench.RenderFig6(os.Stdout, rows)
-			}
-		case "fig7":
-			rows := bench.Fig7(p)
-			if csvMode {
-				check(bench.Fig7CSV(os.Stdout, rows))
-			} else {
-				bench.RenderFig7(os.Stdout, rows)
-			}
-		case "fig8":
-			rows := bench.Fig8(p)
-			if csvMode {
-				check(bench.Fig8CSV(os.Stdout, rows))
-			} else {
-				bench.RenderFig8(os.Stdout, rows)
-			}
-		case "fig9":
-			rows := bench.Fig9(p)
-			if csvMode {
-				check(bench.Fig9CSV(os.Stdout, rows))
-			} else {
-				bench.RenderFig9(os.Stdout, rows)
-			}
-		case "table2":
-			rows := bench.Table2(p)
-			if csvMode {
-				check(bench.Table2CSV(os.Stdout, rows))
-			} else {
-				bench.RenderTable2(os.Stdout, rows)
-			}
-		case "table3":
-			rows := bench.Table3(p)
-			if csvMode {
-				check(bench.Table3CSV(os.Stdout, rows))
-			} else {
-				bench.RenderTable3(os.Stdout, rows)
-			}
-		case "latency":
-			rows := bench.Latency(p)
-			if csvMode {
-				check(bench.LatencyCSV(os.Stdout, rows))
-			} else {
-				bench.RenderLatency(os.Stdout, rows)
-			}
-		case "dims":
-			rows := bench.Dims(p)
-			if csvMode {
-				check(bench.DimsCSV(os.Stdout, rows))
-			} else {
-				bench.RenderDims(os.Stdout, rows)
-			}
-		case "energy":
-			rows := bench.Energy(p)
-			if csvMode {
-				check(bench.EnergyCSV(os.Stdout, rows))
-			} else {
-				bench.RenderEnergy(os.Stdout, rows)
-			}
-		case "pscale":
-			rows := bench.PScale(p)
-			if csvMode {
-				check(bench.PScaleCSV(os.Stdout, rows))
-			} else {
-				bench.RenderPScale(os.Stdout, rows)
-			}
-		case "recon":
-			rows := bench.Recon(p)
-			if csvMode {
-				check(bench.ReconCSV(os.Stdout, rows))
-			} else {
-				bench.RenderRecon(os.Stdout, rows)
-			}
-		case "build":
-			rows := bench.Build(p)
-			if csvMode {
-				check(bench.BuildCSV(os.Stdout, rows))
-			} else {
-				bench.RenderBuild(os.Stdout, rows)
-			}
-		case "bounds":
-			rows := bench.Bounds(p)
-			if csvMode {
-				check(bench.BoundsCSV(os.Stdout, rows))
-			} else {
-				bench.RenderBounds(os.Stdout, rows)
-			}
-		case "future":
-			rows := bench.Future(p)
-			if csvMode {
-				check(bench.FutureCSV(os.Stdout, rows))
-			} else {
-				bench.RenderFuture(os.Stdout, rows)
-			}
-		case "strawman":
-			rows := bench.Strawman(p)
-			if csvMode {
-				check(bench.StrawmanCSV(os.Stdout, rows))
-			} else {
-				bench.RenderStrawman(os.Stdout, rows)
-			}
-		case "datasets":
-			bench.DatasetInfo(os.Stdout, p)
-		case "saturate":
-			// Wall-clock serving capacity (FIFO vs epoch pipeline); not in
-			// `-experiment all` because its CSV is timing-dependent, unlike
-			// the byte-stable modeled panels.
-			rows := bench.Saturate(p)
-			if csvMode {
-				check(bench.SaturateCSV(os.Stdout, rows))
-			} else {
-				bench.RenderSaturate(os.Stdout, rows)
-			}
-		case "shardscale":
-			// Morton-prefix shard scale-out (S racks, cross-shard merge,
-			// rebalancer storm); an extension beyond the paper's single-rack
-			// evaluation, so like saturate it stays out of `-experiment all`
-			// and lands in the BENCH_<n>.json trajectory instead.
-			rows := bench.ShardScale(p)
-			if csvMode {
-				check(bench.ShardScaleCSV(os.Stdout, rows))
-			} else {
-				bench.RenderShardScale(os.Stdout, rows)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-			os.Exit(2)
-		}
+		check(e.Run(p, os.Stdout, csvMode))
 		if rec != nil && *traceOut != "" {
-			if err := writeTraces(*traceOut, id, rec); err != nil {
+			if err := writeTraces(*traceOut, e.ID, rec); err != nil {
 				fmt.Fprintf(os.Stderr, "trace export: %v\n", err)
 				os.Exit(1)
 			}
 		}
-		wallPanels.With(id).Observe(time.Since(start).Seconds())
-		if perf != nil {
-			perf.AddPanel(id, time.Since(start).Seconds(), bench.OpsCount())
-		}
+		wallPanels.With(e.ID).Observe(time.Since(start).Seconds())
 		if !csvMode {
-			fmt.Printf("(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("(%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
-		_ = start
 	}
 
 	if *file != "" {
@@ -441,42 +264,20 @@ func main() {
 				}()
 			}
 		}
-		start := time.Now()
-		bench.ResetOpsCount()
 		rows := bench.Fig5Custom(pts, p)
-		if *format == "csv" {
-			if err := bench.Fig5CSV(os.Stdout, rows); err != nil {
-				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-				os.Exit(1)
-			}
+		if csvMode {
+			check(bench.Fig5CSV(os.Stdout, rows))
 		} else {
 			fmt.Printf("custom dataset %s: %d points, dims=%d, gini=%.3f\n",
 				*file, len(pts), pts[0].Dims, workload.Gini(pts, 2048))
 			bench.RenderFig5Custom(os.Stdout, rows)
 		}
-		if perf != nil {
-			perf.AddPanel("custom", time.Since(start).Seconds(), bench.OpsCount())
-		}
-		flushPerf()
 		flushFlight()
 		return
 	}
 
-	if *experiment == "all" {
-		for _, id := range []string{
-			"datasets", "fig5a", "fig5b", "fig5c", "fig6", "fig7", "fig8",
-			"fig9", "table2", "table3", "latency", "dims", "energy",
-			"strawman", "pscale", "future", "bounds", "build", "recon",
-		} {
-			run(id)
-		}
-		flushPerf()
-		flushFlight()
-		return
+	for _, e := range selected {
+		run(e)
 	}
-	for _, id := range strings.Split(*experiment, ",") {
-		run(strings.TrimSpace(id))
-	}
-	flushPerf()
 	flushFlight()
 }

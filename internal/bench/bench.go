@@ -30,7 +30,6 @@ import (
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/memsim"
 	"pimzdtree/internal/obs"
-	"pimzdtree/internal/pim"
 	"pimzdtree/internal/pkdtree"
 	"pimzdtree/internal/workload"
 	"pimzdtree/internal/zdtree"
@@ -159,7 +158,6 @@ func (r *pimRunner) Name() string { return r.name }
 func (r *pimRunner) measure(elements func() int) OpCost {
 	before := r.tree.System().Metrics()
 	n := elements()
-	countOps(n)
 	delta := r.tree.System().Metrics().Sub(before)
 	return OpCost{
 		Elements: n,
@@ -169,15 +167,6 @@ func (r *pimRunner) measure(elements func() int) OpCost {
 		Joules: costmodel.PIMEnergy(delta.CPUWork, delta.CPUTraffic,
 			delta.ChannelBytes(), delta.PIMCycleTotal, delta.PIMCycleTotal*8),
 	}
-}
-
-// measureBreakdown also returns the CPU/PIM/communication split (Fig. 6).
-func (r *pimRunner) measureBreakdown(elements func() int) (OpCost, pim.Metrics) {
-	before := r.tree.System().Metrics()
-	n := elements()
-	countOps(n)
-	delta := r.tree.System().Metrics().Sub(before)
-	return OpCost{Elements: n, Seconds: delta.TotalSeconds(), BusBytes: delta.BusBytes()}, delta
 }
 
 func (r *pimRunner) Insert(batch []geom.Point) OpCost {
@@ -238,7 +227,6 @@ func (r *cpuRunner) Name() string { return r.name }
 func (r *cpuRunner) measure(elements func() int) OpCost {
 	w0, c0, s0 := r.work.Load(), r.chase.Load(), r.cache.Stats()
 	n := elements()
-	countOps(n)
 	w1, c1, s1 := r.work.Load(), r.chase.Load(), r.cache.Stats()
 	traffic := s1.DRAMBytes() - s0.DRAMBytes()
 	secs := r.machine.CPUPhase(w1-w0, traffic, c1-c0)

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/costmodel"
@@ -107,26 +106,25 @@ func Fig6(p Params) []Fig6Row {
 	data := workload.Uniform(p.Seed, p.WarmupN, p.Dims)
 	r := newPIMRunner(p, core.ThroughputOptimized, data, nil)
 	b := makeBatches(p, data)
-	type phase struct {
-		name string
-		run  func() int
-	}
 	knn100 := b.knnQs
 	if len(knn100) > p.BatchOps/40 {
 		knn100 = knn100[:p.BatchOps/40]
 	}
-	phases := []phase{
-		{"Insert", func() int { r.tree.Insert(b.insert); return len(b.insert) }},
-		{"Box Count 1", func() int { r.tree.BoxCount(b.boxes1); return len(b.boxes1) }},
-		{"Box Count 100", func() int { r.tree.BoxCount(b.boxes1h); return len(b.boxes1h) }},
-		{"Box Fetch 100", func() int { r.tree.BoxFetch(b.boxes1h); return len(b.boxes1h) }},
-		{"100-NN", func() int { r.tree.KNN(knn100, 100); return len(knn100) }},
+	phases := []struct {
+		name string
+		run  func()
+	}{
+		{"Insert", func() { r.tree.Insert(b.insert) }},
+		{"Box Count 1", func() { r.tree.BoxCount(b.boxes1) }},
+		{"Box Count 100", func() { r.tree.BoxCount(b.boxes1h) }},
+		{"Box Fetch 100", func() { r.tree.BoxFetch(b.boxes1h) }},
+		{"100-NN", func() { r.tree.KNN(knn100, 100) }},
 	}
 	var rows []Fig6Row
 	for _, ph := range phases {
-		wall := time.Now()
-		cost, delta := r.measureBreakdown(ph.run)
-		RecordPhase(ph.name, time.Since(wall).Seconds(), cost.Elements)
+		before := r.tree.System().Metrics()
+		ph.run()
+		delta := r.tree.System().Metrics().Sub(before)
 		total := delta.TotalSeconds()
 		rows = append(rows, Fig6Row{
 			Op:           ph.name,

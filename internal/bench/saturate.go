@@ -24,8 +24,7 @@ import (
 //
 // Unlike the figure panels this measures wall clock, not modeled PIM
 // time, so it is deliberately NOT part of `-experiment all` and has no
-// byte-stable golden CSV. Its capacity numbers land in the BENCH_<n>.json
-// trajectory as the "fifo" and "pipeline" phases of the saturate panel.
+// byte-stable golden CSV.
 
 // SaturateRow is one (mode, offered-load) step of the sweep.
 type SaturateRow struct {
@@ -119,28 +118,8 @@ func Saturate(p Params) []SaturateRow {
 		eng.Shutdown(ctx)
 		cancel()
 
-		// The trajectory phase is the busiest sustained step, so the phase
-		// MOp/s tracks serving capacity (requests completed per second at
-		// the highest load the mode absorbed).
-		best := -1
-		for i, pt := range steps {
-			if pt.Sustained && (best < 0 || pt.Completed > steps[best].Completed) {
-				best = i
-			}
-		}
-		if best < 0 { // nothing sustained: fall back to the busiest step
-			for i, pt := range steps {
-				if best < 0 || pt.Completed > steps[best].Completed {
-					best = i
-				}
-			}
-		}
-		if best >= 0 && steps[best].Completed > 0 {
-			RecordPhase(mode, saturateStepDuration.Seconds(), steps[best].Completed)
-		}
 		for i := range steps {
 			steps[i].Mode = mode
-			countOps(steps[i].Completed)
 		}
 		rows = append(rows, steps...)
 	}

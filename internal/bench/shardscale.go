@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/geom"
@@ -13,7 +12,7 @@ import (
 	"pimzdtree/internal/workload"
 )
 
-// Morton-prefix shard scale-out panel (BENCH_9): the multi-tree index of
+// Morton-prefix shard scale-out panel: the multi-tree index of
 // internal/shard under three regimes.
 //
 //	scale_s — S in {1,2,4,8} independent racks over the same uniform
@@ -29,11 +28,11 @@ import (
 //	          after the epoch-boundary repartition migrates the hot
 //	          range across shards.
 //
-// Throughput here is modeled (like the figure panels) but the sweep is
+// Throughput here is modeled, so the CSV is byte-identical at any
+// GOMAXPROCS like the figure panels' (same test, same CI step), and
+// TestShardScaleClaims asserts the three headlines. The sweep is
 // deliberately NOT part of `-experiment all`: the sharded index is an
-// extension beyond the paper's single-rack evaluation, so its CSV is a
-// trajectory panel (BENCH_9 phases scale_s/scale_n/storm) rather than a
-// golden figure.
+// extension beyond the paper's single-rack evaluation.
 
 // ShardScaleRow is one measurement of the shard scale-out sweep.
 type ShardScaleRow struct {
@@ -113,16 +112,12 @@ func ShardScale(p Params) []ShardScaleRow {
 	var rows []ShardScaleRow
 
 	// scale_s: same data, same queries, S grows.
-	wall := time.Now()
-	phaseOps := 0
 	data := workload.Uniform(p.Seed, p.WarmupN, p.Dims)
 	qs := workload.QueryPoints(p.Seed+1, data, p.BatchOps)
 	for _, s := range shardScaleTrees {
 		x := newShardIndex(p, s, data, false)
 		var n int
 		secs, comm := shardParallelCost(x, func() { n = shardScaleBatch(x, qs) })
-		countOps(n)
-		phaseOps += n
 		rows = append(rows, ShardScaleRow{
 			Section:           "scale_s",
 			S:                 s,
@@ -131,7 +126,6 @@ func ShardScale(p Params) []ShardScaleRow {
 			CommBytesPerQuery: float64(comm) / float64(n),
 		})
 	}
-	RecordPhase("scale_s", time.Since(wall).Seconds(), phaseOps)
 
 	// scale_n: fixed S=4, dataset 1x and 10x. Measures the routed point
 	// search batch — the Fig. 8 op whose channel traffic the paper claims
@@ -139,8 +133,6 @@ func ShardScale(p Params) []ShardScaleRow {
 	// candidate sphere holds fewer leaves at 10x points — which is a
 	// property of the data, not of the shard router, so it stays out of
 	// the flatness measurement.)
-	wall = time.Now()
-	phaseOps = 0
 	for _, mult := range []int{1, 10} {
 		n := p.WarmupN * mult
 		big := workload.Uniform(p.Seed+int64(mult), n, p.Dims)
@@ -148,8 +140,6 @@ func ShardScale(p Params) []ShardScaleRow {
 		x := newShardIndex(p, 4, big, false)
 		executed := len(bq)
 		secs, comm := shardParallelCost(x, func() { x.SearchBatch(bq) })
-		countOps(executed)
-		phaseOps += executed
 		rows = append(rows, ShardScaleRow{
 			Section:           "scale_n",
 			S:                 4,
@@ -158,11 +148,8 @@ func ShardScale(p Params) []ShardScaleRow {
 			CommBytesPerQuery: float64(comm) / float64(executed),
 		})
 	}
-	RecordPhase("scale_n", time.Since(wall).Seconds(), phaseOps)
 
 	// storm: hot traffic over shard 0's whole key range, rebalancer armed.
-	wall = time.Now()
-	phaseOps = 0
 	sdata := workload.Uniform(p.Seed+7, p.WarmupN, p.Dims)
 	x := newShardIndex(p, 4, sdata, true)
 	st := x.Stats()
@@ -180,8 +167,6 @@ func ShardScale(p Params) []ShardScaleRow {
 	storm := func() {
 		for r := 0; r < 3; r++ {
 			x.SearchBatch(hot)
-			countOps(len(hot))
-			phaseOps += len(hot)
 		}
 	}
 	storm()
@@ -189,8 +174,6 @@ func ShardScale(p Params) []ShardScaleRow {
 	// The next update batch crosses an epoch boundary and carries the
 	// repartition (CheckEvery=1).
 	x.InsertBatch(sdata[:64])
-	countOps(64)
-	phaseOps += 64
 	storm()
 	after := x.Imbalance()
 	rows = append(rows, ShardScaleRow{
@@ -200,7 +183,6 @@ func ShardScale(p Params) []ShardScaleRow {
 		ImbalanceBefore: before,
 		ImbalanceAfter:  after,
 	})
-	RecordPhase("storm", time.Since(wall).Seconds(), phaseOps)
 	return rows
 }
 

@@ -10,9 +10,14 @@
 // and report each logical access; the simulator tracks hits, misses, and
 // the resulting DRAM byte traffic.
 //
-// The cache is striped by set to permit concurrent access from parallel
-// tree operations. Replacement is LRU within a set (approximated with an
-// access clock).
+// Replacement is LRU within a set (approximated with an access clock), so
+// hits, misses and write-backs depend on the order of accesses, and the
+// Allocator's addresses on the order of allocations. The instrumented
+// callers (zdtree and pkdtree with Config.Cache set) are therefore serial
+// by construction — they run their fork-join sites inline in index order —
+// which makes the modeled traffic one fixed number at any GOMAXPROCS. The
+// per-set locks and atomic counters are for safety (a Cache shared by
+// goroutines stays consistent), not for ordering.
 package memsim
 
 import (

@@ -44,6 +44,8 @@ type Config struct {
 	Dims    uint8
 	LeafCap int
 
+	// Instrumentation, as in zdtree.Config. A tree with a Cache runs every
+	// batch serially (see forks), so its counters are schedule-independent.
 	Cache *memsim.Cache
 	Alloc *memsim.Allocator
 	Work  *atomic.Int64
@@ -181,7 +183,7 @@ func (t *Tree) buildBoxed(pts []geom.Point, box geom.Box) *node {
 	n := &node{dim: dim, split: splitVal, size: len(pts), box: box}
 	n.addr = t.cfg.Alloc.Alloc(InternalNodeBytes)
 	left, right := pts[:cut], pts[cut:]
-	if len(pts) > 4096 {
+	if t.forks(len(pts)) {
 		parallel.Do(
 			func() { n.left = t.build(left) },
 			func() { n.right = t.build(right) },
@@ -191,6 +193,25 @@ func (t *Tree) buildBoxed(pts []geom.Point, box geom.Box) *node {
 		n.right = t.build(right)
 	}
 	return n
+}
+
+// forks reports whether a divide-and-conquer step over size elements runs
+// its two halves on separate goroutines; forEach runs the n independent
+// queries of a batch. An uninstrumented tree forks (halves above 4096
+// elements, queries by parallel.For's cutoff). A tree with a Cache runs
+// everything inline in index order: the LLC simulator's LRU state and the
+// allocator's addresses depend on access order, so the modeled traffic is
+// the serial schedule's at any GOMAXPROCS.
+func (t *Tree) forks(size int) bool { return size > 4096 && t.cfg.Cache == nil }
+
+func (t *Tree) forEach(n int, body func(i int)) {
+	if t.cfg.Cache == nil {
+		parallel.For(n, body)
+		return
+	}
+	for i := 0; i < n; i++ {
+		body(i)
+	}
 }
 
 func (t *Tree) newLeaf(pts []geom.Point, box geom.Box) *node {

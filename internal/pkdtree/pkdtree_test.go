@@ -2,6 +2,7 @@ package pkdtree
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -414,5 +415,51 @@ func BenchmarkInsert10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Insert(randPoints(rng, 10_000, 3, 1<<20))
+	}
+}
+
+// TestInstrumentedTrafficDeterministic: with a Cache attached every batch
+// operation runs its fork-join sites inline (forks, forEach), so the LLC
+// simulator sees the serial access order and the counters the cost model
+// reads do not depend on GOMAXPROCS. Every batch is above its fork
+// threshold and the cache is small enough to evict throughout.
+func TestInstrumentedTrafficDeterministic(t *testing.T) {
+	type counters struct {
+		cache       memsim.Stats
+		work, chase int64
+	}
+	run := func(procs int) counters {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rng := rand.New(rand.NewSource(5))
+		cache := memsim.NewCache(1<<16, 16)
+		tr := New(Config{Dims: 3, Cache: cache}, randPoints(rng, 20000, 3, 1<<20))
+		ins := randPoints(rng, 6000, 3, 1<<20)
+		tr.Insert(ins)
+		tr.Delete(ins[:5000])
+		qs := randPoints(rng, 3000, 3, 1<<20)
+		tr.KNNBatch(qs, 4, geom.L2)
+		boxes := make([]geom.Box, len(qs))
+		for i, q := range qs {
+			hi := q
+			for d := range hi.Coords[:hi.Dims] {
+				hi.Coords[d] += 1 << 16
+			}
+			boxes[i] = geom.NewBox(q, hi)
+		}
+		tr.BoxCountBatch(boxes)
+		tr.BoxFetchBatch(boxes)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return counters{cache.Stats(), tr.cfg.Work.Load(), tr.cfg.Chase.Load()}
+	}
+	serial := run(1)
+	if serial.cache.WBBytes == 0 || serial.chase == 0 {
+		t.Fatalf("workload too small to evict or chase: %+v", serial)
+	}
+	for i := 0; i < 3; i++ {
+		if got := run(4); got != serial {
+			t.Fatalf("GOMAXPROCS=4 run %d: %+v, want the GOMAXPROCS=1 counters %+v", i, got, serial)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 
 	"pimzdtree/internal/geom"
-	"pimzdtree/internal/parallel"
 )
 
 // Neighbor is one kNN result (distance squared for L2, as in geom.Metric).
@@ -71,11 +70,11 @@ func (t *Tree) knnRec(n *node, q geom.Point, k int, metric geom.Metric, h *neigh
 	}
 }
 
-// KNNBatch answers a batch of kNN queries in parallel.
+// KNNBatch answers a batch of kNN queries (see forEach for the schedule).
 func (t *Tree) KNNBatch(qs []geom.Point, k int, metric geom.Metric) [][]Neighbor {
 	defer t.beginOp("knn")()
 	out := make([][]Neighbor, len(qs))
-	parallel.For(len(qs), func(i int) {
+	t.forEach(len(qs), func(i int) {
 		out[i] = t.KNN(qs[i], k, metric)
 	})
 	return out
@@ -151,21 +150,21 @@ func (t *Tree) boxFetchRec(n *node, box geom.Box, out *[]geom.Point) {
 	t.boxFetchRec(n.right, box, out)
 }
 
-// BoxCountBatch answers count queries in parallel.
+// BoxCountBatch answers a batch of count queries.
 func (t *Tree) BoxCountBatch(boxes []geom.Box) []int {
 	defer t.beginOp("box-count")()
 	out := make([]int, len(boxes))
-	parallel.For(len(boxes), func(i int) {
+	t.forEach(len(boxes), func(i int) {
 		out[i] = t.BoxCount(boxes[i])
 	})
 	return out
 }
 
-// BoxFetchBatch answers fetch queries in parallel.
+// BoxFetchBatch answers a batch of fetch queries.
 func (t *Tree) BoxFetchBatch(boxes []geom.Box) [][]geom.Point {
 	defer t.beginOp("box-fetch")()
 	out := make([][]geom.Point, len(boxes))
-	parallel.For(len(boxes), func(i int) {
+	t.forEach(len(boxes), func(i int) {
 		out[i] = t.BoxFetch(boxes[i])
 	})
 	return out

@@ -55,7 +55,7 @@ func (t *Tree) insertRec(n *node, batch []geom.Point) *node {
 		return t.build(pts)
 	}
 	left, right := batch[:cut], batch[cut:]
-	if len(batch) > 4096 {
+	if t.forks(len(batch)) {
 		parallel.Do(
 			func() {
 				if len(left) > 0 {

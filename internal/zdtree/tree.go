@@ -48,7 +48,8 @@ type Config struct {
 	// Instrumentation (all optional). Cache simulates the host LLC and
 	// counts DRAM traffic; Alloc provides synthetic node addresses; Work
 	// accumulates abstract CPU work units; Chase accumulates dependent
-	// cache misses on traversal paths.
+	// cache misses on traversal paths. A tree with a Cache runs every batch
+	// serially (see forks), so its counters are schedule-independent.
 	Cache *memsim.Cache
 	Alloc *memsim.Allocator
 	Work  *atomic.Int64
@@ -149,6 +150,25 @@ func (t *Tree) beginOp(name string) func() {
 	}
 }
 
+// forks reports whether a divide-and-conquer step over size elements runs
+// its two halves on separate goroutines; forEach runs the n independent
+// queries of a batch. An uninstrumented tree forks (halves above 4096
+// elements, queries by parallel.For's cutoff). A tree with a Cache runs
+// everything inline in index order: the LLC simulator's LRU state and the
+// allocator's addresses depend on access order, so the modeled traffic is
+// the serial schedule's at any GOMAXPROCS.
+func (t *Tree) forks(size int) bool { return size > 4096 && t.cfg.Cache == nil }
+
+func (t *Tree) forEach(n int, body func(i int)) {
+	if t.cfg.Cache == nil {
+		parallel.For(n, body)
+		return
+	}
+	for i := 0; i < n; i++ {
+		body(i)
+	}
+}
+
 type keyed struct {
 	key uint64
 	pt  geom.Point
@@ -213,7 +233,7 @@ func (t *Tree) build(kps []keyed) *node {
 	if t.cfg.Cache != nil {
 		t.cfg.Cache.Write(n.addr, InternalNodeBytes)
 	}
-	if len(kps) > 4096 {
+	if t.forks(len(kps)) {
 		parallel.Do(
 			func() { n.left = t.build(kps[:split]) },
 			func() { n.right = t.build(kps[split:]) },

@@ -70,7 +70,7 @@ func (t *Tree) insertRec(n *node, kps []keyed) *node {
 		}
 		parent.addr = t.cfg.Alloc.Alloc(InternalNodeBytes)
 		var same, other *node
-		if len(kps) > 4096 {
+		if t.forks(len(kps)) {
 			parallel.Do(
 				func() { same = t.insertRec(n, sameSide) },
 				func() { other = t.build(otherSide) },
@@ -95,7 +95,7 @@ func (t *Tree) insertRec(n *node, kps []keyed) *node {
 	bit := t.keyBits() - 1 - uint(n.prefixLen)
 	split := splitAtBit(kps, bit)
 	left, right := kps[:split], kps[split:]
-	if len(kps) > 4096 {
+	if t.forks(len(kps)) {
 		parallel.Do(
 			func() {
 				if len(left) > 0 {
@@ -197,7 +197,7 @@ func (t *Tree) deleteRec(n *node, kps []keyed) *node {
 	bit := t.keyBits() - 1 - uint(n.prefixLen)
 	split := splitAtBit(kps, bit)
 	left, right := kps[:split], kps[split:]
-	if len(kps) > 4096 {
+	if t.forks(len(kps)) {
 		parallel.Do(
 			func() {
 				if len(left) > 0 {

@@ -1,11 +1,8 @@
-// Command checkjson validates trace exports and gates perf in CI. Modes:
+// Command checkjson validates trace exports and snapshots in CI. Modes:
 //
 //	checkjson -chrome file.json   # Chrome trace-event JSON: must parse and
 //	                              # contain a non-empty traceEvents array
 //	checkjson -jsonl file.jsonl   # JSONL: every line must be valid JSON
-//	checkjson -bench file.json    # pimzd-bench -bench-json report: must
-//	                              # parse with non-empty panels, each with
-//	                              # an experiment id and positive seconds
 //	checkjson -promtext file.txt  # Prometheus text exposition: must parse
 //	                              # and pass the exposition lint (sorted
 //	                              # families, histogram invariants)
@@ -17,13 +14,6 @@
 //	                              # objectives sorted by op, windows in
 //	                              # 1m/5m/1h order, bad <= total, and the
 //	                              # burn-rate identity burn = err/(1-target)
-//	checkjson -diff old.json new.json [-threshold pct] [-panels a,b]
-//	                              # perf-regression gate between two
-//	                              # -bench-json reports: fail when any
-//	                              # panel's or phase's mops_per_sec drops
-//	                              # more than pct percent (default 10);
-//	                              # -panels restricts the gate to a
-//	                              # comma-separated panel allowlist
 //
 // Exit status 0 on success; 1 with a diagnostic on the first violation.
 package main
@@ -34,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"pimzdtree/internal/metrics"
 	"pimzdtree/internal/obs"
@@ -42,15 +31,11 @@ import (
 
 func main() {
 	var (
-		chrome    = flag.String("chrome", "", "validate a Chrome trace-event JSON file")
-		jsonl     = flag.String("jsonl", "", "validate a JSONL file line by line")
-		bench     = flag.String("bench", "", "validate a pimzd-bench -bench-json perf report")
-		promtext  = flag.String("promtext", "", "lint a Prometheus text exposition file")
-		flight    = flag.String("flight", "", "validate a flight-recorder dump (pimzd-serve/-bench -flight-out)")
-		slo       = flag.String("slo", "", "validate an SLO snapshot (pimzd-serve /snapshot/slo)")
-		diffMode  = flag.Bool("diff", false, "diff two -bench-json reports: checkjson -diff old.json new.json")
-		threshold = flag.Float64("threshold", 10, "with -diff, regression threshold in percent")
-		panels    = flag.String("panels", "", "with -diff, comma-separated allowlist of panel ids to compare (default: all)")
+		chrome   = flag.String("chrome", "", "validate a Chrome trace-event JSON file")
+		jsonl    = flag.String("jsonl", "", "validate a JSONL file line by line")
+		promtext = flag.String("promtext", "", "lint a Prometheus text exposition file")
+		flight   = flag.String("flight", "", "validate a flight-recorder dump (pimzd-serve/-bench -flight-out)")
+		slo      = flag.String("slo", "", "validate an SLO snapshot (pimzd-serve /snapshot/slo)")
 	)
 	flag.Parse()
 	switch {
@@ -61,10 +46,6 @@ func main() {
 	case *jsonl != "":
 		if err := checkJSONL(*jsonl); err != nil {
 			fail(*jsonl, err)
-		}
-	case *bench != "":
-		if err := checkBench(*bench); err != nil {
-			fail(*bench, err)
 		}
 	case *promtext != "":
 		if err := checkPromText(*promtext); err != nil {
@@ -78,53 +59,10 @@ func main() {
 		if err := checkSLO(*slo); err != nil {
 			fail(*slo, err)
 		}
-	case *diffMode:
-		paths, err := diffArgs(flag.Args(), threshold, panels)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkjson: %v\n", err)
-			os.Exit(2)
-		}
-		if err := diffBench(os.Stdout, paths[0], paths[1], *threshold, parsePanels(*panels)); err != nil {
-			fail(paths[1], err)
-		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: checkjson -chrome file.json | -jsonl file.jsonl | -bench file.json | -promtext file.txt | -flight file.json | -slo file.json | -diff old.json new.json [-threshold pct] [-panels a,b]")
+		fmt.Fprintln(os.Stderr, "usage: checkjson -chrome file.json | -jsonl file.jsonl | -promtext file.txt | -flight file.json | -slo file.json")
 		os.Exit(2)
 	}
-}
-
-// diffArgs extracts the two report paths for -diff. The flag package stops
-// parsing at the first positional, so a trailing "-threshold N" or
-// "-panels a,b" after the file names would otherwise be swallowed into
-// the positionals — scan for them by hand.
-func diffArgs(args []string, threshold *float64, panels *string) ([]string, error) {
-	var paths []string
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-threshold", "--threshold":
-			if i+1 >= len(args) {
-				return nil, fmt.Errorf("-threshold needs a value")
-			}
-			v, err := strconv.ParseFloat(args[i+1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("-threshold %q: %v", args[i+1], err)
-			}
-			*threshold = v
-			i++
-		case "-panels", "--panels":
-			if i+1 >= len(args) {
-				return nil, fmt.Errorf("-panels needs a value")
-			}
-			*panels = args[i+1]
-			i++
-		default:
-			paths = append(paths, args[i])
-		}
-	}
-	if len(paths) != 2 {
-		return nil, fmt.Errorf("-diff needs exactly two report paths, got %d", len(paths))
-	}
-	return paths, nil
 }
 
 func checkPromText(path string) error {
@@ -154,74 +92,6 @@ func checkChrome(path string) error {
 	}
 	if len(doc.TraceEvents) == 0 {
 		return fmt.Errorf("empty traceEvents array")
-	}
-	return nil
-}
-
-func checkBench(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Panels []struct {
-			Experiment string  `json:"experiment"`
-			Seconds    float64 `json:"seconds"`
-			Phases     []struct {
-				Name    string  `json:"name"`
-				Seconds float64 `json:"seconds"`
-				Ops     int64   `json:"ops"`
-			} `json:"phases"`
-		} `json:"panels"`
-		TotalSeconds float64 `json:"total_seconds"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return err
-	}
-	if len(doc.Panels) == 0 {
-		return fmt.Errorf("empty panels array")
-	}
-	for i, p := range doc.Panels {
-		if p.Experiment == "" {
-			return fmt.Errorf("panel %d: missing experiment id", i)
-		}
-		if p.Seconds <= 0 {
-			return fmt.Errorf("panel %d (%s): non-positive seconds", i, p.Experiment)
-		}
-		// Phase breakdowns are optional per panel, but two panels must
-		// carry them: fig6 (the update-path trajectory entry) and
-		// shardscale (its scale_s/scale_n/storm sections are only
-		// distinguishable through the phase list).
-		if p.Experiment == "fig6" && len(p.Phases) == 0 {
-			return fmt.Errorf("panel %d (fig6): missing phase breakdown", i)
-		}
-		if p.Experiment == "shardscale" {
-			want := map[string]bool{"scale_s": false, "scale_n": false, "storm": false}
-			for _, ph := range p.Phases {
-				if _, ok := want[ph.Name]; ok {
-					want[ph.Name] = true
-				}
-			}
-			for name, seen := range want {
-				if !seen {
-					return fmt.Errorf("panel %d (shardscale): missing %q phase", i, name)
-				}
-			}
-		}
-		for j, ph := range p.Phases {
-			if ph.Name == "" {
-				return fmt.Errorf("panel %d (%s): phase %d missing name", i, p.Experiment, j)
-			}
-			if ph.Seconds <= 0 {
-				return fmt.Errorf("panel %d (%s): phase %q non-positive seconds", i, p.Experiment, ph.Name)
-			}
-			if ph.Ops <= 0 {
-				return fmt.Errorf("panel %d (%s): phase %q non-positive ops", i, p.Experiment, ph.Name)
-			}
-		}
-	}
-	if doc.TotalSeconds <= 0 {
-		return fmt.Errorf("non-positive total_seconds")
 	}
 	return nil
 }
