@@ -156,9 +156,11 @@ determinism:
 	done; done
 	rm -rf .smoke
 
-# Micro-benchmarks of the parallel substrate (sort, semisort, scan).
+# Micro-benchmarks of the parallel substrate (sort, semisort, scan), and the
+# build's time and memory (retained and peak heap bytes per point).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSortKeys$$|BenchmarkSortBy|BenchmarkSemisort|BenchmarkExclusiveScan$$' -benchmem ./internal/parallel/
+	$(GO) test -run '^$$' -bench 'BenchmarkSortKeys$$|BenchmarkSortBy|BenchmarkSortPairs|BenchmarkSemisort|BenchmarkExclusiveScan$$' -benchmem ./internal/parallel/
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$' -benchmem ./internal/core/
 
 # CPU-profile the hot query panels (kNN + box + search) at the standard
 # scaled-down size and print the flat top-15. The profile file is left in

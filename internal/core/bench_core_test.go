@@ -2,7 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pimzdtree/internal/geom"
 )
@@ -19,13 +22,54 @@ func benchTree(b *testing.B, tuning Tuning, n int) (*Tree, *rand.Rand) {
 	return tr, rng
 }
 
-func BenchmarkBuild100k(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := randPoints(rng, 100_000, 3, 1<<20)
+// BenchmarkBuild is the one-line local check for memory changes: besides
+// ns/op and -benchmem's allocation totals it reports what a built tree
+// keeps per point once the build's scratch is collected (retained-B/pt) and
+// how far the heap rose while building (peak-heap-B/pt, HeapInuse sampled
+// every millisecond, over the level before the build).
+func BenchmarkBuild(b *testing.B) {
+	const n = 200_000
+	pts := randPoints(rand.New(rand.NewSource(1)), n, 3, 1<<20)
+	var ms runtime.MemStats
+	heap := func() uint64 { runtime.ReadMemStats(&ms); return ms.HeapInuse }
+	var retained, peak uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(testConfig(ThroughputOptimized), pts)
+		b.StopTimer()
+		runtime.GC()
+		base := heap()
+		var top atomic.Uint64
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			var ms runtime.MemStats
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					runtime.ReadMemStats(&ms)
+					top.Store(max(top.Load(), ms.HeapInuse))
+				}
+			}
+		}()
+		b.StartTimer()
+		tr := New(testConfig(ThroughputOptimized), pts)
+		b.StopTimer()
+		close(stop)
+		<-done
+		peak += max(top.Load(), heap()) - base
+		runtime.GC()
+		runtime.GC()
+		retained += heap() - base
+		runtime.KeepAlive(tr)
+		b.StartTimer()
 	}
+	b.ReportMetric(float64(retained)/float64(b.N)/n, "retained-B/pt")
+	b.ReportMetric(float64(peak)/float64(b.N)/n, "peak-heap-B/pt")
 }
 
 func BenchmarkSearchBatch(b *testing.B) {
@@ -41,7 +85,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 // updateBenchTree builds a warmed tree plus a batch, then runs one
 // insert/delete cycle so the structure reaches its fixed point (split
 // leaves stay split; re-inserting the batch refreshes them in place) and
-// the Tree-owned update scratch (keyed buffer, merge arena, chunk sinks,
+// the Tree-owned update scratch (key/index buffers, merge arena, chunk sinks,
 // diff lanes) is sized. What the loops below measure is the steady-state
 // cost of one batch, not tree growth.
 func updateBenchTree(b *testing.B) (*Tree, []geom.Point) {

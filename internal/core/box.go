@@ -23,6 +23,7 @@ func (t *Tree) BoxCount(boxes []geom.Box) []int64 {
 	rec := t.sys.Recorder()
 	rec.BeginOp("box-count")
 	defer rec.EndOp()
+	defer t.trimScratch()
 	t.boxWave(boxes, func(qi int32, size int64) {
 		atomic.AddInt64(&counts[qi], size)
 	}, nil)
@@ -36,6 +37,7 @@ func (t *Tree) BoxFetch(boxes []geom.Box) [][]geom.Point {
 	rec := t.sys.Recorder()
 	rec.BeginOp("box-fetch")
 	defer rec.EndOp()
+	defer t.trimScratch()
 	t.found.reset()
 	t.boxWave(boxes, nil, &t.found)
 	return t.found.gather(len(boxes), true)

@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -262,15 +263,19 @@ type Tree struct {
 	// externally serialized; concurrent reads never touch these). The
 	// Sorters keep the radix/semisort buffers of internal/parallel alive
 	// between rounds, and the slices absorb the per-round frontier churn of
-	// the push-pull loops.
-	kpSorter    parallel.Sorter[keyed]
+	// the push-pull loops. What a batch may leave behind is bounded by
+	// trimScratch (scratch.go); a bulk build's scratch never lands here.
+	idxSorter   parallel.Sorter[uint32] // update batches' (key, index) sort
 	entrySorter parallel.Sorter[entry]
 	frontierBuf []entry
 	visitBuf    []int64
 	nodeBuf     []*Node
 	groupBuf    []chunkGroup
-	keyBuf      []uint64
+	keyBuf      []uint64 // query keys, or an update batch's sorted keys
+	idxBuf      []uint32 // an update batch's sorting permutation
 	loadBuf     []int
+	scratchPeak int // most elements the current batch asked of any buffer above
+	scratchHigh int // largest scratchPeak the retained scratch has grown for
 
 	// router is the flat CSR routing scratch behind every push-pull round
 	// (see router.go); the remaining buffers back the dense per-module
@@ -282,7 +287,6 @@ type Tree struct {
 	activeBuf   []int
 	upStats     updateStats
 	moveBuf     []int64
-	kpBuf       []keyed // makeKeyed batch buffer (never retained by the tree)
 
 	// Fork-join scratch for the parallel update and layout passes. The
 	// freelists hand branch-local accumulators (updateStats arenas, chunk
@@ -314,14 +318,7 @@ func New(cfg Config, points []geom.Point) *Tree {
 	rec := t.sys.Recorder()
 	rec.BeginOp("build")
 	if len(points) > 0 {
-		rec.BeginPhase("sort")
-		kps := t.makeKeyed(points)
-		t.kpSorter.SortBy(kps, func(kp keyed) uint64 { return kp.key })
-		t.chargeHostSort(len(kps))
-		rec.EndPhase()
-		rec.BeginPhase("build-logical")
-		t.root = t.buildLogical(kps)
-		rec.EndPhase()
+		t.root = t.bulkBuild(points, "sort", "build-logical")
 	}
 	t.relayout()
 	t.pub.Store(&published{root: t.root, epoch: 0})
@@ -355,31 +352,96 @@ func (t *Tree) Thresholds() (thetaL0, thetaL1, b int64) {
 // held in the CPU cache (false).
 func (t *Tree) L0OnModules() bool { return t.l0OnModules }
 
-type keyed struct {
-	key uint64
-	pt  geom.Point
+// batch is a key-sorted view of a batch of points: position i holds key
+// keys[i] and point pts[idx[i]]. Sorting permutes 12-byte (key, index)
+// pairs and never moves the points; a leaf gathers its payload through idx
+// once. A nil idx means pts is already in key order (a leaf's merged
+// payload). Equal keys mean equal points, so the tree built over a batch
+// does not depend on how the sort ordered them.
+type batch struct {
+	keys []uint64
+	idx  []uint32
+	pts  []geom.Point
 }
 
-// makeKeyed encodes a batch into the tree-owned keyed buffer. Nothing
-// downstream retains the slice (leaf construction copies the payload), so
-// every batch reuses it.
-func (t *Tree) makeKeyed(points []geom.Point) []keyed {
-	if cap(t.kpBuf) < len(points) {
-		t.kpBuf = make([]keyed, len(points))
+func (b batch) len() int { return len(b.keys) }
+
+// pt returns the point at sorted position i.
+func (b batch) pt(i int) geom.Point {
+	if b.idx == nil {
+		return b.pts[i]
 	}
-	kps := t.kpBuf[:len(points)]
+	return b.pts[b.idx[i]]
+}
+
+// slice returns the view of sorted positions [lo, hi).
+func (b batch) slice(lo, hi int) batch {
+	if b.idx == nil {
+		return batch{keys: b.keys[lo:hi], pts: b.pts[lo:hi]}
+	}
+	return batch{keys: b.keys[lo:hi], idx: b.idx[lo:hi], pts: b.pts}
+}
+
+// gather copies the batch's points into dst in key order.
+func (b batch) gather(dst []geom.Point) {
+	if b.idx == nil {
+		copy(dst, b.pts)
+		return
+	}
+	for i, j := range b.idx {
+		dst[i] = b.pts[j]
+	}
+}
+
+// sortBatch encodes points into keys, sorts the (key, index) pairs through
+// s and returns the sorted view over the caller's points, charging the
+// z-order encode and the host sort. keys and idx are len(points) scratch
+// the view aliases.
+func (t *Tree) sortBatch(points []geom.Point, keys []uint64, idx []uint32, s *parallel.Sorter[uint32]) batch {
+	if len(points) > math.MaxUint32 {
+		panic("core: batch exceeds the 32-bit index range of the batch sort")
+	}
 	parallel.For(len(points), func(i int) {
 		if points[i].Dims != t.cfg.Dims {
 			panic(fmt.Sprintf("core: point dims %d != tree dims %d", points[i].Dims, t.cfg.Dims))
 		}
-		kps[i] = keyed{key: morton.EncodePoint(points[i]), pt: points[i]}
+		keys[i] = morton.EncodePoint(points[i])
+		idx[i] = uint32(i)
 	})
 	zCost := morton.CostFast(t.cfg.Dims)
 	if t.cfg.NaiveZOrder {
 		zCost = morton.CostNaive(t.cfg.Dims)
 	}
 	t.sys.CPUPhase(int64(len(points))*zCost, 0, 0)
-	return kps
+	s.SortPairs(keys, idx)
+	t.chargeHostSort(len(points))
+	return batch{keys: keys, idx: idx, pts: points}
+}
+
+// bulkBuild is the one build path — New, an Insert into an empty tree and
+// Rebuild all come here: sort the (key, index) pairs, then construct the
+// logical tree over the sorted view, each half under the caller's phase
+// name (an empty sortPhase opens no spans). Its scratch (24 bytes a point)
+// is local, hence garbage when it returns: a built tree keeps nodes and
+// leaf payloads, nothing sized by its build.
+func (t *Tree) bulkBuild(points []geom.Point, sortPhase, buildPhase string) *Node {
+	// New and Insert name the two halves differently in the trace; Rebuild
+	// has never opened spans for them.
+	rec, spans := t.sys.Recorder(), sortPhase != ""
+	if spans {
+		rec.BeginPhase(sortPhase)
+	}
+	var s parallel.Sorter[uint32]
+	b := t.sortBatch(points, make([]uint64, len(points)), make([]uint32, len(points)), &s)
+	if spans {
+		rec.EndPhase()
+		rec.BeginPhase(buildPhase)
+	}
+	root := t.buildLogical(b)
+	if spans {
+		rec.EndPhase()
+	}
+	return root
 }
 
 func (t *Tree) keyBits() uint { return morton.KeyBits(int(t.cfg.Dims)) }
@@ -405,55 +467,61 @@ func (t *Tree) hostBatchTraffic(n int, passes int64) int64 {
 	return bytes
 }
 
-// buildLogical constructs the logical subtree over sorted keyed points.
-func (t *Tree) buildLogical(kps []keyed) *Node {
-	first, last := kps[0].key, kps[len(kps)-1].key
-	if len(kps) <= t.cfg.LeafCap || first == last {
-		return t.newLeaf(kps)
+// buildLogical constructs the logical subtree over a sorted, non-empty
+// batch — the only subtree constructor: builds, edge splits and leaf splits
+// all end here.
+func (t *Tree) buildLogical(b batch) *Node {
+	first, last := b.keys[0], b.keys[b.len()-1]
+	if b.len() <= t.cfg.LeafCap || first == last {
+		return t.newLeaf(b)
 	}
 	plen := morton.CommonPrefixLen(first, last, int(t.cfg.Dims))
 	bit := t.keyBits() - 1 - plen
-	split := splitAtBit(kps, bit)
+	split := splitAtBit(b.keys, bit)
 	n := &Node{
 		Key:       first,
 		PrefixLen: uint8(plen),
-		Size:      int64(len(kps)),
-		SC:        int64(len(kps)),
+		Size:      int64(b.len()),
+		SC:        int64(b.len()),
 		Box:       morton.PrefixBox(first, plen, t.cfg.Dims),
 		Layer:     layerNew,
 	}
-	if len(kps) > 4096 {
+	if b.len() > 4096 {
 		parallel.Do(
-			func() { n.Left = t.buildLogical(kps[:split]) },
-			func() { n.Right = t.buildLogical(kps[split:]) },
+			func() { n.Left = t.buildLogical(b.slice(0, split)) },
+			func() { n.Right = t.buildLogical(b.slice(split, b.len())) },
 		)
 	} else {
-		n.Left = t.buildLogical(kps[:split])
-		n.Right = t.buildLogical(kps[split:])
+		n.Left = t.buildLogical(b.slice(0, split))
+		n.Right = t.buildLogical(b.slice(split, b.len()))
 	}
 	return n
 }
 
-func (t *Tree) newLeaf(kps []keyed) *Node {
+func (t *Tree) newLeaf(b batch) *Node {
 	n := &Node{
-		Key:   kps[0].key,
-		Size:  int64(len(kps)),
-		SC:    int64(len(kps)),
+		Key:   b.keys[0],
+		Size:  int64(b.len()),
+		SC:    int64(b.len()),
 		Layer: layerNew,
-		Keys:  make([]uint64, len(kps)),
-		Pts:   make([]geom.Point, len(kps)),
+		Keys:  make([]uint64, b.len()),
+		Pts:   make([]geom.Point, b.len()),
 	}
-	for i, kp := range kps {
-		n.Keys[i] = kp.key
-		n.Pts[i] = kp.pt
-	}
-	if len(kps) == 1 {
-		n.PrefixLen = uint8(t.keyBits())
-	} else {
-		n.PrefixLen = uint8(morton.CommonPrefixLen(kps[0].key, kps[len(kps)-1].key, int(t.cfg.Dims)))
-	}
+	copy(n.Keys, b.keys)
+	b.gather(n.Pts)
+	n.PrefixLen = t.leafPrefixLen(n.Keys)
 	n.Box = morton.PrefixBox(n.Key, uint(n.PrefixLen), t.cfg.Dims)
 	return n
+}
+
+// leafPrefixLen returns the prefix length of a leaf holding the sorted,
+// non-empty keys: the full key for a single point, else the common prefix
+// of the two ends.
+func (t *Tree) leafPrefixLen(keys []uint64) uint8 {
+	if len(keys) == 1 {
+		return uint8(t.keyBits())
+	}
+	return uint8(morton.CommonPrefixLen(keys[0], keys[len(keys)-1], int(t.cfg.Dims)))
 }
 
 // laneData returns the leaf's dim-major coordinate lanes, building and
@@ -481,13 +549,13 @@ func (n *Node) laneData(dims int) []uint32 {
 // store is safe.
 func (n *Node) dropLanes() { n.lanes.Store(nil) }
 
-// splitAtBit returns the index of the first element with the given key bit
-// set; the slice must be sorted.
-func splitAtBit(kps []keyed, bit uint) int {
-	lo, hi := 0, len(kps)
+// splitAtBit returns the index of the first key with the given bit set;
+// keys must be sorted.
+func splitAtBit(keys []uint64, bit uint) int {
+	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if morton.BitAt(kps[mid].key, bit) == 0 {
+		if morton.BitAt(keys[mid], bit) == 0 {
 			lo = mid + 1
 		} else {
 			hi = mid

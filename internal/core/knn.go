@@ -77,6 +77,7 @@ func (t *Tree) knnWithMetric(queries []geom.Point, k int, fine geom.Metric, caps
 	rec := t.sys.Recorder()
 	rec.BeginOp("knn")
 	defer rec.EndOp()
+	defer t.trimScratch()
 	coarse := geom.L1
 	if t.cfg.DisableL1Anchor {
 		coarse = fine

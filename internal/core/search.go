@@ -38,6 +38,7 @@ func (t *Tree) Search(points []geom.Point) []SearchResult {
 	rec := t.sys.Recorder()
 	rec.BeginOp("search")
 	defer rec.EndOp()
+	defer t.trimScratch()
 	keys := t.encodeKeys(points)
 	return t.searchKeys(keys, searchOpts{})
 }
@@ -48,6 +49,7 @@ func (t *Tree) encodeKeys(points []geom.Point) []uint64 {
 	rec := t.sys.Recorder()
 	rec.BeginPhase("encode-keys")
 	defer rec.EndPhase()
+	t.noteScratch(len(points))
 	if cap(t.keyBuf) < len(points) {
 		t.keyBuf = make([]uint64, len(points))
 	}
@@ -255,6 +257,7 @@ func (t *Tree) groupByChunk(frontier []entry) []chunkGroup {
 	if len(frontier) == 0 {
 		return nil
 	}
+	t.noteScratch(len(frontier))
 	rec := t.sys.Recorder()
 	rec.BeginPhase("semisort")
 	groups := t.entrySorter.Semisort(frontier, func(e entry) uint64 { return e.node.Chunk.ID })

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/morton"
@@ -40,9 +41,10 @@ type updateStats struct {
 	leafSplits int64
 
 	// Per-goroutine scratch owned by this arena.
-	merged    []keyed // leaf-merge buffer (insertIntoLeaf)
-	used      []bool  // matched-batch markers (deleteFromLeaf)
-	holderBuf []int   // cacheHolders scratch (counter propagation)
+	mergedKeys []uint64     // leaf-merge buffer (insertIntoLeaf)
+	mergedPts  []geom.Point // its points, in key order
+	used       []bool       // matched-batch markers (deleteFromLeaf)
+	holderBuf  []int        // cacheHolders scratch (counter propagation)
 }
 
 // reset sizes every per-module lane to p and zeroes the accumulators (the
@@ -163,43 +165,48 @@ func (t *Tree) Insert(points []geom.Point) {
 	rec.BeginOp("insert")
 	defer rec.EndOp()
 
-	rec.BeginPhase("prepare-batch")
-	kps := t.makeKeyed(points)
-	t.kpSorter.SortBy(kps, func(kp keyed) uint64 { return kp.key })
-	t.chargeHostSort(len(kps))
-	rec.EndPhase()
-
-	// Step 1: SEARCH(Q) — prices the search rounds and yields the traces.
-	if cap(t.keyBuf) < len(kps) {
-		t.keyBuf = make([]uint64, len(kps))
-	}
-	keys := t.keyBuf[:len(kps)]
-	for i, kp := range kps {
-		keys[i] = kp.key
-	}
-	if t.root != nil {
-		rec.BeginPhase("pilot-search")
-		t.searchKeys(keys, searchOpts{})
-		rec.EndPhase()
-	}
+	defer t.trimScratch()
 
 	st := t.resetUpdateStats()
-	st.ops = int64(len(kps))
-	rec.BeginPhase("merge")
+	st.ops = int64(len(points))
 	if t.root == nil {
-		t.root = t.buildLogical(kps)
+		t.root = t.bulkBuild(points, "prepare-batch", "merge")
 		t.markNew(t.root)
-		st.newNodes = int64(len(kps))
+		st.newNodes = int64(len(points))
 	} else {
-		t.root = t.insertRec(t.root, kps, st)
+		rec.BeginPhase("prepare-batch")
+		b := t.updateBatch(points)
+		rec.EndPhase()
+
+		// Step 1: SEARCH(Q) — prices the search rounds and yields the traces.
+		rec.BeginPhase("pilot-search")
+		t.searchKeys(b.keys, searchOpts{})
+		rec.EndPhase()
+
+		rec.BeginPhase("merge")
+		t.root = t.insertRec(t.root, b, st)
+		rec.EndPhase()
 	}
-	rec.EndPhase()
 	t.flushUpdateCounters(st)
 	rec.BeginPhase("update-rounds")
 	t.chargeUpdateRounds(st)
 	rec.EndPhase()
 	t.relayout()
 	t.publishEpoch()
+}
+
+// updateBatch is sortBatch on the Tree-owned update scratch: the sorted
+// keys land in keyBuf, where the pilot search reads them.
+func (t *Tree) updateBatch(points []geom.Point) batch {
+	n := len(points)
+	t.noteScratch(n)
+	if cap(t.keyBuf) < n {
+		t.keyBuf = make([]uint64, n)
+	}
+	if cap(t.idxBuf) < n {
+		t.idxBuf = make([]uint32, n)
+	}
+	return t.sortBatch(points, t.keyBuf[:n], t.idxBuf[:n], &t.idxSorter)
 }
 
 // markNew flags a freshly built subtree as dirty at its root (the layout
@@ -215,16 +222,16 @@ func (t *Tree) markNew(n *Node) {
 // its own arena, merged deterministically after the join. Every node's
 // counters are still touched by exactly one goroutine — the one that owns
 // its frame — so per-node state needs no synchronization.
-func (t *Tree) insertRec(n *Node, kps []keyed, st *updateStats) *Node {
-	if len(kps) == 0 {
+func (t *Tree) insertRec(n *Node, b batch, st *updateStats) *Node {
+	if b.len() == 0 {
 		return n
 	}
 	// Divergence from n's prefix (minimum attained at the sorted ends).
 	dp := uint(n.PrefixLen)
-	if l := t.cplWithNode(kps[0].key, n); l < dp {
+	if l := t.cplWithNode(b.keys[0], n); l < dp {
 		dp = l
 	}
-	if l := t.cplWithNode(kps[len(kps)-1].key, n); l < dp {
+	if l := t.cplWithNode(b.keys[b.len()-1], n); l < dp {
 		dp = l
 	}
 	if dp < uint(n.PrefixLen) {
@@ -235,15 +242,13 @@ func (t *Tree) insertRec(n *Node, kps []keyed, st *updateStats) *Node {
 		// nodes — step 2d — falls out of the batch recursion, which
 		// creates each node once).
 		bit := t.keyBits() - 1 - dp
-		split := splitAtBit(kps, bit)
+		split := splitAtBit(b.keys, bit)
 		nodeBit := morton.BitAt(n.Key, bit)
-		var sameSide, otherSide []keyed
-		if nodeBit == 0 {
-			sameSide, otherSide = kps[:split], kps[split:]
-		} else {
-			otherSide, sameSide = kps[:split], kps[split:]
+		sameSide, otherSide := b.slice(0, split), b.slice(split, b.len())
+		if nodeBit != 0 {
+			sameSide, otherSide = otherSide, sameSide
 		}
-		if len(otherSide) == 0 {
+		if otherSide.len() == 0 {
 			return t.insertRec(n, sameSide, st)
 		}
 		parent := &Node{
@@ -260,15 +265,15 @@ func (t *Tree) insertRec(n *Node, kps []keyed, st *updateStats) *Node {
 		mod := nonNeg(t.moduleOf(n))
 		st.linkBytes[mod] += linkMsgBytes
 		var same, other *Node
-		if len(sameSide) > 0 && forkMerge(len(otherSide)) {
+		if sameSide.len() > 0 && forkMerge(otherSide.len()) {
 			same, other = t.insertSplitForked(n, sameSide, otherSide, st)
 		} else {
 			same = t.insertRec(n, sameSide, st)
 			other = t.buildLogical(otherSide)
 		}
 		t.markNew(other)
-		st.newNodes += int64(len(otherSide))
-		st.leafIn[mod] += int64(len(otherSide)) * pointBytes
+		st.newNodes += int64(otherSide.len())
+		st.leafIn[mod] += int64(otherSide.len()) * pointBytes
 		if nodeBit == 0 {
 			parent.Left, parent.Right = same, other
 		} else {
@@ -280,23 +285,23 @@ func (t *Tree) insertRec(n *Node, kps []keyed, st *updateStats) *Node {
 	}
 
 	if n.IsLeaf() {
-		return t.insertIntoLeaf(n, kps, st)
+		return t.insertIntoLeaf(n, b, st)
 	}
 
 	// Masters on the path update their exact size; the lazy snapshot
 	// syncs only when the layer window is exceeded (step 3e).
-	t.applyDelta(n, int64(len(kps)), st)
+	t.applyDelta(n, int64(b.len()), st)
 	bit := t.splitBit(n)
-	split := splitAtBit(kps, bit)
-	if split > 0 && split < len(kps) && forkMerge(len(kps)) {
-		t.insertForked(n, kps, split, st)
+	split := splitAtBit(b.keys, bit)
+	if split > 0 && split < b.len() && forkMerge(b.len()) {
+		t.insertForked(n, b, split, st)
 		return n
 	}
 	if split > 0 {
-		n.Left = t.insertRec(n.Left, kps[:split], st)
+		n.Left = t.insertRec(n.Left, b.slice(0, split), st)
 	}
-	if split < len(kps) {
-		n.Right = t.insertRec(n.Right, kps[split:], st)
+	if split < b.len() {
+		n.Right = t.insertRec(n.Right, b.slice(split, b.len()), st)
 	}
 	return n
 }
@@ -304,11 +309,11 @@ func (t *Tree) insertRec(n *Node, kps []keyed, st *updateStats) *Node {
 // insertForked runs the two insertRec branches as a binary fork, the right
 // branch on a fresh arena merged after the join. Separate function for the
 // same escape-analysis reason as deleteForked.
-func (t *Tree) insertForked(n *Node, kps []keyed, split int, st *updateStats) {
+func (t *Tree) insertForked(n *Node, b batch, split int, st *updateStats) {
 	st2 := t.getArena()
 	parallel.Do(
-		func() { n.Left = t.insertRec(n.Left, kps[:split], st) },
-		func() { n.Right = t.insertRec(n.Right, kps[split:], st2) },
+		func() { n.Left = t.insertRec(n.Left, b.slice(0, split), st) },
+		func() { n.Right = t.insertRec(n.Right, b.slice(split, b.len()), st2) },
 	)
 	st.merge(st2)
 	t.putArena(st2)
@@ -317,7 +322,7 @@ func (t *Tree) insertForked(n *Node, kps []keyed, split int, st *updateStats) {
 // insertSplitForked overlaps the sub-merge into the existing node with the
 // construction of the fresh sibling subtree during an edge split.
 // buildLogical touches no accumulator, so both branches share st.
-func (t *Tree) insertSplitForked(n *Node, sameSide, otherSide []keyed, st *updateStats) (same, other *Node) {
+func (t *Tree) insertSplitForked(n *Node, sameSide, otherSide batch, st *updateStats) (same, other *Node) {
 	parallel.Do(
 		func() { same = t.insertRec(n, sameSide, st) },
 		func() { other = t.buildLogical(otherSide) },
@@ -325,45 +330,47 @@ func (t *Tree) insertSplitForked(n *Node, sameSide, otherSide []keyed, st *updat
 	return same, other
 }
 
-// insertIntoLeaf merges sorted kps into leaf n (Alg. 2 steps 2a/2b),
-// splitting overflowing leaves. The merge runs in the arena-owned scratch;
-// when the result still fits one leaf, n is refreshed in place (reusing
-// its payload arrays) into exactly the state a freshly built leaf would
-// have, so the fit path allocates nothing in steady state.
-func (t *Tree) insertIntoLeaf(n *Node, kps []keyed, st *updateStats) *Node {
+// insertIntoLeaf merges the sorted batch b into leaf n (Alg. 2 steps
+// 2a/2b), splitting overflowing leaves. The merge runs in the arena-owned
+// scratch; when the result still fits one leaf, n is refreshed in place
+// (reusing its payload arrays) into exactly the state a freshly built leaf
+// would have, so the fit path allocates nothing in steady state.
+func (t *Tree) insertIntoLeaf(n *Node, b batch, st *updateStats) *Node {
 	mod := nonNeg(t.moduleOf(n))
-	st.leafIn[mod] += int64(len(kps)) * pointBytes
-	st.leafWork[mod] += int64(len(n.Keys)+len(kps)) * 2
+	st.leafIn[mod] += int64(b.len()) * pointBytes
+	st.leafWork[mod] += int64(len(n.Keys)+b.len()) * 2
 
-	want := len(n.Keys) + len(kps)
-	if cap(st.merged) < want {
-		st.merged = make([]keyed, 0, want)
+	want := len(n.Keys) + b.len()
+	if cap(st.mergedKeys) < want {
+		st.mergedKeys = make([]uint64, 0, want)
+		st.mergedPts = make([]geom.Point, 0, want)
 	}
-	merged := st.merged[:0]
+	keys, pts := st.mergedKeys[:0], st.mergedPts[:0]
 	i, j := 0, 0
-	for i < len(n.Keys) && j < len(kps) {
-		if n.Keys[i] <= kps[j].key {
-			merged = append(merged, keyed{key: n.Keys[i], pt: n.Pts[i]})
+	for i < len(n.Keys) && j < b.len() {
+		if n.Keys[i] <= b.keys[j] {
+			keys, pts = append(keys, n.Keys[i]), append(pts, n.Pts[i])
 			i++
 		} else {
-			merged = append(merged, kps[j])
+			keys, pts = append(keys, b.keys[j]), append(pts, b.pt(j))
 			j++
 		}
 	}
-	for ; i < len(n.Keys); i++ {
-		merged = append(merged, keyed{key: n.Keys[i], pt: n.Pts[i]})
+	keys, pts = append(keys, n.Keys[i:]...), append(pts, n.Pts[i:]...)
+	for ; j < b.len(); j++ {
+		keys, pts = append(keys, b.keys[j]), append(pts, b.pt(j))
 	}
-	merged = append(merged, kps[j:]...)
-	st.merged = merged
+	st.mergedKeys, st.mergedPts = keys, pts
+	merged := batch{keys: keys, pts: pts}
 
-	if len(merged) <= t.cfg.LeafCap || merged[0].key == merged[len(merged)-1].key {
+	if want <= t.cfg.LeafCap || keys[0] == keys[want-1] {
 		t.refreshLeaf(n, merged)
 		return n
 	}
 	// Leaf split: new internal structure (Alg. 2 step 2b/2c).
 	replacement := t.buildLogical(merged)
 	t.markNew(replacement)
-	st.newNodes += int64(len(kps)) + 2
+	st.newNodes += int64(b.len()) + 2
 	st.linkBytes[mod] += linkMsgBytes
 	st.leafSplits++
 	return replacement
@@ -373,26 +380,19 @@ func (t *Tree) insertIntoLeaf(n *Node, kps []keyed, st *updateStats) *Node {
 // newLeaf plus markNew would produce for it (layer unassigned, no chunk,
 // dirty, counters exact) — so the layout diff treats the refreshed node
 // exactly like a replacement, while the payload arrays are reused.
-func (t *Tree) refreshLeaf(n *Node, kps []keyed) {
-	n.Keys = n.Keys[:0]
-	n.Pts = n.Pts[:0]
-	for _, kp := range kps {
-		n.Keys = append(n.Keys, kp.key)
-		n.Pts = append(n.Pts, kp.pt)
-	}
+func (t *Tree) refreshLeaf(n *Node, b batch) {
+	n.Keys = append(n.Keys[:0], b.keys...)
+	n.Pts = slices.Grow(n.Pts[:0], b.len())[:b.len()]
+	b.gather(n.Pts)
 	n.dropLanes()
-	n.Key = kps[0].key
-	n.Size = int64(len(kps))
+	n.Key = n.Keys[0]
+	n.Size = int64(b.len())
 	n.SC = n.Size
 	n.Delta = 0
 	n.Layer = layerNew
 	n.Chunk = nil
 	n.dirty = true
-	if len(kps) == 1 {
-		n.PrefixLen = uint8(t.keyBits())
-	} else {
-		n.PrefixLen = uint8(morton.CommonPrefixLen(kps[0].key, kps[len(kps)-1].key, int(t.cfg.Dims)))
-	}
+	n.PrefixLen = t.leafPrefixLen(n.Keys)
 	n.Box = morton.PrefixBox(n.Key, uint(n.PrefixLen), t.cfg.Dims)
 }
 
@@ -405,35 +405,36 @@ func (t *Tree) cplWithNode(key uint64, n *Node) uint {
 	return l
 }
 
-// narrowToPrefix returns the sub-batch of sorted kps whose keys share n's
-// z-order prefix (a contiguous range, located by binary search).
-func (t *Tree) narrowToPrefix(kps []keyed, n *Node) []keyed {
+// narrowToPrefix returns the sub-batch of b whose keys share n's z-order
+// prefix (a contiguous range, located by binary search).
+func (t *Tree) narrowToPrefix(b batch, n *Node) batch {
 	if n.PrefixLen == 0 {
-		return kps
+		return b
 	}
+	keys := b.keys
 	shift := t.keyBits() - uint(n.PrefixLen)
 	base := n.Key >> shift << shift
 	top := base | (uint64(1)<<shift - 1)
-	lo, hi := 0, len(kps)
+	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if kps[mid].key < base {
+		if keys[mid] < base {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	start := lo
-	lo, hi = start, len(kps)
+	lo, hi = start, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if kps[mid].key <= top {
+		if keys[mid] <= top {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return kps[start:lo]
+	return b.slice(start, lo)
 }
 
 func nonNeg(m int) int {
@@ -502,26 +503,19 @@ func (t *Tree) Delete(points []geom.Point) {
 	rec.BeginOp("delete")
 	defer rec.EndOp()
 
+	defer t.trimScratch()
+
 	rec.BeginPhase("prepare-batch")
-	kps := t.makeKeyed(points)
-	t.kpSorter.SortBy(kps, func(kp keyed) uint64 { return kp.key })
-	t.chargeHostSort(len(kps))
+	b := t.updateBatch(points)
 	rec.EndPhase()
-	if cap(t.keyBuf) < len(kps) {
-		t.keyBuf = make([]uint64, len(kps))
-	}
-	keys := t.keyBuf[:len(kps)]
-	for i, kp := range kps {
-		keys[i] = kp.key
-	}
 	rec.BeginPhase("pilot-search")
-	t.searchKeys(keys, searchOpts{})
+	t.searchKeys(b.keys, searchOpts{})
 	rec.EndPhase()
 
 	st := t.resetUpdateStats()
-	st.ops = int64(len(kps))
+	st.ops = int64(b.len())
 	rec.BeginPhase("merge")
-	t.root = t.deleteRec(t.root, kps, st)
+	t.root, _ = t.deleteRec(t.root, b, st)
 	rec.EndPhase()
 	t.flushUpdateCounters(st)
 	rec.BeginPhase("update-rounds")
@@ -532,17 +526,11 @@ func (t *Tree) Delete(points []geom.Point) {
 }
 
 // deleteRec removes matching points below n, recompressing single-child
-// paths, and returns the new subtree (nil when emptied). It returns the
-// number of points actually removed via removed.
-func (t *Tree) deleteRec(n *Node, kps []keyed, st *updateStats) *Node {
-	nn, _ := t.deleteRecCount(n, kps, st)
-	return nn
-}
-
-// deleteRecCount forks left/right over disjoint subtrees like insertRec,
-// with the right branch on its own arena.
-func (t *Tree) deleteRecCount(n *Node, kps []keyed, st *updateStats) (*Node, int64) {
-	if n == nil || len(kps) == 0 {
+// paths, and returns the new subtree (nil when emptied) and the number of
+// points actually removed. It forks left/right over disjoint subtrees like
+// insertRec, with the right branch on its own arena.
+func (t *Tree) deleteRec(n *Node, b batch, st *updateStats) (*Node, int64) {
+	if n == nil || b.len() == 0 {
 		return n, 0
 	}
 	// Keys outside n's prefix cannot be stored below n. They must be
@@ -550,27 +538,27 @@ func (t *Tree) deleteRecCount(n *Node, kps []keyed, st *updateStats) (*Node, int
 	// assumes the split bit is monotone over the sorted batch, which only
 	// holds for keys sharing the node's prefix. (Found by FuzzBatchOps:
 	// a diverging phantom key misroutes its sorted neighbors.)
-	kps = t.narrowToPrefix(kps, n)
-	if len(kps) == 0 {
+	b = t.narrowToPrefix(b, n)
+	if b.len() == 0 {
 		return n, 0
 	}
 	if n.IsLeaf() {
-		return t.deleteFromLeaf(n, kps, st)
+		return t.deleteFromLeaf(n, b, st)
 	}
 	bit := t.splitBit(n)
-	split := splitAtBit(kps, bit)
+	split := splitAtBit(b.keys, bit)
 	var removed int64
-	if split > 0 && split < len(kps) && forkMerge(len(kps)) {
-		removed = t.deleteForked(n, kps, split, st)
+	if split > 0 && split < b.len() && forkMerge(b.len()) {
+		removed = t.deleteForked(n, b, split, st)
 	} else {
 		if split > 0 {
 			var r int64
-			n.Left, r = t.deleteRecCount(n.Left, kps[:split], st)
+			n.Left, r = t.deleteRec(n.Left, b.slice(0, split), st)
 			removed += r
 		}
-		if split < len(kps) {
+		if split < b.len() {
 			var r int64
-			n.Right, r = t.deleteRecCount(n.Right, kps[split:], st)
+			n.Right, r = t.deleteRec(n.Right, b.slice(split, b.len()), st)
 			removed += r
 		}
 	}
@@ -592,29 +580,29 @@ func (t *Tree) deleteRecCount(n *Node, kps []keyed, st *updateStats) (*Node, int
 	return n, removed
 }
 
-// deleteForked runs the two deleteRecCount branches as a binary fork, the
+// deleteForked runs the two deleteRec branches as a binary fork, the
 // right branch on a fresh arena merged after the join. It exists as a
 // separate function so the closure-captured locals heap-allocate only when
 // a fork actually happens, keeping the serial recursion allocation-free.
-func (t *Tree) deleteForked(n *Node, kps []keyed, split int, st *updateStats) int64 {
+func (t *Tree) deleteForked(n *Node, b batch, split int, st *updateStats) int64 {
 	var removedL, removedR int64
 	st2 := t.getArena()
 	parallel.Do(
-		func() { n.Left, removedL = t.deleteRecCount(n.Left, kps[:split], st) },
-		func() { n.Right, removedR = t.deleteRecCount(n.Right, kps[split:], st2) },
+		func() { n.Left, removedL = t.deleteRec(n.Left, b.slice(0, split), st) },
+		func() { n.Right, removedR = t.deleteRec(n.Right, b.slice(split, b.len()), st2) },
 	)
 	st.merge(st2)
 	t.putArena(st2)
 	return removedL + removedR
 }
 
-func (t *Tree) deleteFromLeaf(n *Node, kps []keyed, st *updateStats) (*Node, int64) {
+func (t *Tree) deleteFromLeaf(n *Node, b batch, st *updateStats) (*Node, int64) {
 	mod := nonNeg(t.moduleOf(n))
 	st.leafWork[mod] += int64(len(n.Keys)) * 2
-	if cap(st.used) < len(kps) {
-		st.used = make([]bool, len(kps))
+	if cap(st.used) < b.len() {
+		st.used = make([]bool, b.len())
 	}
-	used := st.used[:len(kps)]
+	used := st.used[:b.len()]
 	for j := range used {
 		used[j] = false
 	}
@@ -623,8 +611,8 @@ func (t *Tree) deleteFromLeaf(n *Node, kps []keyed, st *updateStats) (*Node, int
 	var removed int64
 	for i := range n.Keys {
 		hit := false
-		for j := range kps {
-			if !used[j] && kps[j].key == n.Keys[i] && kps[j].pt.Equal(n.Pts[i]) {
+		for j, k := range b.keys {
+			if !used[j] && k == n.Keys[i] && b.pt(j).Equal(n.Pts[i]) {
 				used[j] = true
 				hit = true
 				break
@@ -650,11 +638,7 @@ func (t *Tree) deleteFromLeaf(n *Node, kps []keyed, st *updateStats) (*Node, int
 	n.Size = int64(len(keepKeys))
 	n.SC = n.Size
 	n.Delta = 0
-	if len(keepKeys) == 1 {
-		n.PrefixLen = uint8(t.keyBits())
-	} else {
-		n.PrefixLen = uint8(morton.CommonPrefixLen(keepKeys[0], keepKeys[len(keepKeys)-1], int(t.cfg.Dims)))
-	}
+	n.PrefixLen = t.leafPrefixLen(keepKeys)
 	n.Key = keepKeys[0]
 	n.Box = morton.PrefixBox(n.Key, uint(n.PrefixLen), t.cfg.Dims)
 	return n, removed
@@ -785,10 +769,7 @@ func (t *Tree) Rebuild() {
 	t.sys.CPUPhase(int64(len(pts))*30, total, 0)
 
 	// Re-sort and re-build on the host.
-	kps := t.makeKeyed(pts)
-	t.kpSorter.SortBy(kps, func(kp keyed) uint64 { return kp.key })
-	t.chargeHostSort(len(kps))
-	t.root = t.buildLogical(kps)
+	t.root = t.bulkBuild(pts, "", "")
 	t.markNew(t.root)
 
 	// Re-distribute: all chunks are new, so the layout pass ships

@@ -10,7 +10,7 @@ import (
 
 // Steady-state allocation gates for the batch update path, mirroring the
 // wave-engine gates in wave_alloc_test.go. After a warm-up cycle has sized
-// the Tree-owned update scratch (keyed batch buffer, arena-owned merge and
+// the Tree-owned update scratch (key and index buffers, arena-owned merge and
 // delete buffers, chunk sinks, diff lanes) and the insert/delete fixed
 // point is reached (split leaves stay split, so re-inserting the batch
 // refreshes leaves in place), further batches must allocate only the

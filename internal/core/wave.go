@@ -231,23 +231,16 @@ type sinkBuf struct {
 // sinkSeg locates a slot's finds: bufs[worker].pts[lo:hi].
 type sinkSeg struct{ worker, lo, hi int }
 
-// sinkSlack is the number of points, beyond four times what the last
-// traversal put there, that a sink buffer may keep allocated.
-const sinkSlack = 1 << 14
-
-// reset empties the sink for a new traversal. Buffers are kept for reuse,
-// but not at any price: one rare query can sweep a dense cluster and leave
-// megabytes behind that a tree serving small batches never fills again.
+// reset empties the sink for a new traversal. Buffers are kept for reuse
+// as far as parallel.Keep allows, judged by what the last traversal put
+// there.
 func (ps *pointSink) reset() {
 	if n := parallel.Workers(); len(ps.bufs) < n {
 		ps.bufs = append(ps.bufs, make([]sinkBuf, n-len(ps.bufs))...)
 	}
 	for w := range ps.bufs {
 		b := &ps.bufs[w]
-		if cap(b.pts) > 4*len(b.pts)+sinkSlack {
-			b.pts = nil
-		}
-		b.pts = b.pts[:0]
+		b.pts = parallel.Keep(b.pts, len(b.pts))[:0]
 	}
 	ps.segs = ps.segs[:0]
 }
@@ -304,12 +297,12 @@ func (ps *pointSink) gather(nq int, own bool) [][]geom.Point {
 	for i := 0; i < nq; i++ {
 		offs[i+1] += offs[i]
 	}
-	arena := ps.arena
-	if own || cap(arena) < offs[nq] || cap(arena) > 4*offs[nq]+sinkSlack {
+	var arena []geom.Point
+	if own {
 		arena = make([]geom.Point, offs[nq])
-		if !own {
-			ps.arena = arena
-		}
+	} else {
+		ps.arena = parallel.Resize(ps.arena, offs[nq])
+		arena = ps.arena
 	}
 	// Each list starts empty with exactly its final capacity, so the
 	// appends below fill the arena in place.

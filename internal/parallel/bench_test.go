@@ -105,3 +105,21 @@ func BenchmarkExclusiveScan(b *testing.B) {
 		ExclusiveScan(in)
 	}
 }
+
+// BenchmarkSortPairsReuse is the tree's batch sort: (key, uint32 index)
+// pairs, 12 bytes moved per element per pass.
+func BenchmarkSortPairsReuse(b *testing.B) {
+	orig := benchKeys(15, benchN)
+	keys := make([]uint64, benchN)
+	idx := make([]uint32, benchN)
+	var s Sorter[uint32]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(keys, orig)
+		for j := range idx {
+			idx[j] = uint32(j)
+		}
+		s.SortPairs(keys, idx)
+	}
+}

@@ -207,3 +207,100 @@ func TestFilterParallelLarge(t *testing.T) {
 		}
 	}
 }
+
+// SortPairs must produce exactly what a stable SortBy of (key, index)
+// records produces — sorted keys in place, the permutation in items — on
+// both sides of the radix cutoff, with duplicate-heavy and all-equal keys,
+// at one worker and several.
+func TestSortPairsMatchesSortBy(t *testing.T) {
+	type rec struct {
+		key uint64
+		idx uint32
+	}
+	for _, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 100, seqSortCutoff - 1, seqSortCutoff, 50_000} {
+			for _, distinct := range []uint64{1, 7, 1 << 40} {
+				rng := rand.New(rand.NewSource(int64(n) + int64(distinct)))
+				keys := make([]uint64, n)
+				idx := make([]uint32, n)
+				want := make([]rec, n)
+				for i := range keys {
+					keys[i] = rng.Uint64() % distinct << 3
+					idx[i] = uint32(i)
+					want[i] = rec{keys[i], idx[i]}
+				}
+				SortBy(want, func(r rec) uint64 { return r.key })
+				var s Sorter[uint32]
+				s.SortPairs(keys, idx)
+				for i := range want {
+					if keys[i] != want[i].key || idx[i] != want[i].idx {
+						t.Fatalf("procs=%d n=%d distinct=%d: position %d is (%d,%d), want (%d,%d)",
+							procs, n, distinct, i, keys[i], idx[i], want[i].key, want[i].idx)
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(old)
+	}
+}
+
+// The small-input paths no longer go through reflection: a warmed Sorter
+// sorts and semisorts sub-cutoff inputs without allocating.
+func TestSmallSortsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	orig := make([]uint64, 1000)
+	for i := range orig {
+		orig[i] = uint64(rng.Intn(64))
+	}
+	keys := make([]uint64, len(orig))
+	idx := make([]uint32, len(orig))
+	var s Sorter[uint32]
+	var e Sorter[uint64]
+	run := func() {
+		copy(keys, orig)
+		s.SortPairs(keys, idx)
+		copy(keys, orig)
+		e.Semisort(keys, func(k uint64) uint64 { return k })
+		copy(keys, orig)
+		SortKeys(keys)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
+		t.Errorf("small SortPairs + Semisort + SortKeys allocated %.0f times, want 0", allocs)
+	}
+}
+
+// The retention rule: a buffer survives same-sized and moderately smaller
+// batches, and is released once it is more than 4x+slack oversized.
+func TestScratchRetention(t *testing.T) {
+	big := make([]int, 200_000)
+	if Keep(big, 200_000) == nil || Keep(big, 50_000) == nil {
+		t.Error("Keep released a buffer within 4x of the batch")
+	}
+	if Keep(big, 16) != nil {
+		t.Error("Keep retained a 200k buffer for a 16-element batch")
+	}
+	small := make([]int, scratchSlack)
+	if Keep(small, 0) == nil {
+		t.Error("Keep released a buffer within the slack")
+	}
+	if got := Resize(big, 16); len(got) != 16 || cap(got) != 16 {
+		t.Errorf("Resize(200k buffer, 16) has len %d cap %d, want a fresh 16", len(got), cap(got))
+	}
+	if got := Resize(big, 100_000); len(got) != 100_000 || &got[0] != &big[0] {
+		t.Error("Resize did not reuse a buffer within 4x of the batch")
+	}
+
+	var s Sorter[uint32]
+	keys, idx := benchKeys(1, 100_000), make([]uint32, 100_000)
+	s.SortPairs(keys, idx)
+	s.Trim(100_000)
+	if cap(s.buf) < 100_000 || cap(s.keysAlt) < 100_000 {
+		t.Error("Trim released scratch after a same-sized batch")
+	}
+	s.Trim(16)
+	if s.buf != nil || s.keysAlt != nil {
+		t.Error("Trim kept bulk-sized scratch after a 16-element batch")
+	}
+}

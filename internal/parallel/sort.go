@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -21,8 +23,9 @@ const (
 // Sorter carries reusable scratch for repeated sorts and semisorts of the
 // same item type: the scatter buffer, the precomputed key side arrays, the
 // per-worker histograms, and the semisort group table. A long-lived batch
-// loop holds one Sorter and sorts allocation-free at steady state. A
-// Sorter must not be used concurrently; the zero value is ready to use.
+// loop holds one Sorter and sorts allocation-free at steady state; Trim
+// hands back what one outsized batch left behind. A Sorter must not be
+// used concurrently; the zero value is ready to use.
 type Sorter[T any] struct {
 	buf      []T      // scatter destination
 	keys     []uint64 // keyOf(items[i]), computed once per call
@@ -31,6 +34,7 @@ type Sorter[T any] struct {
 	groups   []Group  // semisort result, reused across calls
 	distinct []uint64 // semisort distinct keys
 	gtab     groupTable
+	small    pairSort[T] // SortPairs below the radix cutoff
 }
 
 // SortKeys sorts a slice of uint64 Morton keys with a block-parallel LSD
@@ -43,7 +47,7 @@ type Sorter[T any] struct {
 func SortKeys(keys []uint64) {
 	n := len(keys)
 	if n < seqSortCutoff {
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		return
 	}
 	p := workersFor(n, sortGrain)
@@ -58,7 +62,7 @@ func SortKeys(keys []uint64) {
 		if varying>>shift&radixMask == 0 {
 			continue
 		}
-		radixOffsets(src, nil, counts, p, shift)
+		radixOffsets(src, counts, p, shift)
 		hist := counts[:p*radixBuckets]
 		BlocksN(p, n, func(w, lo, hi int) {
 			row := hist[w*radixBuckets : (w+1)*radixBuckets]
@@ -90,23 +94,73 @@ func SortBy[T any](items []T, keyOf func(T) uint64) {
 func (s *Sorter[T]) SortBy(items []T, keyOf func(T) uint64) {
 	n := len(items)
 	if n < seqSortCutoff {
-		sort.SliceStable(items, func(i, j int) bool { return keyOf(items[i]) < keyOf(items[j]) })
+		slices.SortStableFunc(items, func(a, b T) int { return cmp.Compare(keyOf(a), keyOf(b)) })
 		return
 	}
 	p := workersFor(n, sortGrain)
-	s.ensureSort(n, p)
+	s.ensureKeys(n)
 	varying := s.fillKeys(items, keyOf, p)
+	s.radixPairs(s.keys[:n], items, varying, p)
+}
+
+// SortPairs sorts keys ascending, in place, and applies the same stable
+// permutation to items (len(items) == len(keys)). With items the indexes
+// 0..n-1 it yields the sorted keys and the sorting permutation while moving
+// 8+sizeof(T) bytes per element per radix pass, whatever the records the
+// indexes stand for weigh.
+func (s *Sorter[T]) SortPairs(keys []uint64, items []T) {
+	n := len(keys)
+	if len(items) != n {
+		panic("parallel: SortPairs length mismatch")
+	}
+	if n < seqSortCutoff {
+		s.small = pairSort[T]{keys, items}
+		sort.Stable(&s.small)
+		s.small = pairSort[T]{} // do not pin the caller's arrays
+		return
+	}
+	p := workersFor(n, sortGrain)
+	s.radixPairs(keys, items, varyingBits(keys, p), p)
+}
+
+// pairSort is SortPairs below the radix cutoff: the stdlib's stable sort
+// over the two arrays in lockstep. It lives in the Sorter so that handing it
+// to sort.Stable allocates nothing.
+type pairSort[T any] struct {
+	keys  []uint64
+	items []T
+}
+
+func (p *pairSort[T]) Len() int           { return len(p.keys) }
+func (p *pairSort[T]) Less(i, j int) bool { return p.keys[i] < p.keys[j] }
+func (p *pairSort[T]) Swap(i, j int) {
+	p.keys[i], p.keys[j] = p.keys[j], p.keys[i]
+	p.items[i], p.items[j] = p.items[j], p.items[i]
+}
+
+// radixPairs is the LSD radix sort behind SortBy and SortPairs: keys and
+// items (both length n >= seqSortCutoff) are scattered in lockstep through
+// the Sorter's ping-pong buffers, one pass per digit that varies, and end
+// up sorted in place.
+func (s *Sorter[T]) radixPairs(keys []uint64, items []T, varying uint64, p int) {
 	if varying == 0 {
 		return
 	}
+	n := len(keys)
+	s.ensureAlt(n)
+	if c := 2 * p * radixBuckets; cap(s.counts) < c {
+		s.counts = make([]int, c)
+	} else {
+		s.counts = s.counts[:c]
+	}
 	src, dst := items, s.buf[:n]
-	ksrc, kdst := s.keys[:n], s.keysAlt[:n]
+	ksrc, kdst := keys, s.keysAlt[:n]
 	hist := s.counts[:p*radixBuckets]
 	for shift := uint(0); shift < 64; shift += radixBits {
 		if varying>>shift&radixMask == 0 {
 			continue
 		}
-		radixOffsets(ksrc, nil, s.counts, p, shift)
+		radixOffsets(ksrc, s.counts, p, shift)
 		BlocksN(p, n, func(w, lo, hi int) {
 			row := hist[w*radixBuckets : (w+1)*radixBuckets]
 			for i := lo; i < hi; i++ {
@@ -122,23 +176,20 @@ func (s *Sorter[T]) SortBy(items []T, keyOf func(T) uint64) {
 		ksrc, kdst = kdst, ksrc
 	}
 	if &src[0] != &items[0] {
-		BlocksN(p, n, func(_, lo, hi int) { copy(items[lo:hi], src[lo:hi]) })
+		BlocksN(p, n, func(_, lo, hi int) {
+			copy(items[lo:hi], src[lo:hi])
+			copy(keys[lo:hi], ksrc[lo:hi])
+		})
 	}
 }
 
-// ensureSort grows the Sorter's scratch for an n-element, p-worker sort.
-func (s *Sorter[T]) ensureSort(n, p int) {
+// ensureAlt grows the ping-pong buffers for an n-element sort.
+func (s *Sorter[T]) ensureAlt(n int) {
 	if cap(s.buf) < n {
 		s.buf = make([]T, n)
 	}
-	s.ensureKeys(n)
 	if cap(s.keysAlt) < n {
 		s.keysAlt = make([]uint64, n)
-	}
-	if c := 2 * p * radixBuckets; cap(s.counts) < c {
-		s.counts = make([]int, c)
-	} else {
-		s.counts = s.counts[:c]
 	}
 }
 
@@ -146,6 +197,15 @@ func (s *Sorter[T]) ensureKeys(n int) {
 	if cap(s.keys) < n {
 		s.keys = make([]uint64, n)
 	}
+}
+
+// Trim ends a batch that sorted at most used elements at a time: element
+// buffers an earlier, larger batch grew beyond what Keep retains for used
+// are released.
+func (s *Sorter[T]) Trim(used int) {
+	s.buf = Keep(s.buf, used)
+	s.keys = Keep(s.keys, used)
+	s.keysAlt = Keep(s.keysAlt, used)
 }
 
 // fillKeys computes keyOf for every item into s.keys and returns the mask
@@ -202,10 +262,8 @@ func varyingBits(keys []uint64, p int) uint64 {
 // per-worker scatter offsets: the rows are transposed to (bucket, worker)
 // order in the second half, a parallel exclusive scan turns them into
 // absolute positions (stable: bucket-major, then worker, then block
-// order), and the scanned values are transposed back into the rows. keys
-// may carry a nil aux — the parameter exists so keys-only and keyed-item
-// sorts share this merge.
-func radixOffsets(keys []uint64, _ []struct{}, counts []int, p int, shift uint) {
+// order), and the scanned values are transposed back into the rows.
+func radixOffsets(keys []uint64, counts []int, p int, shift uint) {
 	n := len(keys)
 	hist := counts[:p*radixBuckets]
 	trans := counts[p*radixBuckets : 2*p*radixBuckets]

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"math/bits"
 
 	"pimzdtree/internal/geom"
@@ -21,18 +22,19 @@ const routePointBytes = 16 // key + packed coordinates, mirrors core's pointByte
 // batch position. The returned slices alias Index scratch — valid until
 // the next route call.
 func (x *Index) route(pts []geom.Point) (flat []geom.Point, idx []int32, offs []int) {
-	s := len(x.sh)
+	s := len(x.cuts) + 1
 	n := len(pts)
-	if cap(x.ids) < n {
-		x.ids = make([]int32, n)
-		x.scatterPts = make([]geom.Point, n)
-		x.scatterIdx = make([]int32, n)
+	if n > math.MaxInt32 {
+		panic("shard: batch exceeds the 32-bit index range of the router")
 	}
+	x.ids = parallel.Resize(x.ids, n)
+	x.scatterPts = parallel.Resize(x.scatterPts, n)
+	x.scatterIdx = parallel.Resize(x.scatterIdx, n)
 	if cap(x.counts) < s+1 {
 		x.counts = make([]int, s+1)
 		x.offs = make([]int, s+1)
 	}
-	ids := x.ids[:n]
+	ids := x.ids
 	parallel.For(n, func(i int) {
 		ids[i] = int32(findShard(x.cuts, morton.EncodePoint(pts[i])))
 	})
@@ -50,8 +52,7 @@ func (x *Index) route(pts []geom.Point) (flat []geom.Point, idx []int32, offs []
 		pos += c
 	}
 	offs[s] = pos
-	flat = x.scatterPts[:n]
-	idx = x.scatterIdx[:n]
+	flat, idx = x.scatterPts, x.scatterIdx
 	next := counts // reuse as running cursors
 	copy(next, offs[:s])
 	for i, id := range ids {

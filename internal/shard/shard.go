@@ -183,12 +183,11 @@ func New(cfg Config, points []geom.Point) *Index {
 	parallel.For(len(points), func(i int) { keys[i] = morton.EncodePoint(points[i]) })
 	x.cuts = chooseCuts(keys, cfg.Trees, x.maxKey())
 
-	// Partition the warmup set by cut (one counting pass, stable).
-	parts := make([][]geom.Point, cfg.Trees)
-	for i, k := range keys {
-		s := findShard(x.cuts, k)
-		parts[s] = append(parts[s], points[i])
-	}
+	// Partition the warmup set by cut the way every batch is routed: one
+	// counting pass, one stable scatter into a flat array sliced per shard.
+	// The trees copy what they keep, so the scatter is build scratch.
+	flat, _, offs := x.route(points)
+	defer func() { x.ids, x.scatterPts, x.scatterIdx = nil, nil, nil }()
 
 	x.sh = make([]*shardT, cfg.Trees)
 	recs := make([]*obs.Recorder, cfg.Trees)
@@ -199,7 +198,7 @@ func New(cfg Config, points []geom.Point) *Index {
 	}
 	trees := make([]*core.Tree, cfg.Trees)
 	parallel.For(cfg.Trees, func(s int) {
-		trees[s] = core.New(x.coreConfig(recs[s]), parts[s])
+		trees[s] = core.New(x.coreConfig(recs[s]), flat[offs[s]:offs[s+1]])
 	})
 	for s := range x.sh {
 		lo, hi := x.rangeOf(s)
@@ -268,9 +267,8 @@ func findShard(cuts []uint64, key uint64) int {
 // chooseCuts picks S-1 strictly increasing cut keys from the sampled key
 // distribution: size quantiles of the sorted sample, with even keyspace
 // splits filling in wherever the sample is too concentrated (or empty)
-// to yield distinct cuts.
-func chooseCuts(keys []uint64, s int, maxKey uint64) []uint64 {
-	sample := append([]uint64(nil), keys...)
+// to yield distinct cuts. The sample is sorted in place.
+func chooseCuts(sample []uint64, s int, maxKey uint64) []uint64 {
 	parallel.SortKeys(sample)
 	cuts := make([]uint64, 0, s-1)
 	prev := uint64(0) // first shard starts at key 0

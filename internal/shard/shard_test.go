@@ -408,3 +408,32 @@ func TestStatsAndMetrics(t *testing.T) {
 		t.Errorf("imbalance %f < 1", x.Imbalance())
 	}
 }
+
+// The warm-up partition and a bulk batch are routed through the same
+// scatter scratch; neither may stay pinned under an index that goes back to
+// small batches.
+func TestRouteScratchFollowsBatchSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	x := New(testConfig(4), randPoints(rng, 60_000, 3, 1<<20))
+	if x.scatterPts != nil || x.scatterIdx != nil || x.ids != nil {
+		t.Errorf("New left its partition scratch behind (cap %d)", cap(x.scatterPts))
+	}
+	if x.Size() != 60_000 {
+		t.Fatalf("index holds %d points, want 60000", x.Size())
+	}
+	x.InsertBatch(randPoints(rng, 100_000, 3, 1<<20))
+	if cap(x.scatterPts) < 100_000 {
+		t.Fatalf("bulk batch did not grow the scatter scratch (cap %d)", cap(x.scatterPts))
+	}
+	x.SearchBatch(randPoints(rng, 16, 3, 1<<20))
+	if c := cap(x.scatterPts); c != 16 {
+		t.Errorf("scatter scratch has cap %d after a 16-point batch, want 16", c)
+	}
+	// Same-sized and moderately smaller batches keep the buffer.
+	x.SearchBatch(randPoints(rng, 20_000, 3, 1<<20))
+	before := &x.scatterPts[0]
+	x.SearchBatch(randPoints(rng, 2_000, 3, 1<<20))
+	if &x.scatterPts[0] != before {
+		t.Error("a 2000-point batch after a 20000-point one reallocated the scatter scratch")
+	}
+}
