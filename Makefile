@@ -11,15 +11,19 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race bench smoke determinism benchmark-module profile
+.PHONY: ci build vet fmt test race bench smoke determinism benchmark-module profile
 
-ci: build vet race smoke determinism benchmark-module
+ci: build vet fmt race smoke determinism benchmark-module
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file, the benchmark module's included, is gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -45,7 +49,9 @@ race:
 # (/readyz, which gates on the published index, not just liveness), take
 # pimzd-loadgen traffic (the server generates none of its own), serve a
 # lint-clean Prometheus exposition, both flight snapshots, the
-# slow-request capture and a valid SLO snapshot, and — on SIGTERM — drain
+# slow-request capture, a valid SLO snapshot and — at -trees 1, the
+# index's single-tree pass-through — the shard layout, the per-shard tree
+# stats and the per-shard families, and — on SIGTERM — drain
 # gracefully and flush valid flight + slow-request dumps whose analyze
 # reports (critical-path and -requests stage attribution) are
 # byte-identical across GOMAXPROCS; the concurrent serving engine must
@@ -84,7 +90,10 @@ smoke:
 	curl -fsS "http://$$ADDR/snapshot/slowops" > /dev/null && \
 	curl -fsS "http://$$ADDR/snapshot/slowrequests" > /dev/null && \
 	curl -fsS "http://$$ADDR/snapshot/slo" > .smoke/slo.json && \
+	curl -fsS "http://$$ADDR/snapshot/shards" > /dev/null && \
+	curl -fsS "http://$$ADDR/snapshot/tree" > /dev/null && \
 	grep -q '^pimzd_build_info{' .smoke/metrics.txt && \
+	grep -q '^pimzd_shard_points{shard="0"}' .smoke/metrics.txt && \
 	grep -q '^pimzd_process_uptime_seconds' .smoke/metrics.txt; \
 	RC=$$?; kill -TERM $$SERVE_PID 2> /dev/null; wait $$SERVE_PID; \
 	WRC=$$?; test $$RC -eq 0 && test $$WRC -eq 0
@@ -144,7 +153,7 @@ smoke:
 
 # The paper-fidelity contract, end to end: the modeled experiment CSVs are
 # byte-identical at any GOMAXPROCS — every row, the Pkd-tree/zd-tree
-# baselines included (an instrumented baseline runs its fork-join inline).
+# baselines included (a baseline tree runs every batch serially).
 determinism:
 	mkdir -p .smoke
 	$(GO) build -o .smoke/pimzd-bench ./cmd/pimzd-bench

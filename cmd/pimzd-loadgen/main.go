@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -278,6 +279,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pimzd-loadgen: -zipf must be > 1 (or 0 for uniform)")
 		os.Exit(2)
 	}
+	if *n < 1 || *workers < 1 {
+		fmt.Fprintf(os.Stderr, "pimzd-loadgen: -n %d, -workers %d: both must be at least 1\n", *n, *workers)
+		os.Exit(2)
+	}
 
 	var ds workload.Dataset
 	switch *dataset {
@@ -486,8 +491,8 @@ func parseMix(s string, k int) (loadMix, error) {
 		if !known {
 			return m, fmt.Errorf("unknown op %q in mix", name)
 		}
-		var w int
-		if _, err := fmt.Sscanf(strings.TrimSpace(val), "%d", &w); err != nil || w < 0 {
+		w, err := strconv.Atoi(strings.TrimSpace(val))
+		if err != nil || w < 0 {
 			return m, fmt.Errorf("bad weight %q for %s", val, name)
 		}
 		m.ops = append(m.ops, op)

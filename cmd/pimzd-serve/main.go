@@ -1,10 +1,11 @@
-// Command pimzd-serve runs a PIM-zd-tree (or a baseline tree) as a
-// long-lived concurrent service: flag parsing and a signal wait around
-// internal/server, which documents the client API (/v1/*, binary TCP) and
-// every admin endpoint (/metrics, /healthz, /readyz, /snapshot/*,
-// /debug/pprof/). All index access flows through the epoch-pipelined
-// serving engine (internal/serve). The server generates no traffic of its
-// own: drive it with pimzd-loadgen or any HTTP / wire-protocol client.
+// Command pimzd-serve runs a PIM-zd-tree — one tree, or -trees S
+// Morton-prefix shards — as a long-lived concurrent service: flag parsing
+// and a signal wait around internal/server, which documents the client
+// API (/v1/*, binary TCP) and every admin endpoint (/metrics, /healthz,
+// /readyz, /snapshot/*, /debug/pprof/). All index access flows through the
+// epoch-pipelined serving engine (internal/serve). The server generates no
+// traffic of its own: drive it with pimzd-loadgen or any HTTP /
+// wire-protocol client.
 //
 // The admin listener is up (and -port-file written) before the warmup
 // build, so probes can poll /readyz. SIGINT/SIGTERM — or -duration
@@ -19,7 +20,6 @@
 //
 //	pimzd-serve -addr 127.0.0.1:8585 -dataset osm -n 400000
 //	pimzd-serve -addr 127.0.0.1:0 -port-file /tmp/port -tcp 127.0.0.1:0 -tcp-port-file /tmp/tcp
-//	pimzd-serve -engine zd -n 100000            # shared-memory baseline
 //	pimzd-serve -trees 8 -p 256                 # Morton-prefix sharding: 8 trees x 256 modules
 //	pimzd-loadgen -http 127.0.0.1:8585 -duration 10s   # traffic
 package main
@@ -45,14 +45,13 @@ func main() {
 		portFile    = flag.String("port-file", "", "write the bound admin address to this file once listening")
 		tcpAddr     = flag.String("tcp", "", "binary wire-protocol TCP listener address (empty = disabled)")
 		tcpPortFile = flag.String("tcp-port-file", "", "write the bound TCP address to this file once listening")
-		engName     = flag.String("engine", "pim", "tree engine: pim, zd, pkd")
 		dataset     = flag.String("dataset", "uniform", "warmup data: uniform, cosmos, osm")
 		n           = flag.Int("n", 200_000, "warmup points")
-		modules     = flag.Int("p", 512, "PIM modules per tree (pim engine)")
-		trees       = flag.Int("trees", 1, "Morton-prefix shards: partition the key space across this many parallel trees, each on its own simulated rack (pim engine; 1 = single tree)")
+		modules     = flag.Int("p", 512, "PIM modules per tree")
+		trees       = flag.Int("trees", 1, "Morton-prefix shards: partition the key space across this many parallel trees, each on its own simulated rack (1 = single tree)")
 		dims        = flag.Int("dims", 3, "point dimensionality (2-4)")
 		seed        = flag.Int64("seed", 42, "warmup data seed")
-		tuning      = flag.String("tuning", "throughput", "tuning: throughput or skew (pim engine)")
+		tuning      = flag.String("tuning", "throughput", "tuning: throughput or skew")
 		sample      = flag.Int("sample", 32, "snapshot module loads every N rounds (0 = off)")
 		duration    = flag.Duration("duration", 0, "exit after this long (0 = run until killed)")
 
@@ -78,7 +77,6 @@ func main() {
 	srv, err := server.Start(server.Config{
 		Addr:         *addr,
 		TCPAddr:      *tcpAddr,
-		Engine:       *engName,
 		Trees:        *trees,
 		Modules:      *modules,
 		Dims:         *dims,
@@ -106,8 +104,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pimzd-serve: %v\n", err)
 		os.Exit(2)
 	}
-	fmt.Printf("pimzd-serve: admin+api on http://%s (engine=%s trees=%d dataset=%s n=%d)\n",
-		srv.Addr(), *engName, *trees, *dataset, *n)
+	fmt.Printf("pimzd-serve: admin+api on http://%s (trees=%d dataset=%s n=%d)\n",
+		srv.Addr(), *trees, *dataset, *n)
 
 	// SIGINT/SIGTERM cancel ctx; a signal during the warmup build takes
 	// effect as soon as the build finishes.

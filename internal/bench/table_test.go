@@ -10,11 +10,10 @@ import (
 // TestModeledCSVIdenticalAcrossGOMAXPROCS is the paper-fidelity contract,
 // in process: every modeled experiment of the table — all of `-experiment
 // all` plus shardscale; saturate is wall clock by design — emits the same
-// CSV bytes on one proc and on four. The size is the smallest round one at
-// which the baselines' batches and builds cross their fork thresholds, so
-// a baseline that forks into the LLC simulator fails here (all 20
-// Pkd-tree/zd-tree rows of fig5a did before instrumented trees went
-// serial).
+// CSV bytes on one proc and on four. The batches and builds are large
+// enough that a baseline forking into the LLC simulator fails here (all
+// 20 Pkd-tree/zd-tree rows of fig5a did when the baselines forked above
+// 4096 elements).
 func TestModeledCSVIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	p := Params{Seed: 42, WarmupN: 20000, BatchOps: 2000, Dims: 3, P: 256}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

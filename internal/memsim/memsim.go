@@ -14,8 +14,9 @@
 // hits, misses and write-backs depend on the order of accesses, and the
 // Allocator's addresses on the order of allocations. The instrumented
 // callers (zdtree and pkdtree with Config.Cache set) are therefore serial
-// by construction — they run their fork-join sites inline in index order —
-// which makes the modeled traffic one fixed number at any GOMAXPROCS. The
+// by construction — every batch runs its recursion and its queries in
+// index order — which makes the modeled traffic one fixed number at any
+// GOMAXPROCS. The
 // per-set locks and atomic counters are for safety (a Cache shared by
 // goroutines stays consistent), not for ordering.
 package memsim

@@ -44,8 +44,8 @@ type Config struct {
 	Dims    uint8
 	LeafCap int
 
-	// Instrumentation, as in zdtree.Config. A tree with a Cache runs every
-	// batch serially (see forks), so its counters are schedule-independent.
+	// Instrumentation, as in zdtree.Config. Every batch runs serially, so
+	// the counters are schedule-independent.
 	Cache *memsim.Cache
 	Alloc *memsim.Allocator
 	Work  *atomic.Int64
@@ -182,36 +182,9 @@ func (t *Tree) buildBoxed(pts []geom.Point, box geom.Box) *node {
 	t.cfg.Work.Add(int64(len(pts)) * 2)
 	n := &node{dim: dim, split: splitVal, size: len(pts), box: box}
 	n.addr = t.cfg.Alloc.Alloc(InternalNodeBytes)
-	left, right := pts[:cut], pts[cut:]
-	if t.forks(len(pts)) {
-		parallel.Do(
-			func() { n.left = t.build(left) },
-			func() { n.right = t.build(right) },
-		)
-	} else {
-		n.left = t.build(left)
-		n.right = t.build(right)
-	}
+	n.left = t.build(pts[:cut])
+	n.right = t.build(pts[cut:])
 	return n
-}
-
-// forks reports whether a divide-and-conquer step over size elements runs
-// its two halves on separate goroutines; forEach runs the n independent
-// queries of a batch. An uninstrumented tree forks (halves above 4096
-// elements, queries by parallel.For's cutoff). A tree with a Cache runs
-// everything inline in index order: the LLC simulator's LRU state and the
-// allocator's addresses depend on access order, so the modeled traffic is
-// the serial schedule's at any GOMAXPROCS.
-func (t *Tree) forks(size int) bool { return size > 4096 && t.cfg.Cache == nil }
-
-func (t *Tree) forEach(n int, body func(i int)) {
-	if t.cfg.Cache == nil {
-		parallel.For(n, body)
-		return
-	}
-	for i := 0; i < n; i++ {
-		body(i)
-	}
 }
 
 func (t *Tree) newLeaf(pts []geom.Point, box geom.Box) *node {
@@ -343,22 +316,6 @@ func (t *Tree) NodeCount() (internal, leaves int) {
 	}
 	rec(t.root)
 	return internal, leaves
-}
-
-// Stats summarizes the tree's structure for the admin server's
-// /snapshot/tree endpoint (the baseline-engine counterpart of
-// core.Tree.Stats).
-type Stats struct {
-	Points        int `json:"points"`
-	Height        int `json:"height"`
-	InternalNodes int `json:"internal_nodes"`
-	Leaves        int `json:"leaves"`
-}
-
-// Stats returns a structural snapshot.
-func (t *Tree) Stats() Stats {
-	internal, leaves := t.NodeCount()
-	return Stats{Points: t.Size(), Height: t.Height(), InternalNodes: internal, Leaves: leaves}
 }
 
 // Points returns all stored points (in tree order).

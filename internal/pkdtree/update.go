@@ -6,7 +6,7 @@ import (
 )
 
 // Insert adds a batch of points. Points are routed down the existing
-// splits in parallel; any subtree whose weight balance drifts past
+// splits; any subtree whose weight balance drifts past
 // imbalanceRatio (or any overflowing leaf) is rebuilt from its points —
 // the partial-reconstruction scheme of Pkd-tree.
 func (t *Tree) Insert(points []geom.Point) {
@@ -55,26 +55,11 @@ func (t *Tree) insertRec(n *node, batch []geom.Point) *node {
 		return t.build(pts)
 	}
 	left, right := batch[:cut], batch[cut:]
-	if t.forks(len(batch)) {
-		parallel.Do(
-			func() {
-				if len(left) > 0 {
-					n.left = t.insertRec(n.left, left)
-				}
-			},
-			func() {
-				if len(right) > 0 {
-					n.right = t.insertRec(n.right, right)
-				}
-			},
-		)
-	} else {
-		if len(left) > 0 {
-			n.left = t.insertRec(n.left, left)
-		}
-		if len(right) > 0 {
-			n.right = t.insertRec(n.right, right)
-		}
+	if len(left) > 0 {
+		n.left = t.insertRec(n.left, left)
+	}
+	if len(right) > 0 {
+		n.right = t.insertRec(n.right, right)
 	}
 	n.size = n.left.size + n.right.size
 	n.box = n.left.box.Union(n.right.box)

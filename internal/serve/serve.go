@@ -44,9 +44,9 @@ import (
 	"pimzdtree/internal/geom"
 )
 
-// Backend is the batch interface the engine drives. *core.Tree is the
-// primary implementation (via NewTreeBackend); the CPU baselines can be
-// adapted for apples-to-apples serving comparisons.
+// Backend is the batch interface the engine drives. The server serves a
+// *shard.Index (one tree or S shards); NewTreeBackend adapts a bare
+// *core.Tree.
 //
 // The engine guarantees external serialization: at most one Backend
 // method runs at a time. Epoch must be readable from any goroutine and

@@ -62,12 +62,12 @@ func TestWireRequestRoundTrip(t *testing.T) {
 
 func TestWireRequestRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
-		nil,                       // empty
-		{1, 2, 3},                 // short
-		append([]byte{9}, make([]byte, reqHeadLen)...),            // bad version
-		{wireV1, 99, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0},                // bad op
-		{wireV1, byte(OpSearch), 9, 0, 0, 0, 0, 0, 0, 0, 0, 0},    // bad dims
-		{wireV1, byte(OpSearch), 3, 0, 2, 0, 0, 0, 0, 0, 0, 0},    // count/payload mismatch
+		nil,       // empty
+		{1, 2, 3}, // short
+		append([]byte{9}, make([]byte, reqHeadLen)...),         // bad version
+		{wireV1, 99, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0},             // bad op
+		{wireV1, byte(OpSearch), 9, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // bad dims
+		{wireV1, byte(OpSearch), 3, 0, 2, 0, 0, 0, 0, 0, 0, 0}, // count/payload mismatch
 	}
 	for i, frame := range cases {
 		if _, err := decodeRequest(frame); err == nil {

@@ -4,8 +4,9 @@
 // tears it down again in drain order. cmd/pimzd-serve is flag parsing and
 // a signal wait around it.
 //
-// All index access flows through the epoch-pipelined serving engine
-// (internal/serve). Client APIs:
+// The index is a shard.Index at every Trees value (Trees = 1 is its
+// single-tree pass-through), and all access to it flows through the
+// epoch-pipelined serving engine (internal/serve). Client APIs:
 //
 //	POST /v1/{search,insert,delete,knn,box}   HTTP/JSON (admin listener)
 //	GET  /v1/status                           engine snapshot
@@ -27,12 +28,12 @@
 //	/readyz                   readiness probe (503 until the warmup build
 //	                          published and the engine accepts requests;
 //	                          503 again once shutdown begins)
-//	/snapshot/tree            JSON structural tree statistics
+//	/snapshot/tree            JSON structural tree statistics, one
+//	                          core.Stats per shard in shard order
 //	/snapshot/modules         JSON per-module cumulative load heatmap
-//	                          (pim engine; with Trees = S: S racks
-//	                          concatenated in shard order)
+//	                          (S racks concatenated in shard order)
 //	/snapshot/shards          JSON per-shard layout, load windows and
-//	                          migration counters (Trees > 1 only)
+//	                          migration counters
 //	/snapshot/flightrecorder  JSON per-op flight-recorder dump
 //	/snapshot/slowops         JSON slow-op records with full round detail
 //	/snapshot/slowrequests    JSON slow-request capture: per-request stage
@@ -50,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -60,9 +62,11 @@ import (
 	"time"
 
 	"pimzdtree/internal/core"
+	"pimzdtree/internal/costmodel"
 	"pimzdtree/internal/metrics"
 	"pimzdtree/internal/obs"
 	"pimzdtree/internal/serve"
+	"pimzdtree/internal/shard"
 	"pimzdtree/internal/workload"
 )
 
@@ -74,10 +78,8 @@ type Config struct {
 	// TCPAddr is the binary wire-protocol listen address ("" = disabled).
 	TCPAddr string
 
-	// Engine is the index kind: "pim", "zd" or "pkd".
-	Engine string
-	// Trees is the Morton-prefix shard count (1 = single tree; more
-	// requires the pim engine). Modules is the PIM module count per tree.
+	// Trees is the Morton-prefix shard count (1 = single tree). Modules
+	// is the PIM module count per tree.
 	Trees, Modules int
 	// Dims is the point dimensionality (2-4).
 	Dims int
@@ -122,17 +124,10 @@ type parsed struct {
 
 func (c Config) validate() (parsed, error) {
 	var p parsed
-	switch c.Engine {
-	case "pim", "zd", "pkd":
-	default:
-		return p, fmt.Errorf("unknown engine %q (pim, zd, pkd)", c.Engine)
-	}
 	switch {
 	case c.Trees < 1:
 		return p, fmt.Errorf("trees=%d: want at least 1", c.Trees)
-	case c.Trees > 1 && c.Engine != "pim":
-		return p, fmt.Errorf("trees=%d requires engine pim, not %q", c.Trees, c.Engine)
-	case c.Engine == "pim" && c.Modules < 1:
+	case c.Modules < 1:
 		return p, fmt.Errorf("p=%d: want at least 1 PIM module", c.Modules)
 	case c.Dims < 2 || c.Dims > 4:
 		return p, fmt.Errorf("dims=%d: want 2-4", c.Dims)
@@ -164,9 +159,11 @@ func (c Config) validate() (parsed, error) {
 	return p, nil
 }
 
-// parseSLO parses "op=millis:target,..." into SLO objectives.
+// parseSLO parses "op=millis:target,..." into SLO objectives: one per
+// served op at most, a finite latency above zero and a target in (0, 1).
 func parseSLO(spec string) ([]metrics.SLOObjective, error) {
 	var objs []metrics.SLOObjective
+	seen := map[string]bool{}
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -180,17 +177,30 @@ func parseSLO(spec string) ([]metrics.SLOObjective, error) {
 		if !ok {
 			return nil, fmt.Errorf("%q: want op=millis:target", part)
 		}
+		switch op = strings.TrimSpace(op); op {
+		case "search", "insert", "delete", "knn", "box":
+		default:
+			return nil, fmt.Errorf("%q: unknown op %q (search, insert, delete, knn, box)", part, op)
+		}
+		if seen[op] {
+			return nil, fmt.Errorf("%q: duplicate op %q", part, op)
+		}
+		seen[op] = true
 		lat, err := strconv.ParseFloat(ms, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%q: bad millis: %v", part, err)
+		}
+		if !(lat > 0) || math.IsInf(lat, 1) {
+			return nil, fmt.Errorf("%q: millis %v: want finite and > 0", part, lat)
 		}
 		target, err := strconv.ParseFloat(tgt, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%q: bad target: %v", part, err)
 		}
-		objs = append(objs, metrics.SLOObjective{
-			Op: strings.TrimSpace(op), LatencySeconds: lat / 1e3, Target: target,
-		})
+		if !(target > 0 && target < 1) {
+			return nil, fmt.Errorf("%q: target %v: want in (0, 1)", part, target)
+		}
+		objs = append(objs, metrics.SLOObjective{Op: op, LatencySeconds: lat / 1e3, Target: target})
 	}
 	return objs, nil
 }
@@ -205,11 +215,10 @@ type Server struct {
 	slo    *metrics.SLOTracker
 	admin  *metrics.AdminServer
 
-	// Written by warm before ready flips (idx, backend, eng, api) or
-	// before warmed closes (tcp, warmErr); readers check ready or wait on
-	// warmed first, which orders the accesses.
-	idx     builtIndex
-	backend *lockedBackend
+	// Written by warm before ready flips (idx, eng, api) or before warmed
+	// closes (tcp, warmErr); readers check ready or wait on warmed first,
+	// which orders the accesses.
+	idx     *shard.Index
 	eng     *serve.Engine
 	api     http.Handler
 	tcp     *serve.TCPServer
@@ -267,8 +276,8 @@ func start(cfg Config, beforeBuild func()) (*Server, error) {
 	}
 	s.reg.NewLabeledGauge(metrics.Opts{Name: "pimzd_build_info",
 		Help: "Build and configuration identity (value is always 1).", Wall: true},
-		[]string{"go_version", "engine", "trees"},
-		[]string{runtime.Version(), cfg.Engine, strconv.Itoa(cfg.Trees)}).Set(1)
+		[]string{"go_version", "trees"},
+		[]string{runtime.Version(), strconv.Itoa(cfg.Trees)}).Set(1)
 
 	extra := map[string]http.Handler{
 		"/v1/": s.whenReady(func(w http.ResponseWriter, r *http.Request) { s.api.ServeHTTP(w, r) }),
@@ -282,14 +291,12 @@ func start(cfg Config, beforeBuild func()) (*Server, error) {
 				fmt.Fprintf(os.Stderr, "server: slowrequests: %v\n", err)
 			}
 		}),
-	}
-	if cfg.Trees > 1 {
-		extra["/snapshot/shards"] = s.whenReady(func(w http.ResponseWriter, _ *http.Request) {
+		"/snapshot/shards": s.whenReady(func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			if err := json.NewEncoder(w).Encode(s.idx.shards.Stats()); err != nil {
+			if err := json.NewEncoder(w).Encode(s.idx.Stats()); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
-		})
+		}),
 	}
 	admin := metrics.AdminConfig{
 		Registry: s.reg,
@@ -297,9 +304,13 @@ func start(cfg Config, beforeBuild func()) (*Server, error) {
 			if !s.ready.Load() {
 				return struct{}{}
 			}
-			s.backend.mu.Lock()
-			defer s.backend.mu.Unlock()
-			return s.idx.stats()
+			return s.idx.TreeStats()
+		},
+		ModuleLoads: func() (cycles, bytes []int64) {
+			if !s.ready.Load() {
+				return nil, nil
+			}
+			return s.idx.ModuleLoads()
 		},
 		Flight: s.flight,
 		SLO:    s.slo,
@@ -314,14 +325,6 @@ func start(cfg Config, beforeBuild func()) (*Server, error) {
 			return nil
 		},
 		Extra: extra,
-	}
-	if cfg.Engine == "pim" { // the CPU baselines have no modules to report
-		admin.ModuleLoads = func() (cycles, bytes []int64) {
-			if !s.ready.Load() {
-				return nil, nil
-			}
-			return s.idx.moduleLoads()
-		}
 	}
 	if s.admin, err = metrics.StartAdmin(cfg.Addr, admin); err != nil {
 		return nil, fmt.Errorf("server: admin listener: %w", err)
@@ -346,17 +349,23 @@ func (s *Server) whenReady(h http.HandlerFunc) http.Handler {
 }
 
 // warm builds the index, puts the serving engine in front of it — from
-// there on the engine's executor goroutine is the only index caller —
-// publishes readiness, starts the wall-cadence gauge publisher and binds
+// there on the engine's executor goroutine is the only batch caller, and
+// the admin snapshots read under the index's own lock — publishes
+// readiness, starts the wall-cadence gauge publisher and binds
 // the TCP listener.
 func (s *Server) warm(p parsed, rec *obs.Recorder) {
 	defer close(s.warmed)
 	cfg := s.cfg
 	warm := p.dataset.Generate(cfg.Seed, cfg.N, uint8(cfg.Dims))
-	s.idx = buildIndex(cfg, p.tuning, rec, warm)
-	s.backend = &lockedBackend{b: s.idx.backend}
+	machine := costmodel.UPMEMServer()
+	machine.PIMModules = cfg.Modules
+	s.idx = shard.New(shard.Config{
+		Trees: cfg.Trees, Dims: uint8(cfg.Dims), Machine: machine, Tuning: p.tuning,
+		Obs: rec, LoadStats: true, Rebalance: true,
+	}, warm)
+	s.idx.SetFanoutCapture(true)
 	s.eng = serve.New(serve.Config{
-		Backend:      s.backend,
+		Backend:      s.idx,
 		Shards:       cfg.IntakeShards,
 		MaxQueuedOps: cfg.MaxQueuedOps,
 		MaxBatch:     cfg.MaxBatch,
@@ -394,43 +403,37 @@ func (s *Server) warm(p parsed, rec *obs.Recorder) {
 }
 
 // gaugePublisher registers the wall-cadence families and returns their
-// refresh function: process uptime, the SLO window gauges and — sharded
-// runs only; with Trees = 1 the exposition is byte-identical to the
-// unsharded server's — the per-shard families. All Wall-marked: the shard
-// values derive from the deterministic model, but the refresh cadence is
-// wall-driven. Refreshing from the ticker, not from any request path, is
-// what keeps them live on a server that only ever sees client traffic.
+// refresh function: process uptime, the SLO window gauges and the
+// per-shard families. All Wall-marked: the shard values derive from the
+// deterministic model, but the refresh cadence is wall-driven, so the
+// modeled exposition is the same at any Trees. Refreshing from the
+// ticker, not from any request path, is what keeps them live on a server
+// that only ever sees client traffic.
 func (s *Server) gaugePublisher() func(uptimeSeconds float64) {
 	uptime := s.reg.NewCounter(metrics.Opts{Name: "pimzd_process_uptime_seconds",
 		Help: "Wall-clock seconds the process has been up (monotone).", Wall: true})
-	shards := func() {}
-	if x := s.idx.shards; x != nil {
-		points := s.reg.NewGaugeVec(metrics.Opts{Name: "pimzd_shard_points",
-			Help: "Points stored per Morton-prefix shard.", Wall: true, Label: "shard"})
-		load := s.reg.NewGaugeVec(metrics.Opts{Name: "pimzd_shard_window_load",
-			Help: "Modeled load (module cycles + channel bytes) per shard in the current rebalance window.", Wall: true, Label: "shard"})
-		imbalance := s.reg.NewGauge(metrics.Opts{Name: "pimzd_shard_imbalance",
-			Help: "Busiest-shard load over mean shard load in the current window.", Wall: true})
-		rebalances := s.reg.NewCounter(metrics.Opts{Name: "pimzd_shard_rebalances_total",
-			Help: "Load-weighted repartitions performed at epoch boundaries.", Wall: true})
-		migrated := s.reg.NewCounter(metrics.Opts{Name: "pimzd_shard_migrated_points_total",
-			Help: "Points that changed shards across all repartitions.", Wall: true})
-		shards = func() {
-			st := x.Stats()
-			for i, ps := range st.PerShard {
-				label := strconv.Itoa(i)
-				points.With(label).Set(float64(ps.Points))
-				load.With(label).Set(float64(ps.WindowLoad))
-			}
-			imbalance.Set(st.Imbalance)
-			rebalances.SetTotal(float64(st.Rebalances))
-			migrated.SetTotal(float64(st.MigratedPoints))
-		}
-	}
+	points := s.reg.NewGaugeVec(metrics.Opts{Name: "pimzd_shard_points",
+		Help: "Points stored per Morton-prefix shard.", Wall: true, Label: "shard"})
+	load := s.reg.NewGaugeVec(metrics.Opts{Name: "pimzd_shard_window_load",
+		Help: "Modeled load (module cycles + channel bytes) per shard in the current rebalance window.", Wall: true, Label: "shard"})
+	imbalance := s.reg.NewGauge(metrics.Opts{Name: "pimzd_shard_imbalance",
+		Help: "Busiest-shard load over mean shard load in the current window.", Wall: true})
+	rebalances := s.reg.NewCounter(metrics.Opts{Name: "pimzd_shard_rebalances_total",
+		Help: "Load-weighted repartitions performed at epoch boundaries.", Wall: true})
+	migrated := s.reg.NewCounter(metrics.Opts{Name: "pimzd_shard_migrated_points_total",
+		Help: "Points that changed shards across all repartitions.", Wall: true})
 	return func(uptimeSeconds float64) {
 		uptime.SetTotal(uptimeSeconds)
 		s.slo.PublishGauges()
-		shards()
+		st := s.idx.Stats()
+		for i, ps := range st.PerShard {
+			label := strconv.Itoa(i)
+			points.With(label).Set(float64(ps.Points))
+			load.With(label).Set(float64(ps.WindowLoad))
+		}
+		imbalance.Set(st.Imbalance)
+		rebalances.SetTotal(float64(st.Rebalances))
+		migrated.SetTotal(float64(st.MigratedPoints))
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"pimzdtree/internal/core"
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/obs"
 	"pimzdtree/internal/serve"
@@ -24,11 +25,11 @@ import (
 
 const testN = 20_000
 
-// testConfig is a fully armed single-tree pim server on ephemeral ports.
+// testConfig is a fully armed single-tree server on ephemeral ports.
 func testConfig() Config {
 	return Config{
 		Addr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0",
-		Engine: "pim", Trees: 1, Modules: 64, Dims: 3,
+		Trees: 1, Modules: 64, Dims: 3,
 		Tuning: "throughput", Dataset: "uniform", N: testN, Seed: 42, Sample: 32,
 		Flight:       obs.FlightConfig{Ring: 64, SlowK: 4},
 		Requests:     serve.RequestTraceConfig{SlowK: 4},
@@ -87,8 +88,6 @@ func TestConfigRejectedBeforeBind(t *testing.T) {
 		edit func(*Config)
 		want string
 	}{
-		{"unknown engine", func(c *Config) { c.Engine = "bogus" }, `unknown engine "bogus"`},
-		{"sharded baseline", func(c *Config) { c.Engine, c.Trees = "zd", 4 }, "trees=4 requires engine pim"},
 		{"zero trees", func(c *Config) { c.Trees = 0 }, "trees=0"},
 		{"no modules", func(c *Config) { c.Modules = 0 }, "p=0"},
 		{"dims too low", func(c *Config) { c.Dims = 1 }, "dims=1"},
@@ -99,6 +98,16 @@ func TestConfigRejectedBeforeBind(t *testing.T) {
 		{"slo without target", func(c *Config) { c.SLO = "search=50" }, "want op=millis:target"},
 		{"slo bad millis", func(c *Config) { c.SLO = "search=fast:0.99" }, "bad millis"},
 		{"slo bad target", func(c *Config) { c.SLO = "search=50:most" }, "bad target"},
+		{"slo unknown op", func(c *Config) { c.SLO = "serach=50:0.99" }, `unknown op "serach"`},
+		{"slo duplicate op", func(c *Config) { c.SLO = "search=50:0.99,knn=9:0.9,search=20:0.9" }, `duplicate op "search"`},
+		{"slo negative millis", func(c *Config) { c.SLO = "search=-5:0.99" }, "millis -5: want finite and > 0"},
+		{"slo zero millis", func(c *Config) { c.SLO = "search=0:0.99" }, "millis 0: want finite and > 0"},
+		{"slo NaN millis", func(c *Config) { c.SLO = "search=NaN:0.99" }, "millis NaN: want finite and > 0"},
+		{"slo Inf millis", func(c *Config) { c.SLO = "search=Inf:0.99" }, "millis +Inf: want finite and > 0"},
+		{"slo target above 1", func(c *Config) { c.SLO = "search=50:1.5" }, "target 1.5: want in (0, 1)"},
+		{"slo target 1", func(c *Config) { c.SLO = "search=50:1" }, "target 1: want in (0, 1)"},
+		{"slo target 0", func(c *Config) { c.SLO = "search=50:0" }, "target 0: want in (0, 1)"},
+		{"slo NaN target", func(c *Config) { c.SLO = "search=50:NaN" }, "target NaN: want in (0, 1)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,22 +136,22 @@ func TestConfigRejectedBeforeBind(t *testing.T) {
 	}
 }
 
-// TestServerLifecycle boots each supported index shape on :0 and walks
-// the whole surface: warmup probes, client APIs on both transports, every
-// snapshot endpoint armed and unarmed, and a /snapshot/tree scrape racing
-// an insert stream (the reason lockedBackend exists; run under -race).
+// TestServerLifecycle boots the index unsharded and sharded on :0 and
+// walks the whole surface: warmup probes, client APIs on both transports,
+// every snapshot endpoint armed and unarmed, and /snapshot/tree scrapes
+// racing an insert stream (the index's own lock orders them; run under
+// -race).
 func TestServerLifecycle(t *testing.T) {
 	data := testData()
-	unarmed := func(c *Config) {
-		c.Flight, c.Requests, c.SLO = obs.FlightConfig{}, serve.RequestTraceConfig{}, ""
-	}
 	cases := []struct {
 		name string
 		edit func(*Config)
 	}{
-		{"pim-trees1", func(*Config) {}},
-		{"pim-trees4", func(c *Config) { c.Trees = 4 }},
-		{"zd-unarmed", func(c *Config) { c.Engine = "zd"; unarmed(c) }},
+		{"trees1", func(*Config) {}},
+		{"trees4", func(c *Config) { c.Trees = 4 }},
+		{"trees1-unarmed", func(c *Config) {
+			c.Flight, c.Requests, c.SLO = obs.FlightConfig{}, serve.RequestTraceConfig{}, ""
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,8 +206,8 @@ func TestServerLifecycle(t *testing.T) {
 			armed := cfg.Flight.Ring > 0
 			for path, want := range map[string]bool{
 				"/snapshot/tree":           true,
-				"/snapshot/modules":        cfg.Engine == "pim",
-				"/snapshot/shards":         cfg.Trees > 1,
+				"/snapshot/modules":        true,
+				"/snapshot/shards":         true,
 				"/snapshot/flightrecorder": armed,
 				"/snapshot/slowops":        armed,
 				"/snapshot/slowrequests":   armed,
@@ -214,6 +223,22 @@ func TestServerLifecycle(t *testing.T) {
 			}
 			if code, body := get(t, base+"/metrics"); code != 200 || !strings.Contains(body, "pimzd_build_info{") {
 				t.Errorf("/metrics: %d, build_info present=%v", code, strings.Contains(body, "pimzd_build_info{"))
+			}
+
+			// /snapshot/tree: one core.Stats per shard, together holding
+			// every stored point (nothing is inserted yet: the warmup set).
+			_, body = get(t, base+"/snapshot/tree")
+			var trees []core.Stats
+			if err := json.Unmarshal([]byte(body), &trees); err != nil {
+				t.Fatalf("/snapshot/tree: %v: %.80s", err, body)
+			}
+			points := 0
+			for _, st := range trees {
+				points += st.Points
+			}
+			if len(trees) != cfg.Trees || points != testN {
+				t.Errorf("/snapshot/tree: %d shards holding %d points, want %d holding %d",
+					len(trees), points, cfg.Trees, testN)
 			}
 
 			// /snapshot/tree walks tree internals while update batches
@@ -273,38 +298,43 @@ func shardPointsTotal(t *testing.T, base string) int {
 // TestShardGaugesFollowClientTraffic: the per-shard gauges refresh from
 // the server's own wall ticker. (The parent refreshed them only from the
 // synthetic workload loop, so a server that saw nothing but client traffic
-// exported its boot-time values forever.)
+// exported its boot-time values forever.) The families exist at every
+// shard count, the unsharded index included.
 func TestShardGaugesFollowClientTraffic(t *testing.T) {
-	cfg := testConfig()
-	cfg.Trees, cfg.N, cfg.TCPAddr = 4, 8000, ""
-	s, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown()
-	if err := s.WaitReady(); err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + s.Addr()
-	if got := shardPointsTotal(t, base); got != cfg.N {
-		t.Fatalf("pimzd_shard_points at boot sums to %d, want %d", got, cfg.N)
-	}
+	for _, trees := range []int{1, 4} {
+		t.Run(fmt.Sprintf("trees%d", trees), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Trees, cfg.N, cfg.TCPAddr = trees, 8000, ""
+			s, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Shutdown()
+			if err := s.WaitReady(); err != nil {
+				t.Fatal(err)
+			}
+			base := "http://" + s.Addr()
+			if got := shardPointsTotal(t, base); got != cfg.N {
+				t.Fatalf("pimzd_shard_points at boot sums to %d, want %d", got, cfg.N)
+			}
 
-	fresh := make([]geom.Point, 500)
-	for i := range fresh {
-		fresh[i] = geom.Point{Dims: 3, Coords: [4]uint32{uint32(i), 9, 9}}
-	}
-	if code, body, err := post(base+"/v1/insert", fresh); err != nil || code != 200 {
-		t.Fatalf("insert: %d %s %v", code, body, err)
-	}
-	want := cfg.N + len(fresh)
-	deadline := time.Now().Add(3 * time.Second) // two 1 s ticks and slack
-	for shardPointsTotal(t, base) != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("pimzd_shard_points still sums to %d two ticks after inserting %d points, want %d",
-				shardPointsTotal(t, base), len(fresh), want)
-		}
-		time.Sleep(50 * time.Millisecond)
+			fresh := make([]geom.Point, 500)
+			for i := range fresh {
+				fresh[i] = geom.Point{Dims: 3, Coords: [4]uint32{uint32(i), 9, 9}}
+			}
+			if code, body, err := post(base+"/v1/insert", fresh); err != nil || code != 200 {
+				t.Fatalf("insert: %d %s %v", code, body, err)
+			}
+			want := cfg.N + len(fresh)
+			deadline := time.Now().Add(3 * time.Second) // two 1 s ticks and slack
+			for shardPointsTotal(t, base) != want {
+				if time.Now().After(deadline) {
+					t.Fatalf("pimzd_shard_points still sums to %d two ticks after inserting %d points, want %d",
+						shardPointsTotal(t, base), len(fresh), want)
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -396,9 +426,7 @@ func TestShutdownOrder(t *testing.T) {
 // TestShutdownDuringWarmup: a stop request racing the build waits for it
 // and then drains normally; Shutdown is idempotent.
 func TestShutdownDuringWarmup(t *testing.T) {
-	cfg := testConfig()
-	cfg.Engine, cfg.N = "pkd", 20_000
-	s, err := Start(cfg)
+	s, err := Start(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pimzdtree/internal/core"
 	"pimzdtree/internal/workload"
 )
 
 // TestConcurrentSnapshotsDuringMigration: the admin surfaces (Stats,
-// ModuleLoads, Imbalance, Metrics, Epoch) must be safe to read from any
+// TreeStats, ModuleLoads, Imbalance, Metrics, Epoch) must be safe to read from any
 // goroutine while update batches run and the rebalancer migrates points
 // between shards — the invariant `make race` guards for the serving
 // pipeline, where scrapes land mid-batch.
@@ -37,6 +38,19 @@ func TestConcurrentSnapshotsDuringMigration(t *testing.T) {
 					st := x.Stats()
 					if st.Shards != 4 {
 						t.Errorf("snapshot shards %d", st.Shards)
+						return
+					}
+					// Every update batch bumps the epoch under the write
+					// lock, so an unchanged epoch around both reads means
+					// they saw the same index.
+					e := x.Epoch()
+					ts, n := x.TreeStats(), x.Size()
+					if len(ts) != 4 {
+						t.Errorf("tree stats for %d shards, want 4", len(ts))
+						return
+					}
+					if sum := treePoints(ts); x.Epoch() == e && sum != n {
+						t.Errorf("tree stats hold %d points, Size %d", sum, n)
 						return
 					}
 				case 1:
@@ -75,4 +89,15 @@ func TestConcurrentSnapshotsDuringMigration(t *testing.T) {
 	if x.Epoch() != 24 {
 		t.Fatalf("epoch %d, want 24", x.Epoch())
 	}
+	if ts := x.TreeStats(); len(ts) != 4 || treePoints(ts) != x.Size() {
+		t.Fatalf("tree stats %d shards holding %d points, want 4 holding %d", len(ts), treePoints(ts), x.Size())
+	}
+}
+
+func treePoints(ts []core.Stats) int {
+	n := 0
+	for _, s := range ts {
+		n += s.Points
+	}
+	return n
 }

@@ -133,8 +133,8 @@ func (sh *shardT) intersects(b geom.Box) bool {
 // serving engine's Backend contract: at most one batch runs at a time
 // (the Index serializes internally), Epoch is readable from any
 // goroutine and advances exactly once per applied update batch, and the
-// read-only snapshot methods (Stats, ModuleLoads, Imbalance, Metrics)
-// are safe to call concurrently with batches.
+// read-only snapshot methods (Stats, TreeStats, ModuleLoads, Imbalance,
+// Metrics) are safe to call concurrently with batches.
 type Index struct {
 	cfg     Config
 	keyBits uint

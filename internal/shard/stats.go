@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"pimzdtree/internal/core"
 	"pimzdtree/internal/morton"
 	"pimzdtree/internal/obs"
 	"pimzdtree/internal/pim"
@@ -59,6 +60,18 @@ func (x *Index) Stats() Stats {
 			Epoch:      sh.tree.Epoch(),
 			Seconds:    sh.tree.System().Metrics().TotalSeconds(),
 		}
+	}
+	return st
+}
+
+// TreeStats returns every shard tree's structural statistics in shard
+// order, served at /snapshot/tree. Safe to call concurrently with batches.
+func (x *Index) TreeStats() []core.Stats {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	st := make([]core.Stats, len(x.sh))
+	for i, sh := range x.sh {
+		st[i] = sh.tree.Stats()
 	}
 	return st
 }

@@ -79,13 +79,13 @@ func (t *Tree) knnRec(n *node, q geom.Point, k int, metric geom.Metric, h *neigh
 	}
 }
 
-// KNNBatch answers a batch of kNN queries (see forEach for the schedule).
+// KNNBatch answers a batch of kNN queries, one after another.
 func (t *Tree) KNNBatch(qs []geom.Point, k int, metric geom.Metric) [][]Neighbor {
 	defer t.beginOp("knn")()
 	out := make([][]Neighbor, len(qs))
-	t.forEach(len(qs), func(i int) {
+	for i := range out {
 		out[i] = t.KNN(qs[i], k, metric)
-	})
+	}
 	return out
 }
 
@@ -160,9 +160,9 @@ func (t *Tree) boxFetchRec(n *node, box geom.Box, out *[]geom.Point) {
 func (t *Tree) BoxCountBatch(boxes []geom.Box) []int {
 	defer t.beginOp("box-count")()
 	out := make([]int, len(boxes))
-	t.forEach(len(boxes), func(i int) {
+	for i := range out {
 		out[i] = t.BoxCount(boxes[i])
-	})
+	}
 	return out
 }
 
@@ -170,8 +170,8 @@ func (t *Tree) BoxCountBatch(boxes []geom.Box) []int {
 func (t *Tree) BoxFetchBatch(boxes []geom.Box) [][]geom.Point {
 	defer t.beginOp("box-fetch")()
 	out := make([][]geom.Point, len(boxes))
-	t.forEach(len(boxes), func(i int) {
+	for i := range out {
 		out[i] = t.BoxFetch(boxes[i])
-	})
+	}
 	return out
 }

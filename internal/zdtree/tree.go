@@ -48,8 +48,9 @@ type Config struct {
 	// Instrumentation (all optional). Cache simulates the host LLC and
 	// counts DRAM traffic; Alloc provides synthetic node addresses; Work
 	// accumulates abstract CPU work units; Chase accumulates dependent
-	// cache misses on traversal paths. A tree with a Cache runs every batch
-	// serially (see forks), so its counters are schedule-independent.
+	// cache misses on traversal paths. The LLC simulator's LRU state and
+	// the allocator's addresses depend on access order, so every batch
+	// runs serially: the counters are the same at any GOMAXPROCS.
 	Cache *memsim.Cache
 	Alloc *memsim.Allocator
 	Work  *atomic.Int64
@@ -80,8 +81,7 @@ func (c *Config) fill() {
 }
 
 // Tree is a batch-dynamic zd-tree. It is safe for concurrent reads; batch
-// updates must be externally serialized (the batch itself is processed in
-// parallel internally).
+// updates must be externally serialized.
 type Tree struct {
 	cfg  Config
 	root *node
@@ -150,25 +150,6 @@ func (t *Tree) beginOp(name string) func() {
 	}
 }
 
-// forks reports whether a divide-and-conquer step over size elements runs
-// its two halves on separate goroutines; forEach runs the n independent
-// queries of a batch. An uninstrumented tree forks (halves above 4096
-// elements, queries by parallel.For's cutoff). A tree with a Cache runs
-// everything inline in index order: the LLC simulator's LRU state and the
-// allocator's addresses depend on access order, so the modeled traffic is
-// the serial schedule's at any GOMAXPROCS.
-func (t *Tree) forks(size int) bool { return size > 4096 && t.cfg.Cache == nil }
-
-func (t *Tree) forEach(n int, body func(i int)) {
-	if t.cfg.Cache == nil {
-		parallel.For(n, body)
-		return
-	}
-	for i := 0; i < n; i++ {
-		body(i)
-	}
-}
-
 type keyed struct {
 	key uint64
 	pt  geom.Point
@@ -233,15 +214,8 @@ func (t *Tree) build(kps []keyed) *node {
 	if t.cfg.Cache != nil {
 		t.cfg.Cache.Write(n.addr, InternalNodeBytes)
 	}
-	if t.forks(len(kps)) {
-		parallel.Do(
-			func() { n.left = t.build(kps[:split]) },
-			func() { n.right = t.build(kps[split:]) },
-		)
-	} else {
-		n.left = t.build(kps[:split])
-		n.right = t.build(kps[split:])
-	}
+	n.left = t.build(kps[:split])
+	n.right = t.build(kps[split:])
 	t.cfg.Work.Add(int64(len(kps)) / 8) // per-level partition overhead
 	return n
 }
@@ -306,22 +280,6 @@ func (t *Tree) NodeCount() (internal, leaves int) {
 	}
 	rec(t.root)
 	return internal, leaves
-}
-
-// Stats summarizes the tree's structure for the admin server's
-// /snapshot/tree endpoint (the baseline-engine counterpart of
-// core.Tree.Stats).
-type Stats struct {
-	Points        int `json:"points"`
-	Height        int `json:"height"`
-	InternalNodes int `json:"internal_nodes"`
-	Leaves        int `json:"leaves"`
-}
-
-// Stats returns a structural snapshot.
-func (t *Tree) Stats() Stats {
-	internal, leaves := t.NodeCount()
-	return Stats{Points: t.Size(), Height: t.Height(), InternalNodes: internal, Leaves: leaves}
 }
 
 // Points returns all points in key order (mainly for tests and examples).

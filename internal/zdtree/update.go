@@ -3,7 +3,6 @@ package zdtree
 import (
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/morton"
-	"pimzdtree/internal/parallel"
 )
 
 // Insert adds a batch of points to the tree. Duplicate points (same
@@ -69,16 +68,8 @@ func (t *Tree) insertRec(n *node, kps []keyed) *node {
 			box:       morton.PrefixBox(n.key, dp, t.cfg.Dims),
 		}
 		parent.addr = t.cfg.Alloc.Alloc(InternalNodeBytes)
-		var same, other *node
-		if t.forks(len(kps)) {
-			parallel.Do(
-				func() { same = t.insertRec(n, sameSide) },
-				func() { other = t.build(otherSide) },
-			)
-		} else {
-			same = t.insertRec(n, sameSide)
-			other = t.build(otherSide)
-		}
+		same := t.insertRec(n, sameSide)
+		other := t.build(otherSide)
 		if nodeBit == 0 {
 			parent.left, parent.right = same, other
 		} else {
@@ -95,26 +86,11 @@ func (t *Tree) insertRec(n *node, kps []keyed) *node {
 	bit := t.keyBits() - 1 - uint(n.prefixLen)
 	split := splitAtBit(kps, bit)
 	left, right := kps[:split], kps[split:]
-	if t.forks(len(kps)) {
-		parallel.Do(
-			func() {
-				if len(left) > 0 {
-					n.left = t.insertRec(n.left, left)
-				}
-			},
-			func() {
-				if len(right) > 0 {
-					n.right = t.insertRec(n.right, right)
-				}
-			},
-		)
-	} else {
-		if len(left) > 0 {
-			n.left = t.insertRec(n.left, left)
-		}
-		if len(right) > 0 {
-			n.right = t.insertRec(n.right, right)
-		}
+	if len(left) > 0 {
+		n.left = t.insertRec(n.left, left)
+	}
+	if len(right) > 0 {
+		n.right = t.insertRec(n.right, right)
 	}
 	n.size = n.left.size + n.right.size
 	t.writeBack(n)
@@ -197,26 +173,11 @@ func (t *Tree) deleteRec(n *node, kps []keyed) *node {
 	bit := t.keyBits() - 1 - uint(n.prefixLen)
 	split := splitAtBit(kps, bit)
 	left, right := kps[:split], kps[split:]
-	if t.forks(len(kps)) {
-		parallel.Do(
-			func() {
-				if len(left) > 0 {
-					n.left = t.deleteRec(n.left, left)
-				}
-			},
-			func() {
-				if len(right) > 0 {
-					n.right = t.deleteRec(n.right, right)
-				}
-			},
-		)
-	} else {
-		if len(left) > 0 {
-			n.left = t.deleteRec(n.left, left)
-		}
-		if len(right) > 0 {
-			n.right = t.deleteRec(n.right, right)
-		}
+	if len(left) > 0 {
+		n.left = t.deleteRec(n.left, left)
+	}
+	if len(right) > 0 {
+		n.right = t.deleteRec(n.right, right)
 	}
 	// Recompress.
 	if n.left == nil {

@@ -539,11 +539,10 @@ func BenchmarkBoxCount(b *testing.B) {
 	}
 }
 
-// TestInstrumentedTrafficDeterministic: with a Cache attached every batch
-// operation runs its fork-join sites inline (forks, forEach), so the LLC
-// simulator sees the serial access order and the counters the cost model
-// reads do not depend on GOMAXPROCS. Every batch is above its fork
-// threshold and the cache is small enough to evict throughout.
+// TestInstrumentedTrafficDeterministic: every batch operation runs
+// serially, so the LLC simulator sees one access order and the counters
+// the cost model reads do not depend on GOMAXPROCS. The batches are large
+// and the cache is small enough to evict throughout.
 func TestInstrumentedTrafficDeterministic(t *testing.T) {
 	type counters struct {
 		cache       memsim.Stats
