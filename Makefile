@@ -49,10 +49,10 @@ race:
 # (/readyz, which gates on the published index, not just liveness), take
 # pimzd-loadgen traffic (the server generates none of its own), serve a
 # lint-clean Prometheus exposition, both flight snapshots, the
-# slow-request capture, a valid SLO snapshot and — at -trees 1, the
-# index's single-tree pass-through — the shard layout, the per-shard tree
-# stats and the per-shard families, and — on SIGTERM — drain
-# gracefully and flush valid flight + slow-request dumps whose analyze
+# slow-request capture, a valid SLO snapshot and — at -trees 1, where the
+# index runs its one router path over a single shard — the shard layout,
+# the per-shard tree stats and the per-shard families, and — on SIGTERM —
+# drain gracefully and flush valid flight + slow-request dumps whose analyze
 # reports (critical-path and -requests stage attribution) are
 # byte-identical across GOMAXPROCS; the concurrent serving engine must
 # absorb parallel HTTP+TCP clients (pimzd-loadgen, which itself gates on

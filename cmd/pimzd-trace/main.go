@@ -123,7 +123,6 @@ func main() {
 		tree = core.New(cfg, data)
 		tree.System().ResetMetrics()
 		tree.System().SetRecorder(rec)
-		tree.System().EnableTrace(0)
 	}
 	totals := func() pim.Metrics {
 		if idx != nil {

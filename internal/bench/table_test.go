@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -33,20 +34,21 @@ func TestModeledCSVIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		}
 		if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
 			t.Errorf("%s: CSV differs between GOMAXPROCS 1 and 4:\n%s", e.ID,
-				diffLines(out[0].String(), out[1].String()))
+				diffLines(out[0].String(), out[1].String(), "1", "4"))
 		}
 	}
 }
 
-// diffLines lists the lines that differ between two equally shaped outputs.
-func diffLines(a, b string) string {
+// diffLines lists the lines that differ between two equally shaped
+// outputs, each prefixed with its output's label.
+func diffLines(a, b, la, lb string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	var sb strings.Builder
 	for i := range al {
 		if i >= len(bl) || al[i] != bl[i] {
-			sb.WriteString("  1: " + al[i] + "\n")
+			sb.WriteString("  " + la + ": " + al[i] + "\n")
 			if i < len(bl) {
-				sb.WriteString("  4: " + bl[i] + "\n")
+				sb.WriteString("  " + lb + ": " + bl[i] + "\n")
 			}
 		}
 	}
@@ -90,13 +92,30 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-// TestShardScaleClaims asserts what the panel exists to show.
+// TestShardScaleClaims asserts what the panel exists to show, and pins
+// its CSV byte for byte to testdata/shardscale.csv — the output of
+// `pimzd-bench -experiment shardscale -format csv -seed 42 -warmup 20000
+// -batch 2000 -dims 3 -p 256` — so the S=1 row and the router's charges
+// cannot drift across a refactor of the shard index. A deliberate change
+// to the panel's numbers regenerates the file with that command.
 func TestShardScaleClaims(t *testing.T) {
 	p := Params{Seed: 42, WarmupN: 20000, BatchOps: 2000, Dims: 3, P: 256}
 	var s1, s8 float64
 	scaleN := map[int]float64{}
 	var storm *ShardScaleRow
 	rows := ShardScale(p)
+	var got bytes.Buffer
+	if err := ShardScaleCSV(&got, rows); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/shardscale.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("shardscale CSV differs from testdata/shardscale.csv:\n%s",
+			diffLines(string(want), got.String(), "want", "got"))
+	}
 	for i, r := range rows {
 		switch {
 		case r.Section == "scale_s" && r.S == 1:

@@ -75,7 +75,7 @@ func (m *Module) StoreBytes(delta int64) { m.storedBytes += delta }
 func (m *Module) StoredBytes() int64 { return m.storedBytes }
 
 // Metrics accumulates the PIM-Model cost measures. Use Sub to compute the
-// delta across an operation.
+// delta across an operation and Add to sum systems.
 type Metrics struct {
 	Rounds        int64
 	BytesToPIM    int64
@@ -102,6 +102,23 @@ func (m Metrics) ChannelBytes() int64 { return m.BytesToPIM + m.BytesFromPIM }
 // BusBytes returns all memory-bus traffic: channel traffic plus host DRAM
 // traffic — the quantity behind the paper's per-element traffic metric.
 func (m Metrics) BusBytes() int64 { return m.ChannelBytes() + m.CPUTraffic }
+
+// Add returns m + o, field-wise.
+func (m Metrics) Add(o Metrics) Metrics {
+	return Metrics{
+		Rounds:        m.Rounds + o.Rounds,
+		BytesToPIM:    m.BytesToPIM + o.BytesToPIM,
+		BytesFromPIM:  m.BytesFromPIM + o.BytesFromPIM,
+		PIMCycleSum:   m.PIMCycleSum + o.PIMCycleSum,
+		PIMCycleTotal: m.PIMCycleTotal + o.PIMCycleTotal,
+		CPUWork:       m.CPUWork + o.CPUWork,
+		CPUTraffic:    m.CPUTraffic + o.CPUTraffic,
+		CPUChase:      m.CPUChase + o.CPUChase,
+		CPUSeconds:    m.CPUSeconds + o.CPUSeconds,
+		PIMSeconds:    m.PIMSeconds + o.PIMSeconds,
+		CommSeconds:   m.CommSeconds + o.CommSeconds,
+	}
+}
 
 // Sub returns m - o, field-wise.
 func (m Metrics) Sub(o Metrics) Metrics {
@@ -130,7 +147,6 @@ type System struct {
 
 	mu      sync.Mutex
 	metrics Metrics
-	trace   tracer
 
 	// Cumulative per-module loads (nil until EnableModuleLoadStats) — the
 	// whole-run Fig. 7 skew picture, served live by the admin endpoints.
@@ -276,7 +292,6 @@ func (s *System) RoundN(active []int, entries int, handler func(m *Module)) Roun
 	s.metrics.PIMSeconds += pimSec
 	s.metrics.CommSeconds += st.Seconds - pimSec
 	s.mu.Unlock()
-	s.recordTrace(st)
 	if rec := s.recorder; rec.Enabled() {
 		rec.RecordRound(obs.RoundInfo{
 			ActiveModules: st.ActiveModules,

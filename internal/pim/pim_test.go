@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"pimzdtree/internal/costmodel"
+	"pimzdtree/internal/obs"
 )
 
 func newTestSystem(p int) *System {
@@ -157,6 +159,35 @@ func TestMetricsSub(t *testing.T) {
 	}
 }
 
+// TestMetricsAdd: Add is Sub's inverse on every field — a field added to
+// Metrics but forgotten in Add (or Sub) fails here.
+func TestMetricsAdd(t *testing.T) {
+	var a, b Metrics
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		switch av.Field(i).Kind() {
+		case reflect.Int64:
+			av.Field(i).SetInt(int64(10 + i))
+			bv.Field(i).SetInt(int64(100 * (i + 1)))
+		case reflect.Float64:
+			av.Field(i).SetFloat(0.5 + float64(i))
+			bv.Field(i).SetFloat(0.25 * float64(i+1))
+		default:
+			t.Fatalf("field %s: unhandled kind %s", av.Type().Field(i).Name, av.Field(i).Kind())
+		}
+	}
+	sum := a.Add(b)
+	if got := sum.Sub(b); got != a {
+		t.Fatalf("(a+b)-b = %+v, want %+v", got, a)
+	}
+	if got := b.Add(a); got != sum {
+		t.Fatalf("b+a = %+v, want a+b = %+v", got, sum)
+	}
+	if sum.Rounds != a.Rounds+b.Rounds || sum.CommSeconds != a.CommSeconds+b.CommSeconds {
+		t.Fatalf("sum = %+v", sum)
+	}
+}
+
 func TestResetMetrics(t *testing.T) {
 	s := newTestSystem(4)
 	s.Module(2).StoreBytes(500)
@@ -279,61 +310,85 @@ func TestModulesIsolatedAcrossHandlers(t *testing.T) {
 	}
 }
 
+// recordedRounds returns the round events rec retained, in order.
+func recordedRounds(rec *obs.Recorder) []obs.RoundInfo {
+	var rounds []obs.RoundInfo
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindRound {
+			rounds = append(rounds, *e.Round)
+		}
+	}
+	return rounds
+}
+
+// TestTraceRecordsRounds: with a recorder attached, every round lands in
+// it in execution order with its counters; detaching stops the recording
+// and keeps what was recorded.
 func TestTraceRecordsRounds(t *testing.T) {
 	s := newTestSystem(8)
-	s.EnableTrace(0)
+	rec := obs.New()
+	s.SetRecorder(rec)
 	s.Round([]int{0, 1}, func(m *Module) { m.Work(10); m.Recv(4); m.Send(2) })
 	s.Round([]int{2}, func(m *Module) { m.Work(5) })
-	tr := s.Trace()
+	tr := recordedRounds(rec)
 	if len(tr) != 2 {
-		t.Fatalf("trace has %d entries", len(tr))
+		t.Fatalf("recorded %d rounds, want 2", len(tr))
 	}
 	if tr[0].Seq != 1 || tr[1].Seq != 2 {
-		t.Fatal("sequence numbers wrong")
+		t.Fatalf("sequence numbers %d, %d", tr[0].Seq, tr[1].Seq)
 	}
-	if tr[0].ActiveModules != 2 || tr[0].MaxCycles != 10 || tr[0].BytesToPIM != 8 {
-		t.Fatalf("entry 0 = %+v", tr[0])
+	if tr[0].ActiveModules != 2 || tr[0].MaxCycles != 10 || tr[0].TotalCycles != 20 ||
+		tr[0].BytesToPIM != 8 || tr[0].BytesFromPIM != 4 || tr[0].Straggler != -1 {
+		t.Fatalf("round 0 = %+v", tr[0])
 	}
-	s.DisableTrace()
+	if tr[1].Straggler != 2 {
+		t.Fatalf("round 1 straggler %d, want module 2", tr[1].Straggler)
+	}
+	s.SetRecorder(nil)
 	s.Round([]int{0}, func(m *Module) {})
-	if len(s.Trace()) != 2 {
-		t.Fatal("disabled trace still recording")
+	if got := len(recordedRounds(rec)); got != 2 {
+		t.Fatalf("detached recorder holds %d rounds, want 2", got)
 	}
 }
 
-func TestTraceLimit(t *testing.T) {
-	s := newTestSystem(4)
-	s.EnableTrace(3)
-	for i := 0; i < 10; i++ {
-		s.Round([]int{0}, func(m *Module) { m.Work(int64(i)) })
-	}
-	tr := s.Trace()
-	if len(tr) != 3 {
-		t.Fatalf("trace has %d entries, want 3", len(tr))
-	}
-	if tr[2].Seq != 10 {
-		t.Fatalf("last entry seq = %d, want 10", tr[2].Seq)
-	}
-}
-
+// TestTraceUtilization: a recorded round's utilization is its total cycles
+// over the active modules times the slowest module's; an idle round's is 0.
 func TestTraceUtilization(t *testing.T) {
-	e := TraceEntry{ActiveModules: 4, MaxCycles: 100, TotalCycles: 200}
-	if u := e.Utilization(); u != 0.5 {
-		t.Fatalf("utilization = %f", u)
+	s := newTestSystem(4)
+	rec := obs.New()
+	s.SetRecorder(rec)
+	s.Round(s.AllModules(), func(m *Module) {
+		if m.ID < 2 {
+			m.Work(100)
+		}
+	})
+	s.Round([]int{0}, func(m *Module) {})
+	tr := recordedRounds(rec)
+	if u := tr[0].Utilization(); u != 0.5 {
+		t.Fatalf("utilization = %f, want 0.5", u)
 	}
-	if (TraceEntry{}).Utilization() != 0 {
-		t.Fatal("zero entry utilization")
+	if u := tr[1].Utilization(); u != 0 {
+		t.Fatalf("idle round utilization = %f, want 0", u)
 	}
 }
 
+// TestWriteTrace: the recorder's round table shows a round's modules,
+// cycles and utilization.
 func TestWriteTrace(t *testing.T) {
 	s := newTestSystem(4)
-	s.EnableTrace(0)
+	rec := obs.New()
+	s.SetRecorder(rec)
 	s.Round([]int{0}, func(m *Module) { m.Work(7) })
 	var buf strings.Builder
-	s.WriteTrace(&buf)
-	if !strings.Contains(buf.String(), "round") || !strings.Contains(buf.String(), "7") {
-		t.Fatalf("trace output missing content:\n%s", buf.String())
+	rec.WriteRounds(&buf)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "round") {
+		t.Fatalf("round table:\n%s", buf.String())
+	}
+	// Outside an op the op and phase columns are blank.
+	f := strings.Fields(lines[1])
+	if len(f) != 8 || f[0] != "1" || f[1] != "1" || f[2] != "7" || f[3] != "7" || f[7] != "100%" {
+		t.Fatalf("round row %q", lines[1])
 	}
 }
 

@@ -4,9 +4,9 @@
 // tears it down again in drain order. cmd/pimzd-serve is flag parsing and
 // a signal wait around it.
 //
-// The index is a shard.Index at every Trees value (Trees = 1 is its
-// single-tree pass-through), and all access to it flows through the
-// epoch-pipelined serving engine (internal/serve). Client APIs:
+// The index is a shard.Index at every Trees value, one router path at
+// every S, and all access to it flows through the epoch-pipelined serving
+// engine (internal/serve). Client APIs:
 //
 //	POST /v1/{search,insert,delete,knn,box}   HTTP/JSON (admin listener)
 //	GET  /v1/status                           engine snapshot

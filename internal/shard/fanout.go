@@ -40,13 +40,13 @@ type fanState struct {
 	touched []bool
 }
 
-// SetFanoutCapture toggles per-batch fan-out capture. Only multi-shard
-// indexes capture: the S == 1 pass-through routes nothing, so there is no
-// fan-out to report.
+// SetFanoutCapture toggles per-batch fan-out capture. At one shard every
+// batch reports one span for shard 0, a fan-out of 1 per query and nothing
+// pruned.
 func (x *Index) SetFanoutCapture(on bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.fan.on = on && len(x.sh) > 1
+	x.fan.on = on
 	x.fan.live = false
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/geom"
-	"pimzdtree/internal/parallel"
 )
 
 // Cross-shard kNN (two phases, Alg.-3-style candidate-then-refine lifted
@@ -34,11 +33,6 @@ const knnMsgBytes = 24 // modeled per-candidate message, mirrors core's kNN wave
 // shards. k is clamped to the total stored point count; an empty index
 // yields empty neighbor lists.
 func (x *Index) KNNBatch(queries []geom.Point, k int) [][]core.Neighbor {
-	if t := x.single(); t != nil {
-		x.mu.Lock()
-		defer x.mu.Unlock()
-		return t.KNN(queries, k)
-	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	out := make([][]core.Neighbor, len(queries))
@@ -49,7 +43,7 @@ func (x *Index) KNNBatch(queries []geom.Point, k int) [][]core.Neighbor {
 	if k > total {
 		k = total
 	}
-	rec := x.cfg.Obs
+	rec := x.routerRec()
 	rec.BeginOp("knn")
 	x.fanBegin("knn", len(queries))
 
@@ -57,10 +51,8 @@ func (x *Index) KNNBatch(queries []geom.Point, k int) [][]core.Neighbor {
 	flat, idx, offs := x.route(queries)
 	x.chargeRoute(len(queries))
 	homeRes := make([][][]core.Neighbor, len(x.sh))
-	x.forEach(flat, offs, func(s int, seg []geom.Point) {
-		x.fanShard(s, len(seg), func() {
-			homeRes[s] = x.sh[s].tree.KNN(seg, k)
-		})
+	x.forEach(segLen(offs), func(s int) {
+		homeRes[s] = x.sh[s].tree.KNN(flat[offs[s]:offs[s+1]], k)
 	})
 	x.mergeWindows()
 
@@ -71,7 +63,10 @@ func (x *Index) KNNBatch(queries []geom.Point, k int) [][]core.Neighbor {
 	for s, rs := range homeRes {
 		for j, r := range rs {
 			qi := idx[offs[s]+j]
-			cands[qi] = append(cands[qi], r...)
+			// A query has one home shard, so its candidates start as that
+			// shard's list itself; the capped capacity makes phase 2's
+			// appends copy instead of writing past it.
+			cands[qi] = r[:len(r):len(r)]
 			home[qi] = int32(s)
 			x.fanQuery(int(qi))
 			if len(r) >= k {
@@ -111,12 +106,8 @@ func (x *Index) KNNBatch(queries []geom.Point, k int) [][]core.Neighbor {
 	}
 	x.fanTest(boxTests)
 	farRes := make([][][]core.Neighbor, len(x.sh))
-	parallel.For(len(x.sh), func(s int) {
-		if len(subQ[s]) > 0 {
-			x.fanShard(s, len(subQ[s]), func() {
-				farRes[s] = x.sh[s].tree.KNNWithin(subQ[s], k, subCap[s])
-			})
-		}
+	x.forEach(func(s int) int { return len(subQ[s]) }, func(s int) {
+		farRes[s] = x.sh[s].tree.KNNWithin(subQ[s], k, subCap[s])
 	})
 	x.mergeWindows()
 	for s, rs := range farRes {

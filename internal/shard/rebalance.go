@@ -6,8 +6,8 @@ import (
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/morton"
+	"pimzdtree/internal/obs"
 	"pimzdtree/internal/parallel"
-	"pimzdtree/internal/pim"
 )
 
 // Epoch-boundary rebalancing. Every shard system already meters its own
@@ -58,9 +58,6 @@ func imbalance(loads []int64) float64 {
 func (x *Index) Imbalance() float64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	if len(x.sh) == 1 {
-		return 1
-	}
 	return imbalance(x.windowLoadsLocked())
 }
 
@@ -82,8 +79,8 @@ func (x *Index) MigratedPoints() int64 {
 // maybeRebalance runs the end-of-window check. Caller holds mu; runs
 // inside the update batch, before the epoch is published.
 func (x *Index) maybeRebalance() {
-	if len(x.sh) == 1 || !x.cfg.Rebalance {
-		return
+	if len(x.cuts) == 0 || !x.cfg.Rebalance {
+		return // no cut to move
 	}
 	x.updatesSinceCheck++
 	if x.updatesSinceCheck < x.cfg.CheckEvery {
@@ -196,29 +193,31 @@ func (x *Index) repartition(loads []int64) {
 
 	// Host cost of the repartition: one key-encode + quantile scan over
 	// the stored set, plus streaming the migrated points out and back in.
-	if x.router != nil {
-		x.router.CPUPhase(int64(total)*(morton.CostFast(x.cfg.Dims)+4),
-			int64(total)*routePointBytes+moved*2*routePointBytes, 0)
-	}
+	// (A repartition moves cuts, so there is a router to charge.)
+	x.router.CPUPhase(int64(total)*(morton.CostFast(x.cfg.Dims)+4),
+		int64(total)*routePointBytes+moved*2*routePointBytes, 0)
 
 	// Rebuild only the shards whose range moved; their replaced systems'
 	// meters are retired so Metrics() stays monotonic.
 	x.cuts = newCuts
 	rebuilt := make([]*core.Tree, s)
+	recs := make([]*obs.Recorder, s)
 	parallel.For(s, func(i int) {
 		lo, hi := x.rangeOf(i)
 		if lo == x.sh[i].lo && hi == x.sh[i].hi {
 			return // range unchanged => contents unchanged
 		}
-		rebuilt[i] = core.New(x.coreConfig(x.sh[i].rec), all[newOffs[i]:newOffs[i+1]])
+		var tree *obs.Recorder
+		recs[i], tree = x.shardRecorders(x.sh[i].rec)
+		rebuilt[i] = core.New(x.coreConfig(tree), all[newOffs[i]:newOffs[i+1]])
 	})
 	for i, t := range rebuilt {
 		if t == nil {
 			continue
 		}
-		addMetrics(&x.retired, x.sh[i].tree.System().Metrics())
+		x.retired = x.retired.Add(x.sh[i].tree.System().Metrics())
 		lo, hi := x.rangeOf(i)
-		x.sh[i] = x.newShardT(t, x.sh[i].rec, lo, hi)
+		x.sh[i] = x.newShardT(t, recs[i], lo, hi)
 	}
 
 	x.rebalances++
@@ -227,20 +226,4 @@ func (x *Index) repartition(loads []int64) {
 	rec.Add("shard-migrated-points", moved)
 	x.mergeWindows()
 	rec.EndOp()
-}
-
-// addMetrics accumulates o into m field-wise (pim.Metrics has Sub but
-// not Add; retirement needs the sum).
-func addMetrics(m *pim.Metrics, o pim.Metrics) {
-	m.Rounds += o.Rounds
-	m.BytesToPIM += o.BytesToPIM
-	m.BytesFromPIM += o.BytesFromPIM
-	m.PIMCycleSum += o.PIMCycleSum
-	m.PIMCycleTotal += o.PIMCycleTotal
-	m.CPUWork += o.CPUWork
-	m.CPUTraffic += o.CPUTraffic
-	m.CPUChase += o.CPUChase
-	m.CPUSeconds += o.CPUSeconds
-	m.PIMSeconds += o.PIMSeconds
-	m.CommSeconds += o.CommSeconds
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"pimzdtree/internal/core"
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/morton"
 	"pimzdtree/internal/parallel"
@@ -75,21 +76,28 @@ func (x *Index) chargeRoute(n int) {
 	x.router.CPUPhase(work, int64(n)*2*routePointBytes, 0)
 }
 
-// forEach runs fn for every non-empty segment, one shard after another on
-// the calling goroutine: parallel.For's sequential cutoff is 2048 indexes
-// and no index has that many shards. (Shards own disjoint state, so the
-// calls could run concurrently; ROADMAP has why they do not yet.)
-func (x *Index) forEach(flat []geom.Point, offs []int, fn func(s int, seg []geom.Point)) {
-	parallel.For(len(x.sh), func(s int) {
-		if seg := flat[offs[s]:offs[s+1]]; len(seg) > 0 {
-			fn(s, seg)
+// forEach runs call(s) for every shard with work (n(s) > 0 items), each
+// wrapped in fan-out capture, one shard after another on the calling
+// goroutine. It is the one place the router fans out to shards: shards own
+// disjoint state, so the calls could run concurrently; ROADMAP has why
+// they do not yet.
+func (x *Index) forEach(n func(s int) int, call func(s int)) {
+	for s := range x.sh {
+		if k := n(s); k > 0 {
+			x.fanShard(s, k, func() { call(s) })
 		}
-	})
+	}
+}
+
+// segLen sizes route's segments for forEach.
+func segLen(offs []int) func(s int) int {
+	return func(s int) int { return offs[s+1] - offs[s] }
 }
 
 // mergeWindows drains every shard recorder into the parent recorder in
 // shard order — the deterministic merge that keeps exports byte-identical
-// at any GOMAXPROCS.
+// at any GOMAXPROCS. A shard without a local recorder (no router: its tree
+// records into the parent directly) drains nothing.
 func (x *Index) mergeWindows() {
 	if !x.cfg.Obs.Enabled() {
 		return
@@ -101,27 +109,20 @@ func (x *Index) mergeWindows() {
 
 // SearchBatch answers point membership for the batch across all shards.
 func (x *Index) SearchBatch(pts []geom.Point) []bool {
-	if t := x.single(); t != nil {
-		x.mu.Lock()
-		defer x.mu.Unlock()
-		return t.ContainsBatch(pts)
-	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	out := make([]bool, len(pts))
 	if len(pts) == 0 {
 		return out
 	}
-	rec := x.cfg.Obs
+	rec := x.routerRec()
 	rec.BeginOp("search")
 	x.fanBegin("search", len(pts))
 	flat, idx, offs := x.route(pts)
 	x.chargeRoute(len(pts))
 	results := make([][]bool, len(x.sh))
-	x.forEach(flat, offs, func(s int, seg []geom.Point) {
-		x.fanShard(s, len(seg), func() {
-			results[s] = x.sh[s].tree.ContainsBatch(seg)
-		})
+	x.forEach(segLen(offs), func(s int) {
+		results[s] = x.sh[s].tree.ContainsBatch(flat[offs[s]:offs[s+1]])
 	})
 	x.mergeWindows()
 	rec.EndOp()
@@ -136,59 +137,28 @@ func (x *Index) SearchBatch(pts []geom.Point) []bool {
 	return out
 }
 
-// InsertBatch routes the batch to its shards, applies the per-shard
-// inserts in parallel, runs the epoch-boundary rebalance check, and then
-// publishes the new epoch.
-func (x *Index) InsertBatch(pts []geom.Point) {
-	if t := x.single(); t != nil {
-		x.mu.Lock()
-		defer x.mu.Unlock()
-		t.Insert(pts)
-		return
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if len(pts) > 0 {
-		rec := x.cfg.Obs
-		rec.BeginOp("insert")
-		x.fanBegin("insert", len(pts))
-		flat, _, offs := x.route(pts)
-		x.chargeRoute(len(pts))
-		x.forEach(flat, offs, func(s int, seg []geom.Point) {
-			x.fanShard(s, len(seg), func() {
-				x.sh[s].tree.Insert(seg)
-			})
-		})
-		x.mergeWindows()
-		rec.EndOp()
-		x.fanUpdateDone()
-	}
-	x.maybeRebalance()
-	x.epoch.Add(1)
-}
+// InsertBatch routes the batch to its shards and applies the per-shard
+// inserts (see update).
+func (x *Index) InsertBatch(pts []geom.Point) { x.update("insert", pts, (*core.Tree).Insert) }
 
 // DeleteBatch routes the batch to its shards and applies the per-shard
-// deletes in parallel; like InsertBatch it checks for rebalancing and
-// publishes a new epoch.
-func (x *Index) DeleteBatch(pts []geom.Point) {
-	if t := x.single(); t != nil {
-		x.mu.Lock()
-		defer x.mu.Unlock()
-		t.Delete(pts)
-		return
-	}
+// deletes (see update).
+func (x *Index) DeleteBatch(pts []geom.Point) { x.update("delete", pts, (*core.Tree).Delete) }
+
+// update routes an update batch to its shards, applies each shard's
+// segment, runs the epoch-boundary rebalance check, and then publishes the
+// new epoch — exactly one per call, empty batches included.
+func (x *Index) update(op string, pts []geom.Point, apply func(t *core.Tree, seg []geom.Point)) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if len(pts) > 0 {
-		rec := x.cfg.Obs
-		rec.BeginOp("delete")
-		x.fanBegin("delete", len(pts))
+		rec := x.routerRec()
+		rec.BeginOp(op)
+		x.fanBegin(op, len(pts))
 		flat, _, offs := x.route(pts)
 		x.chargeRoute(len(pts))
-		x.forEach(flat, offs, func(s int, seg []geom.Point) {
-			x.fanShard(s, len(seg), func() {
-				x.sh[s].tree.Delete(seg)
-			})
+		x.forEach(segLen(offs), func(s int) {
+			apply(x.sh[s].tree, flat[offs[s]:offs[s+1]])
 		})
 		x.mergeWindows()
 		rec.EndOp()
@@ -204,18 +174,13 @@ func (x *Index) DeleteBatch(pts []geom.Point) {
 // tile exactly the shard's keys — and the per-shard counts sum (a point
 // lives in exactly one shard).
 func (x *Index) BoxCountBatch(boxes []geom.Box) []int64 {
-	if t := x.single(); t != nil {
-		x.mu.Lock()
-		defer x.mu.Unlock()
-		return t.BoxCount(boxes)
-	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	out := make([]int64, len(boxes))
 	if len(boxes) == 0 {
 		return out
 	}
-	rec := x.cfg.Obs
+	rec := x.routerRec()
 	rec.BeginOp("box-count")
 	x.fanBegin("box", len(boxes))
 	subBoxes := make([][]geom.Box, len(x.sh))
@@ -240,12 +205,8 @@ func (x *Index) BoxCountBatch(boxes []geom.Box) []int64 {
 		x.router.CPUPhase(int64(len(boxes))*int64(len(x.sh))*4, 0, 0)
 	}
 	counts := make([][]int64, len(x.sh))
-	parallel.For(len(x.sh), func(s int) {
-		if len(subBoxes[s]) > 0 {
-			x.fanShard(s, len(subBoxes[s]), func() {
-				counts[s] = x.sh[s].tree.BoxCount(subBoxes[s])
-			})
-		}
+	x.forEach(func(s int) int { return len(subBoxes[s]) }, func(s int) {
+		counts[s] = x.sh[s].tree.BoxCount(subBoxes[s])
 	})
 	x.mergeWindows()
 	rec.EndOp()

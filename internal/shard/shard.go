@@ -21,9 +21,14 @@
 // observability deterministically:
 // per-shard obs recorders are drained into the parent recorder in shard
 // order (obs.MergeWindow), so exports and modeled metrics are
-// byte-identical at any GOMAXPROCS. With Trees == 1 the Index is a pure
-// pass-through — no router charges, no extra spans — and its modeled
-// output is byte-identical to using the core.Tree directly (tested).
+// byte-identical at any GOMAXPROCS.
+//
+// Every S runs that one path. Its zero at one shard is structural, not a
+// per-method check: with no cut there is nothing to route across, so the
+// router has no pim.System (every router charge sits behind it), opens no
+// op span, and shard 0's tree records straight into Config.Obs — no shard
+// recorder to drain. The S=1 index's modeled output is therefore
+// byte-identical to using the core.Tree directly (tested).
 //
 // Rebalancing: per-shard load windows (modeled cycles + channel bytes,
 // the same accounting behind the /snapshot/modules heatmap) are checked
@@ -52,7 +57,8 @@ import (
 
 // Config sizes and tunes a sharded index.
 type Config struct {
-	// Trees is the shard count S (>= 1; 1 is a pass-through).
+	// Trees is the shard count S (>= 1; at 1 the router routes nothing and
+	// charges nothing).
 	Trees int
 	// Dims is the point dimensionality (2-4).
 	Dims uint8
@@ -102,7 +108,7 @@ func (c *Config) fill() {
 // shardT is one shard: a tree over a contiguous, inclusive key range.
 type shardT struct {
 	tree   *core.Tree
-	rec    *obs.Recorder // shard-local recorder (nil when Obs is nil or S == 1)
+	rec    *obs.Recorder // shard-local recorder to drain (see shardRecorders)
 	lo     uint64        // first key of the range
 	hi     uint64        // last key of the range (inclusive)
 	box    geom.Box      // single prefix box covering [lo, hi] (display/stats)
@@ -132,7 +138,7 @@ func (sh *shardT) intersects(b geom.Box) bool {
 // Index is a Morton-prefix-sharded PIM-zd-tree. Batch methods mirror the
 // serving engine's Backend contract: at most one batch runs at a time
 // (the Index serializes internally), Epoch is readable from any
-// goroutine and advances exactly once per applied update batch, and the
+// goroutine and advances exactly once per update call, and the
 // read-only snapshot methods (Stats, TreeStats, ModuleLoads, Imbalance,
 // Metrics) are safe to call concurrently with batches.
 type Index struct {
@@ -144,7 +150,7 @@ type Index struct {
 	cuts []uint64 // len S-1, strictly increasing; cuts[i] = first key of shard i+1
 
 	// router accounts the host-side cost of batch splitting and result
-	// merging (nil when S == 1: the pass-through routes nothing).
+	// merging (nil when there is no cut: one shard routes nothing).
 	router *pim.System
 	// retired accumulates the final metrics of systems replaced during
 	// repartitions, keeping Metrics() monotonic across migrations.
@@ -173,15 +179,11 @@ type Index struct {
 func New(cfg Config, points []geom.Point) *Index {
 	cfg.fill()
 	x := &Index{cfg: cfg, keyBits: morton.KeyBits(int(cfg.Dims))}
-	if cfg.Trees == 1 {
-		t := core.New(x.coreConfig(cfg.Obs), points)
-		x.sh = []*shardT{x.newShardT(t, nil, 0, x.maxKey())}
-		return x
+	x.cuts = chooseCuts(points, cfg.Trees, x.maxKey())
+	if len(x.cuts) > 0 {
+		x.router = pim.NewSystem(cfg.Machine)
+		x.router.SetRecorder(cfg.Obs)
 	}
-
-	keys := make([]uint64, len(points))
-	parallel.For(len(points), func(i int) { keys[i] = morton.EncodePoint(points[i]) })
-	x.cuts = chooseCuts(keys, cfg.Trees, x.maxKey())
 
 	// Partition the warmup set by cut the way every batch is routed: one
 	// counting pass, one stable scatter into a flat array sliced per shard.
@@ -191,23 +193,47 @@ func New(cfg Config, points []geom.Point) *Index {
 
 	x.sh = make([]*shardT, cfg.Trees)
 	recs := make([]*obs.Recorder, cfg.Trees)
+	treeRecs := make([]*obs.Recorder, cfg.Trees)
 	for s := range x.sh {
-		if cfg.Obs.Enabled() {
-			recs[s] = obs.New()
-		}
+		recs[s], treeRecs[s] = x.shardRecorders(nil)
 	}
 	trees := make([]*core.Tree, cfg.Trees)
 	parallel.For(cfg.Trees, func(s int) {
-		trees[s] = core.New(x.coreConfig(recs[s]), flat[offs[s]:offs[s+1]])
+		trees[s] = core.New(x.coreConfig(treeRecs[s]), flat[offs[s]:offs[s+1]])
 	})
 	for s := range x.sh {
 		lo, hi := x.rangeOf(s)
 		x.sh[s] = x.newShardT(trees[s], recs[s], lo, hi)
 	}
-	x.router = pim.NewSystem(cfg.Machine)
-	x.router.SetRecorder(cfg.Obs)
 	x.mergeWindows()
 	return x
+}
+
+// shardRecorders is the one recorder rule for shards, given a shard's
+// current local recorder: a shard records into a recorder of its own
+// (local, kept when it has one) only when the router opens an op span to
+// merge it under. With no router the tree records straight into
+// Config.Obs and there is no local recorder to drain.
+func (x *Index) shardRecorders(local *obs.Recorder) (drain, tree *obs.Recorder) {
+	switch {
+	case !x.cfg.Obs.Enabled():
+		return nil, nil
+	case x.router == nil:
+		return nil, x.cfg.Obs
+	case local == nil:
+		local = obs.New()
+	}
+	return local, local
+}
+
+// routerRec is the recorder the router opens its per-batch op span on:
+// Config.Obs when there is a router, else nil — with one shard the tree's
+// own op span is the batch's op.
+func (x *Index) routerRec() *obs.Recorder {
+	if x.router == nil {
+		return nil
+	}
+	return x.cfg.Obs
 }
 
 func (x *Index) coreConfig(rec *obs.Recorder) core.Config {
@@ -264,18 +290,24 @@ func findShard(cuts []uint64, key uint64) int {
 	return sort.Search(len(cuts), func(i int) bool { return key < cuts[i] })
 }
 
-// chooseCuts picks S-1 strictly increasing cut keys from the sampled key
-// distribution: size quantiles of the sorted sample, with even keyspace
-// splits filling in wherever the sample is too concentrated (or empty)
-// to yield distinct cuts. The sample is sorted in place.
-func chooseCuts(sample []uint64, s int, maxKey uint64) []uint64 {
-	parallel.SortKeys(sample)
+// chooseCuts picks S-1 strictly increasing cut keys from the points' key
+// distribution: size quantiles of the sorted keys, with even keyspace
+// splits filling in wherever the keys are too concentrated (or absent)
+// to yield distinct cuts. With one shard there is no cut to choose, and
+// no key is encoded or sorted.
+func chooseCuts(points []geom.Point, s int, maxKey uint64) []uint64 {
+	if s < 2 {
+		return nil
+	}
+	keys := make([]uint64, len(points))
+	parallel.For(len(points), func(i int) { keys[i] = morton.EncodePoint(points[i]) })
+	parallel.SortKeys(keys)
 	cuts := make([]uint64, 0, s-1)
 	prev := uint64(0) // first shard starts at key 0
 	for j := 1; j < s; j++ {
 		var c uint64
-		if len(sample) > 0 {
-			c = sample[j*len(sample)/s]
+		if len(keys) > 0 {
+			c = keys[j*len(keys)/s]
 		}
 		// Even split fallback keeps cuts strictly increasing with room
 		// for the remaining shards.
@@ -289,14 +321,6 @@ func chooseCuts(sample []uint64, s int, maxKey uint64) []uint64 {
 		prev = c
 	}
 	return cuts
-}
-
-// single returns the pass-through tree when S == 1, else nil.
-func (x *Index) single() *core.Tree {
-	if len(x.sh) == 1 {
-		return x.sh[0].tree
-	}
-	return nil
 }
 
 // Dims returns the indexed dimensionality.
@@ -324,14 +348,9 @@ func (x *Index) sizeLocked() int {
 	return n
 }
 
-// Epoch returns the published update epoch: one bump per applied update
-// batch, after any epoch-boundary migration completed.
-func (x *Index) Epoch() uint64 {
-	if t := x.single(); t != nil {
-		return t.Epoch()
-	}
-	return x.epoch.Load()
-}
+// Epoch returns the published update epoch: one bump per update call
+// (empty batches included), after any epoch-boundary migration completed.
+func (x *Index) Epoch() uint64 { return x.epoch.Load() }
 
 func (x *Index) String() string {
 	x.mu.RLock()

@@ -38,8 +38,8 @@ func randPoints(rng *rand.Rand, n int, dims uint8, limit uint32) []geom.Point {
 	return pts
 }
 
-// refBackend is the unsharded reference: the same per-tree helpers the
-// S==1 pass-through uses, on a bare core.Tree.
+// refBackend is the unsharded reference: the per-tree batch calls the
+// shard router makes, on one bare core.Tree.
 type refBackend struct{ t *core.Tree }
 
 func (b refBackend) search(pts []geom.Point) []bool { return b.t.ContainsBatch(pts) }
@@ -57,6 +57,7 @@ func TestShardedDifferential(t *testing.T) {
 		trees int
 		limit uint32 // small limits force duplicate coords and distance ties
 	}{
+		{"s1_uniform", 1, 1 << 20},
 		{"s2_uniform", 2, 1 << 20},
 		{"s4_uniform", 4, 1 << 20},
 		{"s4_ties", 4, 64},
@@ -128,6 +129,121 @@ func TestShardedDifferential(t *testing.T) {
 				t.Fatalf("epoch = %d, want 2 (one per update batch)", x.Epoch())
 			}
 		})
+	}
+}
+
+// TestEdgeBatchesMatchTree: the edge batches — empty batches, an empty
+// index, k above the stored count and k = 0 — answer exactly what one bare
+// tree answers, at one shard and at four, and every update call publishes
+// exactly one epoch, empty batches included.
+func TestEdgeBatchesMatchTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	small := randPoints(rng, 10, 3, 1<<20)
+	queries := randPoints(rng, 12, 3, 1<<20)
+	boxes := workload.QueryBoxes(3, small, 6, 1<<19)
+	for _, trees := range []int{1, 4} {
+		for _, tc := range []struct {
+			name string
+			warm []geom.Point
+		}{{"empty-index", nil}, {"10-points", small}} {
+			t.Run(fmt.Sprintf("s%d/%s", trees, tc.name), func(t *testing.T) {
+				x := New(testConfig(trees), tc.warm)
+				ref := refBackend{t: core.New(core.Config{
+					Dims: 3, Machine: testMachine(64), Tuning: core.ThroughputOptimized}, tc.warm)}
+
+				if got := x.SearchBatch(nil); len(got) != 0 {
+					t.Errorf("empty search batch: %v", got)
+				}
+				if got := x.KNNBatch(nil, 3); len(got) != 0 {
+					t.Errorf("empty kNN batch: %v", got)
+				}
+				if got := x.BoxCountBatch(nil); len(got) != 0 {
+					t.Errorf("empty box batch: %v", got)
+				}
+				if got, want := fmt.Sprint(x.SearchBatch(queries)), fmt.Sprint(ref.search(queries)); got != want {
+					t.Errorf("search = %s, want %s", got, want)
+				}
+				if got, want := fmt.Sprint(x.BoxCountBatch(boxes)), fmt.Sprint(ref.boxCount(boxes)); got != want {
+					t.Errorf("box count = %s, want %s", got, want)
+				}
+				for _, k := range []int{0, 1, len(small) + 15} {
+					got, want := x.KNNBatch(queries, k), ref.knn(queries, k)
+					if len(got) != len(queries) {
+						t.Fatalf("k=%d: %d answers for %d queries", k, len(got), len(queries))
+					}
+					for i := range got {
+						if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+							t.Errorf("k=%d q=%d: %v, want %v", k, i, got[i], want[i])
+						}
+					}
+				}
+
+				epoch := x.Epoch()
+				for _, up := range []struct {
+					name  string
+					apply func([]geom.Point)
+					pts   []geom.Point
+				}{
+					{"insert", x.InsertBatch, queries[:4]},
+					{"empty insert", x.InsertBatch, nil},
+					{"delete", x.DeleteBatch, queries[:2]},
+					{"empty delete", x.DeleteBatch, nil},
+				} {
+					up.apply(up.pts)
+					if x.Epoch() != epoch+1 {
+						t.Fatalf("%s moved the epoch %d -> %d, want one step", up.name, epoch, x.Epoch())
+					}
+					epoch++
+				}
+				if want := len(tc.warm) + 2; x.Size() != want {
+					t.Errorf("size %d after the updates, want %d", x.Size(), want)
+				}
+			})
+		}
+	}
+}
+
+// TestFanoutCaptureOneShard: at one shard the router still reports every
+// batch's fan-out — one span for shard 0 carrying the whole batch, a
+// fan-out of exactly 1 per query, nothing pruned.
+func TestFanoutCaptureOneShard(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	data := randPoints(rng, 3000, 3, 1<<20)
+	x := New(testConfig(1), data)
+	x.SetFanoutCapture(true)
+	queries := data[:40]
+	boxes := workload.QueryBoxes(5, data, 24, 1<<16)
+	for _, tc := range []struct {
+		op  string
+		n   int
+		run func()
+	}{
+		{"search", len(queries), func() { x.SearchBatch(queries) }},
+		{"knn", len(queries), func() { x.KNNBatch(queries, 5) }},
+		{"box", len(boxes), func() { x.BoxCountBatch(boxes) }},
+		{"insert", 30, func() { x.InsertBatch(randPoints(rng, 30, 3, 1<<20)) }},
+		{"delete", len(queries), func() { x.DeleteBatch(queries) }},
+	} {
+		tc.run()
+		rep := x.TakeFanout()
+		if rep == nil {
+			t.Fatalf("%s: no fan-out report at one shard", tc.op)
+		}
+		if rep.Op != tc.op || len(rep.Shards) != 1 || rep.Shards[0].Shard != 0 ||
+			rep.Shards[0].Queries != tc.n {
+			t.Fatalf("%s: report %+v, want one span for shard 0 with %d queries", tc.op, rep, tc.n)
+		}
+		if rep.Pruned != 0 {
+			t.Errorf("%s: %d probes pruned, want 0", tc.op, rep.Pruned)
+		}
+		if len(rep.PerQuery) != tc.n {
+			t.Fatalf("%s: %d per-query widths, want %d", tc.op, len(rep.PerQuery), tc.n)
+		}
+		for i, w := range rep.PerQuery {
+			if w != 1 {
+				t.Fatalf("%s: query %d fans out to %d shards, want 1", tc.op, i, w)
+			}
+		}
 	}
 }
 
@@ -435,5 +551,32 @@ func TestRouteScratchFollowsBatchSize(t *testing.T) {
 	x.SearchBatch(randPoints(rng, 2_000, 3, 1<<20))
 	if &x.scatterPts[0] != before {
 		t.Error("a 2000-point batch after a 20000-point one reallocated the scatter scratch")
+	}
+}
+
+// BenchmarkSmallBatch: a serving-sized batch (16 points, or 16 boxes)
+// through a one-shard index — the host cost of the router path at S=1.
+func BenchmarkSmallBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(29))
+	data := randPoints(rng, 20000, 3, 1<<20)
+	x := New(testConfig(1), data)
+	qs := data[:16]
+	fresh := randPoints(rng, 16, 3, 1<<20)
+	boxes := workload.QueryBoxes(31, data, 16, 1<<14)
+	for _, bc := range []struct {
+		name string
+		run  func()
+	}{
+		{"search", func() { x.SearchBatch(qs) }},
+		{"knn", func() { x.KNNBatch(qs, 8) }},
+		{"box", func() { x.BoxCountBatch(boxes) }},
+		{"insert+delete", func() { x.InsertBatch(fresh); x.DeleteBatch(fresh) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.run()
+			}
+		})
 	}
 }

@@ -42,13 +42,10 @@ func (x *Index) Stats() Stats {
 		Epoch:          x.Epoch(),
 		Rebalances:     x.rebalances,
 		MigratedPoints: x.migratedPoints,
-		Imbalance:      1,
 		PerShard:       make([]ShardStat, len(x.sh)),
 	}
 	loads := x.windowLoadsLocked()
-	if len(x.sh) > 1 {
-		st.Imbalance = imbalance(loads)
-	}
+	st.Imbalance = imbalance(loads)
 	for i, sh := range x.sh {
 		st.PerShard[i] = ShardStat{
 			Lo:         sh.lo,
@@ -98,10 +95,10 @@ func (x *Index) Metrics() pim.Metrics {
 	defer x.mu.RUnlock()
 	m := x.retired
 	for _, sh := range x.sh {
-		addMetrics(&m, sh.tree.System().Metrics())
+		m = m.Add(sh.tree.System().Metrics())
 	}
 	if x.router != nil {
-		addMetrics(&m, x.router.Metrics())
+		m = m.Add(x.router.Metrics())
 	}
 	return m
 }
@@ -119,23 +116,19 @@ func (x *Index) ShardMetrics() []pim.Metrics {
 }
 
 // SetRecorder attaches a recorder after construction (the trace CLI
-// builds first, then records a single traced op). Child recorders are
-// created per shard as needed; the single-tree pass-through attaches r
-// to the tree directly.
+// builds first, then records a single traced op). The shards' recorders
+// follow the same rule as at construction (see shardRecorders).
 func (x *Index) SetRecorder(r *obs.Recorder) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.cfg.Obs = r
-	if t := x.single(); t != nil {
-		t.System().SetRecorder(r)
-		return
+	if x.router != nil {
+		x.router.SetRecorder(r)
 	}
-	x.router.SetRecorder(r)
 	for _, sh := range x.sh {
-		if r.Enabled() && sh.rec == nil {
-			sh.rec = obs.New()
-		}
-		sh.tree.System().SetRecorder(sh.rec)
+		var tree *obs.Recorder
+		sh.rec, tree = x.shardRecorders(sh.rec)
+		sh.tree.System().SetRecorder(tree)
 	}
 }
 
