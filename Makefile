@@ -40,8 +40,11 @@ benchmark-module:
 # scans via TestPulledScanMultiWorker, fork-join updates/relayout via
 # TestUpdateMultiWorker) only exercise their parallel paths above one proc.
 # (The determinism tests of bench/zdtree/pkdtree set GOMAXPROCS themselves.)
+# The engine's ordering tests (barriers, epoch coalescing) run 20 more
+# times so an ordering regression fails every run, not one in hundreds.
 race:
 	GOMAXPROCS=4 $(GO) test -race ./...
+	GOMAXPROCS=4 $(GO) test -race -count=20 -run 'TestBarrier|TestArrivalsDuringAnEpochShareTheNext' ./internal/serve
 
 # CLI smoke tests: the trace exporters must emit parseable output
 # (Chrome trace-event JSON with events, and valid JSONL); the admin server

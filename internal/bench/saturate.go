@@ -53,8 +53,8 @@ type submitFunc func(*serve.Request) error
 
 // fifoDispatcher is the request-at-a-time baseline: a bounded arrival
 // queue in front of the same engine the pipeline phase uses, with exactly
-// one request in flight. The engine's builder therefore never has two
-// requests to coalesce — every request is its own epoch and its own tree
+// one request in flight. The engine's executor therefore never drains two
+// requests at once — every request is its own epoch and its own tree
 // batch, served in arrival order — so a sweep through the dispatcher and a
 // sweep straight into the engine differ in batch formation only.
 type fifoDispatcher struct {

@@ -14,18 +14,16 @@ import (
 	"pimzdtree/internal/workload"
 )
 
-// newManualEngine builds an engine WITHOUT its builder/executor
-// goroutines: tests drive execute() directly, which makes epoch-plan
-// formation exact instead of timing-dependent.
+// newManualEngine builds an engine WITHOUT its executor goroutine: tests
+// drive execute() directly, which makes epoch-plan formation exact
+// instead of timing-dependent.
 func newManualEngine(cfg Config) *Engine {
 	cfg.fill()
 	return &Engine{
-		cfg:         cfg,
-		in:          newIntake(cfg.Shards, cfg.MaxQueuedOps),
-		m:           newEngineMetrics(cfg.Registry),
-		planCh:      make(chan *epochPlan, 1),
-		builderDone: make(chan struct{}),
-		execDone:    make(chan struct{}),
+		cfg:      cfg,
+		in:       newIntake(cfg.Shards, cfg.MaxQueuedOps),
+		m:        newEngineMetrics(cfg.Registry),
+		execDone: make(chan struct{}),
 	}
 }
 

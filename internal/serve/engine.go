@@ -125,8 +125,8 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 	}
 }
 
-// epochPlan is one coalesced unit of work: every request drained in one
-// builder pass, in drain order.
+// epochPlan is one coalesced unit of work: every request one executor
+// drain picked up, in drain order.
 type epochPlan struct {
 	all []*Request
 }
@@ -138,9 +138,7 @@ type Engine struct {
 	in  *intake
 	m   engineMetrics
 
-	planCh      chan *epochPlan
-	builderDone chan struct{}
-	execDone    chan struct{}
+	execDone chan struct{}
 
 	closed  atomic.Bool
 	aborted atomic.Bool
@@ -170,16 +168,14 @@ type Engine struct {
 	fanLive        bool
 }
 
-// New starts an engine (builder + executor goroutines) over cfg.Backend.
+// New starts an engine (its executor goroutine) over cfg.Backend.
 func New(cfg Config) *Engine {
 	cfg.fill()
 	e := &Engine{
-		cfg:         cfg,
-		in:          newIntake(cfg.Shards, cfg.MaxQueuedOps),
-		m:           newEngineMetrics(cfg.Registry),
-		planCh:      make(chan *epochPlan, 1),
-		builderDone: make(chan struct{}),
-		execDone:    make(chan struct{}),
+		cfg:      cfg,
+		in:       newIntake(cfg.Shards, cfg.MaxQueuedOps),
+		m:        newEngineMetrics(cfg.Registry),
+		execDone: make(chan struct{}),
 	}
 	if fs, ok := cfg.Backend.(FanoutSource); ok {
 		e.fanSrc = fs
@@ -191,7 +187,6 @@ func New(cfg Config) *Engine {
 			}
 		}
 	}
-	go e.builder()
 	go e.executor()
 	return e
 }
@@ -212,8 +207,8 @@ func (e *Engine) Submit(r *Request) error {
 	if err := e.validate(r); err != nil {
 		return err
 	}
-	// Stamp before push: once r is in the queue the builder owns it, and
-	// a late stamp here would race with the executor sealing the stamps.
+	// Stamp before push: once r is in the queue the executor owns it, and
+	// a late stamp here would race with it sealing the stamps.
 	r.stamp(bEnqueued)
 	if err := e.in.push(r); err != nil {
 		e.m.shed.With(r.Op.String()).Add(1)
@@ -293,45 +288,31 @@ func (e *Engine) FenceViolations() int64 { return e.fenceViolations.Load() }
 // Backend returns the served backend (for status surfaces).
 func (e *Engine) Backend() Backend { return e.cfg.Backend }
 
-// builder drains the intake into epoch plans. planCh has capacity 1, so
-// while the executor runs epoch E one built plan (E+1) waits and further
-// arrivals accumulate in the shards — a two-stage pipeline whose batch
-// size adapts to load: idle engines cut tiny low-latency epochs, loaded
-// engines coalesce everything that queued behind the current epoch.
-func (e *Engine) builder() {
-	defer close(e.builderDone)
-	defer close(e.planCh)
+// executor cuts and runs epochs one at a time. Whenever it is free it
+// drains the intake, so each plan is everything that arrived while the
+// previous epoch ran and a request waits for at most the epoch in flight.
+// Batch size adapts to load: an idle engine cuts tiny low-latency epochs,
+// a loaded one coalesces everything that queued behind the current epoch.
+func (e *Engine) executor() {
+	defer close(e.execDone)
 	var buf []*Request
 	for {
 		buf = e.in.drain(buf[:0])
 		if len(buf) == 0 {
-			if e.closed.Load() {
-				// closed is set before the shutdown wake: one more empty
-				// drain after seeing it means nothing is left to admit.
-				if buf = e.in.drain(buf[:0]); len(buf) == 0 {
-					return
-				}
-			} else {
+			if !e.closed.Load() {
 				<-e.in.notify
 				continue
 			}
+			// closed is set before the shutdown wake: one more empty drain
+			// after seeing it means nothing is left to admit.
+			if buf = e.in.drain(buf[:0]); len(buf) == 0 {
+				return
+			}
 		}
 		stampAll(buf, bDrained)
-		plan := &epochPlan{all: append([]*Request(nil), buf...)}
-		// bPlanned is stamped before the send: once the executor owns the
-		// plan it stamps bFenced concurrently, so stamping afterwards would
-		// race. The planCh backpressure wait therefore counts as fence
-		// time (waiting for the executor), which is what it is.
-		stampAll(plan.all, bPlanned)
-		e.planCh <- plan
-	}
-}
-
-// executor runs epoch plans one at a time against the backend.
-func (e *Engine) executor() {
-	defer close(e.execDone)
-	for plan := range e.planCh {
-		e.runPlan(plan)
+		stampAll(buf, bPlanned)
+		e.runPlan(&epochPlan{all: buf})
+		clear(buf) // the requests are finished; do not pin them
 	}
 }
 

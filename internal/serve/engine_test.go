@@ -297,7 +297,7 @@ func TestShutdownDrainDeadline(t *testing.T) {
 
 // TestConcurrentClients hammers the engine from many goroutines with a
 // mixed workload. Run under -race (make race) this is the data-race net
-// for the whole intake/builder/executor pipeline.
+// for the whole intake/executor path.
 func TestConcurrentClients(t *testing.T) {
 	e, data := testEngine(t, 20000)
 
@@ -418,6 +418,121 @@ func TestBarrierOrdersAllPriorWork(t *testing.T) {
 		default:
 			t.Fatalf("request %d not complete when barrier returned", i)
 		}
+	}
+}
+
+// waitDone waits for r to complete, failing the test after 10 s.
+func waitDone(t *testing.T, r *Request) {
+	t.Helper()
+	select {
+	case <-r.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s request never completed", r.Op)
+	}
+}
+
+// TestBarrierSeesWorkPushedBehindTheDrain: a drain pass visits the intake
+// shards in order while pushes go round-robin, so a request can land in a
+// shard the pass has already left while a barrier submitted after it lands
+// in one the pass has yet to reach. The barrier must still order that
+// request. The afterShard seam stages exactly this interleaving.
+func TestBarrierSeesWorkPushedBehindTheDrain(t *testing.T) {
+	tr, _ := testTree(t, 2000)
+	e := newManualEngine(Config{Backend: NewTreeBackend(tr), Shards: 2})
+	insert := func(x uint32) *Request {
+		r := NewRequest(OpInsert)
+		r.Pts = []geom.Point{{Dims: 3, Coords: [4]uint32{x, 7, 7, 0}}}
+		return r
+	}
+	first, late, barrier := insert(1), insert(2), NewRequest(opBarrier)
+	staged := false
+	e.in.afterShard = func(i int) {
+		if i != 0 || staged {
+			return
+		}
+		staged = true
+		// Round-robin goes on from first's shard 1: late lands in shard 0,
+		// which this pass has left, and barrier in shard 1, which it has
+		// not reached yet.
+		for _, r := range []*Request{late, barrier} {
+			if err := e.Submit(r); err != nil {
+				t.Errorf("submit %s: %v", r.Op, err)
+			}
+		}
+	}
+	if err := e.Submit(first); err != nil { // shard 1
+		t.Fatal(err)
+	}
+	go e.executor()
+	t.Cleanup(func() { e.Shutdown(context.Background()) })
+
+	waitDone(t, barrier)
+	waitDone(t, late)
+	if !staged {
+		t.Fatal("the drain never staged the interleaving")
+	}
+	// Every update batch publishes a new epoch: a late insert applied
+	// after the barrier's epoch would report a later one.
+	if late.Resp.Epoch > barrier.Resp.Epoch {
+		t.Fatalf("barrier completed at epoch %d, before a request submitted ahead of it (epoch %d)",
+			barrier.Resp.Epoch, late.Resp.Epoch)
+	}
+}
+
+// intakeLen counts requests waiting in the intake shards.
+func intakeLen(e *Engine) int {
+	n := 0
+	for i := range e.in.shards {
+		s := &e.in.shards[i]
+		s.mu.Lock()
+		n += len(s.q)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// TestArrivalsDuringAnEpochShareTheNext pins the coalescing contract:
+// everything that arrives while epoch E executes runs in epoch E+1, as one
+// plan. The executor cannot drain while the gated backend holds it inside
+// E. After each submit the test polls the intake (bounded) so that any
+// drain running beside the executor would take that request on its own.
+func TestArrivalsDuringAnEpochShareTheNext(t *testing.T) {
+	gb := newGatedBackend()
+	e := New(Config{Backend: gb})
+	search := func() *Request {
+		r := NewRequest(OpSearch)
+		r.Pts = []geom.Point{{Dims: 3}}
+		return r
+	}
+	first := search()
+	if err := e.Submit(first); err != nil {
+		t.Fatal(err)
+	}
+	<-gb.entered // epoch E holds the executor
+
+	var during []*Request
+	for i := 0; i < 3; i++ {
+		r := search()
+		if err := e.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+		during = append(during, r)
+		for tries := 0; tries < 20 && intakeLen(e) > 0; tries++ {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	close(gb.gate)
+	waitDone(t, first)
+	for _, r := range during {
+		waitDone(t, r)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := e.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().EpochsRun; got != 2 {
+		t.Fatalf("epochs run = %d, want 2 (E, then one epoch for all three arrivals)", got)
 	}
 }
 

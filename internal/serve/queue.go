@@ -1,15 +1,16 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // intake is the admission stage: S finely-locked MPSC shards that client
-// goroutines append to and the builder drains. Sharding keeps the
+// goroutines append to and the executor drains. Sharding keeps the
 // submit-side critical section to an append under a shard-local mutex, so
-// concurrent clients rarely contend; the builder takes each shard lock
-// once per drain regardless of how many requests queued.
+// concurrent clients rarely contend; the executor takes each shard lock
+// once per drain pass regardless of how many requests queued.
 //
 // Admission control is global and sized in point-ops (see
 // Request.opCount): when depth would exceed maxOps the submit sheds with
@@ -21,8 +22,11 @@ type intake struct {
 	maxOps int64
 	depth  atomic.Int64 // queued point-ops across all shards
 	rr     atomic.Uint64
-	// notify wakes the builder (capacity 1: a poke, not a queue).
+	// notify wakes the executor (capacity 1: a poke, not a queue).
 	notify chan struct{}
+	// afterShard, when set, runs after a drain pass releases shard i: a
+	// test seam for interleaving pushes with a drain. Nil in production.
+	afterShard func(i int)
 }
 
 type intakeShard struct {
@@ -54,7 +58,7 @@ func (in *intake) push(r *Request) error {
 	return nil
 }
 
-// wake pokes the builder without blocking.
+// wake pokes the executor without blocking.
 func (in *intake) wake() {
 	select {
 	case in.notify <- struct{}{}:
@@ -62,20 +66,30 @@ func (in *intake) wake() {
 	}
 }
 
-// drain appends every queued request to dst in shard order (stable FIFO
-// within a shard) and returns the result. The drained ops leave the
+// drain appends every queued request to dst, each pass in shard order
+// (stable FIFO within a shard), and returns the result. The drained ops leave the
 // admission count only when their requests complete (releaseOps), so
 // coalesced-but-unexecuted work still counts against the bound.
+//
+// push spreads requests round-robin, so a request pushed before a barrier
+// can sit in a shard the pass had already left: a pass that takes a
+// barrier is followed by another, which sees it. Barrier waits for its
+// barrier, so a repeat finds barriers only from callers not in the plan.
 func (in *intake) drain(dst []*Request) []*Request {
-	for i := range in.shards {
-		s := &in.shards[i]
-		s.mu.Lock()
-		dst = append(dst, s.q...)
-		for j := range s.q {
-			s.q[j] = nil // release for GC; keep capacity for reuse
+	for barrier := true; barrier; {
+		from := len(dst)
+		for i := range in.shards {
+			s := &in.shards[i]
+			s.mu.Lock()
+			dst = append(dst, s.q...)
+			clear(s.q) // release for GC; keep capacity for reuse
+			s.q = s.q[:0]
+			s.mu.Unlock()
+			if in.afterShard != nil {
+				in.afterShard(i)
+			}
 		}
-		s.q = s.q[:0]
-		s.mu.Unlock()
+		barrier = slices.ContainsFunc(dst[from:], func(r *Request) bool { return r.Op == opBarrier })
 	}
 	return dst
 }

@@ -9,22 +9,22 @@
 // hardware, becomes the bottleneck. This package recovers the batch
 // shape from concurrent traffic:
 //
-//	clients ──► sharded intake queues ──► builder ──► executor ──► responses
-//	             (admission control)      (coalesce    (epoch
-//	                                       into epoch   fence +
-//	                                       plans)       batch ops)
+//	clients ──► sharded intake queues ──► executor ──► responses
+//	             (admission control)      (drain into an epoch plan,
+//	                                       epoch fence + batch ops)
 //
 // Concurrent client requests land in finely-locked sharded MPSC queues
 // (admission-controlled: a full queue sheds instead of building unbounded
-// backlog). A builder goroutine drains the shards and coalesces whatever
-// has accumulated into an epoch plan — one native batch per operation
-// type (Search/Insert/Delete/KNN/BoxCount are already the fast path). An
-// executor goroutine runs plans one at a time against the tree: all read
+// backlog). One executor goroutine, whenever it is free, drains the
+// shards and coalesces whatever has accumulated into an epoch plan — one
+// native batch per operation type (Search/Insert/Delete/KNN/BoxCount are
+// already the fast path) — and runs it against the tree: all read
 // batches of an epoch execute against the root snapshot published by the
 // previous update epoch (verified by an epoch fence around the read
 // phase), then the epoch's updates apply and publish the next snapshot.
-// While the executor runs epoch E, the builder is already assembling
-// epoch E+1 and clients keep enqueueing — the pipeline stays full.
+// While the executor runs epoch E clients keep enqueueing, and everything
+// that arrives meanwhile forms epoch E+1: a request waits for at most the
+// epoch in flight.
 //
 // Epoch semantics (MVCC-lite): requests admitted into epoch E observe
 //

@@ -11,11 +11,14 @@ import "time"
 // request's wall time decomposes into:
 //
 //	admit  validation + intake push (Submit)
-//	queue  waiting in the sharded intake for a builder drain
-//	build  builder coalescing of the drained batch into an epoch plan
-//	fence  waiting for the pipeline slot and the executor's epoch pin
+//	queue  waiting in the sharded intake for the epoch in flight to end
+//	build  the executor's cut of the drained requests into an epoch plan
+//	fence  the executor's epoch pin of that plan
 //	exec   the coalesced native tree batches (the backend's share)
 //	reply  result scatter and completion bookkeeping
+//
+// Build and fence run back to back on the executor, so both read near
+// zero: a request's wait for the engine is its queue stage.
 //
 // Stamps are plain int64 nanos in a fixed array on the Request, so the
 // steady-state request path allocates nothing for them. Boundaries a
@@ -26,8 +29,8 @@ import "time"
 const (
 	bAdmitted = iota // Submit: validated, about to enter the intake
 	bEnqueued        // intake accepted the request
-	bDrained         // a builder pass drained it from its intake shard
-	bPlanned         // its epoch plan was built (about to enter the pipeline)
+	bDrained         // the executor drained it from its intake shard
+	bPlanned         // its epoch plan was cut
 	bFenced          // the executor pinned the plan's read epoch
 	bExecuted        // its native tree batches returned
 	bReplied         // response filled, waiter about to be released
