@@ -5,15 +5,16 @@
 # — and the forked round handlers, per-query host loops and pulled-chunk
 # wave scans (TestPushedRoundMultiWorker, TestPulledScanMultiWorker,
 # pim's TestRoundSchedule) — actually run multi-worker (a 1-core CI would
-# otherwise never exercise them), the CLI smoke run, the experiment CSVs
+# otherwise never exercise them), the memory gates without the race
+# detector (which makes them skip), the CLI smoke run, the experiment CSVs
 # compared across GOMAXPROCS, and the benchmark module's own vet + tests.
 # Wall-clock speed is not gated here: benchmark/ + BENCHMARK.json own it.
 
 GO ?= go
 
-.PHONY: ci build vet fmt test race bench smoke determinism benchmark-module profile
+.PHONY: ci build vet fmt test race footprint bench smoke determinism benchmark-module profile
 
-ci: build vet fmt race smoke determinism benchmark-module
+ci: build vet fmt race footprint smoke determinism benchmark-module
 
 build:
 	$(GO) build ./...
@@ -45,6 +46,14 @@ benchmark-module:
 race:
 	GOMAXPROCS=4 $(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race -count=20 -run 'TestBarrier|TestArrivalsDuringAnEpochShareTheNext' ./internal/serve
+
+# The memory gates (internal/core/footprint_test.go): the node size, the
+# heap a built tree keeps per point, no per-point heap from queries, and
+# batch scratch that follows batch size back down. Heap sizes mean nothing
+# under the race detector, so they skip themselves in `race`; this runs them
+# without it.
+footprint:
+	$(GO) test -count=1 -run 'TestNodeSize|TestBuildKeepsNoBuildScratch|TestQueryPassAddsNoPerPointHeap|TestBulkInsertScratchIsReturned|TestAlternatingBatchesKeepScratch|TestFarKNNScratchIsReturned' -v ./internal/core
 
 # CLI smoke tests: the trace exporters must emit parseable output
 # (Chrome trace-event JSON with events, and valid JSONL); the admin server

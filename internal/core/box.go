@@ -97,10 +97,10 @@ func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, add func(int32, int6
 			return
 		}
 		if n.IsLeaf() {
-			work += int64(len(n.Pts)) * int64(t.cfg.Dims)
+			work += int64(len(n.Keys)) * int64(t.cfg.Dims)
 			if fetchMode {
 				forEachLeafBoxHit(n, box, func(i int) {
-					*found = append(*found, foundPoint{qi: qi, p: n.Pts[i]})
+					*found = append(*found, foundPoint{qi: qi, p: n.point(i)})
 				})
 			} else if cnt := countLeafBox(n, box); cnt > 0 {
 				// Per-point count callbacks fold into one add: the counts
@@ -148,10 +148,10 @@ func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, add func(int32, int
 			return
 		}
 		if n.IsLeaf() {
-			work += int64(len(n.Pts)) * int64(t.cfg.Dims)
+			work += int64(len(n.Keys)) * int64(t.cfg.Dims)
 			if fetch {
 				forEachLeafBoxHit(n, box, func(i int) {
-					*found = append(*found, foundPoint{qi: e.qi, p: n.Pts[i]})
+					*found = append(*found, foundPoint{qi: e.qi, p: n.point(i)})
 					outBytes += pointBytes
 				})
 			} else if cnt := countLeafBox(n, box); cnt > 0 {
@@ -181,10 +181,10 @@ func fetchSubtreeChunk(c *Chunk, qi int32, n *Node, found *[]foundPoint, exits *
 		return 1, resultMsgBytes
 	}
 	if n.IsLeaf() {
-		for _, p := range n.Pts {
-			*found = append(*found, foundPoint{qi: qi, p: p})
+		for i := range n.Keys {
+			*found = append(*found, foundPoint{qi: qi, p: n.point(i)})
 		}
-		return int64(len(n.Pts)), int64(len(n.Pts)) * pointBytes
+		return int64(len(n.Keys)), int64(len(n.Keys)) * pointBytes
 	}
 	wl, bl := fetchSubtreeChunk(c, qi, n.Left, found, exits)
 	wr, br := fetchSubtreeChunk(c, qi, n.Right, found, exits)

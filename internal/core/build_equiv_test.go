@@ -29,11 +29,11 @@ func sameSubtree(a, b *Node, path string) error {
 			path, a.Key, b.Key, a.PrefixLen, b.PrefixLen, a.Size, b.Size, a.IsLeaf(), b.IsLeaf())
 	}
 	if a.IsLeaf() {
-		if len(a.Keys) != len(b.Keys) || len(a.Pts) != len(b.Pts) {
+		if len(a.Keys) != len(b.Keys) || len(a.lanes) != len(b.lanes) {
 			return fmt.Errorf("%s: leaf holds %d/%d keys", path, len(a.Keys), len(b.Keys))
 		}
 		for i := range a.Keys {
-			if a.Keys[i] != b.Keys[i] || a.Pts[i] != b.Pts[i] {
+			if a.Keys[i] != b.Keys[i] || a.point(i) != b.point(i) {
 				return fmt.Errorf("%s: leaf entry %d differs", path, i)
 			}
 		}

@@ -159,47 +159,64 @@ func (c *Config) fill() {
 const layerNew Layer = 0xFF
 
 // Node is one logical zd-tree node. Leaves have Left == nil.
+//
+// Fields are ordered for size: 144 bytes, a Go size class, with the
+// one-byte fields packed behind the Box. Host bytes are not modeled bytes —
+// the model prices nodes and leaves by the declared constants (nodeBytes,
+// leafBytesOf), not by this struct.
 type Node struct {
 	Left, Right *Node
 	Key         uint64 // representative key
-	PrefixLen   uint8
 	Box         geom.Box
-
-	// Subtree-size counters (§3.4): Size is the exact count known to the
-	// master copy (masters lie on every update path, so they stay exact at
-	// zero extra traffic); SC is the lazily-synchronized global snapshot
-	// all replicas see; Delta is the drift accumulated since the last
-	// snapshot sync. Lemma 3.1: T/2 <= SC <= 2T.
-	Size  int64
-	SC    int64
-	Delta int64
-
-	Layer Layer
-	Chunk *Chunk // meta-node containing this node (nil for L0 nodes)
-
-	// Leaf payload (sorted by key).
-	Keys []uint64
-	Pts  []geom.Point
-
-	// lanes caches the leaf coordinates in dim-major SoA order:
-	// lane[d*len(Pts)+i] == Pts[i].Coords[d]. The fused leaf kernels
-	// (kernels.go) stream these contiguous lanes instead of chasing Point
-	// structs. The cache is built lazily on a leaf's first kernel scan
-	// (laneData) so construction and update batches never pay for it, and
-	// dropped on every leaf mutation (newLeaf, refreshLeaf,
-	// deleteFromLeaf). Query waves scan leaves concurrently, hence the
-	// atomic publish: racing builders store equal slices, either wins.
-	// Lanes are host-side acceleration only — modeled storage and traffic
-	// still count the AoS payload (leafBytesOf).
-	lanes atomic.Pointer[[]uint32]
+	PrefixLen   uint8
+	Layer       Layer
 
 	// dirty marks structural modification since the last relayout, so the
 	// layout pass only charges movement for chunks that actually changed.
 	dirty bool
+
+	// Subtree-size counters (§3.4): Size is the exact count known to the
+	// master copy (masters lie on every update path, so they stay exact at
+	// zero extra traffic); SC is the lazily-synchronized global snapshot
+	// all replicas see, and Size−SC the drift accumulated since the last
+	// snapshot sync. Lemma 3.1: T/2 <= SC <= 2T.
+	Size int64
+	SC   int64
+
+	Chunk *Chunk // meta-node containing this node (nil for L0 nodes)
+
+	// Leaf payload, sorted by key: Keys[i] is the key of point i, whose
+	// coordinates are stored once, dim-major, in lanes:
+	// lanes[d*len(Keys)+i] is coordinate d of point i. The fused leaf
+	// kernels (kernels.go) stream these contiguous lanes; a geom.Point is
+	// materialised (point) only where an API hands one out.
+	Keys  []uint64
+	lanes []uint32
 }
 
 // IsLeaf reports whether n is a leaf.
 func (n *Node) IsLeaf() bool { return n.Left == nil }
+
+// point materialises point i of leaf n from its lanes (a leaf's Box carries
+// the dimensionality).
+func (n *Node) point(i int) geom.Point {
+	m := len(n.Keys)
+	p := geom.Point{Dims: n.Box.Lo.Dims}
+	for d := range int(p.Dims) {
+		p.Coords[d] = n.lanes[d*m+i]
+	}
+	return p
+}
+
+// Pts yields a leaf's points with their indexes, in key order (nothing for
+// an internal node): for i, p := range n.Pts.
+func (n *Node) Pts(yield func(int, geom.Point) bool) {
+	for i := range n.Keys {
+		if !yield(i, n.point(i)) {
+			return
+		}
+	}
+}
 
 // Chunk is a meta-node (§3.2): a connected group of same-layer nodes
 // placed together on one PIM module.
@@ -382,14 +399,15 @@ func (b batch) slice(lo, hi int) batch {
 	return batch{keys: b.keys[lo:hi], idx: b.idx[lo:hi], pts: b.pts}
 }
 
-// gather copies the batch's points into dst in key order.
-func (b batch) gather(dst []geom.Point) {
-	if b.idx == nil {
-		copy(dst, b.pts)
-		return
-	}
-	for i, j := range b.idx {
-		dst[i] = b.pts[j]
+// gather writes the batch's coordinates into dst as dim-major lanes:
+// dst[d*len+i] is coordinate d of sorted position i.
+func (b batch) gather(dst []uint32, dims int) {
+	m := b.len()
+	for i := range m {
+		p := b.pt(i)
+		for d := range dims {
+			dst[d*m+i] = p.Coords[d]
+		}
 	}
 }
 
@@ -499,16 +517,17 @@ func (t *Tree) buildLogical(b batch) *Node {
 }
 
 func (t *Tree) newLeaf(b batch) *Node {
+	dims := int(t.cfg.Dims)
 	n := &Node{
 		Key:   b.keys[0],
 		Size:  int64(b.len()),
 		SC:    int64(b.len()),
 		Layer: layerNew,
 		Keys:  make([]uint64, b.len()),
-		Pts:   make([]geom.Point, b.len()),
+		lanes: make([]uint32, b.len()*dims),
 	}
 	copy(n.Keys, b.keys)
-	b.gather(n.Pts)
+	b.gather(n.lanes, dims)
 	n.PrefixLen = t.leafPrefixLen(n.Keys)
 	n.Box = morton.PrefixBox(n.Key, uint(n.PrefixLen), t.cfg.Dims)
 	return n
@@ -523,31 +542,6 @@ func (t *Tree) leafPrefixLen(keys []uint64) uint8 {
 	}
 	return uint8(morton.CommonPrefixLen(keys[0], keys[len(keys)-1], int(t.cfg.Dims)))
 }
-
-// laneData returns the leaf's dim-major coordinate lanes, building and
-// caching them on first use. Concurrent callers may build redundantly;
-// the slices are equal, so whichever atomic store lands last is as good
-// as the other — no locking, and clean under the race detector.
-func (n *Node) laneData(dims int) []uint32 {
-	if p := n.lanes.Load(); p != nil {
-		return *p
-	}
-	m := len(n.Pts)
-	lane := make([]uint32, m*dims)
-	for d := 0; d < dims; d++ {
-		ld := lane[d*m : (d+1)*m]
-		for i := range ld {
-			ld[i] = n.Pts[i].Coords[d]
-		}
-	}
-	n.lanes.Store(&lane)
-	return lane
-}
-
-// dropLanes invalidates the cached lanes after a leaf payload rewrite.
-// Update batches never run concurrently with query waves, so a plain
-// store is safe.
-func (n *Node) dropLanes() { n.lanes.Store(nil) }
 
 // splitAtBit returns the index of the first key with the given bit set;
 // keys must be sorted.
@@ -607,7 +601,9 @@ func (t *Tree) Points() []geom.Point {
 			return
 		}
 		if n.IsLeaf() {
-			out = append(out, n.Pts...)
+			for i := range n.Keys {
+				out = append(out, n.point(i))
+			}
 			return
 		}
 		rec(n.Left)

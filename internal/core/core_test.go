@@ -195,8 +195,7 @@ func TestSearchFindsStoredPoints(t *testing.T) {
 				t.Fatalf("%v: query %d missing leaf", tuning, i)
 			}
 			found := false
-			for j, p := range r.Terminal.Pts {
-				_ = j
+			for _, p := range r.Terminal.Pts {
 				if p.Equal(pts[i]) {
 					found = true
 				}

@@ -7,8 +7,8 @@ import "math"
 // keeping them exact costs no extra communication. What is expensive is
 // synchronizing the replicated snapshot (SC) held by the node's copies —
 // the P-wide L0 replica and the L1 cache copies. Changes therefore
-// accumulate in Delta and the snapshot is re-broadcast only when Delta
-// leaves the layer's window:
+// accumulate as the drift Delta = Size − SC and the snapshot is
+// re-broadcast only when Delta leaves the layer's window:
 //
 //	L0:  -ThetaL0/2          < Delta < ThetaL0
 //	L1:  -m/2 < Delta < m    where m = min{ThetaL1, log_B(ThetaL0/ThetaL1)}
@@ -87,7 +87,6 @@ func (t *Tree) replicaCount(n *Node) int64 {
 // branches, each on its own arena.
 func (t *Tree) applyDelta(n *Node, delta int64, st *updateStats) {
 	n.Size += delta
-	n.Delta += delta
 	if t.cfg.DisableLazyCounters {
 		// Strict consistency (the Table 3 ablation): every operation's
 		// increment must reach the master and every replica individually
@@ -99,12 +98,11 @@ func (t *Tree) applyDelta(n *Node, delta int64, st *updateStats) {
 		}
 		t.chargeCounterMessages(n, ops, st)
 		n.SC = n.Size
-		n.Delta = 0
 		st.syncs += ops
 		return
 	}
 	lo, hi := t.deltaWindow(n)
-	if n.Delta >= hi || n.Delta <= lo || n.Delta == 0 {
+	if drift := n.Size - n.SC; drift >= hi || drift <= lo || drift == 0 {
 		t.syncCounter(n, st)
 	}
 }
@@ -139,11 +137,10 @@ func (t *Tree) chargeCounterMessages(n *Node, count int64, st *updateStats) {
 // cost strict consistency pays on every update and lazy counters pay only
 // on window overflow (the Table 3 "Lazy Counter" ablation).
 func (t *Tree) syncCounter(n *Node, st *updateStats) {
-	if n.Delta == 0 && n.SC == n.Size {
+	if n.SC == n.Size {
 		return
 	}
 	n.SC = n.Size
-	n.Delta = 0
 	st.syncs++
 	if m := t.moduleOf(n); m >= 0 {
 		st.syncBytes[m] += counterMsgBytes

@@ -2,11 +2,11 @@ package core
 
 import "pimzdtree/internal/geom"
 
-// Fused lane-wise leaf kernels (ISSUE 6). Every leaf scan in the query
-// paths — kNN candidate scoring, sphere fetches, and box filters — runs
-// through these routines, which stream the leaf's dim-major coordinate
-// lanes (built lazily by Node.laneData on first scan) in fixed-size
-// blocks instead of loading one geom.Point struct per comparison. Distance computation and the
+// Fused lane-wise leaf kernels. Every leaf scan in the query paths — kNN
+// candidate scoring, sphere fetches, and box filters — runs through these
+// routines, which stream the leaf's dim-major coordinate lanes (its only
+// coordinate store, Node.lanes) in fixed-size blocks and materialise a
+// geom.Point only for a point they hand out. Distance computation and the
 // bound/box test are fused into a single pass per block with all slice
 // bounds checks hoisted; inner loops are branch-free (sign-mask absolute
 // values, underflow-mask interval tests) so the host pipelines them.
@@ -67,18 +67,18 @@ func leafCoarseDists(data []uint32, total, off, m int, q geom.Point, metric geom
 
 // scanLeafKNN scores every point of leaf n under the coarse metric and
 // feeds them to cs in index order — semantically identical to the scalar
-// per-point coarse.Dist + add loop it replaces.
+// per-point coarse.Dist + add loop it replaces. Only points inside the
+// current bound (the ones add would keep) are materialised.
 func scanLeafKNN(n *Node, q geom.Point, coarse geom.Metric, cs *candState, k int) {
 	var dist [leafBlock]uint64
-	data := n.laneData(int(q.Dims))
-	for off := 0; off < len(n.Pts); off += leafBlock {
-		m := len(n.Pts) - off
-		if m > leafBlock {
-			m = leafBlock
-		}
-		leafCoarseDists(data, len(n.Pts), off, m, q, coarse, &dist)
+	total := len(n.Keys)
+	for off := 0; off < total; off += leafBlock {
+		m := min(total-off, leafBlock)
+		leafCoarseDists(n.lanes, total, off, m, q, coarse, &dist)
 		for i := 0; i < m; i++ {
-			cs.add(n.Pts[off+i], dist[i], k)
+			if dist[i] < cs.bound {
+				cs.add(n.point(off+i), dist[i], k)
+			}
 		}
 	}
 }
@@ -88,16 +88,13 @@ func scanLeafKNN(n *Node, q geom.Point, coarse geom.Metric, cs *candState, k int
 func scanLeafSphere(n *Node, q geom.Point, coarse geom.Metric, bound uint64, emit func(geom.Point)) int64 {
 	var dist [leafBlock]uint64
 	var hits int64
-	data := n.laneData(int(q.Dims))
-	for off := 0; off < len(n.Pts); off += leafBlock {
-		m := len(n.Pts) - off
-		if m > leafBlock {
-			m = leafBlock
-		}
-		leafCoarseDists(data, len(n.Pts), off, m, q, coarse, &dist)
+	total := len(n.Keys)
+	for off := 0; off < total; off += leafBlock {
+		m := min(total-off, leafBlock)
+		leafCoarseDists(n.lanes, total, off, m, q, coarse, &dist)
 		for i := 0; i < m; i++ {
 			if dist[i] <= bound {
-				emit(n.Pts[off+i])
+				emit(n.point(off + i))
 				hits++
 			}
 		}
@@ -129,13 +126,10 @@ func leafBoxFlags(data []uint32, total, off, m int, box geom.Box, flags *[leafBl
 func countLeafBox(n *Node, box geom.Box) int64 {
 	var flags [leafBlock]uint64
 	var cnt uint64
-	data := n.laneData(int(box.Lo.Dims))
-	for off := 0; off < len(n.Pts); off += leafBlock {
-		m := len(n.Pts) - off
-		if m > leafBlock {
-			m = leafBlock
-		}
-		leafBoxFlags(data, len(n.Pts), off, m, box, &flags)
+	total := len(n.Keys)
+	for off := 0; off < total; off += leafBlock {
+		m := min(total-off, leafBlock)
+		leafBoxFlags(n.lanes, total, off, m, box, &flags)
 		for _, f := range flags[:m] {
 			cnt += f
 		}
@@ -147,13 +141,10 @@ func countLeafBox(n *Node, box geom.Box) int64 {
 // inside box, in increasing index order.
 func forEachLeafBoxHit(n *Node, box geom.Box, emit func(int)) {
 	var flags [leafBlock]uint64
-	data := n.laneData(int(box.Lo.Dims))
-	for off := 0; off < len(n.Pts); off += leafBlock {
-		m := len(n.Pts) - off
-		if m > leafBlock {
-			m = leafBlock
-		}
-		leafBoxFlags(data, len(n.Pts), off, m, box, &flags)
+	total := len(n.Keys)
+	for off := 0; off < total; off += leafBlock {
+		m := min(total-off, leafBlock)
+		leafBoxFlags(n.lanes, total, off, m, box, &flags)
 		for i := 0; i < m; i++ {
 			if flags[i] != 0 {
 				emit(off + i)

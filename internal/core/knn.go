@@ -420,7 +420,7 @@ func (t *Tree) expandL0KNN(qi int32, n *Node, q geom.Point, cs *candState, k int
 		}
 		if n.IsLeaf() {
 			scanLeafKNN(n, q, coarse, cs, k)
-			work += int64(len(n.Pts)) * (int64(q.Dims) + costmodel.WorkHeapOp)
+			work += int64(len(n.Keys)) * (int64(q.Dims) + costmodel.WorkHeapOp)
 			return
 		}
 		// Nearer child first to tighten the bound early.
@@ -462,7 +462,7 @@ func (t *Tree) knnChunkScan(c *Chunk, e entry, q geom.Point, local *candState, k
 		}
 		if n.IsLeaf() {
 			scanLeafKNN(n, q, coarse, local, k)
-			work += int64(len(n.Pts)) * pimDistCost(coarse, q.Dims)
+			work += int64(len(n.Keys)) * pimDistCost(coarse, q.Dims)
 			return
 		}
 		a, b := n.Left, n.Right
@@ -525,7 +525,7 @@ func (t *Tree) expandL0Sphere(qi int32, n *Node, q geom.Point, bound uint64, coa
 			return
 		}
 		if n.IsLeaf() {
-			work += int64(len(n.Pts)) * int64(q.Dims)
+			work += int64(len(n.Keys)) * int64(q.Dims)
 			scanLeafSphere(n, q, coarse, bound, func(p geom.Point) {
 				*found = append(*found, foundPoint{qi: qi, p: p})
 			})
@@ -554,7 +554,7 @@ func (t *Tree) sphereChunkScan(c *Chunk, e entry, q geom.Point, bound uint64, co
 			return
 		}
 		if n.IsLeaf() {
-			work += int64(len(n.Pts)) * distCost
+			work += int64(len(n.Keys)) * distCost
 			outBytes += scanLeafSphere(n, q, coarse, bound, addPoint) * pointBytes
 			return
 		}

@@ -251,12 +251,12 @@ func hashNode(h uint64, n *Node) uint64 {
 	h = fnvStep(h, uint64(n.PrefixLen))
 	h = fnvStep(h, uint64(n.Size))
 	h = fnvStep(h, uint64(n.SC))
-	h = fnvStep(h, uint64(n.Delta))
+	h = fnvStep(h, uint64(n.Size-n.SC)) // the lazy-counter drift
 	h = fnvStep(h, uint64(n.Layer))
 	if n.IsLeaf() {
 		for i, k := range n.Keys {
 			h = fnvStep(h, k)
-			h = fnvStep(h, hashPoint(n.Pts[i]))
+			h = fnvStep(h, hashPoint(n.point(i)))
 		}
 		return h
 	}

@@ -13,6 +13,15 @@ import "pimzdtree/internal/parallel"
 // every buffer Keep rejects is released and the mark drops to that batch.
 // The test is one comparison per batch; same-sized and alternating batches
 // (a round of 16 384 searches, 2 048 kNN, 2 048 boxes) never trip it.
+//
+// The found-point buffers (the sphere and box-fetch sink, the workers'
+// final-filter arenas) are sized by answers, not by batches: one kNN query
+// from an isolated point can sweep a whole dense cluster into its sphere.
+// Their own rule runs after every batch (trimFound): they are judged by
+// what this batch collected — nothing, for a batch that fetched nothing —
+// with an allowance of about one element per stored point. A kNN batch
+// whose spheres hold more than the tree does not pin them past the next
+// batch, and a large tree's steady rounds of kNN spheres keep theirs.
 
 // noteScratch records that the current batch needs n elements of scratch.
 func (t *Tree) noteScratch(n int) {
@@ -21,6 +30,7 @@ func (t *Tree) noteScratch(n int) {
 
 // trimScratch ends a batch (deferred by every batch operation).
 func (t *Tree) trimScratch() {
+	t.trimFound()
 	peak := t.scratchPeak
 	t.scratchPeak = 0
 	if !parallel.Oversized(t.scratchHigh, peak) {
@@ -64,6 +74,18 @@ func (t *Tree) trimScratch() {
 	st.used = parallel.Keep(st.used, peak)
 	clear(t.arenaFree)
 	t.arenaFree = t.arenaFree[:0]
+}
+
+// trimFound applies the found-point rule (see above): Keep judges the
+// buffers by max(what this batch found, a quarter of the stored points), so
+// they may stay about as large as the tree.
+func (t *Tree) trimFound() {
+	used := max(t.found.size(), t.Size()/4)
+	t.found.trim(used)
+	ws := t.workers[:cap(t.workers)]
+	for w := range ws {
+		ws[w].arena = parallel.Keep(ws[w].arena, used)
+	}
 }
 
 // trimSlots applies Keep to every slot of a growSlots arena, including the

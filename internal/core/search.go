@@ -550,7 +550,7 @@ func (t *Tree) ContainsBatch(points []geom.Point) []bool {
 		}
 		key := morton.EncodePoint(points[i])
 		for j, k := range term.Keys {
-			if k == key && term.Pts[j].Equal(points[i]) {
+			if k == key && term.point(j).Equal(points[i]) {
 				found[i] = true
 				break
 			}

@@ -333,8 +333,8 @@ func (t *Tree) insertSplitForked(n *Node, sameSide, otherSide batch, st *updateS
 // insertIntoLeaf merges the sorted batch b into leaf n (Alg. 2 steps
 // 2a/2b), splitting overflowing leaves. The merge runs in the arena-owned
 // scratch; when the result still fits one leaf, n is refreshed in place
-// (reusing its payload arrays) into exactly the state a freshly built leaf
-// would have, so the fit path allocates nothing in steady state.
+// (reusing its key and lane arrays) into exactly the state a freshly built
+// leaf would have, so the fit path allocates nothing in steady state.
 func (t *Tree) insertIntoLeaf(n *Node, b batch, st *updateStats) *Node {
 	mod := nonNeg(t.moduleOf(n))
 	st.leafIn[mod] += int64(b.len()) * pointBytes
@@ -349,14 +349,16 @@ func (t *Tree) insertIntoLeaf(n *Node, b batch, st *updateStats) *Node {
 	i, j := 0, 0
 	for i < len(n.Keys) && j < b.len() {
 		if n.Keys[i] <= b.keys[j] {
-			keys, pts = append(keys, n.Keys[i]), append(pts, n.Pts[i])
+			keys, pts = append(keys, n.Keys[i]), append(pts, n.point(i))
 			i++
 		} else {
 			keys, pts = append(keys, b.keys[j]), append(pts, b.pt(j))
 			j++
 		}
 	}
-	keys, pts = append(keys, n.Keys[i:]...), append(pts, n.Pts[i:]...)
+	for ; i < len(n.Keys); i++ {
+		keys, pts = append(keys, n.Keys[i]), append(pts, n.point(i))
+	}
 	for ; j < b.len(); j++ {
 		keys, pts = append(keys, b.keys[j]), append(pts, b.pt(j))
 	}
@@ -379,16 +381,15 @@ func (t *Tree) insertIntoLeaf(n *Node, b batch, st *updateStats) *Node {
 // refreshLeaf rewrites leaf n over the merged payload, field for field what
 // newLeaf plus markNew would produce for it (layer unassigned, no chunk,
 // dirty, counters exact) — so the layout diff treats the refreshed node
-// exactly like a replacement, while the payload arrays are reused.
+// exactly like a replacement, while the key and lane arrays are reused.
 func (t *Tree) refreshLeaf(n *Node, b batch) {
+	dims := int(t.cfg.Dims)
 	n.Keys = append(n.Keys[:0], b.keys...)
-	n.Pts = slices.Grow(n.Pts[:0], b.len())[:b.len()]
-	b.gather(n.Pts)
-	n.dropLanes()
+	n.lanes = slices.Grow(n.lanes[:0], b.len()*dims)[:b.len()*dims]
+	b.gather(n.lanes, dims)
 	n.Key = n.Keys[0]
 	n.Size = int64(b.len())
 	n.SC = n.Size
-	n.Delta = 0
 	n.Layer = layerNew
 	n.Chunk = nil
 	n.dirty = true
@@ -596,6 +597,8 @@ func (t *Tree) deleteForked(n *Node, b batch, split int, st *updateStats) int64 
 	return removedL + removedR
 }
 
+// deleteFromLeaf removes one stored instance of each matching batch point
+// from leaf n, compacting its keys and lanes in place.
 func (t *Tree) deleteFromLeaf(n *Node, b batch, st *updateStats) (*Node, int64) {
 	mod := nonNeg(t.moduleOf(n))
 	st.leafWork[mod] += int64(len(n.Keys)) * 2
@@ -606,40 +609,45 @@ func (t *Tree) deleteFromLeaf(n *Node, b batch, st *updateStats) (*Node, int64) 
 	for j := range used {
 		used[j] = false
 	}
-	keepKeys := n.Keys[:0]
-	keepPts := n.Pts[:0]
-	var removed int64
-	for i := range n.Keys {
+	// Survivors move down to index keep, lane by lane at the old stride m
+	// (keep <= i, so no unread coordinate is overwritten); the lanes close
+	// up to the new stride once keep is known.
+	m, dims, keep := len(n.Keys), int(t.cfg.Dims), 0
+	for i := range m {
 		hit := false
 		for j, k := range b.keys {
-			if !used[j] && k == n.Keys[i] && b.pt(j).Equal(n.Pts[i]) {
+			if !used[j] && k == n.Keys[i] && b.pt(j).Equal(n.point(i)) {
 				used[j] = true
 				hit = true
 				break
 			}
 		}
 		if hit {
-			removed++
-		} else {
-			keepKeys = append(keepKeys, n.Keys[i])
-			keepPts = append(keepPts, n.Pts[i])
+			continue
 		}
+		n.Keys[keep] = n.Keys[i]
+		for d := range dims {
+			n.lanes[d*m+keep] = n.lanes[d*m+i]
+		}
+		keep++
 	}
+	removed := int64(m - keep)
 	if removed == 0 {
 		return n, 0
 	}
 	n.dirty = true
-	if len(keepKeys) == 0 {
+	if keep == 0 {
 		return nil, removed
 	}
-	n.Keys = keepKeys
-	n.Pts = keepPts
-	n.dropLanes()
-	n.Size = int64(len(keepKeys))
+	for d := 1; d < dims; d++ {
+		copy(n.lanes[d*keep:], n.lanes[d*m:d*m+keep])
+	}
+	n.Keys = n.Keys[:keep]
+	n.lanes = n.lanes[:keep*dims]
+	n.Size = int64(keep)
 	n.SC = n.Size
-	n.Delta = 0
-	n.PrefixLen = t.leafPrefixLen(keepKeys)
-	n.Key = keepKeys[0]
+	n.PrefixLen = t.leafPrefixLen(n.Keys)
+	n.Key = n.Keys[0]
 	n.Box = morton.PrefixBox(n.Key, uint(n.PrefixLen), t.cfg.Dims)
 	return n, removed
 }
@@ -661,9 +669,6 @@ func (t *Tree) CheckInvariants() error {
 		if n.Layer == L0 && n.Chunk != nil {
 			return 0, errf("L0 node with chunk")
 		}
-		if n.SC != n.Size-n.Delta {
-			return 0, errf("counter identity broken: SC=%d Size=%d Delta=%d", n.SC, n.Size, n.Delta)
-		}
 		if n.IsLeaf() {
 			if len(n.Keys) == 0 {
 				return 0, errf("empty leaf")
@@ -671,21 +676,12 @@ func (t *Tree) CheckInvariants() error {
 			if int64(len(n.Keys)) != n.Size {
 				return 0, errf("leaf size %d != %d", n.Size, len(n.Keys))
 			}
-			var lane []uint32 // lazily built: nil until the first kernel scan
-			if p := n.lanes.Load(); p != nil {
-				lane = *p
-				if len(lane) != len(n.Pts)*int(t.cfg.Dims) {
-					return 0, errf("leaf lane length %d != %d points x %d dims", len(lane), len(n.Pts), t.cfg.Dims)
-				}
+			if len(n.lanes) != len(n.Keys)*int(t.cfg.Dims) {
+				return 0, errf("leaf lane length %d != %d points x %d dims", len(n.lanes), len(n.Keys), t.cfg.Dims)
 			}
 			for i, k := range n.Keys {
-				if morton.EncodePoint(n.Pts[i]) != k {
-					return 0, errf("leaf key/point mismatch")
-				}
-				for d := 0; lane != nil && d < int(t.cfg.Dims); d++ {
-					if lane[d*len(n.Pts)+i] != n.Pts[i].Coords[d] {
-						return 0, errf("leaf lane desync at point %d dim %d", i, d)
-					}
+				if morton.EncodePoint(n.point(i)) != k {
+					return 0, errf("leaf key/point mismatch at point %d", i)
 				}
 				if i > 0 && k < n.Keys[i-1] {
 					return 0, errf("leaf keys unsorted")

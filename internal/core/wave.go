@@ -231,18 +231,46 @@ type sinkBuf struct {
 // sinkSeg locates a slot's finds: bufs[worker].pts[lo:hi].
 type sinkSeg struct{ worker, lo, hi int }
 
-// reset empties the sink for a new traversal. Buffers are kept for reuse
-// as far as parallel.Keep allows, judged by what the last traversal put
-// there.
+// reset prepares the sink for a new traversal: a buffer per host worker
+// and no slots. The buffers are empty, as every batch ends by emptying them
+// (trim, which also decides what they keep).
 func (ps *pointSink) reset() {
 	if n := parallel.Workers(); len(ps.bufs) < n {
 		ps.bufs = append(ps.bufs, make([]sinkBuf, n-len(ps.bufs))...)
 	}
-	for w := range ps.bufs {
-		b := &ps.bufs[w]
-		b.pts = parallel.Keep(b.pts, len(b.pts))[:0]
-	}
 	ps.segs = ps.segs[:0]
+}
+
+// size returns how many finds the sink holds: what the current batch
+// collected, since every batch ends by emptying it (trim).
+func (ps *pointSink) size() int {
+	n := 0
+	for w := range ps.bufs {
+		n += len(ps.bufs[w].pts)
+	}
+	return n
+}
+
+// trim empties the sink at the end of a batch, releasing the buffers
+// parallel.Keep rejects for `used` elements of scratch. The workers' append
+// buffers split one traversal's finds between them, so they are judged
+// together.
+func (ps *pointSink) trim(used int) {
+	capacity := 0
+	for w := range ps.bufs {
+		capacity += cap(ps.bufs[w].pts)
+	}
+	release := parallel.Oversized(capacity, used)
+	for w := range ps.bufs {
+		if release {
+			ps.bufs[w].pts = nil
+		} else {
+			ps.bufs[w].pts = ps.bufs[w].pts[:0]
+		}
+	}
+	ps.segs = parallel.Keep(ps.segs, used)
+	ps.offs = parallel.Keep(ps.offs, used)
+	ps.arena = parallel.Keep(ps.arena, used)
 }
 
 // extend adds n empty slots and returns the index of the first. Like open
