@@ -1,26 +1,35 @@
 # Standard entry points for the PIM-zd-tree reproduction.
 #
-# `make ci` is the gate: build, vet, then the full test suite under the
-# race detector with GOMAXPROCS=4 so the parallel sort/semisort/scan paths
-# — and the forked round handlers, per-query host loops and pulled-chunk
-# wave scans (TestPushedRoundMultiWorker, TestPulledScanMultiWorker,
-# pim's TestRoundSchedule) — actually run multi-worker (a 1-core CI would
-# otherwise never exercise them), the memory gates without the race
-# detector (which makes them skip), the CLI smoke run, the experiment CSVs
-# compared across GOMAXPROCS, and the benchmark module's own vet + tests.
+# `make ci` is the gate: build, vet, the dead-code check, then the full
+# test suite under the race detector with GOMAXPROCS=4 so the parallel
+# sort/semisort/scan paths — and the forked round handlers, per-query host
+# loops and pulled-chunk wave scans (TestPushedRoundMultiWorker,
+# TestPulledScanMultiWorker, pim's TestRoundSchedule) — actually run
+# multi-worker (a 1-core CI would otherwise never exercise them), the
+# memory gates without the race detector (which makes them skip), the CLI
+# smoke run, the experiment CSVs compared across GOMAXPROCS, and the
+# benchmark module's own vet + tests.
 # Wall-clock speed is not gated here: benchmark/ + BENCHMARK.json own it.
 
 GO ?= go
 
-.PHONY: ci build vet fmt test race footprint bench smoke determinism benchmark-module profile
+.PHONY: ci build vet deadcode fmt test race footprint bench smoke determinism benchmark-module profile
 
-ci: build vet fmt race footprint smoke determinism benchmark-module
+ci: build vet deadcode fmt race footprint smoke determinism benchmark-module
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Nothing under internal/, cmd/ or tools/ lives only for its tests: every
+# package-level identifier there is reached from production code (the
+# benchmark module counts as a consumer). Exceptions sit in
+# tools/deadcode/allowlist.txt, each with its reason. The checker's own
+# fixture test runs with `go test ./...`; the whole-repo scan runs here.
+deadcode:
+	$(GO) run ./tools/deadcode
 
 # Every Go file, the benchmark module's included, is gofmt-clean.
 fmt:
@@ -56,7 +65,9 @@ footprint:
 	$(GO) test -count=1 -run 'TestNodeSize|TestBuildKeepsNoBuildScratch|TestQueryPassAddsNoPerPointHeap|TestBulkInsertScratchIsReturned|TestAlternatingBatchesKeepScratch|TestFarKNNScratchIsReturned' -v ./internal/core
 
 # CLI smoke tests: the trace exporters must emit parseable output
-# (Chrome trace-event JSON with events, and valid JSONL); the admin server
+# (Chrome trace-event JSON with events, and valid JSONL); pimzd-inspect
+# must find Lemma 3.1 and the structural invariants holding on a built
+# tree under both tunings (it exits 1 otherwise); the admin server
 # must come up with the flight recorder armed, pass its readiness probe
 # (/readyz, which gates on the published index, not just liveness), take
 # pimzd-loadgen traffic (the server generates none of its own), serve a
@@ -81,6 +92,8 @@ smoke:
 	$(GO) run ./cmd/pimzd-trace -op search -n 20000 -batch 500 -p 256 \
 		-format jsonl -out .smoke/search.jsonl
 	$(GO) run ./tools/checkjson -jsonl .smoke/search.jsonl
+	$(GO) run ./cmd/pimzd-inspect -n 20000 -p 128 -tuning throughput > /dev/null
+	$(GO) run ./cmd/pimzd-inspect -n 20000 -p 128 -tuning skew > /dev/null
 	$(GO) build -o .smoke/pimzd-serve ./cmd/pimzd-serve
 	$(GO) build -o .smoke/pimzd-trace ./cmd/pimzd-trace
 	$(GO) build -o .smoke/pimzd-loadgen ./cmd/pimzd-loadgen

@@ -2,7 +2,8 @@
 // prints its structural anatomy: layer thresholds, L0 size and placement,
 // chunk statistics, per-module space balance, lazy-counter health, and the
 // PIM-Model cost of the build. Useful for understanding how the Table 2
-// configurations shape the index.
+// configurations shape the index. It exits 1 if Lemma 3.1 or a structural
+// invariant fails on the built tree.
 //
 // Usage:
 //
@@ -16,7 +17,6 @@ import (
 
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/costmodel"
-	"pimzdtree/internal/geom"
 	"pimzdtree/internal/obs"
 	"pimzdtree/internal/stats"
 	"pimzdtree/internal/workload"
@@ -35,20 +35,21 @@ func main() {
 	flag.Parse()
 	obs.ServePprof(*pprof)
 
-	var pts = generate(*dataset, *seed, *n, uint8(*dims))
+	ds, err := workload.ParseDataset(*dataset)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	tun, err := core.ParseTuning(*tuning)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	pts := ds.Generate(*seed, *n, uint8(*dims))
 
 	machine := costmodel.UPMEMServer()
 	machine.PIMModules = *modules
-	cfg := core.Config{Dims: uint8(*dims), Machine: machine}
-	switch *tuning {
-	case "throughput":
-		cfg.Tuning = core.ThroughputOptimized
-	case "skew":
-		cfg.Tuning = core.SkewResistant
-	default:
-		fmt.Fprintf(os.Stderr, "unknown tuning %q\n", *tuning)
-		os.Exit(2)
-	}
+	cfg := core.Config{Dims: uint8(*dims), Machine: machine, Tuning: tun}
 
 	tree := core.New(cfg, pts)
 	st := tree.Stats()
@@ -73,13 +74,16 @@ func main() {
 	tb.AddRow("gini of data (2048 bins)", workload.Gini(pts, 2048))
 	fmt.Print(tb)
 
+	failed := false
 	if bad := tree.CheckCounterInvariant(); bad != nil {
-		fmt.Printf("\nWARNING: Lemma 3.1 violated: SC=%d Size=%d\n", bad.SC, bad.Size)
+		fmt.Printf("\nFAIL: Lemma 3.1 violated: SC=%d Size=%d\n", bad.SC, bad.Size)
+		failed = true
 	} else {
 		fmt.Println("\nlazy counters: Lemma 3.1 holds on every node (T/2 <= SC <= 2T)")
 	}
 	if err := tree.CheckInvariants(); err != nil {
-		fmt.Printf("WARNING: structural invariant violated: %v\n", err)
+		fmt.Printf("FAIL: structural invariant violated: %v\n", err)
+		failed = true
 	} else {
 		fmt.Println("structure: all invariants hold")
 	}
@@ -87,22 +91,8 @@ func main() {
 	m := tree.System().Metrics()
 	fmt.Printf("\nbuild cost: %d rounds, %s over the channels, %.4fs modeled\n",
 		m.Rounds, stats.HumanBytes(float64(m.ChannelBytes())), m.TotalSeconds())
-}
-
-func generate(dataset string, seed int64, n int, dims uint8) []geom.Point {
-	switch dataset {
-	case "uniform":
-		return workload.Uniform(seed, n, dims)
-	case "cosmos":
-		return workload.CosmosLike(seed, n, dims)
-	case "osm":
-		return workload.OSMLike(seed, n, dims)
-	case "varden":
-		return workload.Varden(seed, n, dims)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", dataset)
-		os.Exit(2)
-		return nil
+	if failed {
+		os.Exit(1)
 	}
 }
 

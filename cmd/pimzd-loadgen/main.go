@@ -266,7 +266,7 @@ func main() {
 		duration = flag.Duration("duration", 5*time.Second, "run length when -count is 0")
 		rps      = flag.Float64("rps", 0, "per-worker pacing cap in requests/second (0 = as fast as responses return)")
 		dims     = flag.Int("dims", 3, "point dimensionality (must match the server)")
-		dataset  = flag.String("dataset", "uniform", "point pool shape: uniform, cosmos, osm (match the server for hits)")
+		dataset  = flag.String("dataset", "uniform", "point pool shape: uniform, cosmos, osm, varden (match the server for hits)")
 		n        = flag.Int("n", 200_000, "point pool size (match the server's -n for search hits)")
 		seed     = flag.Int64("seed", 42, "pool + op mix seed (match the server's -seed)")
 		mix      = flag.String("mix", "search=70,insert=15,delete=5,knn=8,box=2", "op weights")
@@ -284,16 +284,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var ds workload.Dataset
-	switch *dataset {
-	case "uniform":
-		ds = workload.DatasetUniform
-	case "cosmos":
-		ds = workload.DatasetCosmos
-	case "osm":
-		ds = workload.DatasetOSM
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dataset)
+	ds, err := workload.ParseDataset(*dataset)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pimzd-loadgen:", err)
 		os.Exit(2)
 	}
 	opMix, err := parseMix(*mix, *k)

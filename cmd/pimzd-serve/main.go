@@ -45,7 +45,7 @@ func main() {
 		portFile    = flag.String("port-file", "", "write the bound admin address to this file once listening")
 		tcpAddr     = flag.String("tcp", "", "binary wire-protocol TCP listener address (empty = disabled)")
 		tcpPortFile = flag.String("tcp-port-file", "", "write the bound TCP address to this file once listening")
-		dataset     = flag.String("dataset", "uniform", "warmup data: uniform, cosmos, osm")
+		dataset     = flag.String("dataset", "uniform", "warmup data: uniform, cosmos, osm, varden")
 		n           = flag.Int("n", 200_000, "warmup points")
 		modules     = flag.Int("p", 512, "PIM modules per tree")
 		trees       = flag.Int("trees", 1, "Morton-prefix shards: partition the key space across this many parallel trees, each on its own simulated rack (1 = single tree)")

@@ -57,7 +57,7 @@ func main() {
 	}
 	var (
 		op      = flag.String("op", "search", "operation: search, insert, delete, knn, boxcount, boxfetch")
-		dataset = flag.String("dataset", "uniform", "workload: uniform, cosmos, osm")
+		dataset = flag.String("dataset", "uniform", "workload: uniform, cosmos, osm, varden")
 		n       = flag.Int("n", 200_000, "warmup points")
 		batch   = flag.Int("batch", 10_000, "batch size")
 		modules = flag.Int("p", 2048, "PIM modules per tree")
@@ -86,26 +86,21 @@ func main() {
 		*sample = 1
 	}
 
-	var ds workload.Dataset
-	switch *dataset {
-	case "uniform":
-		ds = workload.DatasetUniform
-	case "cosmos":
-		ds = workload.DatasetCosmos
-	case "osm":
-		ds = workload.DatasetOSM
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dataset)
+	ds, err := workload.ParseDataset(*dataset)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	tun, err := core.ParseTuning(*tuning)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	data := ds.Generate(*seed, *n, 3)
 
 	machine := costmodel.UPMEMServer()
 	machine.PIMModules = *modules
-	cfg := core.Config{Dims: 3, Machine: machine}
-	if *tuning == "skew" {
-		cfg.Tuning = core.SkewResistant
-	}
+	cfg := core.Config{Dims: 3, Machine: machine, Tuning: tun}
 	// Attach the recorder after the build so the trace covers only the
 	// measured operation (mirroring the metrics reset). With -trees > 1
 	// the op runs through the shard router; the per-shard recorders merge

@@ -508,8 +508,6 @@ func DatasetInfo(w io.Writer, p Params) {
 	fmt.Fprint(w, tb)
 }
 
-var _ = geom.L2 // used indirectly by runners
-
 // EnergyRow is one (system, op) energy measurement — an extension beyond
 // the paper, which cites energy studies (§7.1) but reports only traffic.
 type EnergyRow struct {

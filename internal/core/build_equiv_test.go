@@ -88,7 +88,7 @@ func TestBuildEquivalence(t *testing.T) {
 				}
 
 				other := New(cfg, shuffled)
-				if err := sameSubtree(built.Root(), other.Root(), "root"); err != nil {
+				if err := sameSubtree(built.root, other.root, "root"); err != nil {
 					t.Errorf("New(shuffled): %v", err)
 				}
 				if a, b := built.System().Metrics(), other.System().Metrics(); a != b {
@@ -100,7 +100,7 @@ func TestBuildEquivalence(t *testing.T) {
 
 				inserted := New(cfg, nil)
 				inserted.Insert(shuffled)
-				if err := sameSubtree(built.Root(), inserted.Root(), "root"); err != nil {
+				if err := sameSubtree(built.root, inserted.root, "root"); err != nil {
 					t.Errorf("Insert into empty: %v", err)
 				}
 				if err := inserted.CheckInvariants(); err != nil {
@@ -108,7 +108,7 @@ func TestBuildEquivalence(t *testing.T) {
 				}
 
 				other.Rebuild()
-				if err := sameSubtree(built.Root(), other.Root(), "root"); err != nil {
+				if err := sameSubtree(built.root, other.root, "root"); err != nil {
 					t.Errorf("Rebuild: %v", err)
 				}
 				if err := other.CheckInvariants(); err != nil {

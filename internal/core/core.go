@@ -103,6 +103,17 @@ func (t Tuning) String() string {
 	}
 }
 
+// ParseTuning maps a preset name to its Tuning: "throughput" or "skew".
+func ParseTuning(name string) (Tuning, error) {
+	switch name {
+	case "throughput":
+		return ThroughputOptimized, nil
+	case "skew":
+		return SkewResistant, nil
+	}
+	return 0, fmt.Errorf("unknown tuning %q (throughput, skew)", name)
+}
+
 // Config configures a PIM-zd-tree.
 type Config struct {
 	Dims    uint8
@@ -262,10 +273,10 @@ type Tree struct {
 	chunks map[uint64]*Chunk
 	nextID uint64
 
-	// pub is the atomically published (root, epoch) pair read by the
-	// serving engine's epoch fence (see epoch.go). Written only at update
-	// boundaries, read from any goroutine.
-	pub atomic.Pointer[published]
+	// epoch counts applied update batches for the serving engine's epoch
+	// fence (see epoch.go). Written only at update boundaries, read from
+	// any goroutine.
+	epoch atomic.Uint64
 
 	// Aggregate statistics.
 	counterSyncs   int64
@@ -338,7 +349,6 @@ func New(cfg Config, points []geom.Point) *Tree {
 		t.root = t.bulkBuild(points, "sort", "build-logical")
 	}
 	t.relayout()
-	t.pub.Store(&published{root: t.root, epoch: 0})
 	rec.EndOp()
 	return t
 }
@@ -364,10 +374,6 @@ func (t *Tree) P() int { return t.sys.P() }
 func (t *Tree) Thresholds() (thetaL0, thetaL1, b int64) {
 	return t.thetaL0, t.thetaL1, t.chunkB
 }
-
-// L0OnModules reports whether L0 is replicated across modules (true) or
-// held in the CPU cache (false).
-func (t *Tree) L0OnModules() bool { return t.l0OnModules }
 
 // batch is a key-sorted view of a batch of points: position i holds key
 // keys[i] and point pts[idx[i]]. Sorting permutes 12-byte (key, index)
@@ -612,9 +618,6 @@ func (t *Tree) Points() []geom.Point {
 	rec(t.root)
 	return out
 }
-
-// Root returns the logical root (read-only use by tests).
-func (t *Tree) Root() *Node { return t.root }
 
 // Stats summarizes structural and activity counters.
 type Stats struct {

@@ -715,3 +715,22 @@ func TestPromotionsOnGrowth(t *testing.T) {
 		t.Fatal("Lemma 3.1 violated after growth")
 	}
 }
+
+func TestParseTuning(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Tuning
+		ok   bool
+	}{
+		{"throughput", ThroughputOptimized, true},
+		{"skew", SkewResistant, true},
+		{"skw", 0, false},
+		{"", 0, false},
+		{"custom", 0, false},
+	} {
+		got, err := ParseTuning(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseTuning(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}

@@ -58,26 +58,6 @@ func (t *Tree) deltaWindow(n *Node) (lo, hi int64) {
 	return lo, hi
 }
 
-// replicaCount returns how many remote copies of n's counter exist: the
-// full module replica set for L0 (when L0 lives on modules), the cache
-// holders of n's chunk for L1, and none for L2.
-func (t *Tree) replicaCount(n *Node) int64 {
-	switch n.Layer {
-	case L0:
-		if t.l0OnModules {
-			return int64(t.P())
-		}
-		return 0
-	case L1:
-		if n.Chunk == nil {
-			return 0
-		}
-		return int64(len(t.cacheHolders(n.Chunk)))
-	default:
-		return 0
-	}
-}
-
 // applyDelta records a subtree-size change of delta at node n, updating the
 // exact master count immediately and the lazy snapshot when the window is
 // exceeded (or on every change when lazy counters are ablated). Snapshot

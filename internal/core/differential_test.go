@@ -76,8 +76,9 @@ func TestDifferentialAgainstSharedMemoryZdTree(t *testing.T) {
 						}
 					}
 				}
-				if pimTree.Size() != oracle.Size() {
-					t.Fatalf("step %d: sizes diverged %d vs %d", step, pimTree.Size(), oracle.Size())
+				whole := geom.NewBox(geom.P3(0, 0, 0), geom.P3(^uint32(0), ^uint32(0), ^uint32(0)))
+				if want := oracle.BoxCount(whole); pimTree.Size() != want {
+					t.Fatalf("step %d: sizes diverged %d vs %d", step, pimTree.Size(), want)
 				}
 				if err := pimTree.CheckInvariants(); err != nil {
 					t.Fatalf("step %d: %v", step, err)
@@ -148,7 +149,7 @@ func TestL0OnModulesMode(t *testing.T) {
 	cfg := testConfig(ThroughputOptimized)
 	cfg.CacheBudget = 1 // force L0 onto the modules
 	tr := New(cfg, pts)
-	if !tr.L0OnModules() {
+	if !tr.l0OnModules {
 		t.Fatal("L0 should be on modules with a 1-byte budget")
 	}
 	res := tr.Search(pts[:200])
@@ -234,7 +235,7 @@ func TestSearchTraceProperties(t *testing.T) {
 		if len(r.Trace) == 0 {
 			t.Fatalf("query %d has empty trace", i)
 		}
-		if r.Trace[0] != tr.Root() {
+		if r.Trace[0] != tr.root {
 			t.Fatalf("query %d trace does not start at root", i)
 		}
 		for j := 1; j < len(r.Trace); j++ {

@@ -1,54 +1,19 @@
 package core
 
-// Epoch and snapshot publication hooks for the concurrent serving engine
-// (internal/serve).
+// Epoch hook for the concurrent serving engine (internal/serve).
 //
 // Batch operations on a Tree are externally serialized: the tree mutates
 // nodes in place, so there is no structural multi-versioning. What the
 // serving layer needs is weaker and cheap: a way to observe, from any
 // goroutine, which update epoch the tree is in — so an epoch-pipelined
 // scheduler can fence read batches against a stable root ("reads admitted
-// in epoch E see the root published by update epoch E-1") and *prove* no
-// update interleaved with a read phase. The tree therefore publishes an
-// immutable (root, epoch) pair through one atomic pointer at every update
-// boundary: construction publishes epoch 0, and each applied update batch
-// (Insert, Delete, Rebuild) publishes its new root under epoch+1 after
-// its relayout completes. Readers load the pair with one atomic read; the
-// pair is consistent by construction because it is a single allocation.
-
-// published is one immutable (root, epoch) publication.
-type published struct {
-	root  *Node
-	epoch uint64
-}
-
-// publishEpoch publishes the current root under the next epoch number.
-// Called only from the (externally serialized) update path.
-func (t *Tree) publishEpoch() {
-	var next uint64
-	if p := t.pub.Load(); p != nil {
-		next = p.epoch + 1
-	}
-	t.pub.Store(&published{root: t.root, epoch: next})
-}
+// in epoch E see the root left by update epoch E-1") and *prove* no
+// update interleaved with a read phase. The tree therefore keeps one
+// atomic epoch counter: construction leaves it at 0, and each applied
+// update batch (Insert, Delete, Rebuild) bumps it after its relayout
+// completes.
 
 // Epoch returns the tree's current update epoch: the number of update
 // batches (Insert/Delete/Rebuild) applied since construction. Safe to call
 // from any goroutine; the value only changes at update-batch boundaries.
-func (t *Tree) Epoch() uint64 {
-	if p := t.pub.Load(); p != nil {
-		return p.epoch
-	}
-	return 0
-}
-
-// Snapshot returns the most recently published root together with the
-// epoch that published it, as one consistent pair. The returned root is
-// stable for as long as no further update batch runs; the serving engine's
-// epoch fence is what guarantees that window to its read batches.
-func (t *Tree) Snapshot() (root *Node, epoch uint64) {
-	if p := t.pub.Load(); p != nil {
-		return p.root, p.epoch
-	}
-	return nil, 0
-}
+func (t *Tree) Epoch() uint64 { return t.epoch.Load() }

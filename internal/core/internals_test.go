@@ -152,10 +152,10 @@ func TestChunkingRespectsSizeRule(t *testing.T) {
 func TestModuleOfCPUResidentL0(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tr := New(testConfig(ThroughputOptimized), randPoints(rng, 30000, 3, 1<<20))
-	if tr.L0OnModules() {
+	if tr.l0OnModules {
 		t.Skip("L0 unexpectedly on modules")
 	}
-	if got := tr.moduleOf(tr.Root()); got != -1 {
+	if got := tr.moduleOf(tr.root); got != -1 {
 		t.Fatalf("CPU-resident L0 root moduleOf = %d, want -1", got)
 	}
 }

@@ -483,15 +483,10 @@ func chunkID(r *Node) uint64 {
 	return pim.Hash64(r.Key ^ uint64(r.PrefixLen)<<56 ^ 0x5bf03635)
 }
 
-// cacheHolders returns the modules that hold cached copies of c's
-// structure: the modules of its L1 ancestors and L1 descendants (§3.1).
-func (t *Tree) cacheHolders(c *Chunk) []int {
-	return t.appendCacheHolders(c, nil)
-}
-
-// appendCacheHolders appends c's cache-holder modules to holders and
-// returns it; callers pass a reused per-worker buffer to stay
-// allocation-free.
+// appendCacheHolders appends the modules that hold cached copies of c's
+// structure — the modules of its L1 ancestors and L1 descendants (§3.1) —
+// to holders and returns it; callers pass a reused per-worker buffer to
+// stay allocation-free.
 func (t *Tree) appendCacheHolders(c *Chunk, holders []int) []int {
 	for a := c.Parent; a != nil; a = a.Parent {
 		if a.Layer == L1 {

@@ -302,7 +302,7 @@ func updateGoldenScenario(t testing.TB, data []geom.Point, tuning Tuning) update
 	s := tr.Stats()
 	m := tr.System().Metrics()
 	return updateGoldenOutcome{
-		TreeHash:   hashNode(14695981039346656037, tr.Root()),
+		TreeHash:   hashNode(14695981039346656037, tr.root),
 		Points:     tr.Size(),
 		Syncs:      s.CounterSyncs,
 		Promotions: s.Promotions,

@@ -44,7 +44,7 @@ type updateStats struct {
 	mergedKeys []uint64     // leaf-merge buffer (insertIntoLeaf)
 	mergedPts  []geom.Point // its points, in key order
 	used       []bool       // matched-batch markers (deleteFromLeaf)
-	holderBuf  []int        // cacheHolders scratch (counter propagation)
+	holderBuf  []int        // appendCacheHolders scratch (counter propagation)
 }
 
 // reset sizes every per-module lane to p and zeroes the accumulators (the
@@ -192,7 +192,7 @@ func (t *Tree) Insert(points []geom.Point) {
 	t.chargeUpdateRounds(st)
 	rec.EndPhase()
 	t.relayout()
-	t.publishEpoch()
+	t.epoch.Add(1)
 }
 
 // updateBatch is sortBatch on the Tree-owned update scratch: the sorted
@@ -523,7 +523,7 @@ func (t *Tree) Delete(points []geom.Point) {
 	t.chargeUpdateRounds(st)
 	rec.EndPhase()
 	t.relayout()
-	t.publishEpoch()
+	t.epoch.Add(1)
 }
 
 // deleteRec removes matching points below n, recompressing single-child
@@ -773,5 +773,5 @@ func (t *Tree) Rebuild() {
 	t.chunks = make(map[uint64]*Chunk)
 	t.bootstrapped = false
 	t.relayout()
-	t.publishEpoch()
+	t.epoch.Add(1)
 }

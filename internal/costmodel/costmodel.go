@@ -142,20 +142,13 @@ func (m Machine) String() string {
 	return fmt.Sprintf("%s: %d threads @%.1fGHz, LLC %dMB", m.Name, m.CPUCores, m.CPUHz/1e9, m.LLCBytes>>20)
 }
 
-// Abstract work-unit prices for common operations, used by the trees when
-// annotating their compute. One unit is roughly one simple ALU op. On PIM
-// cores, multiplication and division are far slower (the paper cites up to
-// 32 cycles on UPMEM), which is what makes the l2 metric expensive on the
-// PIM side and motivates the l1-anchored filtering of §6.
+// Abstract work-unit prices the trees charge beyond one unit per simple
+// ALU op. On PIM cores, multiplication and division are far slower (the
+// paper cites up to 32 cycles on UPMEM), which is what makes the l2 metric
+// expensive on the PIM side and motivates the l1-anchored filtering of §6.
 const (
-	WorkCompare   = 1  // integer compare / branch
-	WorkWord      = 1  // load/store of a word (compute component)
-	WorkAddSub    = 1  // addition, subtraction, bitwise op
-	WorkMulPIM    = 32 // multiplication on a PIM core (UPMEM, no 32x32 mul unit)
-	WorkMulCPU    = 1  // multiplication on the host (fully pipelined)
-	WorkHash      = 6  // hashing a key to a module
-	WorkHeapOp    = 8  // priority-queue push/pop (log k with small k)
-	WorkPointDist = 4  // per-dimension distance accumulation, excluding muls
+	WorkMulPIM = 32 // multiplication on a PIM core (UPMEM, no 32x32 mul unit)
+	WorkHeapOp = 8  // priority-queue push/pop (log k with small k)
 )
 
 // FutureCXLPIM returns a forward-looking machine projection: a CXL-attached

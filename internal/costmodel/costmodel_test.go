@@ -112,11 +112,11 @@ func TestMachineString(t *testing.T) {
 }
 
 func TestWorkConstants(t *testing.T) {
-	if WorkMulPIM <= WorkMulCPU {
-		t.Fatal("PIM multiply must be modeled slower than CPU multiply")
+	if WorkMulPIM != 32 {
+		t.Fatal("PIM multiply must be modeled at UPMEM's 32 cycles")
 	}
-	if WorkCompare != 1 || WorkAddSub != 1 {
-		t.Fatal("unit work constants changed")
+	if WorkHeapOp != 8 {
+		t.Fatal("heap push/pop work changed")
 	}
 }
 

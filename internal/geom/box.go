@@ -101,14 +101,8 @@ func (b Box) Center() Point {
 	return c
 }
 
-// clampedDelta returns the per-dimension distance from p to the box
-// (0 when p's coordinate lies within the box's extent on that dimension).
-func (b Box) clampedDelta(p Point, d uint8) uint64 {
-	return clampedDeltaVal(p.Coords[d], b.Lo.Coords[d], b.Hi.Coords[d])
-}
-
-// clampedDeltaVal is the scalar core of clampedDelta: the distance from v
-// to the interval [lo, hi].
+// clampedDeltaVal returns the distance from v to the interval [lo, hi]
+// (0 when v lies within it).
 func clampedDeltaVal(v, lo, hi uint32) uint64 {
 	switch {
 	case v < lo:

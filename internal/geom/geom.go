@@ -4,15 +4,12 @@
 // that the index's kNN and range queries are defined over.
 //
 // Coordinates are unsigned 32-bit integers. The trees in this module index
-// points of up to MaxDims dimensions; the morton package supports wider
-// standalone encodings. Integer coordinates follow the paper's setup, where
-// points are quantized into the [0, 2^bits) grid before z-order encoding.
+// points of up to MaxDims dimensions. Integer coordinates follow the
+// paper's setup, where points are quantized into the [0, 2^bits) grid
+// before z-order encoding.
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MaxDims is the maximum dimensionality of points stored in the trees.
 // The paper's evaluation uses 2D and 3D workloads; 4 leaves headroom while
@@ -40,18 +37,6 @@ func P3(x, y, z uint32) Point {
 // P4 returns a 4-dimensional point.
 func P4(x, y, z, w uint32) Point {
 	return Point{Coords: [MaxDims]uint32{x, y, z, w}, Dims: 4}
-}
-
-// Make returns a point with the given coordinates. It panics if more than
-// MaxDims coordinates are supplied.
-func Make(coords ...uint32) Point {
-	if len(coords) > MaxDims {
-		panic(fmt.Sprintf("geom: %d coordinates exceeds MaxDims=%d", len(coords), MaxDims))
-	}
-	var p Point
-	p.Dims = uint8(len(coords))
-	copy(p.Coords[:], coords)
-	return p
 }
 
 // Equal reports whether p and q have the same dimensionality and coordinates.
@@ -129,12 +114,6 @@ func DistLInf(p, q Point) uint64 {
 		}
 	}
 	return m
-}
-
-// DistL2 returns the l2 distance as a float64 (for reporting only; the
-// index compares squared distances).
-func DistL2(p, q Point) float64 {
-	return math.Sqrt(float64(DistL2Sq(p, q)))
 }
 
 func checkDims(p, q Point) {

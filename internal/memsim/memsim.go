@@ -157,9 +157,6 @@ type Stats struct {
 // DRAMBytes returns the total DRAM traffic (fills plus write-backs).
 func (s Stats) DRAMBytes() int64 { return s.FillBytes + s.WBBytes }
 
-// Accesses returns the total number of line accesses.
-func (s Stats) Accesses() int64 { return s.Hits + s.Misses }
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
@@ -168,29 +165,6 @@ func (c *Cache) Stats() Stats {
 		FillBytes: c.rdBytes.Load(),
 		WBBytes:   c.wbBytes.Load(),
 	}
-}
-
-// ResetStats zeroes the traffic counters without invalidating cache
-// contents (so a warmed cache can be measured over a test phase only).
-func (c *Cache) ResetStats() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.rdBytes.Store(0)
-	c.wbBytes.Store(0)
-}
-
-// Flush invalidates all lines and zeroes the statistics.
-func (c *Cache) Flush() {
-	for i := range c.sets {
-		s := &c.sets[i]
-		s.mu.Lock()
-		for w := range s.valid {
-			s.valid[w] = false
-			s.dirty[w] = false
-		}
-		s.mu.Unlock()
-	}
-	c.ResetStats()
 }
 
 // Allocator hands out non-overlapping synthetic address ranges, simulating
@@ -210,16 +184,4 @@ func NewAllocator() *Allocator {
 func (a *Allocator) Alloc(size int) uint64 {
 	aligned := (uint64(size) + 7) &^ 7
 	return a.next.Add(aligned) - aligned
-}
-
-// AllocLines reserves size bytes aligned to a cache-line boundary.
-func (a *Allocator) AllocLines(size int) uint64 {
-	aligned := (uint64(size) + LineSize - 1) &^ (LineSize - 1)
-	for {
-		cur := a.next.Load()
-		base := (cur + LineSize - 1) &^ (LineSize - 1)
-		if a.next.CompareAndSwap(cur, base+aligned) {
-			return base
-		}
-	}
 }

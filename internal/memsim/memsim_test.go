@@ -35,7 +35,7 @@ func TestZeroSizeAccessIgnored(t *testing.T) {
 	c := NewCache(1<<20, 8)
 	c.Access(0, 0, false)
 	c.Access(0, -5, true)
-	if s := c.Stats(); s.Accesses() != 0 {
+	if s := c.Stats(); s.Hits+s.Misses != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -58,13 +58,13 @@ func TestLRUWithinSet(t *testing.T) {
 	c.Read(1*LineSize, 1) // miss, resident {0,1}
 	c.Read(0*LineSize, 1) // hit, 0 is MRU
 	c.Read(2*LineSize, 1) // miss, evicts LRU=1
-	c.ResetStats()
+	before := c.Stats()
 	c.Read(0*LineSize, 1) // should still be resident
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 0 {
+	if s := c.Stats(); s.Hits-before.Hits != 1 || s.Misses != before.Misses {
 		t.Fatalf("line 0 evicted: %+v", s)
 	}
 	c.Read(1*LineSize, 1) // was evicted: miss
-	if s := c.Stats(); s.Misses != 1 {
+	if s := c.Stats(); s.Misses-before.Misses != 1 {
 		t.Fatalf("line 1 not evicted: %+v", s)
 	}
 }
@@ -79,7 +79,7 @@ func TestWorkingSetLargerThanCacheThrashes(t *testing.T) {
 		}
 	}
 	s := c.Stats()
-	if ratio := float64(s.Hits) / float64(s.Accesses()); ratio > 0.01 {
+	if ratio := float64(s.Hits) / float64(s.Hits+s.Misses); ratio > 0.01 {
 		t.Fatalf("hit ratio %f for thrashing workload", ratio)
 	}
 }
@@ -90,36 +90,12 @@ func TestWorkingSetSmallerThanCacheStaysResident(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.Read(uint64(i)*LineSize, 1)
 	}
-	c.ResetStats()
+	before := c.Stats()
 	for i := 0; i < n; i++ {
 		c.Read(uint64(i)*LineSize, 1)
 	}
-	s := c.Stats()
-	if s.Misses != 0 {
-		t.Fatalf("resident working set missed %d times", s.Misses)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := NewCache(1<<20, 8)
-	c.Read(0, 8)
-	c.Flush()
-	if s := c.Stats(); s.Accesses() != 0 {
-		t.Fatal("stats not reset")
-	}
-	c.Read(0, 8)
-	if s := c.Stats(); s.Misses != 1 {
-		t.Fatal("line survived flush")
-	}
-}
-
-func TestResetStatsKeepsContents(t *testing.T) {
-	c := NewCache(1<<20, 8)
-	c.Read(0, 8)
-	c.ResetStats()
-	c.Read(0, 8)
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 0 {
-		t.Fatalf("contents lost on ResetStats: %+v", s)
+	if m := c.Stats().Misses - before.Misses; m != 0 {
+		t.Fatalf("resident working set missed %d times", m)
 	}
 }
 
@@ -137,13 +113,13 @@ func TestConcurrentAccessIsSafe(t *testing.T) {
 	}
 	wg.Wait()
 	s := c.Stats()
-	if s.Accesses() == 0 {
+	if s.Hits+s.Misses == 0 {
 		t.Fatal("no accesses recorded")
 	}
 	// 80000 8-byte accesses = 10000 distinct lines from each worker
 	// region; counts must add up.
 	if s.Hits+s.Misses != 80000 {
-		t.Fatalf("accesses = %d, want 80000", s.Accesses())
+		t.Fatalf("accesses = %d, want 80000", s.Hits+s.Misses)
 	}
 }
 
@@ -164,11 +140,6 @@ func TestAllocatorAlignment(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if addr := a.Alloc(13); addr%8 != 0 {
 			t.Fatalf("unaligned address %d", addr)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if addr := a.AllocLines(13); addr%LineSize != 0 {
-			t.Fatalf("unaligned line address %d", addr)
 		}
 	}
 }

@@ -31,13 +31,6 @@ type ExpoOpts struct {
 	Exemplars bool
 }
 
-// WriteText renders the registry. With modeledOnly, families registered
-// with Wall=true (real-time measurements) are skipped, leaving only the
-// deterministic modeled metrics CI can golden-test.
-func (r *Registry) WriteText(w io.Writer, modeledOnly bool) error {
-	return r.WriteTextOpts(w, ExpoOpts{ModeledOnly: modeledOnly})
-}
-
 // WriteTextOpts renders the registry with full option control.
 //
 // The whole exposition is rendered into memory first and written to w

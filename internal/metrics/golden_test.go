@@ -51,7 +51,7 @@ func modeledExposition(t *testing.T) []byte {
 	t.Helper()
 	reg, _ := runRegistry(t)
 	var buf bytes.Buffer
-	if err := reg.WriteText(&buf, true); err != nil {
+	if err := reg.WriteTextOpts(&buf, metrics.ExpoOpts{ModeledOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -237,16 +237,6 @@ func (c *Counter) SetTotal(total float64) {
 	c.f.mu.Unlock()
 }
 
-// Value returns the current total.
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	c.f.mu.Lock()
-	defer c.f.mu.Unlock()
-	return c.s.val
-}
-
 // CounterVec is a counter family with one label dimension.
 type CounterVec struct {
 	f  *family
@@ -305,16 +295,6 @@ func (g *Gauge) Set(v float64) {
 	g.f.mu.Lock()
 	g.s.val = v
 	g.f.mu.Unlock()
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	g.f.mu.Lock()
-	defer g.f.mu.Unlock()
-	return g.s.val
 }
 
 // GaugeVec is a gauge family with one label dimension.
@@ -559,16 +539,6 @@ func (h *Histogram) ObserveExemplar(v float64, trace string) {
 	h.s.sum += v
 	h.s.count++
 	f.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.f.mu.Lock()
-	defer h.f.mu.Unlock()
-	return h.s.count
 }
 
 // SecondsBuckets returns the standard latency layout: powers of four from

@@ -18,19 +18,11 @@ func TestNilSafety(t *testing.T) {
 	reg.NewGaugeVec(Opts{Name: "gv", Label: "l"}).With("x").Set(3)
 	reg.NewHistogram(HistogramOpts{Opts: Opts{Name: "h"}}).Observe(0.5)
 	reg.NewHistogramVec(HistogramOpts{Opts: Opts{Name: "hv", Label: "l"}}).With("x").Observe(0.5)
-	if err := reg.WriteText(&bytes.Buffer{}, false); err != nil {
+	if err := reg.WriteTextOpts(&bytes.Buffer{}, ExpoOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if NewObsSink(nil) != nil {
 		t.Fatal("NewObsSink(nil) must return nil")
-	}
-	var c *Counter
-	if c.Value() != 0 {
-		t.Fatal("nil counter value")
-	}
-	var h *Histogram
-	if h.Count() != 0 {
-		t.Fatal("nil histogram count")
 	}
 }
 
@@ -39,21 +31,21 @@ func TestCounterAndGauge(t *testing.T) {
 	c := reg.NewCounter(Opts{Name: "c", Help: "h"})
 	c.Add(2)
 	c.Add(3)
-	if got := c.Value(); got != 5 {
+	if got := c.s.val; got != 5 {
 		t.Fatalf("counter = %v, want 5", got)
 	}
 	c.SetTotal(10)
-	if got := c.Value(); got != 10 {
+	if got := c.s.val; got != 10 {
 		t.Fatalf("counter after SetTotal = %v, want 10", got)
 	}
 	g := reg.NewGaugeVec(Opts{Name: "g", Label: "k"})
 	g.With("a").Set(1)
 	g.With("a").Set(7)
-	if got := g.With("a").Value(); got != 7 {
+	if got := g.With("a").s.val; got != 7 {
 		t.Fatalf("gauge = %v, want 7", got)
 	}
 	// Re-registering the same family (identical opts) returns the same cells.
-	if reg.NewCounter(Opts{Name: "c", Help: "h"}).Value() != 10 {
+	if reg.NewCounter(Opts{Name: "c", Help: "h"}).s.val != 10 {
 		t.Fatal("re-registration must share state")
 	}
 }
@@ -120,11 +112,11 @@ func TestHistogramObserve(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 5, 50, 500, math.NaN()} {
 		h.Observe(v) // NaN must be dropped, bounds are inclusive (le)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5 (NaN dropped)", h.Count())
+	if h.s.count != 5 {
+		t.Fatalf("count = %d, want 5 (NaN dropped)", h.s.count)
 	}
 	var buf bytes.Buffer
-	if err := reg.WriteText(&buf, false); err != nil {
+	if err := reg.WriteTextOpts(&buf, ExpoOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
@@ -152,7 +144,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	h.With("knn").Observe(2)
 
 	var buf bytes.Buffer
-	if err := reg.WriteText(&buf, false); err != nil {
+	if err := reg.WriteTextOpts(&buf, ExpoOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := LintText(bytes.NewReader(buf.Bytes())); err != nil {
@@ -227,7 +219,7 @@ func TestLabelEscapingRoundTrip(t *testing.T) {
 	weird := "a\\b\"c\nd"
 	reg.NewCounterVec(Opts{Name: "w_total", Help: "h", Label: "k"}).With(weird).Add(1)
 	var buf bytes.Buffer
-	if err := reg.WriteText(&buf, false); err != nil {
+	if err := reg.WriteTextOpts(&buf, ExpoOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := ParseText(&buf)
@@ -244,10 +236,10 @@ func TestModeledOnlyDropsWallFamilies(t *testing.T) {
 	reg.NewCounter(Opts{Name: "modeled_total", Help: "m"}).Add(1)
 	reg.NewGauge(Opts{Name: "uptime_seconds", Help: "w", Wall: true}).Set(123.456)
 	var all, modeled bytes.Buffer
-	if err := reg.WriteText(&all, false); err != nil {
+	if err := reg.WriteTextOpts(&all, ExpoOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.WriteText(&modeled, true); err != nil {
+	if err := reg.WriteTextOpts(&modeled, ExpoOpts{ModeledOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(all.String(), "uptime_seconds") {

@@ -41,7 +41,6 @@ type ObsSink struct {
 	sampledBytes     *GaugeVec
 
 	treeCounters *CounterVec
-	treeGauges   *GaugeVec
 }
 
 // NewObsSink registers the obs-derived metric families on reg and returns
@@ -97,8 +96,6 @@ func NewObsSink(reg *Registry) *ObsSink {
 
 		treeCounters: reg.NewCounterVec(Opts{Name: "pimzd_tree_events_total",
 			Help: "Tree-internals event counters (obs named-counter registry).", Label: "event"}),
-		treeGauges: reg.NewGaugeVec(Opts{Name: "pimzd_tree_gauge",
-			Help: "Tree-internals gauges (obs named-counter registry, Set entries).", Label: "name"}),
 	}
 }
 
@@ -163,13 +160,9 @@ func (s *ObsSink) OnCPUPhase(e obs.Event) {
 }
 
 // OnCounter mirrors the obs named-counter registry: Add deltas accumulate
-// into the events counter family, Set values overwrite the gauge family.
-func (s *ObsSink) OnCounter(name string, delta int64, gauge bool) {
+// into the events counter family.
+func (s *ObsSink) OnCounter(name string, delta int64) {
 	if s == nil {
-		return
-	}
-	if gauge {
-		s.treeGauges.With(name).Set(float64(delta))
 		return
 	}
 	if delta > 0 {

@@ -270,14 +270,6 @@ func (t *SLOTracker) PublishGauges() {
 	}
 }
 
-// WriteJSON writes the snapshot as indented JSON — the /snapshot/slo
-// document `checkjson -slo` validates.
-func (t *SLOTracker) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.Snapshot())
-}
-
 // ReadSLOSnapshot parses a /snapshot/slo JSON document.
 func ReadSLOSnapshot(r io.Reader) (*SLOSnapshot, error) {
 	var s SLOSnapshot

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strconv"
 	"strings"
@@ -131,7 +132,9 @@ func TestSLODeterminism(t *testing.T) {
 			clk.advance(137 * time.Millisecond)
 		}
 		var buf bytes.Buffer
-		if err := tr.WriteJSON(&buf); err != nil {
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(tr.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -156,7 +159,7 @@ func TestSLOGauges(t *testing.T) {
 	tr.Observe("search", 1, false) // bad
 	tr.PublishGauges()
 	var buf bytes.Buffer
-	if err := reg.WriteText(&buf, false); err != nil {
+	if err := reg.WriteTextOpts(&buf, ExpoOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -183,7 +186,7 @@ func TestSLOGauges(t *testing.T) {
 	}
 	// Everything SLO is Wall-marked: modeled-only exposition stays clean.
 	buf.Reset()
-	if err := reg.WriteText(&buf, true); err != nil {
+	if err := reg.WriteTextOpts(&buf, ExpoOpts{ModeledOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "pimzd_slo") {

@@ -20,7 +20,7 @@ func TestVec2Exposition(t *testing.T) {
 	g.With("search", "1m").Set(2.5)
 
 	var buf bytes.Buffer
-	if err := reg.WriteText(&buf, false); err != nil {
+	if err := reg.WriteTextOpts(&buf, ExpoOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -60,7 +60,7 @@ func TestLabeledGauge(t *testing.T) {
 		[]string{"go1.x", "shard", "4"})
 	g.Set(1)
 	var buf bytes.Buffer
-	if err := reg.WriteText(&buf, false); err != nil {
+	if err := reg.WriteTextOpts(&buf, ExpoOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	want := `build_info{go_version="go1.x",engine="shard",trees="4"} 1`
@@ -69,7 +69,7 @@ func TestLabeledGauge(t *testing.T) {
 	}
 	// Wall-marked: excluded from the modeled-only exposition.
 	buf.Reset()
-	if err := reg.WriteText(&buf, true); err != nil {
+	if err := reg.WriteTextOpts(&buf, ExpoOpts{ModeledOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "build_info") {

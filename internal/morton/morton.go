@@ -5,8 +5,8 @@
 //
 //   - the fast gap-recursive ("magic number") encoding from §6 of the paper
 //     ("Fast z-Order Computation"), which interleaves the bits of each
-//     coordinate in O(log bits) shift/mask steps, specialised for the common
-//     2D and 3D cases and generalised to 2..8 dimensions; and
+//     coordinate in O(log bits) shift/mask steps, specialised for the 2D,
+//     3D and 4D points the trees store; and
 //
 //   - the naive one-bit-at-a-time interleaving used by prior academic work,
 //     kept for the Table 3 ablation and as the test oracle.
@@ -162,148 +162,9 @@ func Decode4(key uint64) (x, y, z, w uint32) {
 		uint32(compact3(key >> 1)), uint32(compact3(key))
 }
 
-// genericSchedule is a programmatically derived shift/mask chain that
-// spreads the low BitsPerDim(d) bits of a coordinate to stride-d bit
-// positions, generalising the hand-written split1/split2/split3 magic
-// numbers to d in 5..8. Round r ORs the value with itself shifted left by
-// shifts[r] and masks with masksAfter[r]; masksBefore[r] is the bit
-// pattern in effect before round r (used when compacting in reverse).
-//
-// Correctness sketch: before the round with power p, input bit i sits at
-// position i + (i - i mod 2p)*(d-1); bits sharing the same block
-// a = i - i mod 2p occupy a contiguous run of 2p positions starting at
-// a*d, and consecutive blocks are 2p*d apart. Shifting by p*(d-1) keeps
-// every shifted copy inside its own block's span (2p-1 + p*(d-1) < 2p*d),
-// and within a block the shifted ghosts of lower-half bits never land on a
-// masked-in target, so the OR never merges two live bits. The exhaustive
-// per-coordinate tests in morton_test.go check every value of every width.
-type genericSchedule struct {
-	shifts      []uint
-	masksAfter  []uint64
-	masksBefore []uint64
-}
-
-// schedules[d] holds the spread/compact schedule for d in 5..8; lower
-// dimensionalities use the hand-tuned split/compact chains above.
-var schedules [9]*genericSchedule
-
-func init() {
-	for d := 5; d <= 8; d++ {
-		schedules[d] = newSchedule(d)
-	}
-}
-
-// newSchedule derives the shift/mask chain for dimensionality d. After the
-// round with power p, input bit i has moved to i + (i - i mod p)*(d-1);
-// maskAt(p) is the OR of those positions over all i.
-func newSchedule(d int) *genericSchedule {
-	bits := int(BitsPerDim(d))
-	maskAt := func(p int) uint64 {
-		var m uint64
-		for i := 0; i < bits; i++ {
-			m |= uint64(1) << uint(i+(i-i%p)*(d-1))
-		}
-		return m
-	}
-	s := &genericSchedule{}
-	top := 1
-	for top*2 < bits {
-		top *= 2
-	}
-	for p := top; p >= 1; p >>= 1 {
-		s.shifts = append(s.shifts, uint(p*(d-1)))
-		s.masksBefore = append(s.masksBefore, maskAt(2*p))
-		s.masksAfter = append(s.masksAfter, maskAt(p))
-	}
-	return s
-}
-
-// splitGeneric spreads the low BitsPerDim(d) bits of x so that input bit i
-// lands at position i*d, using the precomputed schedule for d.
-func splitGeneric(x uint64, s *genericSchedule) uint64 {
-	x &= s.masksBefore[0]
-	for r, sh := range s.shifts {
-		x = (x | x<<sh) & s.masksAfter[r]
-	}
-	return x
-}
-
-// compactGeneric inverts splitGeneric.
-func compactGeneric(x uint64, s *genericSchedule) uint64 {
-	last := len(s.shifts) - 1
-	x &= s.masksAfter[last]
-	for r := last; r >= 0; r-- {
-		x = (x | x>>s.shifts[r]) & s.masksBefore[r]
-	}
-	return x
-}
-
-// EncodeSlice returns the Morton key for 1..8 coordinates using the
-// hand-tuned paths for 2-4 dimensions and the derived branch-free
-// split chains above that. This is the "extended higher-dimensional"
-// implementation from §6. 1D is the identity encoding.
-func EncodeSlice(coords []uint32) uint64 {
-	switch len(coords) {
-	case 1:
-		return uint64(coords[0])
-	case 2:
-		return Encode2(coords[0], coords[1])
-	case 3:
-		return Encode3(coords[0], coords[1], coords[2])
-	case 4:
-		return Encode4(coords[0], coords[1], coords[2], coords[3])
-	case 5, 6, 7, 8:
-		d := len(coords)
-		s := schedules[d]
-		var key uint64
-		for i, c := range coords {
-			key |= splitGeneric(uint64(c), s) << uint(d-1-i)
-		}
-		return key
-	default:
-		panic(fmt.Sprintf("morton: unsupported dimensionality %d", len(coords)))
-	}
-}
-
-// DecodeSlice inverts EncodeSlice for d in 1..8, writing into out (which
-// must have length d).
-func DecodeSlice(key uint64, out []uint32) {
-	switch len(out) {
-	case 1:
-		out[0] = uint32(key)
-	case 2:
-		out[0], out[1] = Decode2(key)
-	case 3:
-		out[0], out[1], out[2] = Decode3(key)
-	case 4:
-		out[0], out[1], out[2], out[3] = Decode4(key)
-	case 5, 6, 7, 8:
-		d := len(out)
-		s := schedules[d]
-		for i := range out {
-			out[i] = uint32(compactGeneric(key>>uint(d-1-i), s))
-		}
-	default:
-		panic(fmt.Sprintf("morton: unsupported dimensionality %d", len(out)))
-	}
-}
-
-// encodeGeneric interleaves bit by bit for any dims. It is the reference
-// implementation the branch-free split chains are tested against, and is
-// no longer on any production path.
-func encodeGeneric(coords []uint32) uint64 {
-	d := len(coords)
-	bits := BitsPerDim(d)
-	var key uint64
-	for b := int(bits) - 1; b >= 0; b-- {
-		for i := 0; i < d; i++ {
-			key = key<<1 | uint64(coords[i]>>uint(b))&1
-		}
-	}
-	return key
-}
-
-// decodeGeneric inverts encodeGeneric; reference oracle only.
+// decodeGeneric inverts NaiveEncodePoint bit by bit for any dims. It is
+// the reference implementation the decoders are tested against and is on
+// no production path.
 func decodeGeneric(key uint64, out []uint32) {
 	d := len(out)
 	bits := BitsPerDim(d)
@@ -351,8 +212,9 @@ func DecodePoint(key uint64, dims uint8) geom.Point {
 
 // NaiveEncodePoint computes the same key as EncodePoint using direct
 // bit-by-bit interleaving (complexity O(bits)), the method most prior
-// academic implementations use. Kept as the ablation baseline (Table 3,
-// "Fast z-order") and as the oracle for property tests.
+// academic implementations use. It is the oracle the fast encoders are
+// tested against; the Table 3 "Fast z-order" ablation prices it through
+// CostNaive.
 func NaiveEncodePoint(p geom.Point) uint64 {
 	d := int(p.Dims)
 	bits := BitsPerDim(d)

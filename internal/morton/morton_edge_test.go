@@ -4,43 +4,13 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"pimzdtree/internal/geom"
 )
 
-// Correctness hardening for the branch-free generic split/compact chains
-// (ISSUE 6 satellite): exhaustive per-coordinate verification, max-coordinate
-// edge cases for every supported dimensionality, and a fuzz target pitting
-// EncodeSlice/DecodeSlice against the bit-at-a-time oracle.
-
-// naiveSplit places bit i of x at position i*d — the defining property of
-// the split chains, computed the slow obvious way.
-func naiveSplit(x uint64, d, bits int) uint64 {
-	var out uint64
-	for i := 0; i < bits; i++ {
-		out |= (x >> uint(i) & 1) << uint(i*d)
-	}
-	return out
-}
-
-// TestSplitGenericExhaustive proves the derived schedules correct: for every
-// d in 5..8 it checks every possible coordinate value (2^BitsPerDim(d) of
-// them, at most 4096) against the naive spread, and that compact inverts
-// split. Since EncodeSlice ORs per-coordinate spreads into disjoint bit
-// strides, per-coordinate exhaustiveness covers all multi-coordinate keys.
-func TestSplitGenericExhaustive(t *testing.T) {
-	for d := 5; d <= 8; d++ {
-		bits := int(BitsPerDim(d))
-		s := schedules[d]
-		for v := uint64(0); v < uint64(1)<<uint(bits); v++ {
-			want := naiveSplit(v, d, bits)
-			if got := splitGeneric(v, s); got != want {
-				t.Fatalf("d=%d splitGeneric(%#x) = %#x, want %#x", d, v, got, want)
-			}
-			if got := compactGeneric(naiveSplit(v, d, bits), s); got != v {
-				t.Fatalf("d=%d compactGeneric(split(%#x)) = %#x", d, v, got)
-			}
-		}
-	}
-}
+// Correctness hardening for the fast encoders: max-coordinate edge cases
+// for every dimensionality the trees store, and a fuzz target pitting
+// EncodePoint/DecodePoint against the bit-at-a-time oracles.
 
 // edgeCoords returns the boundary coordinate values for dimensionality d:
 // zero, one, the max encodable coordinate and its neighbours, the half-range
@@ -51,80 +21,59 @@ func edgeCoords(d int) []uint32 {
 		0xAAAAAAAA & max, 0x55555555 & max}
 }
 
+// checkPoint requires EncodePoint to agree with NaiveEncodePoint on p and
+// DecodePoint to invert it.
+func checkPoint(t *testing.T, p geom.Point) {
+	t.Helper()
+	key := EncodePoint(p)
+	if oracle := NaiveEncodePoint(p); key != oracle {
+		t.Fatalf("EncodePoint(%v) = %#x, oracle %#x", p, key, oracle)
+	}
+	if got := DecodePoint(key, p.Dims); !got.Equal(p) {
+		t.Fatalf("round trip %v -> %#x -> %v", p, key, got)
+	}
+}
+
 // TestEncodeSliceEdgesAllDims round-trips every combination of edge
-// coordinates for dims 1..8 (9^d combos is too many above 4D, so higher
-// dims place each edge value in each position against a fixed background).
+// coordinates for dims 2..4 through EncodePoint/DecodePoint.
 func TestEncodeSliceEdgesAllDims(t *testing.T) {
-	for d := 1; d <= 8; d++ {
+	for d := 2; d <= geom.MaxDims; d++ {
 		edges := edgeCoords(d)
-		var combos [][]uint32
-		if d <= 3 {
-			// Exhaustive cartesian product of edge values.
-			idx := make([]int, d)
-			for {
-				c := make([]uint32, d)
-				for i, j := range idx {
-					c[i] = edges[j]
-				}
-				combos = append(combos, c)
-				i := 0
-				for ; i < d; i++ {
-					idx[i]++
-					if idx[i] < len(edges) {
-						break
-					}
-					idx[i] = 0
-				}
-				if i == d {
+		idx := make([]int, d)
+		for {
+			p := geom.Point{Dims: uint8(d)}
+			for i, j := range idx {
+				p.Coords[i] = edges[j]
+			}
+			checkPoint(t, p)
+			i := 0
+			for ; i < d; i++ {
+				idx[i]++
+				if idx[i] < len(edges) {
 					break
 				}
+				idx[i] = 0
 			}
-		} else {
-			for pos := 0; pos < d; pos++ {
-				for _, e := range edges {
-					for _, bg := range []uint32{0, MaxCoord(d), MaxCoord(d) >> 1} {
-						c := make([]uint32, d)
-						for i := range c {
-							c[i] = bg
-						}
-						c[pos] = e
-						combos = append(combos, c)
-					}
-				}
-			}
-		}
-		out := make([]uint32, d)
-		for _, c := range combos {
-			key := EncodeSlice(c)
-			if d > 1 {
-				if oracle := encodeGeneric(c); key != oracle {
-					t.Fatalf("d=%d EncodeSlice(%v) = %#x, oracle %#x", d, c, key, oracle)
-				}
-			}
-			DecodeSlice(key, out)
-			for i := range c {
-				if out[i] != c[i] {
-					t.Fatalf("d=%d round trip %v -> %#x -> %v", d, c, key, out)
-				}
+			if i == d {
+				break
 			}
 		}
 	}
 }
 
-// TestDecodeSliceMatchesOracle cross-checks DecodeSlice against the
+// TestDecodeSliceMatchesOracle cross-checks DecodePoint against the
 // bit-at-a-time decoder on random keys for every dimensionality.
 func TestDecodeSliceMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for d := 2; d <= 8; d++ {
-		got := make([]uint32, d)
+	for d := 2; d <= geom.MaxDims; d++ {
 		want := make([]uint32, d)
 		for trial := 0; trial < 2000; trial++ {
 			key := rng.Uint64() & (uint64(1)<<KeyBits(d) - 1)
-			DecodeSlice(key, got)
+			got := DecodePoint(key, uint8(d))
 			decodeGeneric(key, want)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("d=%d key %#x: DecodeSlice %v, oracle %v", d, key, got, want)
+			for i := range want {
+				if got.Coords[i] != want[i] {
+					t.Fatalf("d=%d key %#x: DecodePoint %v, oracle %v", d, key, got, want)
 				}
 			}
 		}
@@ -132,37 +81,23 @@ func TestDecodeSliceMatchesOracle(t *testing.T) {
 }
 
 // FuzzEncodeSliceVsOracle feeds arbitrary byte strings interpreted as a
-// dimensionality plus coordinates, and requires the branch-free encoder to
-// agree with the bit-at-a-time oracle and to round-trip through DecodeSlice.
+// dimensionality plus coordinates, and requires the fast encoder to agree
+// with the bit-at-a-time oracle and to round-trip through DecodePoint.
 func FuzzEncodeSliceVsOracle(f *testing.F) {
-	f.Add([]byte{3, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0})
-	f.Add([]byte{5, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0})
-	f.Add([]byte{8, 0xaa, 0xaa, 0, 0, 0x55, 0x55, 0, 0})
+	f.Add([]byte{1, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0})
+	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0})
+	f.Add([]byte{0, 0xaa, 0xaa, 0, 0, 0x55, 0x55, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
-		d := int(data[0])%8 + 1
-		coords := make([]uint32, d)
-		for i := range coords {
-			var v uint32
+		d := int(data[0])%(geom.MaxDims-1) + 2
+		p := geom.Point{Dims: uint8(d)}
+		for i := 0; i < d; i++ {
 			if off := 1 + i*4; off+4 <= len(data) {
-				v = binary.LittleEndian.Uint32(data[off : off+4])
-			}
-			coords[i] = v & MaxCoord(d)
-		}
-		key := EncodeSlice(coords)
-		if d > 1 {
-			if oracle := encodeGeneric(coords); key != oracle {
-				t.Fatalf("d=%d EncodeSlice(%v) = %#x, oracle %#x", d, coords, key, oracle)
+				p.Coords[i] = binary.LittleEndian.Uint32(data[off:off+4]) & MaxCoord(d)
 			}
 		}
-		out := make([]uint32, d)
-		DecodeSlice(key, out)
-		for i := range coords {
-			if out[i] != coords[i] {
-				t.Fatalf("d=%d round trip %v -> %#x -> %v", d, coords, key, out)
-			}
-		}
+		checkPoint(t, p)
 	})
 }

@@ -129,52 +129,30 @@ func TestFastMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestEncodeSliceGenericDims(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for d := 5; d <= 8; d++ {
-		for i := 0; i < 1000; i++ {
-			coords := make([]uint32, d)
-			for j := range coords {
-				coords[j] = rng.Uint32() & MaxCoord(d)
-			}
-			key := EncodeSlice(coords)
-			out := make([]uint32, d)
-			DecodeSlice(key, out)
-			for j := range coords {
-				if out[j] != coords[j] {
-					t.Fatalf("d=%d roundtrip failed: in=%v out=%v", d, coords, out)
-				}
-			}
-		}
-	}
-}
-
 func TestEncodeSliceFastDims(t *testing.T) {
-	if EncodeSlice([]uint32{2, 1}) != Encode2(2, 1) {
-		t.Fatal("EncodeSlice 2D mismatch")
+	if EncodePoint(geom.P2(2, 1)) != Encode2(2, 1) {
+		t.Fatal("EncodePoint 2D mismatch")
 	}
-	if EncodeSlice([]uint32{1, 2, 3}) != Encode3(1, 2, 3) {
-		t.Fatal("EncodeSlice 3D mismatch")
+	if EncodePoint(geom.P3(1, 2, 3)) != Encode3(1, 2, 3) {
+		t.Fatal("EncodePoint 3D mismatch")
 	}
-	if EncodeSlice([]uint32{1, 2, 3, 4}) != Encode4(1, 2, 3, 4) {
-		t.Fatal("EncodeSlice 4D mismatch")
+	if EncodePoint(geom.P4(1, 2, 3, 4)) != Encode4(1, 2, 3, 4) {
+		t.Fatal("EncodePoint 4D mismatch")
 	}
-	out := make([]uint32, 3)
-	DecodeSlice(Encode3(5, 6, 7), out)
-	if out[0] != 5 || out[1] != 6 || out[2] != 7 {
-		t.Fatalf("DecodeSlice 3D = %v", out)
+	if got := DecodePoint(Encode3(5, 6, 7), 3); !got.Equal(geom.P3(5, 6, 7)) {
+		t.Fatalf("DecodePoint 3D = %v", got)
 	}
 }
 
 func TestEncodeSlicePanics(t *testing.T) {
-	for _, n := range []int{0, 9} {
+	for _, d := range []uint8{0, 1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("EncodeSlice with %d coords should panic", n)
+					t.Fatalf("EncodePoint with %d dims should panic", d)
 				}
 			}()
-			EncodeSlice(make([]uint32, n))
+			EncodePoint(geom.Point{Dims: d})
 		}()
 	}
 }
@@ -293,12 +271,6 @@ func TestPrefixBoxExactProperty(t *testing.T) {
 func TestBitAtAndSplitLevelBit(t *testing.T) {
 	if BitAt(0b100, 2) != 1 || BitAt(0b100, 1) != 0 {
 		t.Fatal("BitAt wrong")
-	}
-	if SplitLevelBit(0, 3) != 62 {
-		t.Fatalf("SplitLevelBit(0,3) = %d", SplitLevelBit(0, 3))
-	}
-	if SplitLevelBit(62, 3) != 0 {
-		t.Fatalf("SplitLevelBit(62,3) = %d", SplitLevelBit(62, 3))
 	}
 }
 

@@ -104,10 +104,3 @@ func RangeBoxes(lo, hi uint64, dims uint8) []geom.Box {
 func BitAt(key uint64, i uint) uint64 {
 	return key >> i & 1
 }
-
-// SplitLevelBit returns the key bit index tested at tree level lvl
-// (lvl 0 = root) for the given dimensionality: the root tests the top
-// significant bit and levels descend toward bit 0.
-func SplitLevelBit(lvl uint, dims int) uint {
-	return KeyBits(dims) - 1 - lvl
-}

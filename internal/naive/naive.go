@@ -251,14 +251,6 @@ func nodeFootprint(n *node) int64 {
 // System exposes the simulator for metrics.
 func (t *Tree) System() *pim.System { return t.sys }
 
-// Size returns the stored point count.
-func (t *Tree) Size() int {
-	if t.root == nil {
-		return 0
-	}
-	return int(t.root.size)
-}
-
 func (t *Tree) sharesPrefix(key uint64, n *node) bool {
 	if n.prefixLen == 0 {
 		return true

@@ -47,8 +47,8 @@ func TestSearchFindsStoredPoints(t *testing.T) {
 	pts := randPoints(rng, 20000, 1<<20)
 	for _, placement := range []Placement{RangePartitioned, NodeHashed} {
 		tr := New(Config{Dims: 3, Machine: machine(64), Placement: placement}, pts)
-		if tr.Size() != len(pts) {
-			t.Fatalf("%v: size %d", placement, tr.Size())
+		if tr.root.size != int64(len(pts)) {
+			t.Fatalf("%v: size %d", placement, tr.root.size)
 		}
 		res := tr.Search(pts[:300])
 		for i, r := range res {

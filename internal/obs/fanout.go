@@ -46,18 +46,3 @@ type FanoutReport struct {
 	// BlockTests counts block-distance tests the pruning ran.
 	BlockTests int `json:"block_tests"`
 }
-
-// MaxFanout returns the largest per-query fan-out in the report (0 when
-// per-query detail is absent).
-func (r *FanoutReport) MaxFanout() int {
-	if r == nil {
-		return 0
-	}
-	var m int32
-	for _, f := range r.PerQuery {
-		if f > m {
-			m = f
-		}
-	}
-	return int(m)
-}

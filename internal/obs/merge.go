@@ -127,7 +127,7 @@ func (r *Recorder) MergeWindow(w Window) {
 		for _, name := range names {
 			r.counters[name] += w.Counters[name]
 			if r.sink != nil {
-				r.sink.OnCounter(name, w.Counters[name], false)
+				r.sink.OnCounter(name, w.Counters[name])
 			}
 		}
 	}

@@ -153,10 +153,8 @@ type Sink interface {
 	OnRound(e Event)
 	// OnCPUPhase delivers one complete host compute phase event.
 	OnCPUPhase(e Event)
-	// OnCounter delivers a registry change: for Add, delta is the
-	// increment and gauge is false; for Set, delta is the stored value and
-	// gauge is true.
-	OnCounter(name string, delta int64, gauge bool)
+	// OnCounter delivers one Add to the named-counter registry.
+	OnCounter(name string, delta int64)
 }
 
 // spanRef tracks one open span on the recorder stack.
@@ -234,17 +232,6 @@ func (r *Recorder) SetFlight(f *FlightRecorder) {
 	r.mu.Lock()
 	r.flight = f
 	r.mu.Unlock()
-}
-
-// Flight returns the attached flight recorder (nil when per-op tracing is
-// off; FlightRecorder methods are nil-safe).
-func (r *Recorder) Flight() *FlightRecorder {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.flight
 }
 
 // Enabled reports whether the recorder is collecting. Instrumented code
@@ -466,20 +453,7 @@ func (r *Recorder) Add(name string, delta int64) {
 	r.mu.Lock()
 	r.counters[name] += delta
 	if r.sink != nil {
-		r.sink.OnCounter(name, delta, false)
-	}
-	r.mu.Unlock()
-}
-
-// Set stores a named gauge in the registry, overwriting any prior value.
-func (r *Recorder) Set(name string, v int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters[name] = v
-	if r.sink != nil {
-		r.sink.OnCounter(name, v, true)
+		r.sink.OnCounter(name, delta)
 	}
 	r.mu.Unlock()
 }

@@ -10,19 +10,17 @@ type recordingSink struct {
 	counters []struct {
 		name  string
 		delta int64
-		gauge bool
 	}
 }
 
 func (s *recordingSink) OnSpanEnd(e Event)  { s.spans = append(s.spans, e) }
 func (s *recordingSink) OnRound(e Event)    { s.rounds = append(s.rounds, e) }
 func (s *recordingSink) OnCPUPhase(e Event) { s.cpus = append(s.cpus, e) }
-func (s *recordingSink) OnCounter(name string, delta int64, gauge bool) {
+func (s *recordingSink) OnCounter(name string, delta int64) {
 	s.counters = append(s.counters, struct {
 		name  string
 		delta int64
-		gauge bool
-	}{name, delta, gauge})
+	}{name, delta})
 }
 
 func TestNilRecorderSinkMethods(t *testing.T) {
@@ -43,7 +41,6 @@ func driveRecorder(r *Recorder) {
 	r.EndOp()
 	r.Add("leaf-splits", 3)
 	r.Add("leaf-splits", 2)
-	r.Set("height", 7)
 }
 
 // TestSinkReceivesStream: the sink sees every op span, round, CPU phase and
@@ -71,14 +68,11 @@ func TestSinkReceivesStream(t *testing.T) {
 	if len(sink.cpus) != 1 || sink.cpus[0].CPU.Work != 10 {
 		t.Fatalf("cpus = %+v", sink.cpus)
 	}
-	if len(sink.counters) != 3 {
-		t.Fatalf("counter callbacks = %d, want 3", len(sink.counters))
+	if len(sink.counters) != 2 {
+		t.Fatalf("counter callbacks = %d, want 2", len(sink.counters))
 	}
-	if c := sink.counters[1]; c.name != "leaf-splits" || c.delta != 2 || c.gauge {
+	if c := sink.counters[1]; c.name != "leaf-splits" || c.delta != 2 {
 		t.Fatalf("second Add callback = %+v, want delta 2", c)
-	}
-	if c := sink.counters[2]; c.name != "height" || c.delta != 7 || !c.gauge {
-		t.Fatalf("Set callback = %+v, want gauge 7", c)
 	}
 }
 

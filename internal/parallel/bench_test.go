@@ -99,10 +99,11 @@ func BenchmarkExclusiveScan(b *testing.B) {
 	for i := range in {
 		in[i] = rng.Intn(8)
 	}
+	out := make([]int, benchN)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExclusiveScan(in)
+		ExclusiveScanInto(in, out)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package parallel provides the shared-memory parallel primitives the
 // CPU-side phases of all three indexes are built on: parallel for,
-// map/reduce, prefix sums, an LSD radix sort for Morton keys, and a
+// reduce, prefix sums, an LSD radix sort for Morton keys, and a
 // semisort (group by key, used by the push-pull batching).
 //
 // The primitives follow the binary-forking style of the paper's CPU cost
 // analysis: work is split recursively into goroutines down to a grain
 // size, giving O(n) work and polylog span for the loops, scans and sorts.
-// Every multi-pass primitive (sort, semisort, scan, filter) runs all of
+// Every multi-pass primitive (sort, semisort, scan) runs all of
 // its passes block-parallel across workers, and the sort/semisort paths
 // draw their scratch from per-size pools (or a caller-held Sorter) so
 // that steady-state batches allocate nothing per call.
@@ -89,13 +89,6 @@ func ForRange(lo, hi int, body func(i int)) {
 	}
 	rec(lo, hi)
 	wg.Wait()
-}
-
-// Blocks partitions [0, n) into roughly equal chunks, one per worker, and
-// runs body(worker, lo, hi) for each. Use when per-element closures are too
-// fine-grained.
-func Blocks(n int, body func(worker, lo, hi int)) {
-	BlocksN(maxProcs(), n, body)
 }
 
 // BlocksN partitions [0, n) into exactly min(p, n) contiguous chunks and
@@ -211,20 +204,6 @@ func Do(thunks ...func()) {
 	wg.Wait()
 }
 
-// Map applies f to every element of in, in parallel, returning the results.
-func Map[T, U any](in []T, f func(T) U) []U {
-	out := make([]U, len(in))
-	For(len(in), func(i int) { out[i] = f(in[i]) })
-	return out
-}
-
-// MapIndex applies f to every index/element pair.
-func MapIndex[T, U any](in []T, f func(i int, v T) U) []U {
-	out := make([]U, len(in))
-	For(len(in), func(i int) { out[i] = f(i, in[i]) })
-	return out
-}
-
 // Reduce combines the elements of in with the associative operation op,
 // starting from identity. op must be associative; the reduction tree is
 // unspecified.
@@ -265,19 +244,9 @@ func Sum(in []int64) int64 {
 	return Reduce(in, 0, func(a, b int64) int64 { return a + b })
 }
 
-// MaxInt64 returns the maximum of in, or identity for an empty slice.
-func MaxInt64(in []int64, identity int64) int64 {
-	return Reduce(in, identity, func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
 // Lanes is a reusable per-worker dense accumulator arena: W int64 lanes of
-// one fixed width, handed out by worker index during a Blocks/BlocksN fan-
-// out and summed lane-by-lane after the join. Because int64 addition is
+// one fixed width, handed out by worker index during a BlocksN fan-out
+// and summed lane-by-lane after the join. Because int64 addition is
 // commutative and associative, the merged totals are identical to a serial
 // accumulation no matter how the blocks were scheduled — which is what lets
 // callers with byte-identical accounting requirements (the PIM-model update
@@ -366,14 +335,6 @@ func scanInto[I integer](in, out []I) I {
 	return run
 }
 
-// ExclusiveScan computes the exclusive prefix sum of in in parallel,
-// returning the offsets slice (same length) and the total.
-func ExclusiveScan(in []int) (offsets []int, total int) {
-	offsets = make([]int, len(in))
-	total = scanInto(in, offsets)
-	return offsets, total
-}
-
 // ExclusiveScanInto writes the exclusive prefix sums of in into out, which
 // must have the same length and may be in itself, and returns the total.
 func ExclusiveScanInto(in, out []int) int {
@@ -381,47 +342,4 @@ func ExclusiveScanInto(in, out []int) int {
 		panic("parallel: ExclusiveScanInto length mismatch")
 	}
 	return scanInto(in, out)
-}
-
-// Filter returns the elements of in satisfying keep, preserving order. The
-// parallel path counts per worker, sizes the output by an exclusive scan
-// over the counts, and writes each worker's survivors at its scan offset —
-// no append-and-concat. keep must be pure: it runs twice per element.
-func Filter[T any](in []T, keep func(T) bool) []T {
-	if len(in) <= grain {
-		var out []T
-		for _, v := range in {
-			if keep(v) {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	p := workersFor(len(in), grain)
-	counts := intPool.get(p)
-	BlocksN(p, len(in), func(w, lo, hi int) {
-		c := 0
-		for _, v := range in[lo:hi] {
-			if keep(v) {
-				c++
-			}
-		}
-		counts[w] = c
-	})
-	total := 0
-	for w := 0; w < p; w++ {
-		counts[w], total = total, total+counts[w]
-	}
-	out := make([]T, total)
-	BlocksN(p, len(in), func(w, lo, hi int) {
-		o := counts[w]
-		for _, v := range in[lo:hi] {
-			if keep(v) {
-				out[o] = v
-				o++
-			}
-		}
-	})
-	intPool.put(counts)
-	return out
 }

@@ -35,7 +35,7 @@ func TestForRange(t *testing.T) {
 func TestBlocksPartition(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 1000} {
 		covered := make([]int32, n)
-		Blocks(n, func(w, lo, hi int) {
+		BlocksN(4, n, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&covered[i], 1)
 			}
@@ -62,24 +62,6 @@ func TestDo(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	in := []int{1, 2, 3, 4}
-	out := Map(in, func(v int) int { return v * v })
-	want := []int{1, 4, 9, 16}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v", out)
-		}
-	}
-}
-
-func TestMapIndex(t *testing.T) {
-	out := MapIndex([]string{"a", "b"}, func(i int, s string) int { return i })
-	if out[0] != 0 || out[1] != 1 {
-		t.Fatalf("out = %v", out)
-	}
-}
-
 func TestReduce(t *testing.T) {
 	n := 100000
 	in := make([]int64, n)
@@ -95,17 +77,9 @@ func TestReduce(t *testing.T) {
 	}
 }
 
-func TestMaxInt64(t *testing.T) {
-	if got := MaxInt64([]int64{3, 9, 2}, -1); got != 9 {
-		t.Fatalf("MaxInt64 = %d", got)
-	}
-	if got := MaxInt64(nil, -1); got != -1 {
-		t.Fatalf("empty MaxInt64 = %d", got)
-	}
-}
-
 func TestExclusiveScan(t *testing.T) {
-	offsets, total := ExclusiveScan([]int{3, 1, 4})
+	offsets := make([]int, 3)
+	total := ExclusiveScanInto([]int{3, 1, 4}, offsets)
 	if total != 8 {
 		t.Fatalf("total = %d", total)
 	}
@@ -113,22 +87,6 @@ func TestExclusiveScan(t *testing.T) {
 	for i := range want {
 		if offsets[i] != want[i] {
 			t.Fatalf("offsets = %v", offsets)
-		}
-	}
-}
-
-func TestFilter(t *testing.T) {
-	in := make([]int, 10000)
-	for i := range in {
-		in[i] = i
-	}
-	out := Filter(in, func(v int) bool { return v%3 == 0 })
-	if len(out) != 3334 {
-		t.Fatalf("len = %d", len(out))
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i] <= out[i-1] {
-			t.Fatal("order not preserved")
 		}
 	}
 }
@@ -242,12 +200,6 @@ func TestWorkEstimates(t *testing.T) {
 	if CountingSortWork(1000) != 1000 {
 		t.Fatal("CountingSortWork wrong")
 	}
-	if SortWork(0) != 0 || SortWork(1) != 1 {
-		t.Fatal("SortWork base cases wrong")
-	}
-	if SortWork(1024) <= SortWork(512) {
-		t.Fatal("SortWork not increasing")
-	}
 }
 
 func BenchmarkSortKeys1M(b *testing.B) {
@@ -274,16 +226,6 @@ func TestForSingleElement(t *testing.T) {
 	})
 	if !ran {
 		t.Fatal("body did not run")
-	}
-}
-
-func TestFilterSequentialPath(t *testing.T) {
-	out := Filter([]int{1, 2, 3, 4, 5}, func(v int) bool { return v%2 == 1 })
-	if len(out) != 3 || out[0] != 1 || out[2] != 5 {
-		t.Fatalf("out = %v", out)
-	}
-	if got := Filter([]int(nil), func(int) bool { return true }); len(got) != 0 {
-		t.Fatal("nil filter")
 	}
 }
 
@@ -317,7 +259,7 @@ func TestSortKeysAllEqual(t *testing.T) {
 
 func TestBlocksSingleWorkerPath(t *testing.T) {
 	var calls int
-	Blocks(1, func(w, lo, hi int) {
+	BlocksN(4, 1, func(w, lo, hi int) {
 		calls++
 		if w != 0 || lo != 0 || hi != 1 {
 			t.Fatalf("w=%d lo=%d hi=%d", w, lo, hi)
@@ -349,20 +291,6 @@ func TestParallelPathsUnderGOMAXPROCS(t *testing.T) {
 	}
 	if got := Sum(in); got != int64(len(in)) {
 		t.Fatalf("Sum = %d", got)
-	}
-
-	big := make([]int, 4*grain)
-	for i := range big {
-		big[i] = i
-	}
-	out := Filter(big, func(v int) bool { return v%2 == 0 })
-	if len(out) != len(big)/2 {
-		t.Fatalf("filter len = %d", len(out))
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i] <= out[i-1] {
-			t.Fatal("parallel filter lost order")
-		}
 	}
 }
 

@@ -182,32 +182,6 @@ func TestExclusiveScanParallelAliased(t *testing.T) {
 	}
 }
 
-func TestFilterParallelLarge(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	n := 100_000
-	in := make([]int, n)
-	for i := range in {
-		in[i] = i
-	}
-	keep := func(v int) bool { return v%3 == 0 }
-	got := Filter(in, keep)
-	var want []int
-	for _, v := range in {
-		if keep(v) {
-			want = append(want, v)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 // SortPairs must produce exactly what a stable SortBy of (key, index)
 // records produces — sorted keys in place, the permutation in items — on
 // both sides of the radix cutoff, with duplicate-heavy and all-equal keys,

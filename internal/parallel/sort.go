@@ -294,16 +294,3 @@ func radixOffsets(keys []uint64, counts []int, p int, shift uint) {
 // semisorting n items (linear, per the work-efficient semisort the paper
 // cites).
 func CountingSortWork(n int) int64 { return int64(n) }
-
-// SortWork returns the abstract CPU work units charged for a full sort of
-// n items (n log n with a modest constant).
-func SortWork(n int) int64 {
-	if n <= 1 {
-		return int64(n)
-	}
-	lg := 0
-	for v := n; v > 1; v >>= 1 {
-		lg++
-	}
-	return int64(n) * int64(lg) / 4
-}

@@ -272,71 +272,6 @@ func partitionAt(pts []geom.Point, dim uint8, val uint32) int {
 	return i
 }
 
-// Size returns the number of stored points.
-func (t *Tree) Size() int {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.size
-}
-
-// Dims returns the indexed dimensionality.
-func (t *Tree) Dims() uint8 { return t.cfg.Dims }
-
-// Height returns the tree height in edges.
-func (t *Tree) Height() int {
-	var rec func(n *node) int
-	rec = func(n *node) int {
-		if n == nil || n.isLeaf() {
-			return 0
-		}
-		l, r := rec(n.left), rec(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return rec(t.root)
-}
-
-// NodeCount returns the number of internal nodes and leaves.
-func (t *Tree) NodeCount() (internal, leaves int) {
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.isLeaf() {
-			leaves++
-			return
-		}
-		internal++
-		rec(n.left)
-		rec(n.right)
-	}
-	rec(t.root)
-	return internal, leaves
-}
-
-// Points returns all stored points (in tree order).
-func (t *Tree) Points() []geom.Point {
-	out := make([]geom.Point, 0, t.Size())
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.isLeaf() {
-			out = append(out, n.pts...)
-			return
-		}
-		rec(n.left)
-		rec(n.right)
-	}
-	rec(t.root)
-	return out
-}
-
 // touch charges a node access to the instrumentation.
 func (t *Tree) touch(n *node, bytes int, dependent bool) {
 	t.cfg.Work.Add(2)

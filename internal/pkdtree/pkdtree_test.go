@@ -138,7 +138,7 @@ func TestInsert(t *testing.T) {
 		t.Fatalf("size = %d", tr.Size())
 	}
 	for _, p := range pts[:100] {
-		if !tr.Contains(p) {
+		if !contains(tr, p) {
 			t.Fatalf("missing %v", p)
 		}
 	}
@@ -304,7 +304,8 @@ func TestInstrumentation(t *testing.T) {
 	if tr.cfg.Work.Load() == 0 {
 		t.Fatal("no work counted")
 	}
-	cache.Flush()
+	cache = memsim.NewCache(1<<21, 16) // cold-start the query phase
+	tr.cfg.Cache = cache
 	for i := 0; i < 100; i++ {
 		tr.KNN(geom.P3(rng.Uint32()%(1<<20), rng.Uint32()%(1<<20), rng.Uint32()%(1<<20)), 10, geom.L2)
 	}
@@ -320,11 +321,9 @@ func TestPointsAccessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pts := randPoints(rng, 100, 2, 1000)
 	tr := New(Config{Dims: 2}, append([]geom.Point(nil), pts...))
-	if got := tr.Points(); len(got) != 100 {
-		t.Fatalf("Points returned %d", len(got))
-	}
-	if tr.Dims() != 2 {
-		t.Fatal("Dims")
+	all := geom.NewBox(geom.P2(0, 0), geom.P2(^uint32(0), ^uint32(0)))
+	if got := tr.BoxFetch(all); len(got) != 100 {
+		t.Fatalf("BoxFetch over the whole space returned %d points", len(got))
 	}
 }
 

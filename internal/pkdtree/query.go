@@ -169,26 +169,3 @@ func (t *Tree) BoxFetchBatch(boxes []geom.Box) [][]geom.Point {
 	}
 	return out
 }
-
-// Contains reports whether the tree stores a point equal to p.
-func (t *Tree) Contains(p geom.Point) bool {
-	n := t.root
-	for n != nil && !n.isLeaf() {
-		t.touch(n, InternalNodeBytes, true)
-		if p.Coords[n.dim] <= n.split {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if n == nil {
-		return false
-	}
-	t.touch(n, LeafHeaderBytes+len(n.pts)*PointBytes, true)
-	for _, q := range n.pts {
-		if q.Equal(p) {
-			return true
-		}
-	}
-	return false
-}

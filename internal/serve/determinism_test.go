@@ -87,7 +87,7 @@ func coalescedScenario(t *testing.T) []byte {
 	e.execute(&epochPlan{all: plan2})
 
 	var buf bytes.Buffer
-	if err := reg.WriteText(&buf, true); err != nil {
+	if err := reg.WriteTextOpts(&buf, metrics.ExpoOpts{ModeledOnly: true}); err != nil {
 		t.Fatalf("write modeled exposition: %v", err)
 	}
 	return buf.Bytes()

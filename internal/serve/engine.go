@@ -285,9 +285,6 @@ func (e *Engine) Stats() Stats {
 // mid-phase. Always zero unless the backend is driven outside the engine.
 func (e *Engine) FenceViolations() int64 { return e.fenceViolations.Load() }
 
-// Backend returns the served backend (for status surfaces).
-func (e *Engine) Backend() Backend { return e.cfg.Backend }
-
 // executor cuts and runs epochs one at a time. Whenever it is free it
 // drains the intake, so each plan is everything that arrived while the
 // previous epoch ran and a request waits for at most the epoch in flight.

@@ -151,7 +151,7 @@ func TestTCPServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ts.Close()
+	defer closeNow(ts)
 
 	c, err := DialTCP(ts.Addr(), 3)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestParallelMixedClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ts.Close()
+	defer closeNow(ts)
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -319,4 +319,12 @@ func TestTCPShutdownDrain(t *testing.T) {
 	if err := ts.Shutdown(sctx); err != nil && err != context.DeadlineExceeded {
 		t.Fatalf("tcp shutdown: %v", err)
 	}
+}
+
+// closeNow force-closes ts and every connection: Shutdown with an
+// already-expired context.
+func closeNow(ts *TCPServer) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ts.Shutdown(ctx)
 }

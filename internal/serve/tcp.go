@@ -149,17 +149,6 @@ func (s *TCPServer) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Close force-closes the server and every connection.
-func (s *TCPServer) Close() error {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := s.Shutdown(ctx)
-	if errors.Is(err, context.Canceled) {
-		return nil
-	}
-	return err
-}
-
 // Client is a wire-protocol TCP client: synchronous ping-pong per call,
 // safe for one goroutine (loadgen dials one per worker).
 type Client struct {

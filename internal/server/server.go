@@ -85,7 +85,7 @@ type Config struct {
 	Dims int
 	// Tuning is the pim threshold preset: "throughput" or "skew".
 	Tuning string
-	// Dataset ("uniform", "cosmos", "osm"), N and Seed define the warmup
+	// Dataset ("uniform", "cosmos", "osm", "varden"), N and Seed define the warmup
 	// point set the index is built over.
 	Dataset string
 	N       int
@@ -134,25 +134,13 @@ func (c Config) validate() (parsed, error) {
 	case c.N < 0:
 		return p, fmt.Errorf("n=%d: want a non-negative warmup size", c.N)
 	}
-	switch c.Tuning {
-	case "throughput":
-		p.tuning = core.ThroughputOptimized
-	case "skew":
-		p.tuning = core.SkewResistant
-	default:
-		return p, fmt.Errorf("unknown tuning %q (throughput, skew)", c.Tuning)
-	}
-	switch c.Dataset {
-	case "uniform":
-		p.dataset = workload.DatasetUniform
-	case "cosmos":
-		p.dataset = workload.DatasetCosmos
-	case "osm":
-		p.dataset = workload.DatasetOSM
-	default:
-		return p, fmt.Errorf("unknown dataset %q (uniform, cosmos, osm)", c.Dataset)
-	}
 	var err error
+	if p.tuning, err = core.ParseTuning(c.Tuning); err != nil {
+		return p, err
+	}
+	if p.dataset, err = workload.ParseDataset(c.Dataset); err != nil {
+		return p, err
+	}
 	if p.objectives, err = parseSLO(c.SLO); err != nil {
 		return p, fmt.Errorf("slo: %w", err)
 	}

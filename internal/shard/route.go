@@ -218,25 +218,3 @@ func (x *Index) BoxCountBatch(boxes []geom.Box) []int64 {
 	}
 	return out
 }
-
-// ShardOf returns the index of the shard owning a point's Morton key
-// under the current cuts — exposed for fan-out attribution tests.
-func (x *Index) ShardOf(p geom.Point) int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return findShard(x.cuts, morton.EncodePoint(p))
-}
-
-// BoxCover returns the shard indices a query box fans out to — exposed
-// for the minimal-cover property test.
-func (x *Index) BoxCover(b geom.Box) []int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	var cover []int
-	for s, sh := range x.sh {
-		if sh.tree.Size() > 0 && sh.intersects(b) {
-			cover = append(cover, s)
-		}
-	}
-	return cover
-}

@@ -326,13 +326,6 @@ func chooseCuts(points []geom.Point, s int, maxKey uint64) []uint64 {
 // Dims returns the indexed dimensionality.
 func (x *Index) Dims() uint8 { return x.cfg.Dims }
 
-// Trees returns the current shard count.
-func (x *Index) Trees() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return len(x.sh)
-}
-
 // Size returns the total stored point count across shards.
 func (x *Index) Size() int {
 	x.mu.RLock()

@@ -71,8 +71,8 @@ func TestShardedDifferential(t *testing.T) {
 			ref := refBackend{t: core.New(core.Config{
 				Dims: 3, Machine: testMachine(64), Tuning: core.ThroughputOptimized}, warm)}
 			x := New(testConfig(tc.trees), warm)
-			if x.Trees() != tc.trees {
-				t.Fatalf("Trees() = %d, want %d", x.Trees(), tc.trees)
+			if len(x.sh) != tc.trees {
+				t.Fatalf("shards = %d, want %d", len(x.sh), tc.trees)
 			}
 			if x.Size() != ref.t.Size() {
 				t.Fatalf("size %d, want %d", x.Size(), ref.t.Size())
@@ -259,9 +259,11 @@ func TestBoxCoverProperties(t *testing.T) {
 	boxes := workload.QueryBoxes(13, data, 64, 40)
 	for bi, b := range boxes {
 		cover := map[int]bool{}
-		for _, s := range x.BoxCover(b) {
+		for s, sh := range x.sh {
+			if sh.tree.Size() == 0 || !sh.intersects(b) {
+				continue
+			}
 			cover[s] = true
-			sh := x.sh[s]
 			witness := false
 			for _, blk := range sh.blocks {
 				if !blk.Intersects(b) {
@@ -346,7 +348,7 @@ func identityScenario(t *testing.T, trees int) (exposition, jsonl []byte) {
 	knn(queries[200:300], 4)
 
 	var eb, jb bytes.Buffer
-	if err := reg.WriteText(&eb, true); err != nil {
+	if err := reg.WriteTextOpts(&eb, metrics.ExpoOpts{ModeledOnly: true}); err != nil {
 		t.Fatalf("exposition: %v", err)
 	}
 	if err := rec.ExportJSONL(&jb); err != nil {

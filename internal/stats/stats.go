@@ -47,18 +47,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Mean returns the arithmetic mean (0 for empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // HumanRate formats an operations-per-second rate like the paper's
 // MOp/s axes.
 func HumanRate(v float64) string {

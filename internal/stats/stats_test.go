@@ -53,15 +53,6 @@ func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
 	GeoMean([]float64{1, 0})
 }
 
-func TestMean(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("Mean")
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("empty Mean")
-	}
-}
-
 func TestHumanRate(t *testing.T) {
 	cases := map[float64]string{
 		5:     "5.00 Op/s",

@@ -13,7 +13,7 @@ import (
 	"pimzdtree/internal/morton"
 )
 
-// Point-file I/O, so the harness can run on real datasets (an actual
+// Point-file input, so the harness can run on real datasets (an actual
 // OpenStreetMap extract, an astronomy catalogue) instead of the synthetic
 // stand-ins. Two formats:
 //
@@ -23,39 +23,6 @@ import (
 //     are quantized onto the Morton grid with QuantizeFloats.
 
 const ptsMagic = "PTS1\n"
-
-// WritePoints writes the binary point format.
-func WritePoints(w io.Writer, pts []geom.Point) error {
-	if len(pts) == 0 {
-		return fmt.Errorf("workload: no points to write")
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(ptsMagic); err != nil {
-		return err
-	}
-	dims := pts[0].Dims
-	if err := bw.WriteByte(dims); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(pts)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [4]byte
-	for _, p := range pts {
-		if p.Dims != dims {
-			return fmt.Errorf("workload: mixed dimensionality %d vs %d", p.Dims, dims)
-		}
-		for d := uint8(0); d < dims; d++ {
-			binary.LittleEndian.PutUint32(buf[:], p.Coords[d])
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
 
 // ReadPoints reads the binary point format.
 func ReadPoints(r io.Reader) ([]geom.Point, error) {

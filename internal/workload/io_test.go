@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -9,12 +10,23 @@ import (
 	"pimzdtree/internal/morton"
 )
 
+// writePoints encodes pts in the binary point format ReadPoints parses:
+// magic, dims byte, little-endian uint64 count, packed uint32 coordinates.
+func writePoints(buf *bytes.Buffer, pts []geom.Point) {
+	buf.WriteString(ptsMagic)
+	buf.WriteByte(pts[0].Dims)
+	buf.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(pts))))
+	for _, p := range pts {
+		for d := uint8(0); d < p.Dims; d++ {
+			buf.Write(binary.LittleEndian.AppendUint32(nil, p.Coords[d]))
+		}
+	}
+}
+
 func TestBinaryPointsRoundTrip(t *testing.T) {
 	pts := Uniform(1, 2000, 3)
 	var buf bytes.Buffer
-	if err := WritePoints(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
+	writePoints(&buf, pts)
 	got, err := ReadPoints(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -30,24 +42,16 @@ func TestBinaryPointsRoundTrip(t *testing.T) {
 }
 
 func TestBinaryPointsErrors(t *testing.T) {
-	if err := WritePoints(&bytes.Buffer{}, nil); err == nil {
-		t.Fatal("expected error for empty write")
-	}
 	if _, err := ReadPoints(strings.NewReader("garbage data here")); err == nil {
 		t.Fatal("expected magic error")
 	}
 	// Truncated stream.
 	pts := Uniform(2, 10, 2)
 	var buf bytes.Buffer
-	WritePoints(&buf, pts)
+	writePoints(&buf, pts)
 	trunc := buf.Bytes()[:buf.Len()-3]
 	if _, err := ReadPoints(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("expected truncation error")
-	}
-	// Mixed dims rejected.
-	mixed := []geom.Point{geom.P2(1, 2), geom.P3(1, 2, 3)}
-	if err := WritePoints(&bytes.Buffer{}, mixed); err == nil {
-		t.Fatal("expected mixed-dims error")
 	}
 }
 

@@ -252,7 +252,19 @@ const (
 	DatasetCosmos
 	// DatasetOSM is the OSM-like strongly skewed data.
 	DatasetOSM
+	// DatasetVarden is the random-walk extreme-skew data.
+	DatasetVarden
 )
+
+// ParseDataset maps a dataset name as String prints it to its Dataset.
+func ParseDataset(name string) (Dataset, error) {
+	for d := DatasetUniform; d <= DatasetVarden; d++ {
+		if d.String() == name {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown dataset %q (uniform, cosmos, osm, varden)", name)
+}
 
 // String names the dataset as in the paper's figures.
 func (d Dataset) String() string {
@@ -263,6 +275,8 @@ func (d Dataset) String() string {
 		return "cosmos"
 	case DatasetOSM:
 		return "osm"
+	case DatasetVarden:
+		return "varden"
 	default:
 		return fmt.Sprintf("Dataset(%d)", int(d))
 	}
@@ -277,6 +291,8 @@ func (d Dataset) Generate(seed int64, n int, dims uint8) []geom.Point {
 		return CosmosLike(seed, n, dims)
 	case DatasetOSM:
 		return OSMLike(seed, n, dims)
+	case DatasetVarden:
+		return Varden(seed, n, dims)
 	default:
 		panic("workload: unknown dataset")
 	}

@@ -217,3 +217,33 @@ func TestQueryBoxesCalibratedOnSkewedData(t *testing.T) {
 		t.Fatalf("average hits %f, want ~100", avg)
 	}
 }
+
+func TestParseDataset(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Dataset
+		ok   bool
+	}{
+		{"uniform", DatasetUniform, true},
+		{"cosmos", DatasetCosmos, true},
+		{"osm", DatasetOSM, true},
+		{"varden", DatasetVarden, true},
+		{"skw", 0, false},
+		{"", 0, false},
+		{"mars", 0, false},
+	} {
+		got, err := ParseDataset(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseDataset(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+	// Every dataset generates, and names round-trip through String.
+	for d := DatasetUniform; d <= DatasetVarden; d++ {
+		if got, err := ParseDataset(d.String()); err != nil || got != d {
+			t.Errorf("ParseDataset(%v.String()) = %v, %v", d, got, err)
+		}
+		if pts := d.Generate(1, 10, 2); len(pts) != 10 {
+			t.Errorf("%v.Generate returned %d points", d, len(pts))
+		}
+	}
+}

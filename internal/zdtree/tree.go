@@ -236,98 +236,6 @@ func splitAtBit(kps []keyed, bit uint) int {
 	return lo
 }
 
-// Size returns the number of points in the tree.
-func (t *Tree) Size() int {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.size
-}
-
-// Dims returns the dimensionality of indexed points.
-func (t *Tree) Dims() uint8 { return t.cfg.Dims }
-
-// Height returns the height of the tree in (compressed) edges.
-func (t *Tree) Height() int {
-	var rec func(n *node) int
-	rec = func(n *node) int {
-		if n == nil || n.isLeaf() {
-			return 0
-		}
-		l, r := rec(n.left), rec(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return rec(t.root)
-}
-
-// NodeCount returns the number of internal nodes and leaves.
-func (t *Tree) NodeCount() (internal, leaves int) {
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.isLeaf() {
-			leaves++
-			return
-		}
-		internal++
-		rec(n.left)
-		rec(n.right)
-	}
-	rec(t.root)
-	return internal, leaves
-}
-
-// Points returns all points in key order (mainly for tests and examples).
-func (t *Tree) Points() []geom.Point {
-	out := make([]geom.Point, 0, t.Size())
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.isLeaf() {
-			out = append(out, n.pts...)
-			return
-		}
-		rec(n.left)
-		rec(n.right)
-	}
-	rec(t.root)
-	return out
-}
-
-// Contains reports whether the tree stores a point equal to p.
-func (t *Tree) Contains(p geom.Point) bool {
-	key := morton.EncodePoint(p)
-	n := t.root
-	for n != nil && !n.isLeaf() {
-		t.touch(n, InternalNodeBytes, true)
-		if !t.sharesPrefix(key, n) {
-			return false
-		}
-		if morton.BitAt(key, t.keyBits()-1-uint(n.prefixLen)) == 0 {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if n == nil {
-		return false
-	}
-	t.touch(n, LeafHeaderBytes+len(n.keys)*PointBytes, true)
-	for i, k := range n.keys {
-		if k == key && n.pts[i].Equal(p) {
-			return true
-		}
-	}
-	return false
-}
-
 // sharesPrefix reports whether key matches n's z-order prefix.
 func (t *Tree) sharesPrefix(key uint64, n *node) bool {
 	if n.prefixLen == 0 {

@@ -136,13 +136,13 @@ func TestContains(t *testing.T) {
 	pts := randPoints(rng, 2000, 3, 1<<18)
 	tr := New(Config{Dims: 3}, pts)
 	for _, p := range pts[:200] {
-		if !tr.Contains(p) {
+		if !contains(tr, p) {
 			t.Fatalf("missing point %v", p)
 		}
 	}
 	for i := 0; i < 200; i++ {
 		q := geom.P3(rng.Uint32()%(1<<18)+1<<19, 0, 0) // outside the coord range used
-		if tr.Contains(q) {
+		if contains(tr, q) {
 			t.Fatalf("phantom point %v", q)
 		}
 	}
@@ -223,7 +223,7 @@ func TestDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pts[2600:2700] {
-		if !tr.Contains(p) {
+		if !contains(tr, p) {
 			t.Fatal("surviving point missing")
 		}
 	}
@@ -418,7 +418,8 @@ func TestTrafficInstrumentation(t *testing.T) {
 	cache := memsimCache()
 	cfg := Config{Dims: 3, Cache: cache}
 	tr := New(cfg, pts)
-	cache.Flush() // cold-start the query phase
+	cache = memsimCache() // cold-start the query phase
+	tr.cfg.Cache = cache
 	for i := 0; i < 100; i++ {
 		q := geom.P3(rng.Uint32()%(1<<21), rng.Uint32()%(1<<21), rng.Uint32()%(1<<21))
 		tr.KNN(q, 10, geom.L2)
@@ -486,12 +487,12 @@ func TestDeleteManyPhantomsAmongReal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range stored[:300] {
-		if tr.Contains(p) {
+		if contains(tr, p) {
 			t.Fatalf("deleted point %v still present", p)
 		}
 	}
 	for _, p := range stored[300:320] {
-		if !tr.Contains(p) {
+		if !contains(tr, p) {
 			t.Fatalf("surviving point %v missing", p)
 		}
 	}
