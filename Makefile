@@ -7,15 +7,16 @@
 # TestPulledScanMultiWorker, pim's TestRoundSchedule) — actually run
 # multi-worker (a 1-core CI would otherwise never exercise them), the
 # memory gates without the race detector (which makes them skip), the CLI
-# smoke run, the experiment CSVs compared across GOMAXPROCS, and the
-# benchmark module's own vet + tests.
+# smoke run, the experiment CSVs compared across GOMAXPROCS, every fuzz
+# target for 5 s from its seed corpus, and the benchmark module's own
+# vet + tests.
 # Wall-clock speed is not gated here: benchmark/ + BENCHMARK.json own it.
 
 GO ?= go
 
-.PHONY: ci build vet deadcode fmt test race footprint bench smoke determinism benchmark-module profile
+.PHONY: ci build vet deadcode fmt test race footprint bench smoke determinism fuzz benchmark-module profile
 
-ci: build vet deadcode fmt race footprint smoke determinism benchmark-module
+ci: build vet deadcode fmt race footprint smoke determinism fuzz benchmark-module
 
 build:
 	$(GO) build ./...
@@ -189,6 +190,17 @@ determinism:
 		cmp .smoke/$$e.1.csv .smoke/$$e.$$g.csv || exit 1; \
 	done; done
 	rm -rf .smoke
+
+# Every Fuzz* target in the repo (found by name, so a new one joins
+# without editing this) runs for 5 s beyond its seed corpus. go test takes
+# one -fuzz target per run. A failing input lands in the package's
+# testdata/fuzz/ and fails the step.
+fuzz:
+	for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd tools); do \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime 5s ./$$(dirname $$f) || exit 1; \
+		done; \
+	done
 
 # Micro-benchmarks of the parallel substrate (sort, semisort, scan), and the
 # build's time and memory (retained and peak heap bytes per point).

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pimzdtree/internal/geom"
+	"pimzdtree/internal/workload"
 )
 
 // Micro-benchmarks for the core index operations (wall-clock of the
@@ -80,6 +81,32 @@ func BenchmarkSearchBatch(b *testing.B) {
 		tr.Search(qs)
 	}
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds()/1e6, "wallclock-Mq/s")
+}
+
+// BenchmarkSearchSmallBatch is the local wall-clock check for a served
+// search request: 128-key batches, half stored points and half perturbed,
+// on a clustered 200k-point tree. At this size every phase walks on the
+// caller (no fork), and a round's groups hold one or two queries each.
+func BenchmarkSearchSmallBatch(b *testing.B) {
+	data := workload.OSMLike(1, 200_000, 3)
+	tr := New(testConfig(ThroughputOptimized), data)
+	rng := rand.New(rand.NewSource(3))
+	batches := make([][]geom.Point, 64)
+	for i := range batches {
+		qs := make([]geom.Point, 128)
+		for j := range qs {
+			qs[j] = data[rng.Intn(len(data))]
+			if j%2 == 1 {
+				qs[j].Coords[j%3] ^= uint32(rng.Intn(1 << 12))
+			}
+		}
+		batches[i] = qs
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Search(batches[i%len(batches)])
+	}
+	b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds()/1e6, "wallclock-Mq/s")
 }
 
 // updateBenchTree builds a warmed tree plus a batch, then runs one

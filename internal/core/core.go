@@ -266,6 +266,8 @@ type Tree struct {
 	bootstrapped             bool  // initial layout done (placement may inherit)
 	rehomeThreshold          int64 // per-module footprint above which chunks rehome
 
+	keyBits uint // bits in a key: morton.KeyBits(Dims), fixed at New
+
 	l0OnModules bool  // L0 replicated on modules instead of the CPU cache
 	l0Count     int64 // number of L0 nodes
 	l0Bytes     int64
@@ -334,9 +336,10 @@ func New(cfg Config, points []geom.Point) *Tree {
 	cfg.fill()
 	machine := cfg.Machine
 	t := &Tree{
-		cfg:    cfg,
-		sys:    pim.NewSystem(machine),
-		chunks: make(map[uint64]*Chunk),
+		cfg:     cfg,
+		sys:     pim.NewSystem(machine),
+		keyBits: morton.KeyBits(int(cfg.Dims)),
+		chunks:  make(map[uint64]*Chunk),
 	}
 	t.sys.DirectAPI = !cfg.DisableDirectAPI
 	t.sys.SetRecorder(cfg.Obs)
@@ -468,8 +471,6 @@ func (t *Tree) bulkBuild(points []geom.Point, sortPhase, buildPhase string) *Nod
 	return root
 }
 
-func (t *Tree) keyBits() uint { return morton.KeyBits(int(t.cfg.Dims)) }
-
 // chargeHostSort prices the host-side radix sort and batch preprocessing,
 // identically to the baselines' sort pricing (~30 cycles per element).
 // Traffic follows the paper's Fig. 7 observation: while the batch and its
@@ -500,7 +501,7 @@ func (t *Tree) buildLogical(b batch) *Node {
 		return t.newLeaf(b)
 	}
 	plen := morton.CommonPrefixLen(first, last, int(t.cfg.Dims))
-	bit := t.keyBits() - 1 - plen
+	bit := t.keyBits - 1 - plen
 	split := splitAtBit(b.keys, bit)
 	n := &Node{
 		Key:       first,
@@ -544,7 +545,7 @@ func (t *Tree) newLeaf(b batch) *Node {
 // of the two ends.
 func (t *Tree) leafPrefixLen(keys []uint64) uint8 {
 	if len(keys) == 1 {
-		return uint8(t.keyBits())
+		return uint8(t.keyBits)
 	}
 	return uint8(morton.CommonPrefixLen(keys[0], keys[len(keys)-1], int(t.cfg.Dims)))
 }
@@ -569,20 +570,12 @@ func (t *Tree) sharesPrefix(key uint64, n *Node) bool {
 	if n.PrefixLen == 0 {
 		return true
 	}
-	return (key^n.Key)>>(t.keyBits()-uint(n.PrefixLen)) == 0
+	return (key^n.Key)>>(t.keyBits-uint(n.PrefixLen)) == 0
 }
 
 // splitBit returns the key bit an internal node routes on.
 func (t *Tree) splitBit(n *Node) uint {
-	return t.keyBits() - 1 - uint(n.PrefixLen)
-}
-
-// childFor returns the child of internal node n that key routes to.
-func (t *Tree) childFor(n *Node, key uint64) *Node {
-	if morton.BitAt(key, t.splitBit(n)) == 0 {
-		return n.Left
-	}
-	return n.Right
+	return t.keyBits - 1 - uint(n.PrefixLen)
 }
 
 // leafBytes returns the modeled size of a leaf's payload.

@@ -17,7 +17,8 @@ import (
 // TestPulledScanMultiWorker drives the parallel pulled-chunk host path with
 // several workers: a seeded skewed batch (many duplicate queries on a few
 // hot keys) pushes dozens of chunk groups over the SkewResistant pull
-// threshold (B = 16), so scanPulled's fork genuinely happens. Under `make
+// threshold (B = 16), so the pulled groups' host walks genuinely fork
+// (search's lockstep descents, kNN's and box's scanPulled). Under `make
 // race` (GOMAXPROCS=4 -race) this is the regression net for data races in
 // the concurrent group traversals and the per-worker accumulators.
 func TestPulledScanMultiWorker(t *testing.T) {

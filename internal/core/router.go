@@ -49,7 +49,6 @@ type waveRouter struct {
 	// Per-slot arenas, reused wave to wave.
 	exitArena [][]entry // one per active module
 	pullArena [][]entry // one per pulled group (host-side exits/results)
-	resArena  [][]entry // one per active module (push results)
 	workAcc   []int64   // per-host-worker work accumulators
 	byteAcc   []int64   // per-host-worker byte accumulators
 
@@ -172,9 +171,6 @@ func (r *waveRouter) exitSlots(n int) [][]entry { return growSlots(&r.exitArena,
 
 // pullSlots returns one reusable host-side buffer per pulled group.
 func (r *waveRouter) pullSlots(n int) [][]entry { return growSlots(&r.pullArena, n) }
-
-// resSlots returns one reusable push-result buffer per active module.
-func (r *waveRouter) resSlots(n int) [][]entry { return growSlots(&r.resArena, n) }
 
 // accumulators returns zeroed per-worker (work, bytes) accumulators.
 func (r *waveRouter) accumulators(workers int) (work, bytes []int64) {

@@ -58,7 +58,6 @@ func (t *Tree) trimScratch() {
 	r.front[1] = parallel.Keep(r.front[1], peak)
 	trimSlots(r.exitArena, peak)
 	trimSlots(r.pullArena, peak)
-	trimSlots(r.resArena, peak)
 	trimSlots(t.knnFoundBuf, peak)
 	ws := t.workers[:cap(t.workers)]
 	for w := range ws {

@@ -35,12 +35,19 @@ type searchOpts struct {
 // Search routes a batch of query points to their leaves using the
 // three-phase push-pull search of Alg. 1 and returns one result per query.
 func (t *Tree) Search(points []geom.Point) []SearchResult {
+	res, _ := t.search(points)
+	return res
+}
+
+// search is Search returning the batch's keys as well. They are Tree
+// scratch: valid until the next batch operation.
+func (t *Tree) search(points []geom.Point) ([]SearchResult, []uint64) {
 	rec := t.sys.Recorder()
 	rec.BeginOp("search")
 	defer rec.EndOp()
 	defer t.trimScratch()
 	keys := t.encodeKeys(points)
-	return t.searchKeys(keys, searchOpts{})
+	return t.searchKeys(keys, searchOpts{}), keys
 }
 
 // encodeKeys computes Morton keys on the host, charging the configured
@@ -99,36 +106,118 @@ func (t *Tree) searchKeys(keys []uint64, opts searchOpts) []SearchResult {
 	return res
 }
 
-// descendL0 walks one query through L0 on whatever processor runs it,
-// returning the first non-L0 node (chunk entry) or the in-L0 terminal, and
-// the number of nodes visited.
-func (t *Tree) descendL0(key uint64, opts searchOpts, r *SearchResult) (*Node, int64) {
-	n := t.root
-	var visited int64
-	for {
-		if n.Layer != L0 {
-			// The chunk-entry node is observed by the phase that
-			// processes it, exactly once.
-			return n, visited
+// walkLanes is how many queries a descent walks abreast. Every step of a
+// walk loads the child pointer of the node it just reached, so one query at
+// a time waits on memory at each node; independent queries interleaved
+// keep that many loads in flight.
+const walkLanes = 16
+
+// stopRule says where a descent hands a query on to the next phase.
+type stopRule uint8
+
+const (
+	leaveL0    stopRule = iota // at the first node below L0: a chunk entry
+	reachL2                    // at the first L2 node: the end of a cached L1 segment
+	leaveChunk                 // at the first node outside the query's entry chunk
+)
+
+// descend walks each query of es from es[i].node down the tree, walkLanes
+// queries abreast, until rule hands it on or it terminates at a leaf or a
+// prefix divergence. For query qi it writes next[qi] — the node it stopped
+// at, not yet observed, or nil once res[qi].Terminal is set — and
+// visits[qi], the nodes it visited, each observed once, root-first. The
+// queries are independent, so the interleaving changes nothing any of them
+// records; concurrent calls must hold disjoint queries. L0 nodes are
+// exactly the chunkless ones, so leaving L0 is leaving the nil chunk.
+func (t *Tree) descend(keys []uint64, es []entry, rule stopRule, opts searchOpts, res []SearchResult, next []*Node, visits []int64) {
+	kb := t.keyBits
+	var (
+		cur  [walkLanes]*Node
+		home [walkLanes]*Chunk // the lane's entry chunk (leaveChunk only)
+		key  [walkLanes]uint64
+		qi   [walkLanes]int32
+		vis  [walkLanes]int64
+	)
+	live, fill := 0, 0
+	for ; live < walkLanes && fill < len(es); live, fill = live+1, fill+1 {
+		e := es[fill]
+		cur[live], key[live], qi[live] = e.node, keys[e.qi], e.qi
+		if rule == leaveChunk {
+			home[live] = e.node.Chunk
 		}
-		visited++
-		t.observe(n, key, opts, r)
-		if n.IsLeaf() || !t.sharesPrefix(key, n) {
-			r.Terminal = n
-			return nil, visited
+	}
+	for live > 0 {
+		for l := 0; l < live; {
+			n := cur[l]
+			var stop bool
+			if rule == reachL2 {
+				stop = n.Layer == L2
+			} else {
+				stop = n.Chunk != home[l]
+			}
+			if !stop {
+				vis[l]++
+				k := key[l]
+				shares := n.PrefixLen == 0 || (k^n.Key)>>(kb-uint(n.PrefixLen)) == 0
+				if opts.kTrack > 0 && n.SC >= int64(opts.kTrack) && shares {
+					res[qi[l]].LowK = n
+				}
+				if opts.trace {
+					r := &res[qi[l]]
+					r.Trace = append(r.Trace, n)
+				}
+				if left, right := n.Left, n.Right; left != nil && shares {
+					// Both children are loaded and the key bit picks one
+					// with a conditional move: a branch on it would
+					// mispredict half the time and flush the other lanes'
+					// loads in flight.
+					c := left
+					if k>>(kb-1-uint(n.PrefixLen))&1 != 0 {
+						c = right
+					}
+					cur[l] = c
+					l++
+					continue
+				}
+				res[qi[l]].Terminal = n
+				n = nil
+			}
+			next[qi[l]], visits[qi[l]] = n, vis[l]
+			// The lane is free: the next query takes it, or the last live
+			// lane moves down into it.
+			if fill < len(es) {
+				e := es[fill]
+				fill++
+				cur[l], key[l], qi[l], vis[l] = e.node, keys[e.qi], e.qi, 0
+				if rule == leaveChunk {
+					home[l] = e.node.Chunk
+				}
+			} else {
+				live--
+				cur[l], home[l], key[l], qi[l], vis[l] = cur[live], home[live], key[live], qi[live], vis[live]
+			}
 		}
-		n = t.childFor(n, key)
 	}
 }
 
-// observe updates per-query trace state at a visited node.
-func (t *Tree) observe(n *Node, key uint64, opts searchOpts, r *SearchResult) {
-	if opts.kTrack > 0 && n.SC >= int64(opts.kTrack) && t.sharesPrefix(key, n) {
-		r.LowK = n
+// descendAll runs descend over the whole of es on the host's workers.
+func (t *Tree) descendAll(keys []uint64, es []entry, rule stopRule, opts searchOpts, res []SearchResult, next []*Node, visits []int64) {
+	forQueries(len(es), func(_, lo, hi int) {
+		t.descend(keys, es[lo:hi], rule, opts, res, next, visits)
+	})
+}
+
+// walkScratch returns the per-query descent results of a batch of n
+// queries (see descend). Slots are not cleared: a phase reads only the
+// slots of the queries it just walked.
+func (t *Tree) walkScratch(n int) (next []*Node, visits []int64) {
+	if cap(t.nodeBuf) < n {
+		t.nodeBuf = make([]*Node, n)
 	}
-	if opts.trace {
-		r.Trace = append(r.Trace, n)
+	if cap(t.visitBuf) < n {
+		t.visitBuf = make([]int64, n)
 	}
+	return t.nodeBuf[:n], t.visitBuf[:n]
 }
 
 // searchL0 runs phase 1 and returns the frontier of (query, chunk-entry)
@@ -141,55 +230,35 @@ func (t *Tree) searchL0(keys []uint64, opts searchOpts, res []SearchResult) []en
 		t.frontierBuf = make([]entry, len(keys))
 	}
 	frontier := t.frontierBuf[:len(keys)]
-	if cap(t.visitBuf) < len(keys) {
-		t.visitBuf = make([]int64, len(keys))
+	for i := range frontier {
+		frontier[i] = entry{qi: int32(i), node: t.root}
 	}
-	visits := t.visitBuf[:len(keys)]
-	run := func(i int) {
-		n, v := t.descendL0(keys[i], opts, &res[i])
-		visits[i] = v
-		if n != nil {
-			frontier[i] = entry{qi: int32(i), node: n}
-		} else {
-			frontier[i] = entry{qi: -1}
-		}
-	}
+	next, visits := t.walkScratch(len(keys))
+	t.descendAll(keys, frontier, leaveL0, opts, res, next, visits)
 	if t.l0OnModules && len(keys) > 0 {
 		// Alg. 1 step 1 option (2): split Q into P groups, each searched
 		// against the module's L0 replica.
 		p := t.P()
-		t.sys.RoundN(t.sys.AllModules(), len(keys), func(m *pim.Module) {
+		t.sys.Round(t.sys.AllModules(), func(m *pim.Module) {
 			lo := m.ID * len(keys) / p
 			hi := (m.ID + 1) * len(keys) / p
 			m.Recv(int64(hi-lo) * queryMsgBytes)
-			for i := lo; i < hi; i++ {
-				run(i)
-				m.Work(visits[i] * 4)
+			for _, v := range visits[lo:hi] {
+				m.Work(v * 4)
 			}
 			m.Send(int64(hi-lo) * resultMsgBytes)
 		})
 	} else {
-		parallel.For(len(keys), func(i int) { run(i) })
 		// L0 fits in the CPU cache: compute cost only, no DRAM traffic.
 		t.sys.CPUPhase(parallel.Sum(visits)*4, 0, 0)
 	}
 	out := frontier[:0]
-	for _, e := range frontier {
-		if e.qi >= 0 {
-			out = append(out, e)
+	for i, n := range next {
+		if n != nil {
+			out = append(out, entry{qi: int32(i), node: n})
 		}
 	}
 	return out
-}
-
-// nodeScratch returns a reusable []*Node of length n. Slots are not
-// cleared: callers either write every slot they later read (searchL1) or
-// clear exactly the slots they may read (searchL2).
-func (t *Tree) nodeScratch(n int) []*Node {
-	if cap(t.nodeBuf) < n {
-		t.nodeBuf = make([]*Node, n)
-	}
-	return t.nodeBuf[:n]
 }
 
 // pullThresholdL1 is K = B log_P(ThetaL0/ThetaL1) from Alg. 1 step 2a.
@@ -204,47 +273,6 @@ func (t *Tree) pullThresholdL1() int {
 		k = 1
 	}
 	return int(k)
-}
-
-// traverseChunkMaster walks a query from nd through its chunk's master
-// structure only (used for pulled chunks, whose caches are deliberately
-// not fetched), stopping on chunk exit, leaf, or prefix divergence.
-func (t *Tree) traverseChunkMaster(key uint64, nd *Node, opts searchOpts, r *SearchResult) (next *Node, visited int64) {
-	c := nd.Chunk
-	n := nd
-	for {
-		visited++
-		t.observe(n, key, opts, r)
-		if n.IsLeaf() || !t.sharesPrefix(key, n) {
-			r.Terminal = n
-			return nil, visited
-		}
-		ch := t.childFor(n, key)
-		if ch.Chunk != c {
-			return ch, visited
-		}
-		n = ch
-	}
-}
-
-// traverseL1Cached walks a query from an L1 entry through the entry
-// module's cached copy of the whole remaining L1 structure (§3.1), exiting
-// at the first L2 node, leaf, or divergence.
-func (t *Tree) traverseL1Cached(key uint64, nd *Node, opts searchOpts, r *SearchResult) (next *Node, visited int64) {
-	n := nd
-	for {
-		if n.Layer == L2 {
-			// Observed by the L2 phase that receives it.
-			return n, visited
-		}
-		visited++
-		t.observe(n, key, opts, r)
-		if n.IsLeaf() || !t.sharesPrefix(key, n) {
-			r.Terminal = n
-			return nil, visited
-		}
-		n = t.childFor(n, key)
-	}
 }
 
 // groupByChunk semisorts entries by chunk identity.
@@ -312,6 +340,7 @@ func (t *Tree) searchL1(keys []uint64, opts searchOpts, res []SearchResult, fron
 	}
 
 	rec := t.sys.Recorder()
+	next, visits := t.walkScratch(len(keys))
 	kPull := t.pullThresholdL1()
 	for iter := 0; len(frontier) > 0 && iter < 64; iter++ {
 		if rec.Enabled() {
@@ -335,16 +364,21 @@ func (t *Tree) searchL1(keys []uint64, opts searchOpts, res []SearchResult, fron
 			if len(pulled) == 0 {
 				return true
 			}
-			// Collect the pulled queries' next hops separately: they rejoin
-			// the frontier after it is rebuilt from the un-pulled groups.
+			t.pullAndAdvance(keys, opts, res, pulled, next, visits)
+			// The pulled queries' next hops rejoin the frontier after it
+			// is rebuilt from the un-pulled groups.
 			var pulledNext []entry
-			t.pullAndAdvance(keys, opts, res, pulled, func(qi int32, n *Node) {
-				if n.Layer == L2 {
-					l2 = append(l2, entry{qi: qi, node: n})
-				} else {
-					pulledNext = append(pulledNext, entry{qi: qi, node: n})
+			for _, g := range pulled {
+				for _, e := range g.entries {
+					switch n := next[e.qi]; {
+					case n == nil:
+					case n.Layer == L2:
+						l2 = append(l2, entry{qi: e.qi, node: n})
+					default:
+						pulledNext = append(pulledNext, entry{qi: e.qi, node: n})
+					}
 				}
-			})
+			}
 			frontier = frontier[:0]
 			for _, g := range rest {
 				frontier = append(frontier, g.entries...)
@@ -362,18 +396,8 @@ func (t *Tree) searchL1(keys []uint64, opts searchOpts, res []SearchResult, fron
 		// caching finishes the whole L1 segment in this single round.
 		rec.BeginPhase("L1-push")
 		groups := t.groupByChunk(frontier)
-		// No clearing needed: every e in groups writes next[e.qi] in the
-		// round before the read below.
-		next := t.nodeScratch(len(keys))
-		t.roundOverGroups(groups, func(m *pim.Module, g chunkGroup) {
-			m.Recv(int64(len(g.entries)) * queryMsgBytes)
-			for _, e := range g.entries {
-				nd, visited := t.traverseL1Cached(keys[e.qi], e.node, opts, &res[e.qi])
-				m.Work(visited * 4)
-				next[e.qi] = nd
-			}
-			m.Send(int64(len(g.entries)) * resultMsgBytes)
-		})
+		t.descendAll(keys, frontier, reachL2, opts, res, next, visits)
+		t.chargeRound(nil, groups, visits)
 		for _, g := range groups {
 			for _, e := range g.entries {
 				appendNext(e.qi, next[e.qi])
@@ -386,10 +410,13 @@ func (t *Tree) searchL1(keys []uint64, opts searchOpts, res []SearchResult, fron
 }
 
 // searchL2 runs Alg. 1 step 4: one push-pull round per L2 meta-level.
+// Pushed and pulled queries alike advance exactly one meta-level (Alg. 1
+// excludes caches from pulls), so the host walks the whole frontier once
+// and the round only charges it.
 func (t *Tree) searchL2(keys []uint64, opts searchOpts, res []SearchResult, frontier []entry) {
 	rec := t.sys.Recorder()
 	kPull := int(t.chunkB) // K = B
-	nextOf := t.nodeScratch(len(keys))
+	next, visits := t.walkScratch(len(keys))
 	for level := 0; len(frontier) > 0; level++ {
 		if rec.Enabled() {
 			rec.BeginPhase(fmt.Sprintf("L2-level-%d", level))
@@ -398,22 +425,13 @@ func (t *Tree) searchL2(keys []uint64, opts searchOpts, res []SearchResult, fron
 		pulled, pushed := t.router.partition(groups, func(g chunkGroup) bool {
 			return len(g.entries) > kPull
 		})
-		// record only writes advancing queries, so clear the slots of the
-		// in-flight frontier: a query that terminates this round must not
-		// see a stale pointer from an earlier round (or batch).
-		for _, e := range frontier {
-			nextOf[e.qi] = nil
-		}
-		record := func(qi int32, n *Node) { nextOf[qi] = n }
-
-		// Single BSP round: pulled chunks ship their masters up; pushed
-		// queries descend one meta-level on their modules.
-		t.pullAndAdvanceInRound(keys, opts, res, pulled, pushed, record)
+		t.descendAll(keys, frontier, leaveChunk, opts, res, next, visits)
+		t.chargeRound(pulled, pushed, visits)
 
 		frontier = frontier[:0]
 		for _, g := range groups {
 			for _, e := range g.entries {
-				if n := nextOf[e.qi]; n != nil {
+				if n := next[e.qi]; n != nil {
 					frontier = append(frontier, entry{qi: e.qi, node: n})
 				}
 			}
@@ -422,115 +440,55 @@ func (t *Tree) searchL2(keys []uint64, opts searchOpts, res []SearchResult, fron
 	}
 }
 
-// pullAndAdvance executes a pull-only round: each pulled chunk's module
-// sends its master structure to the CPU, which traverses the chunk and
-// advances its queries one meta-level (Alg. 1 excludes caches from pulls,
-// so pulled queries move exactly one chunk per round). Host traversals run
-// in parallel across groups — distinct groups hold distinct queries, so
-// res writes never race — with each group's survivors collected in a
-// per-group slot and handed to appendNext serially in group order.
-func (t *Tree) pullAndAdvance(keys []uint64, opts searchOpts, res []SearchResult, pulled []chunkGroup, appendNext func(int32, *Node)) {
-	if len(pulled) == 0 {
-		return
-	}
-	r := &t.router
-	r.route(t.P(), pulled, nil)
-	t.sys.Round(r.active, func(m *pim.Module) {
-		for _, g := range r.pullsOf(m.ID) {
-			m.Send(g.chunk.StructBytes)
+// pullAndAdvance advances the pulled groups' queries one meta-level on the
+// host, which walks each chunk's master structure (Alg. 1 excludes caches
+// from pulls), and charges the pull-only round that ships the masters.
+// Distinct groups hold distinct queries, so the groups' walks run in
+// parallel; results land in next and visits (see descend).
+func (t *Tree) pullAndAdvance(keys []uint64, opts searchOpts, res []SearchResult, pulled []chunkGroup, next []*Node, visits []int64) {
+	parallel.ForDynamic(len(pulled), func(_, lo, hi int) {
+		for _, g := range pulled[lo:hi] {
+			t.descend(keys, g.entries, leaveChunk, opts, res, next, visits)
 		}
 	})
-	pullSlots := r.pullSlots(len(pulled))
-	cpuWork, cpuBytes := t.scanPulled(pulled, func(worker, gi int, g chunkGroup) (int64, int64) {
-		var work int64
-		for _, e := range g.entries {
-			nd, visited := t.traverseChunkMaster(keys[e.qi], e.node, opts, &res[e.qi])
-			work += visited * 4
-			if nd != nil {
-				pullSlots[gi] = append(pullSlots[gi], entry{qi: e.qi, node: nd})
-			}
-		}
-		return work, 0
-	})
-	for _, slot := range pullSlots {
-		for _, e := range slot {
-			appendNext(e.qi, e.node)
-		}
-	}
-	t.sys.Recorder().Add("chunk-pulls", int64(len(pulled)))
-	t.sys.CPUPhase(cpuWork, cpuBytes, 0)
+	t.chargeRound(pulled, nil, visits)
 }
 
-// pullAndAdvanceInRound executes one combined push-pull BSP round over L2
-// groups: pulled chunks ship masters, pushed queries run on modules; both
-// advance exactly one meta-level. The module handlers run concurrently
-// once the pushed groups hold enough queries (pim.System.RoundN): each
-// writes only its module's result slot and the SearchResults of its own
-// groups' queries. record must tolerate concurrent calls for distinct
-// queries (each query appears in exactly one group, and the sole caller
-// writes a per-query slot), which lets the pulled groups' host traversals
-// run in parallel across groups.
-func (t *Tree) pullAndAdvanceInRound(keys []uint64, opts searchOpts, res []SearchResult, pulled, pushed []chunkGroup, record func(int32, *Node)) {
+// chargeRound charges one BSP round of a search whose queries the host has
+// already walked (visits, from descend): each pulled group's module ships
+// its chunk's routing structure, each pushed group's module receives its
+// queries' keys, spends 4 cycles per visited node and returns one result
+// per query; then the host's walk of the pulled groups is charged as a CPU
+// phase over the shipped structures. The handlers only add up charges, so
+// the round never forks.
+func (t *Tree) chargeRound(pulled, pushed []chunkGroup, visits []int64) {
 	r := &t.router
 	r.route(t.P(), pulled, pushed)
-	if len(r.active) == 0 {
-		return
-	}
-	resSlots := r.resSlots(len(r.active))
-	t.sys.RoundN(r.active, r.queued, func(m *pim.Module) {
-		slot := r.slot[m.ID]
-		out := resSlots[slot]
+	t.sys.Round(r.active, func(m *pim.Module) {
 		for _, g := range r.pullsOf(m.ID) {
 			m.Send(g.chunk.StructBytes)
 		}
 		for _, g := range r.pushesOf(m.ID) {
 			m.Recv(int64(len(g.entries)) * queryMsgBytes)
 			for _, e := range g.entries {
-				nd, visited := t.traverseChunkMaster(keys[e.qi], e.node, opts, &res[e.qi])
-				m.Work(visited * 4)
-				out = append(out, entry{qi: e.qi, node: nd})
+				m.Work(visits[e.qi] * 4)
 			}
 			m.Send(int64(len(g.entries)) * resultMsgBytes)
 		}
-		resSlots[slot] = out
 	})
-	for _, out := range resSlots {
-		for _, pr := range out {
-			if pr.node != nil {
-				record(pr.qi, pr.node)
-			}
-		}
+	if len(pulled) == 0 {
+		return
 	}
-	if len(pulled) > 0 {
-		cpuWork, cpuBytes := t.scanPulled(pulled, func(worker, gi int, g chunkGroup) (int64, int64) {
-			var work int64
-			for _, e := range g.entries {
-				nd, visited := t.traverseChunkMaster(keys[e.qi], e.node, opts, &res[e.qi])
-				work += visited * 4
-				if nd != nil {
-					record(e.qi, nd)
-				}
-			}
-			return work, 0
-		})
-		t.sys.Recorder().Add("chunk-pulls", int64(len(pulled)))
-		t.sys.CPUPhase(cpuWork, cpuBytes, 0)
-	}
-}
-
-// roundOverGroups runs one BSP round with each group's queries processed
-// on the group's module (groups in group order within each module).
-// Handlers of different modules run concurrently once the groups hold
-// enough queries (pim.System.RoundN), so a handler may only write state of
-// its own module and of its own groups' queries.
-func (t *Tree) roundOverGroups(groups []chunkGroup, handler func(m *pim.Module, g chunkGroup)) {
-	r := &t.router
-	r.route(t.P(), nil, groups)
-	t.sys.RoundN(r.active, r.queued, func(m *pim.Module) {
-		for _, g := range r.pushesOf(m.ID) {
-			handler(m, g)
+	var work, bytes int64
+	for _, g := range pulled {
+		for _, e := range g.entries {
+			work += visits[e.qi] * 4
 		}
-	})
+		bytes += g.chunk.StructBytes
+	}
+	t.pulls += int64(len(pulled))
+	t.sys.Recorder().Add("chunk-pulls", int64(len(pulled)))
+	t.sys.CPUPhase(work, bytes, 0)
 }
 
 // ContainsBatch answers exact point membership for the batch: the batch
@@ -543,14 +501,14 @@ func (t *Tree) ContainsBatch(points []geom.Point) []bool {
 	if t.root == nil {
 		return found
 	}
-	for i, r := range t.Search(points) {
+	res, keys := t.search(points)
+	for i, r := range res {
 		term := r.Terminal
 		if term == nil || !term.IsLeaf() {
 			continue
 		}
-		key := morton.EncodePoint(points[i])
 		for j, k := range term.Keys {
-			if k == key && term.point(j).Equal(points[i]) {
+			if k == keys[i] && term.point(j).Equal(points[i]) {
 				found[i] = true
 				break
 			}

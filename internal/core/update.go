@@ -241,7 +241,7 @@ func (t *Tree) insertRec(n *Node, b batch, st *updateStats) *Node {
 		// side recurse (they may diverge deeper; dedup of identical new
 		// nodes — step 2d — falls out of the batch recursion, which
 		// creates each node once).
-		bit := t.keyBits() - 1 - dp
+		bit := t.keyBits - 1 - dp
 		split := splitAtBit(b.keys, bit)
 		nodeBit := morton.BitAt(n.Key, bit)
 		sameSide, otherSide := b.slice(0, split), b.slice(split, b.len())
@@ -413,7 +413,7 @@ func (t *Tree) narrowToPrefix(b batch, n *Node) batch {
 		return b
 	}
 	keys := b.keys
-	shift := t.keyBits() - uint(n.PrefixLen)
+	shift := t.keyBits - uint(n.PrefixLen)
 	base := n.Key >> shift << shift
 	top := base | (uint64(1)<<shift - 1)
 	lo, hi := 0, len(keys)

@@ -118,7 +118,10 @@ func FuzzRangeBoxes(f *testing.F) {
 		for trial := 0; trial < 24; trial++ {
 			// In-range keys must land in a block; out-of-range must not.
 			key := lo
-			if span := hi - lo; span > 0 {
+			switch span := hi - lo; {
+			case span == ^uint64(0): // the whole 64-bit key space
+				key = rng.Uint64()
+			case span > 0:
 				key = lo + rng.Uint64()%(span+1)
 			}
 			if !inBlocks(key) {

@@ -336,6 +336,11 @@ func decodeResponse(buf []byte, dims uint8, resp *Response) error {
 	case OpInsert, OpDelete:
 		resp.Applied = count
 	case OpKNN:
+		// Each list takes at least its 4-byte length: check before
+		// allocating count lists.
+		if count > len(payload)/4 {
+			return fmt.Errorf("serve: knn response: %d bytes for %d lists", len(payload), count)
+		}
 		resp.Neighbors = make([][]core.Neighbor, count)
 		off := 0
 		for i := 0; i < count; i++ {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pimzdtree/internal/core"
@@ -133,6 +134,27 @@ func TestWireResponseRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A 24-byte kNN response whose header claims 2^32-1 neighbor lists is
+// refused before anything is sized by that count (it used to ask for
+// ~96 GiB of list headers).
+func TestWireResponseRejectsHugeKNNCount(t *testing.T) {
+	frame := make([]byte, respHeadLen)
+	frame[0], frame[1], frame[2] = wireV1, wireOK, byte(OpKNN)
+	le.PutUint32(frame[20:], 0xFFFFFFFF)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	var resp Response
+	err := decodeResponse(frame, 3, &resp)
+	runtime.ReadMemStats(&ms)
+	if err == nil {
+		t.Fatalf("frame accepted with %d neighbor lists", len(resp.Neighbors))
+	}
+	if grew := ms.TotalAlloc - before; grew > 1<<20 {
+		t.Fatalf("decoding allocated %d bytes", grew)
 	}
 }
 
