@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pimzdtree/internal/costmodel"
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/workload"
 )
@@ -107,6 +109,57 @@ func BenchmarkSearchSmallBatch(b *testing.B) {
 		tr.Search(batches[i%len(batches)])
 	}
 	b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds()/1e6, "wallclock-Mq/s")
+}
+
+// BenchmarkQueryPanel replicates one round of the tree-read workload's query
+// panel in process: a 2M-point OSMLike tree on 2048 modules
+// (ThroughputOptimized), then 16 384 searches (half of them stored points),
+// 2 048 10-NN queries and 2 048 box counts of about 64 hits. One op is one
+// round. Besides ns/op it reports, per round, each query type's wall time
+// and the wall time of the host phases between the simulated rounds:
+// frontier grouping, the L0 prefixes, the sink gather and stage A's exit
+// re-prune (hostClock). Per-phase numbers are the low-noise A/B for changes
+// to those phases; run with -benchtime 20x or so, the build takes seconds.
+func BenchmarkQueryPanel(b *testing.B) {
+	data := workload.OSMLike(1, 2_000_000, 3)
+	m := costmodel.UPMEMServer()
+	m.PIMModules = 2048
+	tr := New(Config{Dims: 3, Machine: m, Tuning: ThroughputOptimized}, data)
+	rng := rand.New(rand.NewSource(2))
+	search := workload.QueryPoints(3, data, 16384)
+	for i := 0; i < len(search); i += 2 {
+		search[i] = data[rng.Intn(len(data))]
+	}
+	knn := workload.QueryPoints(4, data, 2048)
+	boxes := workload.QueryBoxes(5, data, 2048, 64)
+	var ops [3]time.Duration
+	round := func() {
+		t0 := time.Now()
+		tr.Search(search)
+		t1 := time.Now()
+		tr.KNN(knn, 10)
+		t2 := time.Now()
+		tr.BoxCount(boxes)
+		t3 := time.Now()
+		ops[0] += t1.Sub(t0)
+		ops[1] += t2.Sub(t1)
+		ops[2] += t3.Sub(t2)
+	}
+	round() // sizes the scratch
+	ops = [3]time.Duration{}
+	tr.clock = new(hostClock)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	for i, name := range []string{"search", "knn", "box"} {
+		b.ReportMetric(ms(ops[i]), name+"-ms")
+	}
+	for ph, name := range []string{"group", "L0", "gather", "prune"} {
+		b.ReportMetric(ms(tr.clock[ph]), name+"-ms")
+	}
 }
 
 // updateBenchTree builds a warmed tree plus a batch, then runs one
@@ -250,5 +303,51 @@ func BenchmarkRelayout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.relayout()
+	}
+}
+
+// BenchmarkGroupByChunk times the two ways groupByChunk can group a
+// frontier — the (rank, position) key sort and the rank counting sort — on
+// random frontiers of a clustered tree, by frontier size and by how many
+// ranks the tree has per frontier entry. It is where groupCountMin and
+// groupCountSpan come from.
+func BenchmarkGroupByChunk(b *testing.B) {
+	for _, modules := range []int{64, 2048} {
+		m := costmodel.UPMEMServer()
+		m.PIMModules = modules
+		data := workload.OSMLike(1, 400_000, 3)
+		tr := New(Config{Dims: 3, Machine: m, Tuning: ThroughputOptimized}, data)
+		var chunked []*Node
+		var walk func(n *Node)
+		walk = func(n *Node) {
+			if n.Chunk != nil {
+				chunked = append(chunked, n)
+			}
+			if !n.IsLeaf() {
+				walk(n.Left)
+				walk(n.Right)
+			}
+		}
+		walk(tr.root)
+		rng := rand.New(rand.NewSource(1))
+		for _, n := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
+			src := make([]entry, n)
+			for i := range src {
+				src[i] = entry{qi: int32(i), node: chunked[rng.Intn(len(chunked))]}
+			}
+			frontier := make([]entry, n)
+			for _, path := range []string{"sorted", "counting"} {
+				group := tr.groupSorted
+				if path == "counting" {
+					group = tr.groupCounting
+				}
+				b.Run(fmt.Sprintf("ranks=%d/n=%d/%s", tr.ranks, n, path), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						copy(frontier, src)
+						tr.groupBuf = group(frontier, tr.groupBuf[:0])
+					}
+				})
+			}
+		}
 	}
 }

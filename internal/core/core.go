@@ -253,6 +253,12 @@ type Chunk struct {
 	// migrated marks a chunk whose data genuinely changed module this
 	// layout pass (overload rehoming), so the diff charges a full move.
 	migrated bool
+
+	// rank is the position of ID among the layout's distinct chunk IDs
+	// (relayout assigns it), so ascending rank is ascending ID and chunks
+	// that share an ID share a rank: a dense key the frontier grouping
+	// counts on (group.go).
+	rank uint32
 }
 
 // Tree is a PIM-zd-tree.
@@ -273,7 +279,7 @@ type Tree struct {
 	l0Bytes     int64
 
 	chunks map[uint64]*Chunk
-	nextID uint64
+	ranks  int // distinct chunk IDs: Chunk.rank < ranks
 
 	// epoch counts applied update batches for the serving engine's epoch
 	// fence (see epoch.go). Written only at update boundaries, read from
@@ -291,12 +297,12 @@ type Tree struct {
 
 	// Batch scratch, reused across batches (batch operations on a Tree are
 	// externally serialized; concurrent reads never touch these). The
-	// Sorters keep the radix/semisort buffers of internal/parallel alive
-	// between rounds, and the slices absorb the per-round frontier churn of
-	// the push-pull loops. What a batch may leave behind is bounded by
+	// Sorter keeps the radix buffers of internal/parallel alive between
+	// batches, and the slices absorb the per-round frontier churn of the
+	// push-pull loops. What a batch may leave behind is bounded by
 	// trimScratch (scratch.go); a bulk build's scratch never lands here.
 	idxSorter   parallel.Sorter[uint32] // update batches' (key, index) sort
-	entrySorter parallel.Sorter[entry]
+	grouping    groupScratch
 	frontierBuf []entry
 	visitBuf    []int64
 	nodeBuf     []*Node
@@ -314,6 +320,8 @@ type Tree struct {
 	knnFoundBuf [][]knnFound  // stage-A finds, one slot per group of the wave
 	found       pointSink     // sphere / box-fetch finds (wave.go)
 	workers     []hostScratch // one per host worker (wave.go)
+	l0Runs      []l0Run       // expandL0's runs, in query order
+	clock       *hostClock    // host phase timing, when attached (wave.go)
 	activeBuf   []int
 	upStats     updateStats
 	moveBuf     []int64

@@ -40,7 +40,7 @@ func (t *Tree) trimScratch() {
 	t.scratchHigh = peak
 
 	t.idxSorter.Trim(peak)
-	t.entrySorter.Trim(peak)
+	t.grouping.trim(peak)
 	t.keyBuf = parallel.Keep(t.keyBuf, peak)
 	t.idxBuf = parallel.Keep(t.idxBuf, peak)
 	t.frontierBuf = parallel.Keep(t.frontierBuf, peak)
@@ -62,7 +62,9 @@ func (t *Tree) trimScratch() {
 	ws := t.workers[:cap(t.workers)]
 	for w := range ws {
 		ws[w].front = parallel.Keep(ws[w].front, peak)
+		ws[w].runs = parallel.Keep(ws[w].runs, peak)
 	}
+	t.l0Runs = parallel.Keep(t.l0Runs, peak)
 
 	// The fork arenas (per-module lanes plus a merge buffer each) number as
 	// many as the largest batch forked branches; a batch that forks again
@@ -85,6 +87,16 @@ func (t *Tree) trimFound() {
 	for w := range ws {
 		ws[w].arena = parallel.Keep(ws[w].arena, used)
 	}
+}
+
+// sized returns buf resliced to n elements (contents undefined), or a fresh
+// n-element buffer when buf is too small. Only trimScratch releases batch
+// scratch, so a small batch between two large ones keeps the large buffer.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // trimSlots applies Keep to every slot of a growSlots arena, including the

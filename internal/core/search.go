@@ -275,32 +275,6 @@ func (t *Tree) pullThresholdL1() int {
 	return int(k)
 }
 
-// groupByChunk semisorts entries by chunk identity.
-type chunkGroup struct {
-	chunk   *Chunk
-	entries []entry
-}
-
-func (t *Tree) groupByChunk(frontier []entry) []chunkGroup {
-	if len(frontier) == 0 {
-		return nil
-	}
-	t.noteScratch(len(frontier))
-	rec := t.sys.Recorder()
-	rec.BeginPhase("semisort")
-	groups := t.entrySorter.Semisort(frontier, func(e entry) uint64 { return e.node.Chunk.ID })
-	t.sys.CPUPhase(parallel.CountingSortWork(len(frontier)), int64(len(frontier))*8, 0)
-	rec.EndPhase()
-	// The chunkGroup backing is Tree scratch too: callers are done with one
-	// round's groups before they regroup the next frontier.
-	out := t.groupBuf[:0]
-	for _, g := range groups {
-		out = append(out, chunkGroup{chunk: frontier[g.Lo].node.Chunk, entries: frontier[g.Lo:g.Hi]})
-	}
-	t.groupBuf = out
-	return out
-}
-
 // moduleLoads sums per-module query counts over groups into a dense,
 // module-indexed scratch slice (zeroed on each call).
 func (t *Tree) moduleLoads(groups []chunkGroup) []int {
@@ -342,13 +316,16 @@ func (t *Tree) searchL1(keys []uint64, opts searchOpts, res []SearchResult, fron
 	rec := t.sys.Recorder()
 	next, visits := t.walkScratch(len(keys))
 	kPull := t.pullThresholdL1()
+	// groups is the grouping of frontier as it stands, or nil once the
+	// frontier has changed since it was grouped.
+	var groups []chunkGroup
 	for iter := 0; len(frontier) > 0 && iter < 64; iter++ {
 		if rec.Enabled() {
 			rec.BeginPhase(fmt.Sprintf("L1-pull-%d", iter))
 		}
 		balanced := func() bool {
 			defer rec.EndPhase()
-			groups := t.groupByChunk(frontier)
+			groups = t.groupByChunk(frontier)
 			loads := t.moduleLoads(groups)
 			if !pim.Imbalanced(loads, t.P()) {
 				return true
@@ -384,6 +361,7 @@ func (t *Tree) searchL1(keys []uint64, opts searchOpts, res []SearchResult, fron
 				frontier = append(frontier, g.entries...)
 			}
 			frontier = append(frontier, pulledNext...)
+			groups = nil
 			return false
 		}()
 		if balanced {
@@ -395,7 +373,14 @@ func (t *Tree) searchL1(keys []uint64, opts searchOpts, res []SearchResult, fron
 		// Alg. 1 step 3: push balanced queries; the entry module's L1
 		// caching finishes the whole L1 segment in this single round.
 		rec.BeginPhase("L1-push")
-		groups := t.groupByChunk(frontier)
+		if groups == nil {
+			groups = t.groupByChunk(frontier)
+		} else {
+			// The balanced frontier is grouped already; regrouping it
+			// would reproduce the same groups, but the model still
+			// charges the round's grouping.
+			t.chargeGrouping(len(frontier))
+		}
 		t.descendAll(keys, frontier, reachL2, opts, res, next, visits)
 		t.chargeRound(nil, groups, visits)
 		for _, g := range groups {

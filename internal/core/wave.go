@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/parallel"
@@ -124,13 +125,20 @@ const hostForkMin = 256
 // hostScratch is one host worker's private scratch, indexed by the worker
 // ids parallel.ForDynamic / BlocksN and pim.Module.Worker hand out: the
 // worker may be running a module's handler, a pulled group's scan or a
-// block of per-query host work, but never two of them at once.
+// run of per-query host work, but never two of them at once.
 type hostScratch struct {
 	cand  candState  // stage-A chunk-scan candidate set
 	arena []Neighbor // final-filter candidates of the query in hand
-	front []entry    // L0-prefix chunk entries of the worker's query block
+	front []entry    // L0-prefix chunk entries of the worker's query runs
+	runs  []l0Run    // the runs front holds, in the order the worker took them
 	work  int64      // host work of the worker's share of the current loop
+	kept  int        // exits the worker's block kept (pruneExits)
 }
+
+// l0Run is one run of queries expandL0 handed a worker: the run starting at
+// query lo put its chunk entries in front[start:end] of that worker's
+// scratch.
+type l0Run struct{ lo, worker, start, end int }
 
 // hostWorkers returns the per-worker scratch, one per host worker.
 func (t *Tree) hostWorkers() []hostScratch {
@@ -169,31 +177,70 @@ func forQueries(n int, body func(worker, lo, hi int)) {
 // of the batch's n queries — expand(worker, qi, frontier) appends query
 // qi's chunk entries and returns its host work — charges the summed work
 // as one CPU phase and returns the first wave's frontier. Large batches
-// split into one contiguous query block per worker, and the blocks'
-// frontiers concatenate in worker order, which is query order: the
-// frontier is the one the serial loop builds, whatever GOMAXPROCS is.
+// fork (forQueries): workers claim runs of queries as they free up, since
+// one query's prefix can cost a hundred times another's, and each run's
+// entries go to its worker's buffer. The runs then concatenate in query
+// order, so the frontier is the one the serial loop builds, whatever
+// GOMAXPROCS is.
 func (t *Tree) expandL0(n int, expand func(worker int, qi int32, frontier *[]entry) int64) []entry {
-	ws := t.hostWorkers()[:forkWidth(n)]
+	start := t.clockStart()
+	ws := t.hostWorkers()
 	for w := range ws {
-		ws[w].front, ws[w].work = ws[w].front[:0], 0
+		ws[w].front, ws[w].runs, ws[w].work = ws[w].front[:0], ws[w].runs[:0], 0
 	}
-	parallel.BlocksN(len(ws), n, func(w, lo, hi int) {
-		front := ws[w].front
-		var work int64
+	forQueries(n, func(w, lo, hi int) {
+		front, work := ws[w].front, int64(0)
+		run := l0Run{lo: lo, worker: w, start: len(front)}
 		for i := lo; i < hi; i++ {
 			work += expand(w, int32(i), &front)
 		}
-		ws[w].front, ws[w].work = front, work
+		run.end = len(front)
+		ws[w].front, ws[w].work, ws[w].runs = front, ws[w].work+work, append(ws[w].runs, run)
 	})
-	frontier := t.frontierBuf[:0]
+	runs := t.l0Runs[:0]
 	var cpuWork int64
 	for w := range ws {
-		frontier = append(frontier, ws[w].front...)
+		runs = append(runs, ws[w].runs...)
 		cpuWork += ws[w].work
 	}
-	t.frontierBuf = frontier
+	slices.SortFunc(runs, func(a, b l0Run) int { return a.lo - b.lo })
+	frontier := t.frontierBuf[:0]
+	for _, r := range runs {
+		frontier = append(frontier, ws[r.worker].front[r.start:r.end]...)
+	}
+	t.l0Runs, t.frontierBuf = runs, frontier
+	t.clockStop(clockL0, start)
 	t.sys.CPUPhase(cpuWork, 0, 0)
 	return frontier
+}
+
+// clockPhase names a host phase between rounds that a hostClock times.
+type clockPhase uint8
+
+const (
+	clockGroup  clockPhase = iota // groupByChunk
+	clockL0                       // expandL0
+	clockGather                   // pointSink.gather
+	clockPrune                    // stage A's exit re-prune
+	numClockPhases
+)
+
+// hostClock accumulates wall time per host phase while it is attached to a
+// Tree (BenchmarkQueryPanel attaches one); detached, a phase pays one nil
+// test.
+type hostClock [numClockPhases]time.Duration
+
+func (t *Tree) clockStart() time.Time {
+	if t.clock == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (t *Tree) clockStop(ph clockPhase, start time.Time) {
+	if t.clock != nil {
+		t.clock[ph] += time.Since(start)
+	}
 }
 
 // foundPoint is one stored point a traversal matched to query qi.
@@ -215,10 +262,11 @@ type foundPoint struct {
 // between (open panics otherwise). Waves guarantee it: a module handler or
 // a pulled-group scan works through a group's entries back to back.
 type pointSink struct {
-	bufs  []sinkBuf
-	segs  []sinkSeg    // per slot
-	offs  []int        // gather's per-query offsets
-	arena []geom.Point // gather's backing array, unless the caller owns it
+	bufs   []sinkBuf
+	segs   []sinkSeg    // per slot
+	blocks []int        // gather's per-worker slot ranges
+	cnt    []int        // gather's per-(block, query) counts, then cursors
+	arena  []geom.Point // gather's backing array, unless the caller owns it
 }
 
 // sinkBuf is one worker's append buffer, a cache line to itself because
@@ -269,7 +317,8 @@ func (ps *pointSink) trim(used int) {
 		}
 	}
 	ps.segs = parallel.Keep(ps.segs, used)
-	ps.offs = parallel.Keep(ps.offs, used)
+	ps.blocks = parallel.Keep(ps.blocks, used)
+	ps.cnt = parallel.Keep(ps.cnt, used)
 	ps.arena = parallel.Keep(ps.arena, used)
 }
 
@@ -307,40 +356,93 @@ func (ps *pointSink) close(slot, worker int) {
 	}
 }
 
-// gather returns, per query, the points found for it. With own the lists
-// share one fresh backing array the caller may keep; otherwise they alias
-// the sink's arena and die with the next gather.
+// gatherForkMin is the find count from which gather forks.
+const gatherForkMin = 8192
+
+// gather returns, per query, the points the traversal found for it, timed
+// by the host clock. With own the lists share one fresh backing array the
+// caller may keep; otherwise they alias the sink's arena and die with the
+// next gather.
+func (t *Tree) gather(nq int, own bool) [][]geom.Point {
+	start := t.clockStart()
+	out := t.found.gather(nq, own)
+	t.clockStop(clockGather, start)
+	return out
+}
+
+// gather regroups the finds by query (see Tree.gather). The slots split
+// into one contiguous block per worker, of about equal finds. Each block
+// counts its finds per query; a scan over the counts, query-major then
+// block-major, turns them into each block's write cursor per query; then
+// every block writes its finds in slot order. A query's list is therefore
+// in slot order, as if one worker had walked every slot.
 func (ps *pointSink) gather(nq int, own bool) [][]geom.Point {
-	out := make([][]geom.Point, nq)
-	if cap(ps.offs) < nq+1 {
-		ps.offs = make([]int, nq+1)
+	total := ps.size()
+	p := 1
+	if total >= gatherForkMin {
+		p = min(parallel.Workers(), len(ps.segs))
 	}
-	offs := ps.offs[:nq+1]
-	clear(offs)
-	for w := range ps.bufs {
-		for _, f := range ps.bufs[w].pts {
-			offs[f.qi+1]++
+	ps.blocks = sized(ps.blocks, p+1)
+	for b, s, acc := 0, 0, 0; b < p; b++ {
+		for ; s < len(ps.segs) && acc < b*total/p; s++ {
+			acc += ps.segs[s].hi - ps.segs[s].lo
 		}
+		ps.blocks[b] = s
 	}
-	for i := 0; i < nq; i++ {
-		offs[i+1] += offs[i]
+	ps.blocks[p] = len(ps.segs)
+	ps.cnt = sized(ps.cnt, p*nq)
+	clear(ps.cnt)
+	if p == 1 {
+		ps.countBlock(0, nq)
+	} else {
+		parallel.BlocksN(p, p, func(b, _, _ int) { ps.countBlock(b, nq) })
 	}
+
+	out := make([][]geom.Point, nq)
 	var arena []geom.Point
 	if own {
-		arena = make([]geom.Point, offs[nq])
+		arena = make([]geom.Point, total)
 	} else {
-		ps.arena = parallel.Resize(ps.arena, offs[nq])
+		ps.arena = parallel.Resize(ps.arena, total)
 		arena = ps.arena
 	}
-	// Each list starts empty with exactly its final capacity, so the
-	// appends below fill the arena in place.
+	pos := 0
 	for qi := range out {
-		out[qi] = arena[offs[qi]:offs[qi]:offs[qi+1]]
-	}
-	for _, seg := range ps.segs {
-		for _, f := range ps.bufs[seg.worker].pts[seg.lo:seg.hi] {
-			out[f.qi] = append(out[f.qi], f.p)
+		lo := pos
+		for b := 0; b < p; b++ {
+			c := &ps.cnt[b*nq+qi]
+			*c, pos = pos, pos+*c
 		}
+		out[qi] = arena[lo:pos:pos]
+	}
+	if p == 1 {
+		ps.fillBlock(0, nq, arena)
+	} else {
+		parallel.BlocksN(p, p, func(b, _, _ int) { ps.fillBlock(b, nq, arena) })
 	}
 	return out
+}
+
+// blockSlots returns block b's slots: ps.segs[blocks[b]:blocks[b+1]].
+func (ps *pointSink) blockSlots(b int) []sinkSeg { return ps.segs[ps.blocks[b]:ps.blocks[b+1]] }
+
+// countBlock counts block b's finds per query into its row of cnt.
+func (ps *pointSink) countBlock(b, nq int) {
+	row := ps.cnt[b*nq : (b+1)*nq]
+	for _, seg := range ps.blockSlots(b) {
+		for _, f := range ps.bufs[seg.worker].pts[seg.lo:seg.hi] {
+			row[f.qi]++
+		}
+	}
+}
+
+// fillBlock writes block b's finds to arena at its cursors, in slot order.
+func (ps *pointSink) fillBlock(b, nq int, arena []geom.Point) {
+	row := ps.cnt[b*nq : (b+1)*nq]
+	for _, seg := range ps.blockSlots(b) {
+		for _, f := range ps.bufs[seg.worker].pts[seg.lo:seg.hi] {
+			arena[row[f.qi]] = f.p
+			row[f.qi]++
+		}
+	}
 }

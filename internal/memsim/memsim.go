@@ -32,15 +32,14 @@ const LineSize = 64
 // Cache simulates a set-associative LLC. The zero value is not usable;
 // construct with NewCache.
 type Cache struct {
-	sets     []set
-	setMask  uint64
-	ways     int
-	clock    atomic.Uint64
-	hits     atomic.Int64
-	misses   atomic.Int64
-	wbBytes  atomic.Int64 // write-back traffic
-	rdBytes  atomic.Int64 // fill traffic
-	disabled bool
+	sets    []set
+	setMask uint64
+	ways    int
+	clock   atomic.Uint64
+	hits    atomic.Int64
+	misses  atomic.Int64
+	wbBytes atomic.Int64 // write-back traffic
+	rdBytes atomic.Int64 // fill traffic
 }
 
 type set struct {

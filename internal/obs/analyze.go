@@ -13,7 +13,6 @@ import (
 
 // opAgg accumulates one op type's records.
 type opAgg struct {
-	name            string
 	total           []float64
 	cpu, pim, comm  []float64
 	rounds          int64
@@ -46,7 +45,7 @@ func (d *FlightDump) WriteAnalysis(w io.Writer, topN int) {
 		r := &records[i]
 		a, ok := byOp[r.Op]
 		if !ok {
-			a = &opAgg{name: r.Op}
+			a = &opAgg{}
 			byOp[r.Op] = a
 			opNames = append(opNames, r.Op)
 		}

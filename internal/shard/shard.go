@@ -111,7 +111,6 @@ type shardT struct {
 	rec    *obs.Recorder // shard-local recorder to drain (see shardRecorders)
 	lo     uint64        // first key of the range
 	hi     uint64        // last key of the range (inclusive)
-	box    geom.Box      // single prefix box covering [lo, hi] (display/stats)
 	blocks []geom.Box    // tight aligned-block tiling of [lo, hi] (pruning)
 	bt     blockTree     // hierarchy over blocks: cheap exclusion proofs
 	base   pim.Metrics   // metrics snapshot at the current load-window start
@@ -250,7 +249,6 @@ func (x *Index) coreConfig(rec *obs.Recorder) core.Config {
 func (x *Index) newShardT(t *core.Tree, rec *obs.Recorder, lo, hi uint64) *shardT {
 	blocks := morton.RangeBoxes(lo, hi, x.cfg.Dims)
 	return &shardT{tree: t, rec: rec, lo: lo, hi: hi,
-		box:    rangeBox(lo, hi, x.cfg.Dims),
 		blocks: blocks,
 		bt:     buildBlockTree(blocks),
 		base:   t.System().Metrics()}
@@ -275,14 +273,6 @@ func (x *Index) rangeOf(s int) (lo, hi uint64) {
 		hi = x.cuts[s] - 1
 	}
 	return lo, hi
-}
-
-// rangeBox returns the tightest single prefix box covering the inclusive
-// key range [lo, hi]: any key between lo and hi shares their common
-// prefix (Morton keys are totally ordered), so the common prefix's box
-// contains every point a shard can store.
-func rangeBox(lo, hi uint64, dims uint8) geom.Box {
-	return morton.PrefixBox(lo, morton.CommonPrefixLen(lo, hi, int(dims)), dims)
 }
 
 // findShard returns the shard owning key: the number of cuts <= key.
