@@ -115,11 +115,12 @@ func BenchmarkSearchSmallBatch(b *testing.B) {
 // panel in process: a 2M-point OSMLike tree on 2048 modules
 // (ThroughputOptimized), then 16 384 searches (half of them stored points),
 // 2 048 10-NN queries and 2 048 box counts of about 64 hits. One op is one
-// round. Besides ns/op it reports, per round, each query type's wall time
-// and the wall time of the host phases between the simulated rounds:
-// frontier grouping, the L0 prefixes, the sink gather and stage A's exit
-// re-prune (hostClock). Per-phase numbers are the low-noise A/B for changes
-// to those phases; run with -benchtime 20x or so, the build takes seconds.
+// round; besides ns/op it reports each query type's wall time per round.
+// Run it with -benchtime 20x or so (the build takes seconds). For the host
+// phases between the simulated rounds, add -cpuprofile and read
+// groupByChunk, expandL0 and pointSink.gather off
+// `go tool pprof -top -cum`; BenchmarkGroupByChunk and BenchmarkGather time
+// the first and last in isolation.
 func BenchmarkQueryPanel(b *testing.B) {
 	data := workload.OSMLike(1, 2_000_000, 3)
 	m := costmodel.UPMEMServer()
@@ -147,18 +148,13 @@ func BenchmarkQueryPanel(b *testing.B) {
 	}
 	round() // sizes the scratch
 	ops = [3]time.Duration{}
-	tr.clock = new(hostClock)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round()
 	}
 	b.StopTimer()
-	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
 	for i, name := range []string{"search", "knn", "box"} {
-		b.ReportMetric(ms(ops[i]), name+"-ms")
-	}
-	for ph, name := range []string{"group", "L0", "gather", "prune"} {
-		b.ReportMetric(ms(tr.clock[ph]), name+"-ms")
+		b.ReportMetric(ops[i].Seconds()*1e3/float64(b.N), name+"-ms")
 	}
 }
 
@@ -306,12 +302,14 @@ func BenchmarkRelayout(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupByChunk times the two ways groupByChunk can group a
-// frontier — the (rank, position) key sort and the rank counting sort — on
-// random frontiers of a clustered tree, by frontier size and by how many
-// ranks the tree has per frontier entry. It is where groupCountMin and
-// groupCountSpan come from.
+// BenchmarkGroupByChunk times the ways groupByChunk can group a frontier —
+// the (rank, position) key sort, and the rank counting sort serial (p=1)
+// and split across every worker — on random frontiers of a clustered tree,
+// by frontier size and by how many ranks the tree has per frontier entry.
+// It is where groupCountMin, groupCountSpan and groupForkGrain come from;
+// run it at -cpu 1,2 (the forked rows need two workers or more).
 func BenchmarkGroupByChunk(b *testing.B) {
+	workers := runtime.GOMAXPROCS(0)
 	for _, modules := range []int{64, 2048} {
 		m := costmodel.UPMEMServer()
 		m.PIMModules = modules
@@ -330,24 +328,65 @@ func BenchmarkGroupByChunk(b *testing.B) {
 		}
 		walk(tr.root)
 		rng := rand.New(rand.NewSource(1))
-		for _, n := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
+		for n := 64; n <= 65536; n *= 2 {
 			src := make([]entry, n)
 			for i := range src {
 				src[i] = entry{qi: int32(i), node: chunked[rng.Intn(len(chunked))]}
 			}
 			frontier := make([]entry, n)
-			for _, path := range []string{"sorted", "counting"} {
-				group := tr.groupSorted
-				if path == "counting" {
-					group = tr.groupCounting
+			b.Run(fmt.Sprintf("ranks=%d/n=%d/sorted", tr.ranks, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(frontier, src)
+					tr.groupBuf = tr.groupSorted(frontier, tr.groupBuf[:0])
 				}
-				b.Run(fmt.Sprintf("ranks=%d/n=%d/%s", tr.ranks, n, path), func(b *testing.B) {
+			})
+			widths := []int{1}
+			if workers > 1 {
+				widths = append(widths, workers)
+			}
+			for _, p := range widths {
+				b.Run(fmt.Sprintf("ranks=%d/n=%d/counting/p=%d", tr.ranks, n, p), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						copy(frontier, src)
-						tr.groupBuf = group(frontier, tr.groupBuf[:0])
+						tr.groupBuf = tr.groupCounting(frontier, tr.groupBuf[:0], p)
 					}
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkGather times pointSink.gather serial (p=1) and split across
+// every worker, by how many finds the sink holds: a sphere fetch's shape,
+// 2 048 queries and about 32 finds per slot, slots filled round-robin by
+// the workers. It is where gatherForkMin comes from; run it at -cpu 1,2.
+func BenchmarkGather(b *testing.B) {
+	const nq, perSlot = 2048, 32
+	workers := runtime.GOMAXPROCS(0)
+	rng := rand.New(rand.NewSource(1))
+	pt := geom.P3(1, 2, 3)
+	for total := 1024; total <= 262144; total *= 2 {
+		var ps pointSink
+		ps.reset()
+		base := ps.extend(total / perSlot)
+		for s := 0; s < total/perSlot; s++ {
+			w := s % workers
+			buf := ps.open(base+s, w)
+			for j := 0; j < perSlot; j++ {
+				*buf = append(*buf, foundPoint{qi: int32(rng.Intn(nq)), p: pt})
+			}
+			ps.close(base+s, w)
+		}
+		widths := []int{1}
+		if workers > 1 {
+			widths = append(widths, workers)
+		}
+		for _, p := range widths {
+			b.Run(fmt.Sprintf("finds=%d/p=%d", total, p), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ps.gatherOn(p, nq, false)
+				}
+			})
 		}
 	}
 }

@@ -40,7 +40,7 @@ func (t *Tree) BoxFetch(boxes []geom.Box) [][]geom.Point {
 	defer t.trimScratch()
 	t.found.reset()
 	t.boxWave(boxes, nil, &t.found)
-	return t.gather(len(boxes), true)
+	return t.found.gather(len(boxes), true)
 }
 
 // boxWave drives the push-pull traversal shared by BoxCount and BoxFetch.

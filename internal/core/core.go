@@ -321,7 +321,6 @@ type Tree struct {
 	found       pointSink     // sphere / box-fetch finds (wave.go)
 	workers     []hostScratch // one per host worker (wave.go)
 	l0Runs      []l0Run       // expandL0's runs, in query order
-	clock       *hostClock    // host phase timing, when attached (wave.go)
 	activeBuf   []int
 	upStats     updateStats
 	moveBuf     []int64

@@ -36,8 +36,11 @@ const (
 	// entries. So it takes frontiers with at most two ranks per entry.
 	groupCountSpan = 2
 	// groupForkGrain is the entries per worker from which the counting
-	// sort's passes fork.
-	groupForkGrain = 4096
+	// sort's passes fork. BenchmarkGroupByChunk at -cpu 2 (same machine,
+	// both rank counts): forked passes lost at 16 384 entries (about 250
+	// against 190 us with 202 ranks), tied at 32 768 and won at 65 536
+	// (1.18 against 1.5 ms with 4 527 ranks), so they fork from 32 768.
+	groupForkGrain = 16384
 )
 
 // groupScratch is groupByChunk's reusable scratch.
@@ -65,13 +68,12 @@ func (t *Tree) groupByChunk(frontier []entry) []chunkGroup {
 		return nil
 	}
 	t.noteScratch(n)
-	start := t.clockStart()
 	if n >= groupCountMin && t.ranks <= groupCountSpan*n {
-		t.groupBuf = t.groupCounting(frontier, t.groupBuf[:0])
+		p := min(parallel.Workers(), max(1, n/groupForkGrain))
+		t.groupBuf = t.groupCounting(frontier, t.groupBuf[:0], p)
 	} else {
 		t.groupBuf = t.groupSorted(frontier, t.groupBuf[:0])
 	}
-	t.clockStop(clockGroup, start)
 	t.chargeGrouping(n)
 	return t.groupBuf
 }
@@ -110,15 +112,15 @@ func (t *Tree) groupSorted(frontier []entry, out []chunkGroup) []chunkGroup {
 	return out
 }
 
-// groupCounting groups frontier with a stable counting sort on rank. Worker
-// w counts and later scatters the same block of the frontier (BlocksN's
-// partition depends only on the worker and entry counts), and its cursor
-// for a rank starts after every earlier worker's entries of that rank, so
-// the layout is the serial one at any GOMAXPROCS.
-func (t *Tree) groupCounting(frontier []entry, out []chunkGroup) []chunkGroup {
+// groupCounting groups frontier with a stable counting sort on rank, its
+// passes split across p workers. Worker w counts and later scatters the
+// same block of the frontier (BlocksN's partition depends only on the
+// worker and entry counts), and its cursor for a rank starts after every
+// earlier worker's entries of that rank, so the layout is the serial one
+// for any p.
+func (t *Tree) groupCounting(frontier []entry, out []chunkGroup, p int) []chunkGroup {
 	g := &t.grouping
 	n, r := len(frontier), t.ranks
-	p := min(parallel.Workers(), max(1, n/groupForkGrain))
 	g.ranks = sized(g.ranks, n)
 	g.tmp = sized(g.tmp, n)
 	g.cnt = sized(g.cnt, p*r)

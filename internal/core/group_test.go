@@ -137,10 +137,10 @@ func TestGroupByChunkMatchesIDSemisort(t *testing.T) {
 	data := workload.OSMLike(41, 60_000, 3)
 	tr := New(testConfig(SkewResistant), data)
 	rng := rand.New(rand.NewSource(43))
-	paths := map[string]func([]entry, []chunkGroup) []chunkGroup{
-		"groupByChunk": func(f []entry, _ []chunkGroup) []chunkGroup { return tr.groupByChunk(f) },
-		"sorted":       tr.groupSorted,
-		"counting":     tr.groupCounting,
+	paths := map[string]func(frontier []entry, procs int) []chunkGroup{
+		"groupByChunk": func(f []entry, _ int) []chunkGroup { return tr.groupByChunk(f) },
+		"sorted":       func(f []entry, _ int) []chunkGroup { return tr.groupSorted(f, nil) },
+		"counting":     func(f []entry, procs int) []chunkGroup { return tr.groupCounting(f, nil, procs) },
 	}
 	check := func(stage string) {
 		checkRanks(t, tr)
@@ -153,7 +153,7 @@ func TestGroupByChunkMatchesIDSemisort(t *testing.T) {
 					for _, procs := range []int{1, 2, 8} {
 						runtime.GOMAXPROCS(procs)
 						got := slices.Clone(frontier)
-						groups := group(got, nil)
+						groups := group(got, procs)
 						where := fmt.Sprintf("%s: %s, %s frontier of %d, GOMAXPROCS=%d", stage, name, shape, n, procs)
 						if !slices.Equal(got, want) {
 							t.Fatalf("%s: frontier permuted differently", where)
@@ -221,30 +221,17 @@ func (t *Tree) serialExpandL0(n int, expand func(worker int, qi int32, frontier 
 	return frontier
 }
 
-// phaseBoxes returns m boxes around stored points, 2^14 wide per axis, so
-// that a batch of them finds tens of thousands of points.
-func phaseBoxes(rng *rand.Rand, data []geom.Point, m int) []geom.Box {
-	boxes := make([]geom.Box, m)
-	for i := range boxes {
-		c := data[rng.Intn(len(data))]
-		const half = 1 << 13
-		lo := geom.P3(c.Coords[0]-min(c.Coords[0], half), c.Coords[1]-min(c.Coords[1], half), c.Coords[2]-min(c.Coords[2], half))
-		boxes[i] = geom.NewBox(lo, geom.P3(c.Coords[0]+half, c.Coords[1]+half, c.Coords[2]+half))
-	}
-	return boxes
-}
-
-// TestForkedHostPhasesMatchSerial checks the three host phases that fork
-// against their serial forms, at GOMAXPROCS 1, 2 and 8: gather's per-query
-// lists (contents, order and capacity), expandL0's frontier, per-query
-// results and charged CPU time, and pruneExits' survivors.
+// TestForkedHostPhasesMatchSerial checks the two per-query host phases that
+// fork against their serial forms, at GOMAXPROCS 1, 2 and 8: gather's
+// per-query lists (contents, order and capacity) on 1 to 8 blocks, and
+// expandL0's frontier, per-query results and charged CPU time on both
+// sides of hostForkMin.
 func TestForkedHostPhasesMatchSerial(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	data := workload.OSMLike(53, 60_000, 3)
 	tr := New(testConfig(SkewResistant), data)
-	rng := rand.New(rand.NewSource(59))
-	boxes := phaseBoxes(rng, data, 2048)
+	boxes := workload.QueryBoxes(59, data, 2048, 64)
 
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
@@ -252,12 +239,9 @@ func TestForkedHostPhasesMatchSerial(t *testing.T) {
 		// gather, over the finds of a box fetch.
 		tr.found.reset()
 		tr.boxWave(boxes, nil, &tr.found)
-		if n := tr.found.size(); n < gatherForkMin {
-			t.Fatalf("box fetch found %d points, want at least %d for gather to fork", n, gatherForkMin)
-		}
 		want := serialGather(&tr.found, len(boxes))
 		for _, own := range []bool{true, false} {
-			got := tr.found.gather(len(boxes), own)
+			got := tr.found.gatherOn(procs, len(boxes), own)
 			for qi := range want {
 				if !slices.Equal(got[qi], want[qi]) || cap(got[qi]) != len(got[qi]) {
 					t.Fatalf("GOMAXPROCS=%d own=%v: box %d gathered %d points (cap %d), want %d in slot order",
@@ -267,57 +251,30 @@ func TestForkedHostPhasesMatchSerial(t *testing.T) {
 		}
 		tr.trimScratch()
 
-		// expandL0, on the L0 prefixes of box counts.
-		var counts [2][]int64
-		var fronts [2][]entry
-		var cpu [2]float64
-		for side, expandL0 := range []func(int, func(int, int32, *[]entry) int64) []entry{tr.serialExpandL0, tr.expandL0} {
-			c := make([]int64, len(boxes))
-			tr.sys.ResetMetrics()
-			f := expandL0(len(boxes), func(_ int, qi int32, f *[]entry) int64 {
-				return tr.expandL0Box(qi, tr.root, boxes[qi], func(qi int32, n int64) { c[qi] += n }, nil, f)
-			})
-			counts[side], fronts[side], cpu[side] = c, slices.Clone(f), tr.sys.Metrics().CPUSeconds
-		}
-		switch {
-		case len(fronts[1]) == 0:
-			t.Fatalf("GOMAXPROCS=%d: the L0 prefixes left no chunk entries", procs)
-		case !slices.Equal(fronts[1], fronts[0]):
-			t.Fatalf("GOMAXPROCS=%d: expandL0 frontier differs from the serial one", procs)
-		case !slices.Equal(counts[1], counts[0]):
-			t.Fatalf("GOMAXPROCS=%d: expandL0 per-query results differ from the serial ones", procs)
-		case cpu[1] != cpu[0]:
-			t.Fatalf("GOMAXPROCS=%d: expandL0 charged %g CPU seconds, serial %g", procs, cpu[1], cpu[0])
-		}
-
-		// pruneExits, on exits to random chunk entries with bounds that
-		// keep about half of them.
-		nodes := chunkedNodes(tr)
-		queries := workload.QueryPoints(int64(procs), data, 64)
-		exits := make([]entry, 3*pruneForkMin+5)
-		for i := range exits {
-			exits[i] = entry{qi: int32(rng.Intn(len(queries))), node: nodes[rng.Intn(len(nodes))]}
-		}
-		bounds := make([]uint64, len(queries))
-		for qi := range bounds {
-			var ds []uint64
-			for _, e := range exits {
-				if int(e.qi) == qi {
-					ds = append(ds, e.node.Box.MinDistTo(queries[qi], geom.L1))
-				}
+		// expandL0, on the L0 prefixes of box counts: a batch below
+		// hostForkMin (its serial branch) and one above (its fork).
+		for _, n := range []int{hostForkMin - 1, len(boxes)} {
+			var counts [2][]int64
+			var fronts [2][]entry
+			var cpu [2]float64
+			for side, expandL0 := range []func(int, func(int, int32, *[]entry) int64) []entry{tr.serialExpandL0, tr.expandL0} {
+				c := make([]int64, n)
+				tr.sys.ResetMetrics()
+				f := expandL0(n, func(_ int, qi int32, f *[]entry) int64 {
+					return tr.expandL0Box(qi, tr.root, boxes[qi], func(qi int32, n int64) { c[qi] += n }, nil, f)
+				})
+				counts[side], fronts[side], cpu[side] = c, slices.Clone(f), tr.sys.Metrics().CPUSeconds
 			}
-			slices.Sort(ds)
-			bounds[qi] = ds[len(ds)/2]
-		}
-		var wantKept []entry
-		for _, e := range exits {
-			if e.node.Box.MinDistTo(queries[e.qi], geom.L1) <= bounds[e.qi] {
-				wantKept = append(wantKept, e)
+			switch {
+			case len(fronts[1]) == 0:
+				t.Fatalf("GOMAXPROCS=%d, %d queries: the L0 prefixes left no chunk entries", procs, n)
+			case !slices.Equal(fronts[1], fronts[0]):
+				t.Fatalf("GOMAXPROCS=%d, %d queries: expandL0 frontier differs from the serial one", procs, n)
+			case !slices.Equal(counts[1], counts[0]):
+				t.Fatalf("GOMAXPROCS=%d, %d queries: expandL0 per-query results differ from the serial ones", procs, n)
+			case cpu[1] != cpu[0]:
+				t.Fatalf("GOMAXPROCS=%d, %d queries: expandL0 charged %g CPU seconds, serial %g", procs, n, cpu[1], cpu[0])
 			}
-		}
-		if got := tr.pruneExits(exits, queries, bounds, geom.L1); !slices.Equal(got, wantKept) {
-			t.Fatalf("GOMAXPROCS=%d: pruneExits kept %d exits, want the serial filter's %d in order",
-				procs, len(got), len(wantKept))
 		}
 	}
 }
@@ -325,20 +282,19 @@ func TestForkedHostPhasesMatchSerial(t *testing.T) {
 // TestForkedHostPhasesIdenticalAcrossGOMAXPROCS runs a query panel large
 // enough that every host phase between rounds forks — the counting sort's
 // passes (search frontiers of 12 288 entries), expandL0 and the per-query
-// loops (2 048 queries), gather (tens of thousands of finds) and stage A's
-// exit re-prune (waves of more than pruneForkMin exits) — and requires
-// the answers, the modeled metrics and both trace exports to be the same
-// at GOMAXPROCS 1, 4 and 16. make determinism's runs (3 000-op batches)
-// engage the counting sort, expandL0 and gather forks, but no stage-A wave
-// there has enough exits for the re-prune to fork.
+// loops (2 048 queries) and gather (about 100 000 finds for the kNN
+// sphere fetch, 230 000 for the box fetch) — and
+// requires the answers, the modeled metrics and both trace exports to be
+// the same at GOMAXPROCS 1, 4 and 16. make determinism's runs (3 000-op
+// batches) engage the same forks, though only a few of their frontiers are
+// large enough for the counting sort's passes to fork.
 func TestForkedHostPhasesIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	data := workload.OSMLike(61, 60_000, 3)
-	rng := rand.New(rand.NewSource(67))
 	searches := workload.QueryPoints(71, data, 3*groupForkGrain)
 	knnQ := workload.QueryPoints(73, data, 2048)
-	boxes := phaseBoxes(rng, data, 2048)
+	boxes := workload.QueryBoxes(67, data, 2048, 64)
 
 	run := func(procs int) pushedRoundOutcome {
 		runtime.GOMAXPROCS(procs)
@@ -350,7 +306,7 @@ func TestForkedHostPhasesIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		for _, r := range tr.Search(searches) {
 			o.terminals = append(o.terminals, r.Terminal.Key, uint64(r.Terminal.PrefixLen))
 		}
-		o.nbrs = tr.KNN(knnQ, 32)
+		o.nbrs = tr.KNN(knnQ, 10)
 		for _, pts := range tr.BoxFetch(boxes) {
 			h := uint64(len(pts))
 			for _, p := range pts {

@@ -386,9 +386,12 @@ func (t *Tree) collectKCandidates(queries []geom.Point, starts []*Node, k int, c
 				bounds[i] = states[i].bound
 			}
 		})
-		start := t.clockStart()
-		next := t.pruneExits(exits, queries, bounds, coarse)
-		t.clockStop(clockPrune, start)
+		next := exits[:0]
+		for _, e := range exits {
+			if e.node.Box.MinDistTo(queries[e.qi], coarse) <= bounds[e.qi] {
+				next = append(next, e)
+			}
+		}
 		t.sys.CPUPhase(nFound*costmodel.WorkHeapOp+int64(len(exits))*4, 0, 0)
 		return next
 	}
@@ -399,46 +402,6 @@ func (t *Tree) collectKCandidates(queries []geom.Point, starts []*Node, k int, c
 		out[i] = states[i].best
 	}
 	return out
-}
-
-// pruneForkMin is the exit count from which pruneExits forks: one test
-// costs tens of nanoseconds, so a few thousand pay for the fork.
-const pruneForkMin = 4096
-
-// pruneExits is stage A's re-prune between waves: it drops, in place and in
-// order, the exits whose node lies beyond its query's bound, and returns
-// the survivors. Large waves split into one block per worker; each block
-// compacts itself to its front, then the kept prefixes move down in block
-// order, so the survivors are the serial filter's.
-func (t *Tree) pruneExits(exits []entry, queries []geom.Point, bounds []uint64, coarse geom.Metric) []entry {
-	if len(exits) < pruneForkMin {
-		return exits[:pruneBlock(exits, queries, bounds, coarse)]
-	}
-	ws := t.hostWorkers()
-	p := min(len(ws), len(exits))
-	ws = ws[:p]
-	parallel.BlocksN(p, len(exits), func(w, lo, hi int) {
-		ws[w].kept = pruneBlock(exits[lo:hi], queries, bounds, coarse)
-	})
-	n := 0
-	for w := range ws {
-		lo := w * len(exits) / p
-		n += copy(exits[n:], exits[lo:lo+ws[w].kept])
-	}
-	return exits[:n]
-}
-
-// pruneBlock moves the exits of es within their queries' bounds to its
-// front, in order, and returns how many there are.
-func pruneBlock(es []entry, queries []geom.Point, bounds []uint64, coarse geom.Metric) int {
-	n := 0
-	for _, e := range es {
-		if e.node.Box.MinDistTo(queries[e.qi], coarse) <= bounds[e.qi] {
-			es[n] = e
-			n++
-		}
-	}
-	return n
 }
 
 // expandL0KNN walks the CPU-resident L0 part of a kNN descent, scoring L0
@@ -545,7 +508,7 @@ func (t *Tree) collectSphere(queries []geom.Point, starts []*Node, bound []uint6
 		return work, outBytes
 	}
 	t.runPushPullWaves(frontier, knnMsgBytes, scan, prep, nil)
-	return t.gather(len(queries), false)
+	return sink.gather(len(queries), false)
 }
 
 // expandL0Sphere walks the CPU-resident L0 part of a sphere fetch.

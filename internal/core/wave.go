@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/parallel"
@@ -132,7 +131,6 @@ type hostScratch struct {
 	front []entry    // L0-prefix chunk entries of the worker's query runs
 	runs  []l0Run    // the runs front holds, in the order the worker took them
 	work  int64      // host work of the worker's share of the current loop
-	kept  int        // exits the worker's block kept (pruneExits)
 }
 
 // l0Run is one run of queries expandL0 handed a worker: the run starting at
@@ -176,19 +174,27 @@ func forQueries(n int, body func(worker, lo, hi int)) {
 // expandL0 walks the CPU-resident L0 prefix of a wave traversal for each
 // of the batch's n queries — expand(worker, qi, frontier) appends query
 // qi's chunk entries and returns its host work — charges the summed work
-// as one CPU phase and returns the first wave's frontier. Large batches
-// fork (forQueries): workers claim runs of queries as they free up, since
-// one query's prefix can cost a hundred times another's, and each run's
-// entries go to its worker's buffer. The runs then concatenate in query
-// order, so the frontier is the one the serial loop builds, whatever
-// GOMAXPROCS is.
+// as one CPU phase and returns the first wave's frontier. Batches from
+// hostForkMin queries fork: workers claim runs of queries as they free up
+// (parallel.ForDynamic), since one query's prefix can cost a hundred times
+// another's, and each run's entries go to its worker's buffer. The runs
+// then concatenate in query order, so the frontier is the one the serial
+// loop builds, whatever GOMAXPROCS is.
 func (t *Tree) expandL0(n int, expand func(worker int, qi int32, frontier *[]entry) int64) []entry {
-	start := t.clockStart()
 	ws := t.hostWorkers()
+	if n < hostForkMin {
+		frontier, work := t.frontierBuf[:0], int64(0)
+		for i := 0; i < n; i++ {
+			work += expand(0, int32(i), &frontier)
+		}
+		t.frontierBuf = frontier
+		t.sys.CPUPhase(work, 0, 0)
+		return frontier
+	}
 	for w := range ws {
 		ws[w].front, ws[w].runs, ws[w].work = ws[w].front[:0], ws[w].runs[:0], 0
 	}
-	forQueries(n, func(w, lo, hi int) {
+	parallel.ForDynamic(n, func(w, lo, hi int) {
 		front, work := ws[w].front, int64(0)
 		run := l0Run{lo: lo, worker: w, start: len(front)}
 		for i := lo; i < hi; i++ {
@@ -209,38 +215,8 @@ func (t *Tree) expandL0(n int, expand func(worker int, qi int32, frontier *[]ent
 		frontier = append(frontier, ws[r.worker].front[r.start:r.end]...)
 	}
 	t.l0Runs, t.frontierBuf = runs, frontier
-	t.clockStop(clockL0, start)
 	t.sys.CPUPhase(cpuWork, 0, 0)
 	return frontier
-}
-
-// clockPhase names a host phase between rounds that a hostClock times.
-type clockPhase uint8
-
-const (
-	clockGroup  clockPhase = iota // groupByChunk
-	clockL0                       // expandL0
-	clockGather                   // pointSink.gather
-	clockPrune                    // stage A's exit re-prune
-	numClockPhases
-)
-
-// hostClock accumulates wall time per host phase while it is attached to a
-// Tree (BenchmarkQueryPanel attaches one); detached, a phase pays one nil
-// test.
-type hostClock [numClockPhases]time.Duration
-
-func (t *Tree) clockStart() time.Time {
-	if t.clock == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (t *Tree) clockStop(ph clockPhase, start time.Time) {
-	if t.clock != nil {
-		t.clock[ph] += time.Since(start)
-	}
 }
 
 // foundPoint is one stored point a traversal matched to query qi.
@@ -356,32 +332,33 @@ func (ps *pointSink) close(slot, worker int) {
 	}
 }
 
-// gatherForkMin is the find count from which gather forks.
-const gatherForkMin = 8192
+// gatherForkMin is the find count from which gather forks. BenchmarkGather
+// at -cpu 2 on a 2-vCPU Xeon: two blocks lost at 16 384 finds (about 290
+// against 230 us), tied at 32 768 and won from 65 536 (0.78 against
+// 0.86 ms; 1.3 against 2.2 ms at 131 072).
+const gatherForkMin = 32768
 
-// gather returns, per query, the points the traversal found for it, timed
-// by the host clock. With own the lists share one fresh backing array the
-// caller may keep; otherwise they alias the sink's arena and die with the
-// next gather.
-func (t *Tree) gather(nq int, own bool) [][]geom.Point {
-	start := t.clockStart()
-	out := t.found.gather(nq, own)
-	t.clockStop(clockGather, start)
-	return out
+// gather returns, per query, the points found for it. With own the lists
+// share one fresh backing array the caller may keep; otherwise they alias
+// the sink's arena and die with the next gather. From gatherForkMin finds
+// it runs on every worker (gatherOn).
+func (ps *pointSink) gather(nq int, own bool) [][]geom.Point {
+	p := 1
+	if ps.size() >= gatherForkMin {
+		p = parallel.Workers()
+	}
+	return ps.gatherOn(p, nq, own)
 }
 
-// gather regroups the finds by query (see Tree.gather). The slots split
-// into one contiguous block per worker, of about equal finds. Each block
-// counts its finds per query; a scan over the counts, query-major then
-// block-major, turns them into each block's write cursor per query; then
-// every block writes its finds in slot order. A query's list is therefore
-// in slot order, as if one worker had walked every slot.
-func (ps *pointSink) gather(nq int, own bool) [][]geom.Point {
+// gatherOn is gather on p workers. The slots split into one contiguous
+// block per worker, of about equal finds. Each block counts its finds per
+// query; a scan over the counts, query-major then block-major, turns them
+// into each block's write cursor per query; then every block writes its
+// finds in slot order. A query's list is therefore in slot order, as if one
+// worker had walked every slot.
+func (ps *pointSink) gatherOn(p, nq int, own bool) [][]geom.Point {
 	total := ps.size()
-	p := 1
-	if total >= gatherForkMin {
-		p = min(parallel.Workers(), len(ps.segs))
-	}
+	p = max(1, min(p, len(ps.segs)))
 	ps.blocks = sized(ps.blocks, p+1)
 	for b, s, acc := 0, 0, 0; b < p; b++ {
 		for ; s < len(ps.segs) && acc < b*total/p; s++ {
