@@ -2,10 +2,10 @@
 #
 # `make ci` is the gate: build, vet, the dead-code check, then the full
 # test suite under the race detector with GOMAXPROCS=4 so the parallel
-# sort/semisort/scan paths — and the forked round handlers, per-query host
-# loops and pulled-chunk wave scans (TestPushedRoundMultiWorker,
-# TestPulledScanMultiWorker, pim's TestRoundSchedule) — actually run
-# multi-worker (a 1-core CI would otherwise never exercise them), the
+# sort/semisort/scan paths — and the forked wave scans, per-query host
+# loops and pulled-chunk walks (TestPushedRoundMultiWorker,
+# TestPulledScanMultiWorker) — actually run multi-worker (a 1-core CI
+# would otherwise never exercise them), the
 # memory gates without the race detector (which makes them skip), the CLI
 # smoke run, the experiment CSVs compared across GOMAXPROCS, every fuzz
 # target for 5 s from its seed corpus, and the benchmark module's own
@@ -45,10 +45,10 @@ test:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Multi-worker regression net: the forked paths (module handlers of rounds
-# above pim's work threshold and the per-query kNN/box host loops via
-# TestPushedRoundMultiWorker and pim's TestRoundSchedule, pulled-chunk
-# scans via TestPulledScanMultiWorker, fork-join updates/relayout via
+# Multi-worker regression net: the forked paths (the wave scan loop of
+# waves above its entry threshold and the per-query kNN/box host loops via
+# TestPushedRoundMultiWorker, pulled-chunk walks and scans via
+# TestPulledScanMultiWorker, fork-join updates/relayout via
 # TestUpdateMultiWorker) only exercise their parallel paths above one proc.
 # (The determinism tests of bench/zdtree/pkdtree set GOMAXPROCS themselves.)
 # The engine's ordering tests (barriers, epoch coalescing) run 20 more

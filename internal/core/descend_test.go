@@ -122,7 +122,7 @@ func (t *Tree) oracleSearchL0(keys []uint64, opts searchOpts, res []SearchResult
 	}
 	if t.l0OnModules && len(keys) > 0 {
 		p := t.P()
-		t.sys.RoundN(t.sys.AllModules(), len(keys), func(m *pim.Module) {
+		t.sys.Round(t.sys.AllModules(), func(m *pim.Module) {
 			lo := m.ID * len(keys) / p
 			hi := (m.ID + 1) * len(keys) / p
 			m.Recv(int64(hi-lo) * queryMsgBytes)
@@ -240,23 +240,18 @@ func (t *Tree) oraclePullAndAdvance(keys []uint64, opts searchOpts, res []Search
 			m.Send(g.chunk.StructBytes)
 		}
 	})
-	pullSlots := r.pullSlots(len(pulled))
-	cpuWork, cpuBytes := t.scanPulled(pulled, func(worker, gi int, g chunkGroup) (int64, int64) {
-		var work int64
+	var cpuWork, cpuBytes int64
+	for _, g := range pulled {
 		for _, e := range g.entries {
 			nd, visited := t.traverseChunkMaster(keys[e.qi], e.node, opts, &res[e.qi])
-			work += visited * 4
+			cpuWork += visited * 4
 			if nd != nil {
-				pullSlots[gi] = append(pullSlots[gi], entry{qi: e.qi, node: nd})
+				appendNext(e.qi, nd)
 			}
 		}
-		return work, 0
-	})
-	for _, slot := range pullSlots {
-		for _, e := range slot {
-			appendNext(e.qi, e.node)
-		}
+		cpuBytes += g.chunk.StructBytes
 	}
+	t.pulls += int64(len(pulled))
 	t.sys.CPUPhase(cpuWork, cpuBytes, 0)
 }
 
@@ -266,10 +261,8 @@ func (t *Tree) oraclePullAndAdvanceInRound(keys []uint64, opts searchOpts, res [
 	if len(r.active) == 0 {
 		return
 	}
-	resSlots := make([][]entry, len(r.active))
-	t.sys.RoundN(r.active, r.queued, func(m *pim.Module) {
-		slot := r.slot[m.ID]
-		out := resSlots[slot]
+	var out []entry
+	t.sys.Round(r.active, func(m *pim.Module) {
 		for _, g := range r.pullsOf(m.ID) {
 			m.Send(g.chunk.StructBytes)
 		}
@@ -282,27 +275,25 @@ func (t *Tree) oraclePullAndAdvanceInRound(keys []uint64, opts searchOpts, res [
 			}
 			m.Send(int64(len(g.entries)) * resultMsgBytes)
 		}
-		resSlots[slot] = out
 	})
-	for _, out := range resSlots {
-		for _, pr := range out {
-			if pr.node != nil {
-				record(pr.qi, pr.node)
-			}
+	for _, pr := range out {
+		if pr.node != nil {
+			record(pr.qi, pr.node)
 		}
 	}
 	if len(pulled) > 0 {
-		cpuWork, cpuBytes := t.scanPulled(pulled, func(worker, gi int, g chunkGroup) (int64, int64) {
-			var work int64
+		var cpuWork, cpuBytes int64
+		for _, g := range pulled {
 			for _, e := range g.entries {
 				nd, visited := t.traverseChunkMaster(keys[e.qi], e.node, opts, &res[e.qi])
-				work += visited * 4
+				cpuWork += visited * 4
 				if nd != nil {
 					record(e.qi, nd)
 				}
 			}
-			return work, 0
-		})
+			cpuBytes += g.chunk.StructBytes
+		}
+		t.pulls += int64(len(pulled))
 		t.sys.CPUPhase(cpuWork, cpuBytes, 0)
 	}
 }
@@ -310,7 +301,7 @@ func (t *Tree) oraclePullAndAdvanceInRound(keys []uint64, opts searchOpts, res [
 func (t *Tree) oracleRoundOverGroups(groups []chunkGroup, handler func(m *pim.Module, g chunkGroup)) {
 	r := &t.router
 	r.route(t.P(), nil, groups)
-	t.sys.RoundN(r.active, r.queued, func(m *pim.Module) {
+	t.sys.Round(r.active, func(m *pim.Module) {
 		for _, g := range r.pushesOf(m.ID) {
 			handler(m, g)
 		}

@@ -14,13 +14,14 @@ import (
 	"pimzdtree/internal/workload"
 )
 
-// TestPulledScanMultiWorker drives the parallel pulled-chunk host path with
-// several workers: a seeded skewed batch (many duplicate queries on a few
-// hot keys) pushes dozens of chunk groups over the SkewResistant pull
-// threshold (B = 16), so the pulled groups' host walks genuinely fork
-// (search's lockstep descents, kNN's and box's scanPulled). Under `make
-// race` (GOMAXPROCS=4 -race) this is the regression net for data races in
-// the concurrent group traversals and the per-worker accumulators.
+// TestPulledScanMultiWorker drives the pulled-chunk host path with several
+// workers: a seeded skewed batch (many duplicate queries on a few hot keys)
+// pushes dozens of chunk groups over the SkewResistant pull threshold
+// (B = 16), so the pulled groups' host walks genuinely fork (search's
+// lockstep descents, and kNN's and box's wave scans, which take pulled
+// groups in the same loop as pushed ones). Under `make race` (GOMAXPROCS=4
+// -race) this is the regression net for data races in the concurrent group
+// traversals and their per-group cost and exit slots.
 func TestPulledScanMultiWorker(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -98,14 +99,15 @@ type pushedRoundOutcome struct {
 	jsonl     []byte
 }
 
-// TestPushedRoundMultiWorker drives rounds whose module handlers really run
-// on several host workers (pim.System.RoundN forks from 1024 queued entries
-// up; every batch below is 1.5-3x that, and a fifth of each falls on one hot
-// spot so modules are unevenly loaded and the SkewResistant run pulls too),
-// together with the per-query host loops around them. Answers, the modeled
-// metrics down to the float seconds, and both trace exports must be the same
-// at GOMAXPROCS 1, 2 and 4. Under `make race` this is the regression net for
-// data races between module handlers and in the per-worker scratch.
+// TestPushedRoundMultiWorker drives waves whose group scans really run on
+// several host workers (a wave forks its scan from waveForkMin = 1024
+// entries up; every batch below is 1.5-3x that, and a fifth of each falls on
+// one hot spot so modules are unevenly loaded and the SkewResistant run
+// pulls too), together with the per-query host loops around them. Answers,
+// the modeled metrics down to the float seconds, and both trace exports
+// must be the same at GOMAXPROCS 1, 2 and 4. Under `make race` this is the
+// regression net for data races between concurrent group scans and in the
+// per-worker scratch.
 func TestPushedRoundMultiWorker(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

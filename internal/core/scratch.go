@@ -50,15 +50,15 @@ func (t *Tree) trimScratch() {
 	// The group lists hold views into frontier buffers (and chunk pointers)
 	// past their length; a kept list must not keep a released buffer alive.
 	r := &t.router
-	for _, groups := range []*[]chunkGroup{&t.groupBuf, &r.perm, &r.pulledG, &r.pushedG} {
+	for _, groups := range []*[]chunkGroup{&t.groupBuf, &r.perm, &r.groups, &r.pulledG, &r.pushedG} {
 		*groups = parallel.Keep(*groups, peak)
 		clear((*groups)[:cap(*groups)])
 	}
 	r.front[0] = parallel.Keep(r.front[0], peak)
 	r.front[1] = parallel.Keep(r.front[1], peak)
-	trimSlots(r.exitArena, peak)
-	trimSlots(r.pullArena, peak)
-	trimSlots(t.knnFoundBuf, peak)
+	r.cost = parallel.Keep(r.cost, peak)
+	r.exitArena = trimSlots(r.exitArena, peak)
+	t.knnFoundBuf = trimSlots(t.knnFoundBuf, peak)
 	ws := t.workers[:cap(t.workers)]
 	for w := range ws {
 		ws[w].front = parallel.Keep(ws[w].front, peak)
@@ -99,11 +99,13 @@ func sized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// trimSlots applies Keep to every slot of a growSlots arena, including the
-// slots past its current length.
-func trimSlots[T any](arena [][]T, used int) {
-	arena = arena[:cap(arena)]
-	for i := range arena {
-		arena[i] = parallel.Keep(arena[i], used)
+// trimSlots applies Keep to a growSlots arena and, if it is kept, to every
+// slot of it, including the slots past its current length.
+func trimSlots[T any](arena [][]T, used int) [][]T {
+	arena = parallel.Keep(arena, used)
+	slots := arena[:cap(arena)]
+	for i := range slots {
+		slots[i] = parallel.Keep(slots[i], used)
 	}
+	return arena
 }

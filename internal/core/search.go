@@ -382,7 +382,7 @@ func (t *Tree) searchL1(keys []uint64, opts searchOpts, res []SearchResult, fron
 			t.chargeGrouping(len(frontier))
 		}
 		t.descendAll(keys, frontier, reachL2, opts, res, next, visits)
-		t.chargeRound(nil, groups, visits)
+		t.chargeVisits(nil, groups, visits)
 		for _, g := range groups {
 			for _, e := range g.entries {
 				appendNext(e.qi, next[e.qi])
@@ -411,7 +411,7 @@ func (t *Tree) searchL2(keys []uint64, opts searchOpts, res []SearchResult, fron
 			return len(g.entries) > kPull
 		})
 		t.descendAll(keys, frontier, leaveChunk, opts, res, next, visits)
-		t.chargeRound(pulled, pushed, visits)
+		t.chargeVisits(pulled, pushed, visits)
 
 		frontier = frontier[:0]
 		for _, g := range groups {
@@ -436,44 +436,26 @@ func (t *Tree) pullAndAdvance(keys []uint64, opts searchOpts, res []SearchResult
 			t.descend(keys, g.entries, leaveChunk, opts, res, next, visits)
 		}
 	})
-	t.chargeRound(pulled, nil, visits)
+	t.chargeVisits(pulled, nil, visits)
 }
 
-// chargeRound charges one BSP round of a search whose queries the host has
-// already walked (visits, from descend): each pulled group's module ships
-// its chunk's routing structure, each pushed group's module receives its
-// queries' keys, spends 4 cycles per visited node and returns one result
-// per query; then the host's walk of the pulled groups is charged as a CPU
-// phase over the shipped structures. The handlers only add up charges, so
-// the round never forks.
-func (t *Tree) chargeRound(pulled, pushed []chunkGroup, visits []int64) {
+// chargeVisits charges one BSP round of a search whose queries the host has
+// already walked (visits, from descend): a query costs 4 cycles per visited
+// node, and a pushed one sends one result back (see chargeRound).
+func (t *Tree) chargeVisits(pulled, pushed []chunkGroup, visits []int64) {
 	r := &t.router
 	r.route(t.P(), pulled, pushed)
-	t.sys.Round(r.active, func(m *pim.Module) {
-		for _, g := range r.pullsOf(m.ID) {
-			m.Send(g.chunk.StructBytes)
-		}
-		for _, g := range r.pushesOf(m.ID) {
-			m.Recv(int64(len(g.entries)) * queryMsgBytes)
-			for _, e := range g.entries {
-				m.Work(visits[e.qi] * 4)
-			}
-			m.Send(int64(len(g.entries)) * resultMsgBytes)
-		}
-	})
-	if len(pulled) == 0 {
-		return
-	}
-	var work, bytes int64
-	for _, g := range pulled {
+	for gi, g := range r.groups {
+		var c groupCost
 		for _, e := range g.entries {
-			work += visits[e.qi] * 4
+			c.work += visits[e.qi] * 4
 		}
-		bytes += g.chunk.StructBytes
+		if gi < r.nPush {
+			c.sent = int64(len(g.entries)) * resultMsgBytes
+		}
+		r.cost[gi] = c
 	}
-	t.pulls += int64(len(pulled))
-	t.sys.Recorder().Add("chunk-pulls", int64(len(pulled)))
-	t.sys.CPUPhase(work, bytes, 0)
+	t.chargeRound(queryMsgBytes)
 }
 
 // ContainsBatch answers exact point membership for the batch: the batch

@@ -6,23 +6,28 @@ import (
 
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/parallel"
-	"pimzdtree/internal/pim"
 )
 
 // waveScanFunc traverses one in-flight query within its chunk, appending
 // chunk exits to *exits and returning the compute work and the bytes the
 // traversal sends back to the CPU. cpuSide is true when the chunk was
 // pulled and the traversal runs on the host (implementations typically
-// rebate the PIM multiply premium there). Implementations must be safe for
-// concurrent invocation on different chunk groups — a wave's module
-// handlers run on several host workers once the frontier is large enough
-// (pim.System.RoundN), and so do the pulled groups' host scans; worker
-// (< parallel.Workers()) is a stable scratch index (distinct concurrent
-// invocations never share one) and gi is the group's rank in the wave's
-// deterministic enumeration — pushed groups module-major first, then
-// pulled groups in group order — so per-group result slots can be merged
-// in a scheduling-independent order.
+// rebate the PIM multiply premium there). A large wave's groups are scanned
+// on several host workers at once, so implementations must be safe for
+// concurrent invocation on different groups: worker (< parallel.Workers())
+// is a stable scratch index (distinct concurrent invocations never share
+// one) and gi is the group's rank in the wave's deterministic enumeration —
+// pushed groups module-major first, then pulled groups in group order — so
+// per-group result slots can be merged in a scheduling-independent order.
 type waveScanFunc func(c *Chunk, e entry, cpuSide bool, worker, gi int, exits *[]entry) (work, outBytes int64)
+
+// waveForkMin is the wave size (in-flight queries, pushed and pulled) from
+// which the host scans the wave's groups on all its workers. One entry costs
+// its scan 0.1-5 us of host time (a kNN or box chunk scan) and a fork costs
+// a few us, so a thousand entries pay for it many times over, while the
+// waves of a coalesced serving epoch (tens to a few hundred entries) stay a
+// plain loop.
+const waveForkMin = 1024
 
 // runPushPullWaves drives the generic push-pull BSP loop shared by kNN and
 // box traversals (§3.3 applied level by level, as in Alg. 1 step 4): each
@@ -34,13 +39,15 @@ type waveScanFunc func(c *Chunk, e entry, cpuSide bool, worker, gi int, exits *[
 // waves on the collected exits — kNN uses it to tighten bounds and prune —
 // and returns the next frontier.
 //
-// Routing runs on the Tree's CSR router: no per-wave maps, and the pulled
-// groups' host traversals run in parallel across groups with per-worker
-// accumulators feeding one CPU phase (waveScanFunc requires cross-group
-// concurrency safety). Exits land in per-module and per-pulled-group slots
-// and concatenate in a fixed order (active modules ascending, then pulled
-// groups in group order), so the next frontier — and everything
-// order-sensitive downstream — is identical to the serial schedule.
+// A wave is three steps. Scan: the host runs every group's traversals,
+// pushed groups as their modules would and pulled ones against master data,
+// in one loop over the round's gi order (on all workers from waveForkMin
+// entries), each group's exits and cost in a slot of its own.
+// Charge: one round adds up the pushed groups' costs on their modules and
+// ships the pulled groups' structures, and a CPU phase covers the pulled
+// scans. Concatenate: the exit slots in gi order (active modules ascending,
+// then pulled groups) are the next frontier — the serial schedule's, however
+// many workers scanned.
 func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanFunc, prepWave func(nGroups int), afterWave func([]entry) []entry) {
 	rec := t.sys.Recorder()
 	r := &t.router
@@ -53,54 +60,21 @@ func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanF
 			return int64(len(g.entries)) > t.chunkB
 		})
 		r.route(t.P(), pulled, pushed)
-		active := r.active
-		nPush := len(pushed)
 		if prepWave != nil {
 			prepWave(len(groups))
 		}
-		exitSlots := r.exitSlots(len(active))
-		pullSlots := r.pullSlots(len(pulled))
-
-		// One BSP round: pulled chunks ship their masters up; pushed
-		// queries execute on their modules.
-		t.sys.RoundN(active, r.queued, func(m *pim.Module) {
-			exits := &exitSlots[r.slot[m.ID]]
-			for _, g := range r.pullsOf(m.ID) {
-				m.Send(g.chunk.StructBytes)
-			}
-			base := r.pushBase[m.ID]
-			for j, g := range r.pushesOf(m.ID) {
-				m.Recv(int64(len(g.entries)) * msgBytes)
-				for _, e := range g.entries {
-					work, outBytes := scan(g.chunk, e, false, m.Worker(), base+j, exits)
-					m.Work(work)
-					m.Send(outBytes)
-				}
-			}
-		})
-
-		// Pulled chunks run on the CPU against master data: the structure
-		// crossed the channel above; the payload bytes each traversal
-		// actually reads cross (and hit host DRAM) per visit.
-		if len(pulled) > 0 {
-			pullWork, pullBytes := t.scanPulled(pulled, func(worker, gi int, g chunkGroup) (int64, int64) {
-				var work, bytes int64
-				for _, e := range g.entries {
-					w, b := scan(g.chunk, e, true, worker, nPush+gi, &pullSlots[gi])
-					work += w
-					bytes += b
-				}
-				return work, bytes
+		exits := r.exitSlots()
+		if len(frontier) >= waveForkMin {
+			parallel.ForDynamic(len(r.groups), func(worker, lo, hi int) {
+				r.scanGroups(scan, exits, worker, lo, hi)
 			})
-			rec.Add("chunk-pulls", int64(len(pulled)))
-			t.sys.CPUPhase(pullWork, pullBytes, 0)
+		} else {
+			r.scanGroups(scan, exits, 0, 0, len(r.groups))
 		}
+		t.chargeRound(msgBytes)
 
 		next := r.nextFrontier(wave)
-		for _, ex := range exitSlots {
-			next = append(next, ex...)
-		}
-		for _, ex := range pullSlots {
+		for _, ex := range exits {
 			next = append(next, ex...)
 		}
 		r.front[wave&1] = next
@@ -114,6 +88,21 @@ func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanF
 	}
 }
 
+// scanGroups scans groups [lo, hi) of the routed wave as worker, each
+// group's exits into its slot of exits and its cost into r.cost.
+func (r *waveRouter) scanGroups(scan waveScanFunc, exits [][]entry, worker, lo, hi int) {
+	for gi := lo; gi < hi; gi++ {
+		g := r.groups[gi]
+		var c groupCost
+		for _, e := range g.entries {
+			work, sent := scan(g.chunk, e, gi >= r.nPush, worker, gi, &exits[gi])
+			c.work += work
+			c.sent += sent
+		}
+		r.cost[gi] = c
+	}
+}
+
 // hostForkMin is the batch size (queries) from which the per-query host
 // loops around the waves — L0 prefixes, sphere derivation, the final kNN
 // filter, the stage-A merge — run on the host's workers. A query costs
@@ -122,9 +111,9 @@ func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanF
 const hostForkMin = 256
 
 // hostScratch is one host worker's private scratch, indexed by the worker
-// ids parallel.ForDynamic / BlocksN and pim.Module.Worker hand out: the
-// worker may be running a module's handler, a pulled group's scan or a
-// run of per-query host work, but never two of them at once.
+// ids parallel.ForDynamic / BlocksN hand out: the worker may be scanning a
+// wave's groups or running a run of per-query host work, but never two of
+// them at once.
 type hostScratch struct {
 	cand  candState  // stage-A chunk-scan candidate set
 	arena []Neighbor // final-filter candidates of the query in hand
@@ -235,8 +224,8 @@ type foundPoint struct {
 // GOMAXPROCS, out of W buffers that persist across batches.
 //
 // A slot's finds must be appended by one worker with no other slot's in
-// between (open panics otherwise). Waves guarantee it: a module handler or
-// a pulled-group scan works through a group's entries back to back.
+// between (open panics otherwise). Waves guarantee it: one worker scans a
+// group's entries back to back.
 type pointSink struct {
 	bufs   []sinkBuf
 	segs   []sinkSeg    // per slot

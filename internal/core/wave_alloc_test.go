@@ -9,8 +9,8 @@ import (
 )
 
 // Steady-state allocation gates for the push-pull wave engine. After the
-// first batch has sized the Tree-owned router scratch (CSR arrays, exit and
-// pull arenas, frontier ping-pong buffers), further batches must allocate
+// first batch has sized the Tree-owned router scratch (CSR arrays, per-group
+// costs and exit slots, frontier ping-pong buffers), further batches must allocate
 // only their user-visible outputs — nothing per wave. These tests pin that
 // property so a regression that reintroduces per-wave maps or slices shows
 // up as a test failure, not a slow harness.

@@ -81,10 +81,8 @@ type node struct {
 	key         uint64
 	prefixLen   uint8
 	size        int64
-	box         geom.Box
 	module      int // owning module (-1 = CPU-resident top, range mode)
 	keys        []uint64
-	pts         []geom.Point
 }
 
 func (n *node) isLeaf() bool { return n.left == nil }
@@ -104,34 +102,23 @@ func New(cfg Config, points []geom.Point) *Tree {
 	if len(points) == 0 {
 		return t
 	}
-	type keyed struct {
-		key uint64
-		pt  geom.Point
-	}
-	kps := make([]keyed, len(points))
+	keys := make([]uint64, len(points))
 	for i, p := range points {
 		if p.Dims != cfg.Dims {
 			panic("naive: point dims mismatch")
 		}
-		kps[i] = keyed{key: morton.EncodePoint(p), pt: p}
+		keys[i] = morton.EncodePoint(p)
 	}
-	parallel.SortBy(kps, func(kp keyed) uint64 { return kp.key })
-	t.sys.CPUPhase(int64(len(kps))*30, int64(len(kps))*96, 0)
-
-	keys := make([]uint64, len(kps))
-	pts := make([]geom.Point, len(kps))
-	for i, kp := range kps {
-		keys[i] = kp.key
-		pts[i] = kp.pt
-	}
-	t.root = t.build(keys, pts)
+	parallel.SortKeys(keys)
+	t.sys.CPUPhase(int64(len(keys))*30, int64(len(keys))*96, 0)
+	t.root = t.build(keys)
 	t.assign()
 	return t
 }
 
 func (t *Tree) keyBits() uint { return morton.KeyBits(int(t.cfg.Dims)) }
 
-func (t *Tree) build(keys []uint64, pts []geom.Point) *node {
+func (t *Tree) build(keys []uint64) *node {
 	first, last := keys[0], keys[len(keys)-1]
 	if len(keys) <= t.cfg.LeafCap || first == last {
 		plen := uint(t.keyBits())
@@ -140,8 +127,7 @@ func (t *Tree) build(keys []uint64, pts []geom.Point) *node {
 		}
 		return &node{
 			key: first, prefixLen: uint8(plen), size: int64(len(keys)),
-			box:  morton.PrefixBox(first, plen, t.cfg.Dims),
-			keys: append([]uint64(nil), keys...), pts: append([]geom.Point(nil), pts...),
+			keys: append([]uint64(nil), keys...),
 		}
 	}
 	plen := morton.CommonPrefixLen(first, last, int(t.cfg.Dims))
@@ -155,12 +141,9 @@ func (t *Tree) build(keys []uint64, pts []geom.Point) *node {
 			hi = mid
 		}
 	}
-	n := &node{
-		key: first, prefixLen: uint8(plen), size: int64(len(keys)),
-		box: morton.PrefixBox(first, plen, t.cfg.Dims),
-	}
-	n.left = t.build(keys[:lo], pts[:lo])
-	n.right = t.build(keys[lo:], pts[lo:])
+	n := &node{key: first, prefixLen: uint8(plen), size: int64(len(keys))}
+	n.left = t.build(keys[:lo])
+	n.right = t.build(keys[lo:])
 	return n
 }
 

@@ -59,7 +59,7 @@ func For(n int, body func(i int)) {
 // binary splitting. The sequential cutoff (grain, 2048) is an element
 // count chosen for cheap bodies — a key encode, a slot write: a range of
 // up to 2048 indexes runs on the calling goroutine however expensive each
-// body is. Loops over few, heavy items (module handlers, shards, queries
+// body is. Loops over few, heavy items (wave chunk groups, shards, queries
 // with data-dependent cost) want ForDynamic instead.
 func ForRange(lo, hi int, body func(i int)) {
 	if hi-lo <= 0 {
@@ -333,13 +333,4 @@ func scanInto[I integer](in, out []I) I {
 		}
 	})
 	return run
-}
-
-// ExclusiveScanInto writes the exclusive prefix sums of in into out, which
-// must have the same length and may be in itself, and returns the total.
-func ExclusiveScanInto(in, out []int) int {
-	if len(in) != len(out) {
-		panic("parallel: ExclusiveScanInto length mismatch")
-	}
-	return scanInto(in, out)
 }

@@ -9,6 +9,23 @@ import (
 	"testing/quick"
 )
 
+// SortBy sorts items with a fresh Sorter: the one-shot form the tests and
+// benchmarks use.
+func SortBy[T any](items []T, keyOf func(T) uint64) {
+	var s Sorter[T]
+	s.SortBy(items, keyOf)
+}
+
+// ExclusiveScanInto writes the exclusive prefix sums of in into out, which
+// must have the same length and may be in itself, and returns the total:
+// scanInto over ints, as the tests and benchmarks drive it.
+func ExclusiveScanInto(in, out []int) int {
+	if len(in) != len(out) {
+		panic("parallel: ExclusiveScanInto length mismatch")
+	}
+	return scanInto(in, out)
+}
+
 func TestForCoversAllIndexes(t *testing.T) {
 	for _, n := range []int{0, 1, 7, grain, grain + 1, 3*grain + 5} {
 		seen := make([]int32, n)

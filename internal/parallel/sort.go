@@ -85,12 +85,6 @@ func SortKeys(keys []uint64) {
 // The sort is stable with respect to equal keys. The keys are extracted
 // once into a side array and permuted alongside the items, so keyOf runs
 // exactly len(items) times regardless of the number of radix passes.
-func SortBy[T any](items []T, keyOf func(T) uint64) {
-	var s Sorter[T]
-	s.SortBy(items, keyOf)
-}
-
-// SortBy is the Sorter-scratch form of the package-level SortBy.
 func (s *Sorter[T]) SortBy(items []T, keyOf func(T) uint64) {
 	n := len(items)
 	if n < seqSortCutoff {

@@ -4,13 +4,10 @@
 // in bulk-synchronous parallel (BSP) rounds. PIM modules cannot talk to
 // each other; all traffic flows through the CPU over the memory channels.
 //
-// The simulator executes a round's handlers on the host. A round that
-// carries enough queued work (RoundN, above forkMinEntries) spreads them
-// over GOMAXPROCS goroutines, so module code runs genuinely in parallel and
-// bugs like cross-module sharing are caught by the race detector; a round
-// below that, and every byte-delivery round (Round), is a plain loop on the
-// calling goroutine, because forking costs more than a few cheap handlers
-// do. Either way the PIM-Model metrics are accounted exactly:
+// The simulator only counts. The module code itself runs on the host before
+// a round (the callers' traversals, on as many workers as pay off); a round's
+// handlers then charge what it cost, one after another on the calling
+// goroutine. The PIM-Model metrics are accounted exactly:
 //
 //   - communication amount: bytes moved CPU->PIM and PIM->CPU,
 //   - communication rounds: number of BSP rounds,
@@ -18,9 +15,7 @@
 //   - CPU work: abstract units reported by host phases.
 //
 // Times are modeled through internal/costmodel; nothing here depends on
-// wall-clock measurements or on how handlers were scheduled (every total
-// is an integer sum taken after the join), so results are deterministic at
-// any GOMAXPROCS.
+// wall-clock measurements, so results are deterministic at any GOMAXPROCS.
 package pim
 
 import (
@@ -29,19 +24,13 @@ import (
 
 	"pimzdtree/internal/costmodel"
 	"pimzdtree/internal/obs"
-	"pimzdtree/internal/parallel"
 )
 
 // Module is one PIM module: a weak core plus its private local memory.
-// During a round, a module is touched only by the goroutine running its
-// handler; between rounds, only by the host. Counters are therefore plain
-// fields.
+// During a round, a module is touched only by its handler; between rounds,
+// only by the host. Counters are therefore plain fields.
 type Module struct {
 	ID int
-
-	// worker is the host worker running this module's handler in the
-	// current round (see Worker).
-	worker int
 
 	// Per-round accounting, reset by the system at round start.
 	cycles    int64
@@ -51,11 +40,6 @@ type Module struct {
 	// Cumulative local-memory footprint (for space-bound experiments).
 	storedBytes int64
 }
-
-// Worker returns the index (< parallel.Workers()) of the host worker that
-// runs this module's handler in the current round: a stable index for
-// caller-side scratch, since handlers running concurrently never share one.
-func (m *Module) Worker() int { return m.worker }
 
 // Work charges n cycles of PIM-core execution to the module in the current
 // round.
@@ -205,48 +189,19 @@ type RoundStats struct {
 	Straggler int
 }
 
-// forkMinEntries is the queued work (queries in flight across the round's
-// modules) from which RoundN spreads the handlers over the host's workers.
-// One entry costs its handler 0.1-5 us of host time (a chunk descent, a
-// kNN or box chunk scan) and a fork costs a few us, so a thousand entries
-// pay for it many times over, while the rounds of a coalesced serving
-// epoch (tens to a few hundred entries) stay a plain loop.
-const forkMinEntries = 1024
-
 // Round executes one BSP round. handler is invoked for every module id in
 // active (each exactly once), one after another on the calling goroutine;
 // inside, the handler may call Work/Recv/Send on its module. Rounds are the
 // unit the mux-switch overhead is charged to. Passing no active modules
 // still counts a round (a barrier crossing), matching the paper's round
-// accounting. Rounds whose handlers do real per-query work use RoundN.
+// accounting.
 func (s *System) Round(active []int, handler func(m *Module)) RoundStats {
-	return s.RoundN(active, 0, handler)
-}
-
-// RoundN is Round for handlers that process queued entries (queries in
-// flight): entries is how many the round's modules hold between them.
-// From forkMinEntries up, and above one proc, the handlers run on several
-// goroutines that claim short runs of active from a shared cursor, so
-// handlers of different modules must not share unsynchronized state
-// (Module.Worker indexes per-worker scratch); below it the round is the
-// same plain loop as Round. The accounting does not depend on which.
-func (s *System) RoundN(active []int, entries int, handler func(m *Module)) RoundStats {
 	for _, id := range active {
 		m := s.modules[id]
-		m.cycles, m.recvBytes, m.sendBytes, m.worker = 0, 0, 0, 0
+		m.cycles, m.recvBytes, m.sendBytes = 0, 0, 0
 	}
-	if entries >= forkMinEntries && len(active) > 1 && parallel.Workers() > 1 {
-		parallel.ForDynamic(len(active), func(worker, lo, hi int) {
-			for _, id := range active[lo:hi] {
-				m := s.modules[id]
-				m.worker = worker
-				handler(m)
-			}
-		})
-	} else {
-		for _, id := range active {
-			handler(s.modules[id])
-		}
+	for _, id := range active {
+		handler(s.modules[id])
 	}
 	var st RoundStats
 	st.ActiveModules = len(active)

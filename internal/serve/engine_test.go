@@ -20,7 +20,7 @@ import (
 	"pimzdtree/internal/workload"
 )
 
-func testTree(t *testing.T, n int) (*core.Tree, []geom.Point) {
+func testTree(t testing.TB, n int) (*core.Tree, []geom.Point) {
 	t.Helper()
 	m := costmodel.UPMEMServer()
 	m.PIMModules = 64
@@ -29,7 +29,7 @@ func testTree(t *testing.T, n int) (*core.Tree, []geom.Point) {
 	return tr, data
 }
 
-func testEngine(t *testing.T, n int) (*Engine, []geom.Point) {
+func testEngine(t testing.TB, n int) (*Engine, []geom.Point) {
 	t.Helper()
 	tr, data := testTree(t, n)
 	e := New(Config{Backend: NewTreeBackend(tr)})
