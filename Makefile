@@ -81,7 +81,8 @@ footprint:
 # byte-identical across GOMAXPROCS; the concurrent serving engine must
 # absorb parallel HTTP+TCP clients (pimzd-loadgen, which itself gates on
 # /readyz) with mid-load /metrics + /snapshot/slowrequests +
-# /snapshot/slo scrapes and drain cleanly on SIGTERM, and a short
+# /snapshot/slo scrapes (the mid-load slow-request capture must analyze)
+# and drain cleanly on SIGTERM, and a short
 # in-process saturation sweep must complete; a sharded server (-trees 4)
 # must boot, take load, export the per-shard metrics families and the
 # /snapshot/shards layout.
@@ -155,6 +156,7 @@ smoke:
 	test $$SRC -eq 0 && test $$ORC -eq 0 && test $$WRC -eq 0
 	$(GO) run ./tools/checkjson -promtext .smoke/serve-metrics.txt
 	$(GO) run ./tools/checkjson -slo .smoke/load-slo.json
+	./.smoke/pimzd-trace analyze -requests .smoke/load-requests.json > .smoke/load-req.txt
 	./.smoke/pimzd-serve -addr 127.0.0.1:0 -port-file .smoke/sport \
 		-trees 4 -n 20000 -p 128 -duration 60s & \
 	SERVE_PID=$$!; \

@@ -131,7 +131,7 @@ func main() {
 	// results are unaffected — the recorder is a passive observer.
 	var (
 		liveSink   *metrics.ObsSink
-		wallPanels *metrics.HistogramVec
+		wallPanels *metrics.Vec[metrics.Histogram]
 	)
 	if *serveAddr != "" {
 		reg := metrics.New()
@@ -139,7 +139,7 @@ func main() {
 		wallPanels = reg.NewHistogramVec(metrics.HistogramOpts{Opts: metrics.Opts{
 			Name: "pimzd_panel_wall_seconds",
 			Help: "Wall-clock time per experiment panel (real time, not modeled).",
-			Wall: true, Label: "experiment"}})
+			Wall: true}}, "experiment")
 		srv, err := metrics.StartAdmin(*serveAddr, metrics.AdminConfig{Registry: reg})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)

@@ -236,6 +236,12 @@ type AdminServer struct {
 	srv *http.Server
 }
 
+// readHeaderTimeout bounds how long a connection may take to deliver a
+// request's headers. Without it a client that sends half a request line
+// (slowloris) holds a connection and its goroutine forever, and /v1
+// shares this listener. A var only so a test can shrink it.
+var readHeaderTimeout = 10 * time.Second
+
 // StartAdmin binds addr (":0" for an ephemeral port) and serves the admin
 // mux from a background goroutine.
 func StartAdmin(addr string, cfg AdminConfig) (*AdminServer, error) {
@@ -243,7 +249,7 @@ func StartAdmin(addr string, cfg AdminConfig) (*AdminServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: NewAdminHandler(cfg)}
+	srv := &http.Server{Handler: NewAdminHandler(cfg), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := srv.Serve(l); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintf(os.Stderr, "admin: %v\n", err)

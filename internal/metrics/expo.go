@@ -132,36 +132,33 @@ func (f *family) writeText(w *bytes.Buffer, opts ExpoOpts) {
 	}
 }
 
-// writeSeriesLabels renders one series' label set from its key: the
-// family's single dimension, or — for multi-label families — each
+// writeSeriesLabels renders one series' label set from its key: each
 // (name, value) pair in declaration order, plus an optional extra pair
-// (histograms' le).
+// (histograms' le). An unlabeled series without an extra pair renders
+// no braces at all.
 func (f *family) writeSeriesLabels(w *bytes.Buffer, key, extraName, extraValue string) {
-	if f.labels == nil {
-		writeLabels(w, f.opts.Label, key, extraName, extraValue)
+	if len(f.labels) == 0 && extraName == "" {
 		return
 	}
-	values := strings.Split(key, labelSep)
 	w.WriteByte('{')
-	for i, name := range f.labels {
-		if i > 0 {
-			w.WriteByte(',')
-		}
-		w.WriteString(name)
-		w.WriteString(`="`)
-		if i < len(values) {
-			w.WriteString(escapeLabel(values[i]))
-		}
-		w.WriteByte('"')
+	for i, v := range strings.SplitN(key, labelSep, len(f.labels)) {
+		writeLabel(w, i > 0, f.labels[i], v)
 	}
 	if extraName != "" {
-		w.WriteByte(',')
-		w.WriteString(extraName)
-		w.WriteString(`="`)
-		w.WriteString(escapeLabel(extraValue))
-		w.WriteByte('"')
+		writeLabel(w, len(f.labels) > 0, extraName, extraValue)
 	}
 	w.WriteByte('}')
+}
+
+// writeLabel renders one name="value" pair, comma-led unless first.
+func writeLabel(w *bytes.Buffer, comma bool, name, value string) {
+	if comma {
+		w.WriteByte(',')
+	}
+	w.WriteString(name)
+	w.WriteString(`="`)
+	w.WriteString(escapeLabel(value))
+	w.WriteByte('"')
 }
 
 // writeExemplar renders the OpenMetrics exemplar of bucket i, if any:
@@ -174,31 +171,6 @@ func writeExemplar(w *bytes.Buffer, exem []exemplar, i int) {
 	w.WriteString(escapeLabel(exem[i].trace))
 	w.WriteString(`"} `)
 	w.WriteString(formatValue(exem[i].val))
-}
-
-// writeLabels renders the label set: the family's own dimension (when it
-// has one) plus an optional extra pair (histograms' le).
-func writeLabels(w *bytes.Buffer, labelName, labelValue, extraName, extraValue string) {
-	if labelName == "" && extraName == "" {
-		return
-	}
-	w.WriteByte('{')
-	if labelName != "" {
-		w.WriteString(labelName)
-		w.WriteString(`="`)
-		w.WriteString(escapeLabel(labelValue))
-		w.WriteByte('"')
-		if extraName != "" {
-			w.WriteByte(',')
-		}
-	}
-	if extraName != "" {
-		w.WriteString(extraName)
-		w.WriteString(`="`)
-		w.WriteString(escapeLabel(extraValue))
-		w.WriteByte('"')
-	}
-	w.WriteByte('}')
 }
 
 // formatValue renders a float the shortest way that round-trips.

@@ -26,6 +26,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -63,50 +64,25 @@ type Opts struct {
 	// modeled-only exposition that CI golden-tests (everything else in the
 	// registry must be deterministic run-to-run).
 	Wall bool
-	// Label is the single label dimension of a Vec family ("" for an
-	// unlabeled singleton). One dimension covers every use here (op,
-	// phase, component) and keeps series ordering trivially deterministic.
-	Label string
 }
 
-// family is one named metric with its series (one per label value;
-// unlabeled families hold exactly the "" series).
+// family is one named metric with its series, keyed by the label values
+// joined by labelSep in labels order (an unlabeled family holds exactly
+// the "" series).
 type family struct {
 	opts   Opts
 	typ    Type
 	bounds []float64 // histogram upper bounds (histograms only)
-	// labels, when non-nil, makes this a multi-label family: series keys
-	// are the label values joined by labelSep in labels order, and
-	// opts.Label is empty. Single-label families keep the legacy scheme
-	// (key = bare value of opts.Label) so their exposition bytes — and the
-	// CI goldens pinning them — are untouched.
-	labels []string
+	labels []string  // label names, in exposition order
 	mu     sync.Mutex
 	series map[string]*series
 }
 
-// labelSep joins multi-label series key components. NUL cannot appear in
-// exposition label values (escaping covers \ " \n only), and it sorts
-// before every printable byte, so joined keys sort exactly like the
-// (v1, v2, ...) tuple.
+// labelSep joins series key components. NUL cannot appear in exposition
+// label values (escaping covers \ " \n only), and it sorts before every
+// printable byte, so joined keys sort exactly like the (v1, v2, ...)
+// tuple. A one-label key is the bare value.
 const labelSep = "\x00"
-
-// joinLabelKey builds the series key of a multi-label family.
-func joinLabelKey(values ...string) string {
-	switch len(values) {
-	case 0:
-		return ""
-	case 1:
-		return values[0]
-	case 2:
-		return values[0] + labelSep + values[1]
-	}
-	out := values[0]
-	for _, v := range values[1:] {
-		out += labelSep + v
-	}
-	return out
-}
 
 // series is the value cell of one (family, label value) pair.
 type series struct {
@@ -146,13 +122,9 @@ func New() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// register creates or fetches a family, enforcing one type per name.
-func (r *Registry) register(opts Opts, typ Type, bounds []float64) *family {
-	return r.registerLabeled(opts, typ, bounds, nil)
-}
-
-// registerLabeled is register with an optional multi-label dimension set.
-func (r *Registry) registerLabeled(opts Opts, typ Type, bounds []float64, labels []string) *family {
+// register creates or fetches a family, enforcing one type, one Opts, one
+// bucket layout and one label set per name.
+func (r *Registry) register(opts Opts, typ Type, bounds []float64, labels []string) *family {
 	if opts.Name == "" {
 		panic("metrics: empty metric name")
 	}
@@ -176,40 +148,121 @@ func (r *Registry) registerLabeled(opts Opts, typ Type, bounds []float64, labels
 		}
 		return f
 	}
-	f := &family{opts: opts, typ: typ, bounds: bounds, labels: labels, series: make(map[string]*series)}
+	for _, l := range labels {
+		if l == "" {
+			panic(fmt.Sprintf("metrics: %s: empty label name", opts.Name))
+		}
+	}
+	f := &family{opts: opts, typ: typ, bounds: bounds, labels: slices.Clone(labels), series: make(map[string]*series)}
 	r.families[opts.Name] = f
 	return f
 }
 
-// cell fetches or creates the series for one label value.
-func (f *family) cell(label string) *series {
+// cell fetches or creates the series for one series key.
+func (f *family) cell(key string) *series {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[label]
+	s, ok := f.series[key]
 	if !ok {
 		s = &series{}
 		if f.typ == TypeHistogram {
 			s.buckets = make([]uint64, len(f.bounds))
 		}
-		f.series[label] = s
+		f.series[key] = s
 	}
 	return s
 }
 
-// Counter is a monotonic total. A nil *Counter discards updates.
-type Counter struct {
+// handle is the shape every metric handle shares: its family (for the
+// lock and the bucket bounds) and its series.
+type handle struct {
 	f *family
 	s *series
 }
 
-// NewCounter registers (or fetches) an unlabeled counter.
-func (r *Registry) NewCounter(opts Opts) *Counter {
+// Counter is a monotonic total. A nil *Counter discards updates.
+type Counter handle
+
+// Gauge is a settable value. A nil *Gauge discards updates.
+type Gauge handle
+
+// Histogram is a fixed log-bucket distribution. A nil *Histogram discards
+// observations.
+type Histogram handle
+
+// Vec is a labeled family of M handles, one per label-value tuple. A nil
+// *Vec (from a nil Registry) returns nil handles.
+type Vec[M Counter | Gauge | Histogram] struct {
+	f  *family
+	mu sync.Mutex
+	by map[string]*M
+}
+
+func newVec[M Counter | Gauge | Histogram](f *family) *Vec[M] {
+	return &Vec[M]{f: f, by: make(map[string]*M)}
+}
+
+// With returns the handle for one label-value tuple (one value per label
+// name, in registration order), creating it on first use. Zero or one
+// value allocates nothing once the handle exists; two or more allocate
+// the joined key on every call. So only cold paths call a multi-label
+// With: serve.New resolves the engine's [op][stage] histograms once up
+// front, and SLOTracker.PublishGauges runs on the server's 1 s ticker.
+func (v *Vec[M]) With(values ...string) *M {
+	if v == nil {
+		return nil
+	}
+	if len(values) != len(v.f.labels) {
+		panic(fmt.Sprintf("metrics: %s: %d label values for %d label names", v.f.opts.Name, len(values), len(v.f.labels)))
+	}
+	key := strings.Join(values, labelSep)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	m, ok := v.by[key]
+	if !ok {
+		m = &M{f: v.f, s: v.f.cell(key)}
+		v.by[key] = m
+	}
+	return m
+}
+
+// NewCounterVec registers (or fetches) a counter family with the given
+// label names.
+func (r *Registry) NewCounterVec(opts Opts, labels ...string) *Vec[Counter] {
 	if r == nil {
 		return nil
 	}
-	opts.Label = ""
-	f := r.register(opts, TypeCounter, nil)
-	return &Counter{f: f, s: f.cell("")}
+	return newVec[Counter](r.register(opts, TypeCounter, nil, labels))
+}
+
+// NewGaugeVec registers (or fetches) a gauge family with the given label
+// names. A fixed-label info gauge (build_info) is
+// NewGaugeVec(opts, names...).With(values...).
+func (r *Registry) NewGaugeVec(opts Opts, labels ...string) *Vec[Gauge] {
+	if r == nil {
+		return nil
+	}
+	return newVec[Gauge](r.register(opts, TypeGauge, nil, labels))
+}
+
+// NewHistogramVec registers (or fetches) a histogram family with the
+// given label names.
+func (r *Registry) NewHistogramVec(opts HistogramOpts, labels ...string) *Vec[Histogram] {
+	if r == nil {
+		return nil
+	}
+	return newVec[Histogram](r.register(opts.Opts, TypeHistogram, opts.bounds(), labels))
+}
+
+// NewCounter registers (or fetches) an unlabeled counter.
+func (r *Registry) NewCounter(opts Opts) *Counter { return r.NewCounterVec(opts).With() }
+
+// NewGauge registers (or fetches) an unlabeled gauge.
+func (r *Registry) NewGauge(opts Opts) *Gauge { return r.NewGaugeVec(opts).With() }
+
+// NewHistogram registers (or fetches) an unlabeled histogram.
+func (r *Registry) NewHistogram(opts HistogramOpts) *Histogram {
+	return r.NewHistogramVec(opts).With()
 }
 
 // Add increments the counter. Negative deltas are ignored (counters are
@@ -237,56 +290,6 @@ func (c *Counter) SetTotal(total float64) {
 	c.f.mu.Unlock()
 }
 
-// CounterVec is a counter family with one label dimension.
-type CounterVec struct {
-	f  *family
-	mu sync.Mutex
-	by map[string]*Counter
-}
-
-// NewCounterVec registers a labeled counter family. opts.Label must name
-// the dimension.
-func (r *Registry) NewCounterVec(opts Opts) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	if opts.Label == "" {
-		panic("metrics: CounterVec requires a label name")
-	}
-	return &CounterVec{f: r.register(opts, TypeCounter, nil), by: make(map[string]*Counter)}
-}
-
-// With returns the counter for one label value, creating it on first use.
-func (v *CounterVec) With(value string) *Counter {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.by[value]
-	if !ok {
-		c = &Counter{f: v.f, s: v.f.cell(value)}
-		v.by[value] = c
-	}
-	return c
-}
-
-// Gauge is a settable value. A nil *Gauge discards updates.
-type Gauge struct {
-	f *family
-	s *series
-}
-
-// NewGauge registers (or fetches) an unlabeled gauge.
-func (r *Registry) NewGauge(opts Opts) *Gauge {
-	if r == nil {
-		return nil
-	}
-	opts.Label = ""
-	f := r.register(opts, TypeGauge, nil)
-	return &Gauge{f: f, s: f.cell("")}
-}
-
 // Set stores v.
 func (g *Gauge) Set(v float64) {
 	if g == nil {
@@ -295,103 +298,6 @@ func (g *Gauge) Set(v float64) {
 	g.f.mu.Lock()
 	g.s.val = v
 	g.f.mu.Unlock()
-}
-
-// GaugeVec is a gauge family with one label dimension.
-type GaugeVec struct {
-	f  *family
-	mu sync.Mutex
-	by map[string]*Gauge
-}
-
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(opts Opts) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	if opts.Label == "" {
-		panic("metrics: GaugeVec requires a label name")
-	}
-	return &GaugeVec{f: r.register(opts, TypeGauge, nil), by: make(map[string]*Gauge)}
-}
-
-// With returns the gauge for one label value, creating it on first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.by[value]
-	if !ok {
-		g = &Gauge{f: v.f, s: v.f.cell(value)}
-		v.by[value] = g
-	}
-	return g
-}
-
-// GaugeVec2 is a gauge family with two label dimensions.
-type GaugeVec2 struct {
-	f  *family
-	mu sync.Mutex
-	by map[[2]string]*Gauge
-}
-
-// NewGaugeVec2 registers a two-label gauge family. opts.Label must be
-// empty (the dimensions come from label1/label2).
-func (r *Registry) NewGaugeVec2(opts Opts, label1, label2 string) *GaugeVec2 {
-	if r == nil {
-		return nil
-	}
-	if label1 == "" || label2 == "" {
-		panic("metrics: GaugeVec2 requires two label names")
-	}
-	if opts.Label != "" {
-		panic("metrics: GaugeVec2 takes labels as arguments, not Opts.Label")
-	}
-	return &GaugeVec2{f: r.registerLabeled(opts, TypeGauge, nil, []string{label1, label2}), by: make(map[[2]string]*Gauge)}
-}
-
-// With returns the gauge for one label-value pair, creating it on first
-// use.
-func (v *GaugeVec2) With(v1, v2 string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	key := [2]string{v1, v2}
-	g, ok := v.by[key]
-	if !ok {
-		g = &Gauge{f: v.f, s: v.f.cell(joinLabelKey(v1, v2))}
-		v.by[key] = g
-	}
-	return g
-}
-
-// NewLabeledGauge registers a gauge pinned to a fixed label set — the
-// build_info idiom: one series whose labels carry the information and
-// whose value is 1 (or whatever the caller sets). names and values are
-// index-aligned and render in the given order.
-func (r *Registry) NewLabeledGauge(opts Opts, names, values []string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	if len(names) == 0 || len(names) != len(values) {
-		panic(fmt.Sprintf("metrics: %s: labeled gauge needs equal, non-empty name/value sets", opts.Name))
-	}
-	if opts.Label != "" {
-		panic("metrics: NewLabeledGauge takes labels as arguments, not Opts.Label")
-	}
-	f := r.registerLabeled(opts, TypeGauge, nil, slices.Clone(names))
-	return &Gauge{f: f, s: f.cell(joinLabelKey(values...))}
-}
-
-// Histogram is a fixed log-bucket distribution. A nil *Histogram discards
-// observations.
-type Histogram struct {
-	f *family
-	s *series
 }
 
 // HistogramOpts extends Opts with the bucket layout.
@@ -412,89 +318,6 @@ func (o *HistogramOpts) bounds() []float64 {
 		}
 	}
 	return o.Buckets
-}
-
-// NewHistogram registers (or fetches) an unlabeled histogram.
-func (r *Registry) NewHistogram(opts HistogramOpts) *Histogram {
-	if r == nil {
-		return nil
-	}
-	opts.Label = ""
-	f := r.register(opts.Opts, TypeHistogram, opts.bounds())
-	return &Histogram{f: f, s: f.cell("")}
-}
-
-// HistogramVec is a histogram family with one label dimension.
-type HistogramVec struct {
-	f  *family
-	mu sync.Mutex
-	by map[string]*Histogram
-}
-
-// NewHistogramVec registers a labeled histogram family.
-func (r *Registry) NewHistogramVec(opts HistogramOpts) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	if opts.Label == "" {
-		panic("metrics: HistogramVec requires a label name")
-	}
-	return &HistogramVec{f: r.register(opts.Opts, TypeHistogram, opts.bounds()), by: make(map[string]*Histogram)}
-}
-
-// With returns the histogram for one label value, creating it on first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.by[value]
-	if !ok {
-		h = &Histogram{f: v.f, s: v.f.cell(value)}
-		v.by[value] = h
-	}
-	return h
-}
-
-// HistogramVec2 is a histogram family with two label dimensions.
-type HistogramVec2 struct {
-	f  *family
-	mu sync.Mutex
-	by map[[2]string]*Histogram
-}
-
-// NewHistogramVec2 registers a two-label histogram family. opts.Label
-// must be empty (the dimensions come from label1/label2).
-func (r *Registry) NewHistogramVec2(opts HistogramOpts, label1, label2 string) *HistogramVec2 {
-	if r == nil {
-		return nil
-	}
-	if label1 == "" || label2 == "" {
-		panic("metrics: HistogramVec2 requires two label names")
-	}
-	if opts.Label != "" {
-		panic("metrics: HistogramVec2 takes labels as arguments, not Opts.Label")
-	}
-	f := r.registerLabeled(opts.Opts, TypeHistogram, opts.bounds(), []string{label1, label2})
-	return &HistogramVec2{f: f, by: make(map[[2]string]*Histogram)}
-}
-
-// With returns the histogram for one label-value pair, creating it on
-// first use.
-func (v *HistogramVec2) With(v1, v2 string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	key := [2]string{v1, v2}
-	h, ok := v.by[key]
-	if !ok {
-		h = &Histogram{f: v.f, s: v.f.cell(joinLabelKey(v1, v2))}
-		v.by[key] = h
-	}
-	return h
 }
 
 // Observe records one value. Buckets store per-bucket (non-cumulative)

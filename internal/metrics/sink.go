@@ -17,9 +17,9 @@ import (
 // All inputs are modeled quantities, so everything ObsSink writes is
 // deterministic and appears in the modeled-only exposition.
 type ObsSink struct {
-	ops       *CounterVec
-	opSeconds *HistogramVec
-	opRounds  *CounterVec
+	ops       *Vec[Counter]
+	opSeconds *Vec[Histogram]
+	opRounds  *Vec[Counter]
 
 	rounds        *Counter
 	roundSeconds  *Histogram
@@ -29,7 +29,7 @@ type ObsSink struct {
 	cyclesMax     *Counter
 	cyclesTotal   *Counter
 
-	modeledSeconds *CounterVec
+	modeledSeconds *Vec[Counter]
 	cpuSeconds     *Histogram
 	cpuWork        *Counter
 	cpuTraffic     *Counter
@@ -37,10 +37,10 @@ type ObsSink struct {
 
 	sampledImbalance *Gauge
 	sampledActive    *Gauge
-	sampledCycles    *GaugeVec
-	sampledBytes     *GaugeVec
+	sampledCycles    *Vec[Gauge]
+	sampledBytes     *Vec[Gauge]
 
-	treeCounters *CounterVec
+	treeCounters *Vec[Counter]
 }
 
 // NewObsSink registers the obs-derived metric families on reg and returns
@@ -53,11 +53,11 @@ func NewObsSink(reg *Registry) *ObsSink {
 	}
 	return &ObsSink{
 		ops: reg.NewCounterVec(Opts{Name: "pimzd_ops_total",
-			Help: "Completed batch operations by op.", Label: "op"}),
+			Help: "Completed batch operations by op."}, "op"),
 		opSeconds: reg.NewHistogramVec(HistogramOpts{Opts: Opts{Name: "pimzd_op_modeled_seconds",
-			Help: "Modeled end-to-end latency of completed operations.", Label: "op"}}),
+			Help: "Modeled end-to-end latency of completed operations."}}, "op"),
 		opRounds: reg.NewCounterVec(Opts{Name: "pimzd_op_rounds_total",
-			Help: "BSP communication rounds by op.", Label: "op"}),
+			Help: "BSP communication rounds by op."}, "op"),
 
 		rounds: reg.NewCounter(Opts{Name: "pimzd_rounds_total",
 			Help: "Executed BSP rounds."}),
@@ -75,7 +75,7 @@ func NewObsSink(reg *Registry) *ObsSink {
 			Help: "Total PIM cycles across all modules."}),
 
 		modeledSeconds: reg.NewCounterVec(Opts{Name: "pimzd_modeled_seconds_total",
-			Help: "Modeled time by component (Fig. 6 decomposition).", Label: "component"}),
+			Help: "Modeled time by component (Fig. 6 decomposition)."}, "component"),
 		cpuSeconds: reg.NewHistogram(HistogramOpts{Opts: Opts{Name: "pimzd_cpu_phase_modeled_seconds",
 			Help: "Modeled time per host compute phase."}}),
 		cpuWork: reg.NewCounter(Opts{Name: "pimzd_cpu_work_total",
@@ -90,12 +90,12 @@ func NewObsSink(reg *Registry) *ObsSink {
 		sampledActive: reg.NewGauge(Opts{Name: "pimzd_sampled_active_modules",
 			Help: "Active modules in the last sampled round."}),
 		sampledCycles: reg.NewGaugeVec(Opts{Name: "pimzd_sampled_module_cycles",
-			Help: "Per-module cycle distribution of the last sampled round.", Label: "stat"}),
+			Help: "Per-module cycle distribution of the last sampled round."}, "stat"),
 		sampledBytes: reg.NewGaugeVec(Opts{Name: "pimzd_sampled_module_bytes",
-			Help: "Per-module byte distribution of the last sampled round.", Label: "stat"}),
+			Help: "Per-module byte distribution of the last sampled round."}, "stat"),
 
 		treeCounters: reg.NewCounterVec(Opts{Name: "pimzd_tree_events_total",
-			Help: "Tree-internals event counters (obs named-counter registry).", Label: "event"}),
+			Help: "Tree-internals event counters (obs named-counter registry)."}, "event"),
 	}
 }
 
@@ -140,7 +140,7 @@ func (s *ObsSink) OnRound(e obs.Event) {
 	}
 }
 
-func setDist(v *GaugeVec, d obs.Dist) {
+func setDist(v *Vec[Gauge], d obs.Dist) {
 	v.With("p50").Set(float64(d.P50))
 	v.With("p99").Set(float64(d.P99))
 	v.With("max").Set(float64(d.Max))

@@ -99,8 +99,7 @@ type SLOTracker struct {
 	byOp   map[string]*sloSeries
 
 	// gauges (nil handles when Registry was nil)
-	gBurn, gErr, gTotal *GaugeVec2
-	gLat, gTarget       *GaugeVec
+	gBurn, gErr, gTotal, gLat, gTarget *Vec[Gauge]
 }
 
 // NewSLOTracker builds a tracker and registers its gauge families.
@@ -127,17 +126,17 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 		t.byOp[obj.Op] = s
 	}
 	if reg := cfg.Registry; reg != nil {
-		t.gBurn = reg.NewGaugeVec2(Opts{Name: "pimzd_slo_burn_rate",
+		t.gBurn = reg.NewGaugeVec(Opts{Name: "pimzd_slo_burn_rate",
 			Help: "Error-budget burn rate per objective window (1 = spending exactly the provisioned budget).",
 			Wall: true}, "op", "window")
-		t.gErr = reg.NewGaugeVec2(Opts{Name: "pimzd_slo_error_rate",
+		t.gErr = reg.NewGaugeVec(Opts{Name: "pimzd_slo_error_rate",
 			Help: "Bad-request fraction per objective window.", Wall: true}, "op", "window")
-		t.gTotal = reg.NewGaugeVec2(Opts{Name: "pimzd_slo_window_requests",
+		t.gTotal = reg.NewGaugeVec(Opts{Name: "pimzd_slo_window_requests",
 			Help: "Requests observed in the objective window.", Wall: true}, "op", "window")
 		t.gLat = reg.NewGaugeVec(Opts{Name: "pimzd_slo_objective_latency_seconds",
-			Help: "Configured per-op latency objective.", Wall: true, Label: "op"})
+			Help: "Configured per-op latency objective.", Wall: true}, "op")
 		t.gTarget = reg.NewGaugeVec(Opts{Name: "pimzd_slo_objective_target",
-			Help: "Configured per-op good-fraction target.", Wall: true, Label: "op"})
+			Help: "Configured per-op good-fraction target.", Wall: true}, "op")
 		for _, s := range t.series {
 			t.gLat.With(s.obj.Op).Set(s.obj.LatencySeconds)
 			t.gTarget.With(s.obj.Op).Set(s.obj.Target)

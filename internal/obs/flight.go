@@ -135,7 +135,7 @@ type FlightRecorder struct {
 	ring     []OpRecord // capacity cfg.Ring; slots reuse round slices
 	ringLen  int
 	ringNext int // slot the next record lands in
-	slow     []OpRecord
+	slow     TopK[OpRecord]
 
 	// In-flight scratch, written only by the owning Recorder (under its
 	// lock). Round slices and straggler-count lanes are reused, so the
@@ -154,6 +154,7 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	return &FlightRecorder{
 		cfg:  cfg,
 		ring: make([]OpRecord, cfg.Ring),
+		slow: NewTopK[OpRecord](cfg.SlowK),
 	}
 }
 
@@ -307,29 +308,15 @@ func (f *FlightRecorder) qualifiesSlow(rec *OpRecord) bool {
 }
 
 // publishSlow retains the record in the top-K slow set with full round
-// detail; caller holds f.mu.
+// detail, reusing an evicted slot's round slice; caller holds f.mu.
 func (f *FlightRecorder) publishSlow(rec OpRecord) {
 	if !f.qualifiesSlow(&rec) {
 		return
 	}
-	if len(f.slow) < f.cfg.SlowK {
-		stored := rec
-		stored.RoundDetail = append([]FlightRound(nil), f.curRounds...)
-		f.slow = append(f.slow, stored)
+	slot := f.slow.Slot(f.slowKey(&rec), rec.Trace)
+	if slot == nil {
 		return
 	}
-	// Evict the cheapest retained record if the newcomer is slower; ties
-	// keep the incumbent (earlier trace), so a stream of equal ops settles.
-	minI, minKey := 0, f.slowKey(&f.slow[0])
-	for i := 1; i < len(f.slow); i++ {
-		if k := f.slowKey(&f.slow[i]); k < minKey {
-			minI, minKey = i, k
-		}
-	}
-	if f.slowKey(&rec) <= minKey {
-		return
-	}
-	slot := &f.slow[minI]
 	rounds := slot.RoundDetail
 	*slot = rec
 	slot.RoundDetail = append(rounds[:0], f.curRounds...)
@@ -358,18 +345,15 @@ func (f *FlightRecorder) Snapshot() FlightDump {
 		Captured: f.captured,
 		Dropped:  f.dropped,
 		Ring:     make([]OpRecord, 0, f.ringLen),
-		Slow:     copyRecords(f.slow),
+		Slow:     f.slow.Sorted(cloneRecord),
 	}
 	start := f.ringNext - f.ringLen
 	if start < 0 {
 		start += len(f.ring)
 	}
 	for i := 0; i < f.ringLen; i++ {
-		src := f.ring[(start+i)%len(f.ring)]
-		src.RoundDetail = append([]FlightRound(nil), src.RoundDetail...)
-		d.Ring = append(d.Ring, src)
+		d.Ring = append(d.Ring, cloneRecord(f.ring[(start+i)%len(f.ring)]))
 	}
-	sortSlow(d.Slow, f.slowKey)
 	return d
 }
 
@@ -380,32 +364,13 @@ func (f *FlightRecorder) SlowOps() []OpRecord {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := copyRecords(f.slow)
-	sortSlow(out, f.slowKey)
-	return out
+	return f.slow.Sorted(cloneRecord)
 }
 
-func copyRecords(recs []OpRecord) []OpRecord {
-	out := make([]OpRecord, len(recs))
-	for i, r := range recs {
-		r.RoundDetail = append([]FlightRound(nil), r.RoundDetail...)
-		out[i] = r
-	}
-	return out
-}
-
-// sortSlow orders records by descending latency key, ties by ascending
-// trace ID — a total order, so snapshots are reproducible.
-func sortSlow(recs []OpRecord, key func(*OpRecord) float64) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &recs[j-1], &recs[j]
-			if key(a) > key(b) || (key(a) == key(b) && a.Trace < b.Trace) {
-				break
-			}
-			recs[j-1], recs[j] = recs[j], recs[j-1]
-		}
-	}
+// cloneRecord deep-copies a record's round detail.
+func cloneRecord(r OpRecord) OpRecord {
+	r.RoundDetail = append([]FlightRound(nil), r.RoundDetail...)
+	return r
 }
 
 // WriteJSON writes the dump as indented JSON — the on-disk flight-recorder

@@ -1,6 +1,9 @@
 package obs
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Dist summarizes a per-module load distribution. Quantiles use the
 // nearest-rank method over the active modules only (idle modules are not
@@ -47,24 +50,28 @@ func newDist(loads []int64) Dist {
 	if len(loads) == 0 {
 		return Dist{}
 	}
-	sorted := append([]int64(nil), loads...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(loads)
+	slices.Sort(sorted)
 	var total int64
 	for _, l := range sorted {
 		total += l
 	}
 	return Dist{
-		P50:  quantile(sorted, 0.50),
-		P99:  quantile(sorted, 0.99),
+		P50:  Quantile(sorted, 0.50),
+		P99:  Quantile(sorted, 0.99),
 		Max:  sorted[len(sorted)-1],
 		Mean: float64(total) / float64(len(sorted)),
 	}
 }
 
-// quantile returns the nearest-rank q-quantile of a sorted vector.
-func quantile(sorted []int64, q float64) int64 {
+// Quantile returns the nearest-rank q-quantile of an ascending-sorted
+// vector (the zero value for an empty one): the one quantile rule of the
+// load profiles here, the flight-recorder analysis and serve's
+// slow-request analysis.
+func Quantile[T cmp.Ordered](sorted []T, q float64) T {
 	if len(sorted) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
 	i := int(q*float64(len(sorted)) + 0.5)
 	if i >= len(sorted) {

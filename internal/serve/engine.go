@@ -78,41 +78,41 @@ func (c *Config) fill() {
 // their values depend on real arrival timing, so they must stay out of
 // the modeled-only exposition CI golden-tests.
 type engineMetrics struct {
-	requests *metrics.CounterVec    // pimzd_requests_total{op}
-	shed     *metrics.CounterVec    // pimzd_requests_shed_total{op}
-	reqSec   *metrics.HistogramVec  // pimzd_request_seconds{op}
-	queueOps *metrics.Gauge         // pimzd_intake_queue_ops
-	epochSec *metrics.HistogramVec  // pimzd_epoch_seconds{phase}
-	batchOps *metrics.HistogramVec  // pimzd_coalesced_batch_ops{op}
-	epochs   *metrics.Counter       // pimzd_epochs_total
-	stageSec *metrics.HistogramVec2 // pimzd_request_stage_seconds{op,stage}
-	fanout   *metrics.Histogram     // pimzd_shard_fanout
-	panics   *metrics.Counter       // pimzd_backend_panics_total
+	requests *metrics.Vec[metrics.Counter]   // pimzd_requests_total{op}
+	shed     *metrics.Vec[metrics.Counter]   // pimzd_requests_shed_total{op}
+	reqSec   *metrics.Vec[metrics.Histogram] // pimzd_request_seconds{op}
+	queueOps *metrics.Gauge                  // pimzd_intake_queue_ops
+	epochSec *metrics.Vec[metrics.Histogram] // pimzd_epoch_seconds{phase}
+	batchOps *metrics.Vec[metrics.Histogram] // pimzd_coalesced_batch_ops{op}
+	epochs   *metrics.Counter                // pimzd_epochs_total
+	stageSec *metrics.Vec[metrics.Histogram] // pimzd_request_stage_seconds{op,stage}
+	fanout   *metrics.Histogram              // pimzd_shard_fanout
+	panics   *metrics.Counter                // pimzd_backend_panics_total
 }
 
 func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 	return engineMetrics{
 		requests: reg.NewCounterVec(metrics.Opts{Name: "pimzd_requests_total",
-			Help: "Client requests completed, by operation.", Wall: true, Label: "op"}),
+			Help: "Client requests completed, by operation.", Wall: true}, "op"),
 		shed: reg.NewCounterVec(metrics.Opts{Name: "pimzd_requests_shed_total",
-			Help: "Client requests shed by admission control, by operation.", Wall: true, Label: "op"}),
+			Help: "Client requests shed by admission control, by operation.", Wall: true}, "op"),
 		reqSec: reg.NewHistogramVec(metrics.HistogramOpts{Opts: metrics.Opts{
 			Name: "pimzd_request_seconds",
 			Help: "End-to-end request latency (enqueue to response), wall clock.",
-			Wall: true, Label: "op"}, Buckets: metrics.WallSecondsBuckets()}),
+			Wall: true}, Buckets: metrics.WallSecondsBuckets()}, "op"),
 		queueOps: reg.NewGauge(metrics.Opts{Name: "pimzd_intake_queue_ops",
 			Help: "Admitted-but-incomplete point-ops (admission-control depth).", Wall: true}),
 		epochSec: reg.NewHistogramVec(metrics.HistogramOpts{Opts: metrics.Opts{
 			Name: "pimzd_epoch_seconds",
 			Help: "Wall-clock occupancy of epoch phases (read, update).",
-			Wall: true, Label: "phase"}, Buckets: metrics.WallSecondsBuckets()}),
+			Wall: true}, Buckets: metrics.WallSecondsBuckets()}, "phase"),
 		batchOps: reg.NewHistogramVec(metrics.HistogramOpts{Opts: metrics.Opts{
 			Name: "pimzd_coalesced_batch_ops",
 			Help: "Point-ops per coalesced native tree batch, by operation.",
-			Wall: true, Label: "op"}, Buckets: metrics.CountBuckets()}),
+			Wall: true}, Buckets: metrics.CountBuckets()}, "op"),
 		epochs: reg.NewCounter(metrics.Opts{Name: "pimzd_epochs_total",
 			Help: "Executed engine epochs.", Wall: true}),
-		stageSec: reg.NewHistogramVec2(metrics.HistogramOpts{Opts: metrics.Opts{
+		stageSec: reg.NewHistogramVec(metrics.HistogramOpts{Opts: metrics.Opts{
 			Name: "pimzd_request_stage_seconds",
 			Help: "Per-stage request wall time through the serving pipeline.",
 			Wall: true}, Buckets: metrics.WallSecondsBuckets()}, "op", "stage"),

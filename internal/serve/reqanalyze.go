@@ -3,7 +3,10 @@ package serve
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+
+	"pimzdtree/internal/obs"
 )
 
 // Stage-attribution analysis of a slow-request dump: the post-hoc view of
@@ -51,6 +54,12 @@ func (d *RequestDump) WriteAnalysis(w io.Writer, topN int) {
 		}
 	}
 	sort.Strings(opNames)
+	for _, a := range byOp {
+		slices.Sort(a.total)
+		for s := range a.stages {
+			slices.Sort(a.stages[s])
+		}
+	}
 
 	fmt.Fprintf(w, "\nper-op stage attribution over captured requests (us):\n")
 	fmt.Fprintf(w, "%-12s  %5s  %10s  %10s", "op", "count", "p50 total", "p99 total")
@@ -65,13 +74,13 @@ func (d *RequestDump) WriteAnalysis(w io.Writer, topN int) {
 		dom, best := 0, -1.0
 		p99 := make([]float64, len(stages))
 		for s := range stages {
-			p99[s] = reqQuantile(a.stages[s], 0.99)
+			p99[s] = obs.Quantile(a.stages[s], 0.99)
 			if p99[s] > best {
 				dom, best = s, p99[s]
 			}
 		}
 		fmt.Fprintf(w, "%-12s  %5d  %10.2f  %10.2f", name, len(a.total),
-			reqQuantile(a.total, 0.50)*1e6, reqQuantile(a.total, 0.99)*1e6)
+			obs.Quantile(a.total, 0.50)*1e6, obs.Quantile(a.total, 0.99)*1e6)
 		for s := range stages {
 			fmt.Fprintf(w, "  %9.2f", p99[s]*1e6)
 		}
@@ -126,22 +135,4 @@ func costliestShard(r *RequestRecord) string {
 	}
 	sp := &r.FanSpans[best]
 	return fmt.Sprintf("shard %d (%d q, %.0f us)", sp.Shard, sp.Queries, sp.WallSeconds*1e6)
-}
-
-// reqQuantile is the nearest-rank quantile over an unsorted vector,
-// matching obs.quantileF.
-func reqQuantile(vals []float64, q float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	i := int(q*float64(len(sorted)) + 0.5)
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
 }

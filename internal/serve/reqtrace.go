@@ -96,13 +96,13 @@ type RequestTracer struct {
 	mu       sync.Mutex
 	seq      uint64
 	observed int64
-	slow     []RequestRecord
+	slow     obs.TopK[RequestRecord]
 }
 
 // NewRequestTracer returns an enabled tracer.
 func NewRequestTracer(cfg RequestTraceConfig) *RequestTracer {
 	cfg.fill()
-	return &RequestTracer{cfg: cfg}
+	return &RequestTracer{cfg: cfg, slow: obs.NewTopK[RequestRecord](cfg.SlowK)}
 }
 
 // Enabled reports whether requests are being captured.
@@ -123,22 +123,11 @@ func (t *RequestTracer) offer(r *Request, wall float64) {
 	if t.cfg.SlowWallSeconds > 0 && wall < t.cfg.SlowWallSeconds {
 		return
 	}
-	minI := -1
-	if len(t.slow) >= t.cfg.SlowK {
-		// Evict the cheapest retained record if the newcomer is slower;
-		// ties keep the incumbent (earlier capture), so a stream of equal
-		// requests settles.
-		minI = 0
-		for i := 1; i < len(t.slow); i++ {
-			if t.slow[i].TotalSeconds < t.slow[minI].TotalSeconds {
-				minI = i
-			}
-		}
-		if wall <= t.slow[minI].TotalSeconds {
-			return
-		}
+	rec := t.slow.Slot(wall, t.seq)
+	if rec == nil {
+		return
 	}
-	rec := RequestRecord{
+	*rec = RequestRecord{
 		Seq:          t.seq,
 		ID:           r.ID,
 		Op:           r.Op.String(),
@@ -160,11 +149,6 @@ func (t *RequestTracer) offer(r *Request, wall float64) {
 	if len(r.fanSpans) > 0 {
 		rec.FanSpans = append([]obs.FanoutSpan(nil), r.fanSpans...)
 	}
-	if minI >= 0 {
-		t.slow[minI] = rec
-	} else {
-		t.slow = append(t.slow, rec)
-	}
 }
 
 // Snapshot returns a deep-copied dump, slowest first (ties by ascending
@@ -177,28 +161,11 @@ func (t *RequestTracer) Snapshot() RequestDump {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	d.Observed = t.observed
-	d.Slow = make([]RequestRecord, len(t.slow))
-	for i, rec := range t.slow {
+	d.Slow = t.slow.Sorted(func(rec RequestRecord) RequestRecord {
 		rec.FanSpans = append([]obs.FanoutSpan(nil), rec.FanSpans...)
-		d.Slow[i] = rec
-	}
-	sortSlowRequests(d.Slow)
+		return rec
+	})
 	return d
-}
-
-// sortSlowRequests orders records by descending total wall, ties by
-// ascending capture sequence.
-func sortSlowRequests(recs []RequestRecord) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &recs[j-1], &recs[j]
-			if a.TotalSeconds > b.TotalSeconds ||
-				(a.TotalSeconds == b.TotalSeconds && a.Seq < b.Seq) {
-				break
-			}
-			recs[j-1], recs[j] = recs[j], recs[j-1]
-		}
-	}
 }
 
 // WriteJSON writes the dump as indented JSON — the on-disk format

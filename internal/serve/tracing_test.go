@@ -382,7 +382,6 @@ func TestRequestAnalysisDeterministic(t *testing.T) {
 		}
 		dump.Slow = append(dump.Slow, rec)
 	}
-	sortSlowRequests(dump.Slow)
 
 	render := func() []byte {
 		var buf bytes.Buffer

@@ -262,10 +262,9 @@ func start(cfg Config, beforeBuild func()) (*Server, error) {
 	if len(p.objectives) > 0 {
 		s.slo = metrics.NewSLOTracker(metrics.SLOConfig{Objectives: p.objectives, Registry: s.reg})
 	}
-	s.reg.NewLabeledGauge(metrics.Opts{Name: "pimzd_build_info",
+	s.reg.NewGaugeVec(metrics.Opts{Name: "pimzd_build_info",
 		Help: "Build and configuration identity (value is always 1).", Wall: true},
-		[]string{"go_version", "trees"},
-		[]string{runtime.Version(), strconv.Itoa(cfg.Trees)}).Set(1)
+		"go_version", "trees").With(runtime.Version(), strconv.Itoa(cfg.Trees)).Set(1)
 
 	extra := map[string]http.Handler{
 		"/v1/": s.whenReady(func(w http.ResponseWriter, r *http.Request) { s.api.ServeHTTP(w, r) }),
@@ -401,9 +400,9 @@ func (s *Server) gaugePublisher() func(uptimeSeconds float64) {
 	uptime := s.reg.NewCounter(metrics.Opts{Name: "pimzd_process_uptime_seconds",
 		Help: "Wall-clock seconds the process has been up (monotone).", Wall: true})
 	points := s.reg.NewGaugeVec(metrics.Opts{Name: "pimzd_shard_points",
-		Help: "Points stored per Morton-prefix shard.", Wall: true, Label: "shard"})
+		Help: "Points stored per Morton-prefix shard.", Wall: true}, "shard")
 	load := s.reg.NewGaugeVec(metrics.Opts{Name: "pimzd_shard_window_load",
-		Help: "Modeled load (module cycles + channel bytes) per shard in the current rebalance window.", Wall: true, Label: "shard"})
+		Help: "Modeled load (module cycles + channel bytes) per shard in the current rebalance window.", Wall: true}, "shard")
 	imbalance := s.reg.NewGauge(metrics.Opts{Name: "pimzd_shard_imbalance",
 		Help: "Busiest-shard load over mean shard load in the current window.", Wall: true})
 	rebalances := s.reg.NewCounter(metrics.Opts{Name: "pimzd_shard_rebalances_total",
