@@ -59,11 +59,13 @@ race:
 
 # The memory gates (internal/core/footprint_test.go): the node size, the
 # heap a built tree keeps per point, no per-point heap from queries, and
-# batch scratch that follows batch size back down. Heap sizes mean nothing
-# under the race detector, so they skip themselves in `race`; this runs them
-# without it.
+# batch scratch that follows batch size back down; and the allocation gate
+# of a warm TCP read round trip (internal/serve/tcp_alloc_test.go). Heap
+# sizes and allocation counts mean nothing under the race detector, so they
+# skip themselves in `race`; this runs them without it.
 footprint:
 	$(GO) test -count=1 -run 'TestNodeSize|TestBuildKeepsNoBuildScratch|TestQueryPassAddsNoPerPointHeap|TestBulkInsertScratchIsReturned|TestAlternatingBatchesKeepScratch|TestFarKNNScratchIsReturned' -v ./internal/core
+	$(GO) test -count=1 -run 'TestTCPReadRoundTripAllocs' -v ./internal/serve
 
 # CLI smoke tests: the trace exporters must emit parseable output
 # (Chrome trace-event JSON with events, and valid JSONL); pimzd-inspect

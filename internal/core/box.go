@@ -12,9 +12,10 @@ import (
 const boxMsgBytes = 40
 
 // BoxCount returns, for each query box, the exact number of stored points
-// inside it (§4.4, BoxCount). Execution follows SEARCH: level-by-level
-// push-pull over the meta-nodes that intersect each box, with fully
-// contained subtrees answered from the node's exact master size.
+// inside it (§4.4, BoxCount), in a fresh slice the caller owns. Execution
+// follows SEARCH: level-by-level push-pull over the meta-nodes that
+// intersect each box, with fully contained subtrees answered from the
+// node's exact master size.
 func (t *Tree) BoxCount(boxes []geom.Box) []int64 {
 	counts := make([]int64, len(boxes))
 	if t.root == nil {
@@ -24,9 +25,7 @@ func (t *Tree) BoxCount(boxes []geom.Box) []int64 {
 	rec.BeginOp("box-count")
 	defer rec.EndOp()
 	defer t.trimScratch()
-	t.boxWave(boxes, func(qi int32, size int64) {
-		atomic.AddInt64(&counts[qi], size)
-	}, nil)
+	t.boxWave(boxes, counts, nil)
 	return counts
 }
 
@@ -44,39 +43,53 @@ func (t *Tree) BoxFetch(boxes []geom.Box) [][]geom.Point {
 }
 
 // boxWave drives the push-pull traversal shared by BoxCount and BoxFetch.
-// onSize (count mode) receives the exact size of every maximal contained
-// subtree and every matched leaf point, from several workers at once; sink
-// (fetch mode) gathers the in-box points themselves.
-func (t *Tree) boxWave(boxes []geom.Box, onSize func(int32, int64), sink *pointSink) {
+// In count mode (counts non-nil) every maximal contained subtree and every
+// matched leaf point adds its size to its box's count, from several
+// workers at once; in fetch mode sink gathers the in-box points themselves.
+func (t *Tree) boxWave(boxes []geom.Box, counts []int64, sink *pointSink) {
 	if t.root == nil || len(boxes) == 0 {
 		return
 	}
 	// In fetch mode finds go to the sink, by host worker for the L0 prefix
 	// and then by group of each wave; base is the stage's first slot. (A
 	// nil sink hands out nil buffers, which is count mode to the scans.)
-	base := sink.extend(parallel.Workers())
-
-	// CPU phase: expand the L0 region of each query.
-	frontier := t.expandL0(len(boxes), func(worker int, qi int32, frontier *[]entry) int64 {
-		work := t.expandL0Box(qi, t.root, boxes[qi], onSize, sink.open(base+worker, worker), frontier)
-		sink.close(base+worker, worker)
-		return work
-	})
-
+	bw := &t.boxW
+	*bw = boxWalk{t: t, boxes: boxes, counts: counts, sink: sink, base: sink.extend(parallel.Workers())}
+	frontier := t.expandL0(len(boxes), bw)
 	// Push-pull waves over chunk entries, one meta-level per round.
-	prep := func(nGroups int) { base = sink.extend(nGroups) }
-	scan := func(c *Chunk, e entry, cpuSide bool, worker, gi int, exits *[]entry) (int64, int64) {
-		work, outBytes := t.boxChunkScan(c, e, boxes[e.qi], onSize, sink.open(base+gi, worker), exits)
-		sink.close(base+gi, worker)
-		return work, outBytes
-	}
-	t.runPushPullWaves(frontier, boxMsgBytes, scan, prep, nil)
+	t.runPushPullWaves(frontier, boxMsgBytes, bw)
+	*bw = boxWalk{}
 }
 
+// boxWalk is a box count's or fetch's waveWalk (see boxWave).
+type boxWalk struct {
+	t      *Tree
+	boxes  []geom.Box
+	counts []int64    // count mode
+	sink   *pointSink // fetch mode
+	base   int        // the current stage's first sink slot
+}
+
+func (bw *boxWalk) expandL0(worker int, qi int32, frontier *[]entry) int64 {
+	work := bw.t.expandL0Box(qi, bw.t.root, bw.boxes[qi], bw.counts, bw.sink.open(bw.base+worker, worker), frontier)
+	bw.sink.close(bw.base+worker, worker)
+	return work
+}
+
+func (bw *boxWalk) prepWave(nGroups int) { bw.base = bw.sink.extend(nGroups) }
+
+func (bw *boxWalk) scan(c *Chunk, e entry, _ bool, worker, gi int, exits *[]entry) (int64, int64) {
+	work, outBytes := bw.t.boxChunkScan(c, e, bw.boxes[e.qi], bw.counts, bw.sink.open(bw.base+gi, worker), exits)
+	bw.sink.close(bw.base+gi, worker)
+	return work, outBytes
+}
+
+func (bw *boxWalk) afterWave(exits []entry) []entry { return exits }
+
 // expandL0Box expands one query through the CPU-resident L0 region. found
-// is nil in count mode (sizes go to add) and collects the in-box points in
-// fetch mode.
-func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, add func(int32, int64), found *[]foundPoint, frontier *[]entry) int64 {
+// is nil in count mode (sizes add to counts[qi]) and collects the in-box
+// points in fetch mode.
+func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, counts []int64, found *[]foundPoint, frontier *[]entry) int64 {
 	fetchMode := found != nil
 	var work int64
 	var rec func(n *Node)
@@ -93,7 +106,7 @@ func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, add func(int32, int6
 			return
 		}
 		if box.ContainsBox(n.Box) && !fetchMode {
-			add(qi, n.Size)
+			atomic.AddInt64(&counts[qi], n.Size)
 			return
 		}
 		if n.IsLeaf() {
@@ -105,7 +118,7 @@ func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, add func(int32, int6
 			} else if cnt := countLeafBox(n, box); cnt > 0 {
 				// Per-point count callbacks fold into one add: the counts
 				// are per-query sums, so aggregation is exact.
-				add(qi, cnt)
+				atomic.AddInt64(&counts[qi], cnt)
 			}
 			return
 		}
@@ -117,9 +130,10 @@ func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, add func(int32, int6
 }
 
 // boxChunkScan traverses one chunk for one box query, reporting contained
-// subtrees (to add; count mode), in-box leaf points (into *found; fetch
-// mode, nil otherwise), and exits to child chunks.
-func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, add func(int32, int64), found *[]foundPoint, exits *[]entry) (work, outBytes int64) {
+// subtrees (into counts[e.qi]; count mode), in-box leaf points (into
+// *found; fetch mode, nil otherwise), and exits to child chunks. Several
+// chunks may serve one box at once, so counts add atomically.
+func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, counts []int64, found *[]foundPoint, exits *[]entry) (work, outBytes int64) {
 	fetch := found != nil
 	var rec func(n *Node)
 	rec = func(n *Node) {
@@ -135,7 +149,7 @@ func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, add func(int32, int
 		if box.ContainsBox(n.Box) {
 			if !fetch {
 				// The chunk master holds this node's exact size locally.
-				add(e.qi, n.Size)
+				atomic.AddInt64(&counts[e.qi], n.Size)
 				outBytes += 8
 				return
 			}
@@ -158,7 +172,7 @@ func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, add func(int32, int
 				// Leaf hits fold into one per-query add; like the scalar
 				// loop, count-mode leaf points contribute no outBytes (the
 				// per-module aggregation below prices the reply).
-				add(e.qi, cnt)
+				atomic.AddInt64(&counts[e.qi], cnt)
 			}
 			return
 		}

@@ -307,8 +307,10 @@ type Tree struct {
 	visitBuf    []int64
 	nodeBuf     []*Node
 	groupBuf    []chunkGroup
-	keyBuf      []uint64 // query keys, or an update batch's sorted keys
-	idxBuf      []uint32 // an update batch's sorting permutation
+	keyBuf      []uint64       // query keys, or an update batch's sorted keys
+	resBuf      []SearchResult // a read batch's search results (searchScratch)
+	traceBuf    []*Node        // the kNN locate pass's traces (searchScratch)
+	idxBuf      []uint32       // an update batch's sorting permutation
 	loadBuf     []int
 	scratchPeak int // most elements the current batch asked of any buffer above
 	scratchHigh int // largest scratchPeak the retained scratch has grown for
@@ -317,6 +319,10 @@ type Tree struct {
 	// (see router.go); the remaining buffers back the dense per-module
 	// accounting that replaced the old per-batch maps.
 	router      waveRouter
+	knn         knnScratch // a kNN call's per-batch state (knn.go)
+	candW       candWalk   // the multi-wave traversals (waveWalk),
+	sphereW     sphereWalk // seated per call
+	boxW        boxWalk
 	knnFoundBuf [][]knnFound  // stage-A finds, one slot per group of the wave
 	found       pointSink     // sphere / box-fetch finds (wave.go)
 	workers     []hostScratch // one per host worker (wave.go)

@@ -211,11 +211,11 @@ func serialGather(ps *pointSink, nq int) [][]geom.Point {
 
 // serialExpandL0 is expandL0 on the caller alone: every query in order,
 // as worker 0.
-func (t *Tree) serialExpandL0(n int, expand func(worker int, qi int32, frontier *[]entry) int64) []entry {
+func (t *Tree) serialExpandL0(n int, w waveWalk) []entry {
 	var frontier []entry
 	var work int64
 	for i := 0; i < n; i++ {
-		work += expand(0, int32(i), &frontier)
+		work += w.expandL0(0, int32(i), &frontier)
 	}
 	t.sys.CPUPhase(work, 0, 0)
 	return frontier
@@ -257,12 +257,10 @@ func TestForkedHostPhasesMatchSerial(t *testing.T) {
 			var counts [2][]int64
 			var fronts [2][]entry
 			var cpu [2]float64
-			for side, expandL0 := range []func(int, func(int, int32, *[]entry) int64) []entry{tr.serialExpandL0, tr.expandL0} {
+			for side, expandL0 := range []func(int, waveWalk) []entry{tr.serialExpandL0, tr.expandL0} {
 				c := make([]int64, n)
 				tr.sys.ResetMetrics()
-				f := expandL0(n, func(_ int, qi int32, f *[]entry) int64 {
-					return tr.expandL0Box(qi, tr.root, boxes[qi], func(qi int32, n int64) { c[qi] += n }, nil, f)
-				})
+				f := expandL0(n, &boxWalk{t: tr, boxes: boxes, counts: c})
 				counts[side], fronts[side], cpu[side] = c, slices.Clone(f), tr.sys.Metrics().CPUSeconds
 			}
 			switch {

@@ -42,6 +42,9 @@ func (t *Tree) trimScratch() {
 	t.idxSorter.Trim(peak)
 	t.grouping.trim(peak)
 	t.keyBuf = parallel.Keep(t.keyBuf, peak)
+	t.resBuf = parallel.Keep(t.resBuf, peak)
+	t.traceBuf = parallel.Keep(t.traceBuf, peak*t.traceStride())
+	t.knn.trim(peak)
 	t.idxBuf = parallel.Keep(t.idxBuf, peak)
 	t.frontierBuf = parallel.Keep(t.frontierBuf, peak)
 	t.visitBuf = parallel.Keep(t.visitBuf, peak)
@@ -79,13 +82,17 @@ func (t *Tree) trimScratch() {
 
 // trimFound applies the found-point rule (see above): Keep judges the
 // buffers by max(what this batch found, a quarter of the stored points), so
-// they may stay about as large as the tree.
+// they may stay about as large as the tree. The final filter's distance
+// copies are judged by what this batch found alone: a batch that fetched
+// nothing keeps none past the slack, and a round of kNN batches keeps them.
 func (t *Tree) trimFound() {
-	used := max(t.found.size(), t.Size()/4)
+	found := t.found.size()
+	used := max(found, t.Size()/4)
 	t.found.trim(used)
 	ws := t.workers[:cap(t.workers)]
 	for w := range ws {
 		ws[w].arena = parallel.Keep(ws[w].arena, used)
+		ws[w].dists = parallel.Keep(ws[w].dists, found)
 	}
 }
 

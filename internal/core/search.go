@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"pimzdtree/internal/geom"
@@ -20,9 +19,10 @@ type SearchResult struct {
 	// SC >= k (populated when the search was asked to track some k;
 	// Alg. 3 step 2).
 	LowK *Node
-	// Trace lists the L0 path nodes and each chunk-entry node visited,
-	// root-first (populated when tracing is on; Alg. 2 step 1 and
-	// Alg. 3 steps 3-4 re-ascend through it).
+	// Trace lists the nodes of the query's root-to-terminal path,
+	// root-first (populated when tracing is on; Alg. 3 steps 3-4 re-ascend
+	// through it). Only kNN traces, and its traces live in Tree scratch
+	// for the kNN call (see searchScratch); Search returns none.
 	Trace []*Node
 }
 
@@ -33,14 +33,15 @@ type searchOpts struct {
 }
 
 // Search routes a batch of query points to their leaves using the
-// three-phase push-pull search of Alg. 1 and returns one result per query.
+// three-phase push-pull search of Alg. 1 and returns one result per query,
+// in a fresh slice the caller owns.
 func (t *Tree) Search(points []geom.Point) []SearchResult {
 	res, _ := t.search(points)
-	return res
+	return append([]SearchResult(nil), res...)
 }
 
-// search is Search returning the batch's keys as well. They are Tree
-// scratch: valid until the next batch operation.
+// search is Search returning the batch's results and keys in Tree scratch:
+// valid until the next batch operation.
 func (t *Tree) search(points []geom.Point) ([]SearchResult, []uint64) {
 	rec := t.sys.Recorder()
 	rec.BeginOp("search")
@@ -61,12 +62,11 @@ func (t *Tree) encodeKeys(points []geom.Point) []uint64 {
 		t.keyBuf = make([]uint64, len(points))
 	}
 	keys := t.keyBuf[:len(points)]
-	parallel.For(len(points), func(i int) {
-		if points[i].Dims != t.cfg.Dims {
-			panic("core: query dims mismatch")
-		}
-		keys[i] = morton.EncodePoint(points[i])
-	})
+	if len(points) < hostForkMin {
+		t.encodeRange(points, keys, 0, len(points))
+	} else {
+		parallel.For(len(points), func(i int) { t.encodeRange(points, keys, i, i+1) })
+	}
 	zCost := morton.CostFast(t.cfg.Dims)
 	if t.cfg.NaiveZOrder {
 		zCost = morton.CostNaive(t.cfg.Dims)
@@ -75,15 +75,26 @@ func (t *Tree) encodeKeys(points []geom.Point) []uint64 {
 	return keys
 }
 
+// encodeRange encodes points[lo:hi] into keys[lo:hi].
+func (t *Tree) encodeRange(points []geom.Point, keys []uint64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if points[i].Dims != t.cfg.Dims {
+			panic("core: query dims mismatch")
+		}
+		keys[i] = morton.EncodePoint(points[i])
+	}
+}
+
 // entry is one in-flight query positioned at a chunk-entry node.
 type entry struct {
 	qi   int32
 	node *Node
 }
 
-// searchKeys is the batched search core.
+// searchKeys is the batched search core. Its results are Tree scratch
+// (searchScratch).
 func (t *Tree) searchKeys(keys []uint64, opts searchOpts) []SearchResult {
-	res := make([]SearchResult, len(keys))
+	res := t.searchScratch(len(keys), opts.trace)
 	if t.root == nil {
 		return res
 	}
@@ -105,6 +116,30 @@ func (t *Tree) searchKeys(keys []uint64, opts searchOpts) []SearchResult {
 	rec.EndPhase()
 	return res
 }
+
+// searchScratch returns n zeroed search results in Tree scratch, valid
+// until the next batch operation. With trace on, each result's Trace is
+// seated, empty, in its own stretch of the trace arena: a root-to-terminal
+// path lengthens the key prefix at every step, so it holds at most
+// keyBits+1 nodes and descend's appends never outgrow the stretch.
+func (t *Tree) searchScratch(n int, trace bool) []SearchResult {
+	t.noteScratch(n)
+	t.resBuf = sized(t.resBuf, n)
+	res := t.resBuf
+	clear(res)
+	if trace {
+		stride := t.traceStride()
+		t.traceBuf = sized(t.traceBuf, n*stride)
+		for i := range res {
+			res[i].Trace = t.traceBuf[i*stride : i*stride : (i+1)*stride]
+		}
+	}
+	return res
+}
+
+// traceStride is the trace arena's room per query: the longest possible
+// root-to-terminal path.
+func (t *Tree) traceStride() int { return int(t.keyBits) + 1 }
 
 // walkLanes is how many queries a descent walks abreast. Every step of a
 // walk loads the child pointer of the node it just reached, so one query at
@@ -200,9 +235,14 @@ func (t *Tree) descend(keys []uint64, es []entry, rule stopRule, opts searchOpts
 	}
 }
 
-// descendAll runs descend over the whole of es on the host's workers.
+// descendAll runs descend over the whole of es: on the host's workers from
+// hostForkMin entries, else on the caller.
 func (t *Tree) descendAll(keys []uint64, es []entry, rule stopRule, opts searchOpts, res []SearchResult, next []*Node, visits []int64) {
-	forQueries(len(es), func(_, lo, hi int) {
+	if len(es) < hostForkMin {
+		t.descend(keys, es, rule, opts, res, next, visits)
+		return
+	}
+	parallel.ForDynamic(len(es), func(_, lo, hi int) {
 		t.descend(keys, es[lo:hi], rule, opts, res, next, visits)
 	})
 }
@@ -320,9 +360,7 @@ func (t *Tree) searchL1(keys []uint64, opts searchOpts, res []SearchResult, fron
 	// frontier has changed since it was grouped.
 	var groups []chunkGroup
 	for iter := 0; len(frontier) > 0 && iter < 64; iter++ {
-		if rec.Enabled() {
-			rec.BeginPhase(fmt.Sprintf("L1-pull-%d", iter))
-		}
+		rec.BeginPhase(l1PullPhases.name(iter))
 		balanced := func() bool {
 			defer rec.EndPhase()
 			groups = t.groupByChunk(frontier)
@@ -403,9 +441,7 @@ func (t *Tree) searchL2(keys []uint64, opts searchOpts, res []SearchResult, fron
 	kPull := int(t.chunkB) // K = B
 	next, visits := t.walkScratch(len(keys))
 	for level := 0; len(frontier) > 0; level++ {
-		if rec.Enabled() {
-			rec.BeginPhase(fmt.Sprintf("L2-level-%d", level))
-		}
+		rec.BeginPhase(l2LevelPhases.name(level))
 		groups := t.groupByChunk(frontier)
 		pulled, pushed := t.router.partition(groups, func(g chunkGroup) bool {
 			return len(g.entries) > kPull
@@ -463,6 +499,8 @@ func (t *Tree) chargeVisits(pulled, pushed []chunkGroup, visits []int64) {
 // tests whether the terminal leaf actually stores the queried point
 // (terminal nodes for absent keys are the divergence point, not a leaf
 // holding the key). An empty tree answers without running a search.
+//
+// The answer is a fresh slice the caller owns.
 func (t *Tree) ContainsBatch(points []geom.Point) []bool {
 	found := make([]bool, len(points))
 	if t.root == nil {

@@ -139,3 +139,76 @@ func countDistinctSorted(ns []Neighbor) int {
 	}
 	return cnt
 }
+
+// finalCut returns what selectFinalNeighbors(arena, k, m0) returns, the
+// cheap way. The m0-th smallest distance, an integer quickselect over a
+// copy of the distances (dists, the caller's reused scratch), bounds the
+// first m0 entries of the (Dist, Point) order; the entries at or below it
+// are exactly a prefix of that order, so only they move to the front and
+// get sorted and deduped. m0 = k + |stage-A candidates| covers every
+// candidate/sphere duplicate pair, so only stored multi-points can leave
+// fewer than k distinct values in the window, and then selectFinalNeighbors
+// widens it. The result aliases arena; dists is returned for reuse.
+func finalCut(arena []Neighbor, k, m0 int, dists []uint64) ([]Neighbor, []uint64) {
+	win := arena
+	if m0 < len(arena) {
+		dists = dists[:0]
+		for i := range arena {
+			dists = append(dists, arena[i].Dist)
+		}
+		cut := nthSmallest(dists, m0-1)
+		j := 0
+		for i := range arena {
+			if arena[i].Dist <= cut {
+				arena[i], arena[j] = arena[j], arena[i]
+				j++
+			}
+		}
+		win = arena[:j]
+	}
+	sortNeighbors(win, lessByDistPoint)
+	if len(win) < len(arena) && countDistinctSorted(win) < k {
+		return selectFinalNeighbors(arena, k, m0), dists
+	}
+	ns := dedupeNeighbors(win)
+	return ns[:min(k, len(ns))], dists
+}
+
+// nthSmallest returns the m-th smallest of xs (0-based), reordering xs. A
+// three-way partition keeps runs of equal distances linear.
+func nthSmallest(xs []uint64, m int) uint64 {
+	lo, hi := 0, len(xs)
+	for hi-lo > 16 {
+		a, b, c := xs[lo], xs[int(uint(lo+hi)>>1)], xs[hi-1]
+		pivot := max(min(a, b), min(max(a, b), c)) // median of three
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := xs[i]; {
+			case v < pivot:
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				xs[gt], xs[i] = v, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case m < lt:
+			hi = lt
+		case m >= gt:
+			lo = gt
+		default:
+			return pivot
+		}
+	}
+	s := xs[lo:hi]
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+	return xs[m]
+}

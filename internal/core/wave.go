@@ -1,25 +1,72 @@
 package core
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/parallel"
 )
 
-// waveScanFunc traverses one in-flight query within its chunk, appending
-// chunk exits to *exits and returning the compute work and the bytes the
-// traversal sends back to the CPU. cpuSide is true when the chunk was
-// pulled and the traversal runs on the host (implementations typically
-// rebate the PIM multiply premium there). A large wave's groups are scanned
-// on several host workers at once, so implementations must be safe for
-// concurrent invocation on different groups: worker (< parallel.Workers())
-// is a stable scratch index (distinct concurrent invocations never share
-// one) and gi is the group's rank in the wave's deterministic enumeration —
-// pushed groups module-major first, then pulled groups in group order — so
-// per-group result slots can be merged in a scheduling-independent order.
-type waveScanFunc func(c *Chunk, e entry, cpuSide bool, worker, gi int, exits *[]entry) (work, outBytes int64)
+// waveWalk is one multi-wave traversal — kNN stage A (candWalk), the kNN
+// sphere fetch (sphereWalk), a box count or fetch (boxWalk) — as the hooks
+// expandL0 and runPushPullWaves call. The walks are Tree scratch with
+// pointer receivers, so handing one over allocates nothing.
+type waveWalk interface {
+	// expandL0 walks query qi's CPU-resident L0 prefix as worker, appends
+	// its chunk entries to *frontier and returns the host work.
+	expandL0(worker int, qi int32, frontier *[]entry) int64
+	// prepWave runs after a wave is routed, with its group count, so scans
+	// can size per-group result slots.
+	prepWave(nGroups int)
+	// scan traverses one in-flight query within its chunk, appending chunk
+	// exits to *exits and returning the compute work and the bytes the
+	// traversal sends back to the CPU. cpuSide is true when the chunk was
+	// pulled and the traversal runs on the host (implementations typically
+	// rebate the PIM multiply premium there). A large wave's groups are
+	// scanned on several host workers at once, so scan must be safe for
+	// concurrent invocation on different groups: worker (<
+	// parallel.Workers()) is a stable scratch index (distinct concurrent
+	// invocations never share one) and gi is the group's rank in the
+	// wave's deterministic enumeration — pushed groups module-major first,
+	// then pulled groups in group order — so per-group result slots can be
+	// merged in a scheduling-independent order.
+	scan(c *Chunk, e entry, cpuSide bool, worker, gi int, exits *[]entry) (work, outBytes int64)
+	// afterWave runs between waves on the collected exits and returns the
+	// next frontier: kNN stage A tightens its bounds and prunes, the
+	// fetches go on with every exit.
+	afterWave(exits []entry) []entry
+}
+
+// phaseNames are the names of a numbered phase ("wave-3"), formatted once
+// so that a recorder attached to a serving tree costs no formatting per
+// wave.
+type phaseNames struct {
+	prefix string
+	names  [64]string
+}
+
+var (
+	wavePhases    = newPhaseNames("wave-")
+	l1PullPhases  = newPhaseNames("L1-pull-")
+	l2LevelPhases = newPhaseNames("L2-level-")
+)
+
+func newPhaseNames(prefix string) *phaseNames {
+	p := &phaseNames{prefix: prefix}
+	for i := range p.names {
+		p.names[i] = prefix + strconv.Itoa(i)
+	}
+	return p
+}
+
+// name returns the name of phase i.
+func (p *phaseNames) name(i int) string {
+	if i < len(p.names) {
+		return p.names[i]
+	}
+	return p.prefix + strconv.Itoa(i)
+}
 
 // waveForkMin is the wave size (in-flight queries, pushed and pulled) from
 // which the host scans the wave's groups on all its workers. One entry costs
@@ -34,10 +81,8 @@ const waveForkMin = 1024
 // wave groups the frontier by meta-node, pulls chunks holding more than
 // K = B queries (the paper's L2 threshold) to the CPU, pushes the rest to
 // their modules in a single round, and advances every query one meta-level.
-// prepWave (optional) runs after routing with the wave's group count, so
-// scans can size per-group result slots. afterWave (optional) runs between
-// waves on the collected exits — kNN uses it to tighten bounds and prune —
-// and returns the next frontier.
+// The walk's hooks (waveWalk) size the wave's result slots, scan its
+// entries and turn its exits into the next frontier.
 //
 // A wave is three steps. Scan: the host runs every group's traversals,
 // pushed groups as their modules would and pulled ones against master data,
@@ -48,28 +93,24 @@ const waveForkMin = 1024
 // scans. Concatenate: the exit slots in gi order (active modules ascending,
 // then pulled groups) are the next frontier — the serial schedule's, however
 // many workers scanned.
-func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanFunc, prepWave func(nGroups int), afterWave func([]entry) []entry) {
+func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, w waveWalk) {
 	rec := t.sys.Recorder()
 	r := &t.router
 	for wave := 0; len(frontier) > 0; wave++ {
-		if rec.Enabled() {
-			rec.BeginPhase(fmt.Sprintf("wave-%d", wave))
-		}
+		rec.BeginPhase(wavePhases.name(wave))
 		groups := t.groupByChunk(frontier)
 		pulled, pushed := r.partition(groups, func(g chunkGroup) bool {
 			return int64(len(g.entries)) > t.chunkB
 		})
 		r.route(t.P(), pulled, pushed)
-		if prepWave != nil {
-			prepWave(len(groups))
-		}
+		w.prepWave(len(groups))
 		exits := r.exitSlots()
 		if len(frontier) >= waveForkMin {
 			parallel.ForDynamic(len(r.groups), func(worker, lo, hi int) {
-				r.scanGroups(scan, exits, worker, lo, hi)
+				r.scanGroups(w, exits, worker, lo, hi)
 			})
 		} else {
-			r.scanGroups(scan, exits, 0, 0, len(r.groups))
+			r.scanGroups(w, exits, 0, 0, len(r.groups))
 		}
 		t.chargeRound(msgBytes)
 
@@ -78,24 +119,20 @@ func (t *Tree) runPushPullWaves(frontier []entry, msgBytes int64, scan waveScanF
 			next = append(next, ex...)
 		}
 		r.front[wave&1] = next
-		if afterWave != nil {
-			next = afterWave(next)
-		}
-		if rec.Enabled() {
-			rec.EndPhase()
-		}
+		next = w.afterWave(next)
+		rec.EndPhase()
 		frontier = next
 	}
 }
 
 // scanGroups scans groups [lo, hi) of the routed wave as worker, each
 // group's exits into its slot of exits and its cost into r.cost.
-func (r *waveRouter) scanGroups(scan waveScanFunc, exits [][]entry, worker, lo, hi int) {
+func (r *waveRouter) scanGroups(w waveWalk, exits [][]entry, worker, lo, hi int) {
 	for gi := lo; gi < hi; gi++ {
 		g := r.groups[gi]
 		var c groupCost
 		for _, e := range g.entries {
-			work, sent := scan(g.chunk, e, gi >= r.nPush, worker, gi, &exits[gi])
+			work, sent := w.scan(g.chunk, e, gi >= r.nPush, worker, gi, &exits[gi])
 			c.work += work
 			c.sent += sent
 		}
@@ -117,6 +154,7 @@ const hostForkMin = 256
 type hostScratch struct {
 	cand  candState  // stage-A chunk-scan candidate set
 	arena []Neighbor // final-filter candidates of the query in hand
+	dists []uint64   // their distances, for finalCut's threshold
 	front []entry    // L0-prefix chunk entries of the worker's query runs
 	runs  []l0Run    // the runs front holds, in the order the worker took them
 	work  int64      // host work of the worker's share of the current loop
@@ -148,49 +186,37 @@ func forkWidth(n int) int {
 	return parallel.Workers()
 }
 
-// forQueries runs body(worker, lo, hi) over the n queries of a batch: on
-// the host's workers, claiming runs dynamically (per-query cost is
-// data-dependent), when the batch is large enough to pay for the fork,
-// else on the caller as worker 0. Results must land in per-query slots.
-func forQueries(n int, body func(worker, lo, hi int)) {
-	if n >= hostForkMin {
-		parallel.ForDynamic(n, body)
-	} else if n > 0 {
-		body(0, 0, n)
-	}
-}
-
 // expandL0 walks the CPU-resident L0 prefix of a wave traversal for each
-// of the batch's n queries — expand(worker, qi, frontier) appends query
-// qi's chunk entries and returns its host work — charges the summed work
-// as one CPU phase and returns the first wave's frontier. Batches from
+// of the batch's n queries — w.expandL0(worker, qi, frontier) appends
+// query qi's chunk entries and returns its host work — charges the summed
+// work as one CPU phase and returns the first wave's frontier. Batches from
 // hostForkMin queries fork: workers claim runs of queries as they free up
 // (parallel.ForDynamic), since one query's prefix can cost a hundred times
 // another's, and each run's entries go to its worker's buffer. The runs
 // then concatenate in query order, so the frontier is the one the serial
 // loop builds, whatever GOMAXPROCS is.
-func (t *Tree) expandL0(n int, expand func(worker int, qi int32, frontier *[]entry) int64) []entry {
+func (t *Tree) expandL0(n int, w waveWalk) []entry {
 	ws := t.hostWorkers()
 	if n < hostForkMin {
-		frontier, work := t.frontierBuf[:0], int64(0)
+		t.frontierBuf = t.frontierBuf[:0]
+		var work int64
 		for i := 0; i < n; i++ {
-			work += expand(0, int32(i), &frontier)
+			work += w.expandL0(0, int32(i), &t.frontierBuf)
 		}
-		t.frontierBuf = frontier
 		t.sys.CPUPhase(work, 0, 0)
-		return frontier
+		return t.frontierBuf
 	}
 	for w := range ws {
 		ws[w].front, ws[w].runs, ws[w].work = ws[w].front[:0], ws[w].runs[:0], 0
 	}
-	parallel.ForDynamic(n, func(w, lo, hi int) {
-		front, work := ws[w].front, int64(0)
-		run := l0Run{lo: lo, worker: w, start: len(front)}
+	parallel.ForDynamic(n, func(worker, lo, hi int) {
+		front, work := ws[worker].front, int64(0)
+		run := l0Run{lo: lo, worker: worker, start: len(front)}
 		for i := lo; i < hi; i++ {
-			work += expand(w, int32(i), &front)
+			work += w.expandL0(worker, int32(i), &front)
 		}
 		run.end = len(front)
-		ws[w].front, ws[w].work, ws[w].runs = front, ws[w].work+work, append(ws[w].runs, run)
+		ws[worker].front, ws[worker].work, ws[worker].runs = front, ws[worker].work+work, append(ws[worker].runs, run)
 	})
 	runs := t.l0Runs[:0]
 	var cpuWork int64
@@ -228,10 +254,11 @@ type foundPoint struct {
 // group's entries back to back.
 type pointSink struct {
 	bufs   []sinkBuf
-	segs   []sinkSeg    // per slot
-	blocks []int        // gather's per-worker slot ranges
-	cnt    []int        // gather's per-(block, query) counts, then cursors
-	arena  []geom.Point // gather's backing array, unless the caller owns it
+	segs   []sinkSeg      // per slot
+	blocks []int          // gather's per-worker slot ranges
+	cnt    []int          // gather's per-(block, query) counts, then cursors
+	arena  []geom.Point   // gather's backing array, unless the caller owns it
+	lists  [][]geom.Point // gather's per-query views of arena, likewise
 }
 
 // sinkBuf is one worker's append buffer, a cache line to itself because
@@ -285,6 +312,8 @@ func (ps *pointSink) trim(used int) {
 	ps.blocks = parallel.Keep(ps.blocks, used)
 	ps.cnt = parallel.Keep(ps.cnt, used)
 	ps.arena = parallel.Keep(ps.arena, used)
+	clear(ps.lists[:cap(ps.lists)]) // views must not pin a released arena
+	ps.lists = parallel.Keep(ps.lists, used)
 }
 
 // extend adds n empty slots and returns the index of the first. Like open
@@ -328,8 +357,8 @@ func (ps *pointSink) close(slot, worker int) {
 const gatherForkMin = 32768
 
 // gather returns, per query, the points found for it. With own the lists
-// share one fresh backing array the caller may keep; otherwise they alias
-// the sink's arena and die with the next gather. From gatherForkMin finds
+// and their one shared backing array are fresh, for the caller to keep;
+// otherwise both are sink scratch and die with the next gather. From gatherForkMin finds
 // it runs on every worker (gatherOn).
 func (ps *pointSink) gather(nq int, own bool) [][]geom.Point {
 	p := 1
@@ -364,13 +393,14 @@ func (ps *pointSink) gatherOn(p, nq int, own bool) [][]geom.Point {
 		parallel.BlocksN(p, p, func(b, _, _ int) { ps.countBlock(b, nq) })
 	}
 
-	out := make([][]geom.Point, nq)
+	var out [][]geom.Point
 	var arena []geom.Point
 	if own {
-		arena = make([]geom.Point, total)
+		out, arena = make([][]geom.Point, nq), make([]geom.Point, total)
 	} else {
+		ps.lists = sized(ps.lists, nq)
 		ps.arena = parallel.Resize(ps.arena, total)
-		arena = ps.arena
+		out, arena = ps.lists, ps.arena
 	}
 	pos := 0
 	for qi := range out {

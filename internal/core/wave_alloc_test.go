@@ -37,12 +37,16 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 	tr, qs, _ := allocTree(t, ThroughputOptimized)
 	tr.Search(qs) // size the scratch
 	allocs := testing.AllocsPerRun(5, func() { tr.Search(qs) })
-	// One []SearchResult per batch plus a constant handful (semisort and
-	// recorder bookkeeping). The pre-router engine allocated 146 times per
-	// batch here; anything scaling with waves or chunk groups is a
-	// regression.
-	if allocs > 24 {
-		t.Errorf("steady-state Search allocated %.0f times per batch, want <= 24", allocs)
+	// The []SearchResult it returns, plus the closures of the host phases
+	// that fork at this batch size (a handful). The pre-router engine
+	// allocated 146 times per batch here; anything scaling with waves or
+	// chunk groups is a regression.
+	if allocs > 1+6 {
+		t.Errorf("steady-state Search allocated %.0f times per batch, want <= 7", allocs)
+	}
+	// A batch below every fork point allocates its answer alone.
+	if allocs := testing.AllocsPerRun(5, func() { tr.Search(qs[:16]) }); allocs > 1 {
+		t.Errorf("steady-state 16-query Search allocated %.0f times per batch, want 1", allocs)
 	}
 }
 
@@ -55,14 +59,19 @@ func TestKNNSteadyStateAllocs(t *testing.T) {
 	knnQs := qs[:512]
 	tr.KNN(knnQs, k)
 	allocs := testing.AllocsPerRun(5, func() { tr.KNN(knnQs, k) })
-	// KNN's CPU stages allocate per query (result slices, candidate sets,
-	// two sort.Slice calls, the per-batch bound/start arrays) — about 20
-	// per query today, none per wave. The bound is per-query so a
-	// reintroduced per-wave or per-group allocation (waves × groups easily
-	// exceeds the slack) trips it.
-	budget := 24*float64(len(knnQs)) + 256
-	if allocs > budget {
-		t.Errorf("steady-state KNN allocated %.0f times per batch, want <= %.0f", allocs, budget)
+	// The answer is two allocations (the lists and their one backing
+	// array); the traces, candidate sets, bounds and filter arenas are
+	// Tree scratch. What else a batch may allocate is the closures of the
+	// host phases that fork at its size: a constant, nothing per query,
+	// wave or group.
+	if allocs > 2+14 {
+		t.Errorf("steady-state KNN allocated %.0f times per batch, want <= 16", allocs)
+	}
+	// A serving-sized batch forks nothing: its answer is all it allocates.
+	small := qs[:16]
+	tr.KNN(small, 16)
+	if allocs := testing.AllocsPerRun(5, func() { tr.KNN(small, 16) }); allocs > 2 {
+		t.Errorf("steady-state 16-query KNN allocated %.0f times per batch, want 2", allocs)
 	}
 }
 
@@ -111,9 +120,44 @@ func TestBoxCountSteadyStateAllocs(t *testing.T) {
 	tr, _, boxes := allocTree(t, SkewResistant)
 	tr.BoxCount(boxes)
 	allocs := testing.AllocsPerRun(5, func() { tr.BoxCount(boxes) })
-	// One []int64 result per batch plus a constant handful; the pre-router
-	// engine allocated ~1200 times per batch here.
-	if allocs > 24 {
-		t.Errorf("steady-state BoxCount allocated %.0f times per batch, want <= 24", allocs)
+	// The []int64 it returns plus the closures of the forked host phases;
+	// the pre-router engine allocated ~1200 times per batch here.
+	if allocs > 1+6 {
+		t.Errorf("steady-state BoxCount allocated %.0f times per batch, want <= 7", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { tr.BoxCount(boxes[:16]) }); allocs > 1 {
+		t.Errorf("steady-state 16-box BoxCount allocated %.0f times per batch, want 1", allocs)
+	}
+}
+
+// TestKNNResultListsAreCapped: a KNN answer's lists share one backing
+// array, each capped at its own length, so a caller may append to one list
+// and sort it in place (the cross-shard merge does both) without touching
+// its neighbors' lists.
+func TestKNNResultListsAreCapped(t *testing.T) {
+	tr, qs, _ := allocTree(t, ThroughputOptimized)
+	got := tr.KNN(qs[:8], 5)
+	want := make([][]Neighbor, len(got))
+	for i, ns := range got {
+		if len(ns) != 5 || cap(ns) != len(ns) {
+			t.Fatalf("list %d: len %d cap %d, want 5 and 5", i, len(ns), cap(ns))
+		}
+		want[i] = append([]Neighbor(nil), ns...)
+	}
+	far := Neighbor{Point: geom.P3(0, 0, 0), Dist: 0}
+	got[3] = append(got[3], far, far)
+	sortNeighbors(got[3], lessByDistPoint)
+	if got[3][0] != far {
+		t.Fatalf("appended neighbor not sorted first: %+v", got[3])
+	}
+	for i, ns := range got {
+		if i == 3 {
+			continue
+		}
+		for j := range ns {
+			if ns[j] != want[i][j] {
+				t.Fatalf("list %d changed at %d after list 3 was appended to and sorted: %+v, want %+v", i, j, ns[j], want[i][j])
+			}
+		}
 	}
 }

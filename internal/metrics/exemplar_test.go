@@ -28,9 +28,9 @@ func expoText(t *testing.T, reg *Registry, opts ExpoOpts) string {
 
 func TestExemplarBucketAssignment(t *testing.T) {
 	reg, h := exemplarReg()
-	h.ObserveExemplar(0.5, "101") // le=1 bucket
-	h.ObserveExemplar(5, "102")   // le=10 bucket
-	h.ObserveExemplar(50, "103")  // +Inf overflow bucket
+	h.ObserveExemplar(0.5, 101) // le=1 bucket
+	h.ObserveExemplar(5, 102)   // le=10 bucket
+	h.ObserveExemplar(50, 103)  // +Inf overflow bucket
 
 	out := expoText(t, reg, ExpoOpts{Exemplars: true})
 	for _, want := range []string{
@@ -44,7 +44,7 @@ func TestExemplarBucketAssignment(t *testing.T) {
 	}
 
 	// Newest exemplar per bucket wins.
-	h.ObserveExemplar(0.25, "104")
+	h.ObserveExemplar(0.25, 104)
 	out = expoText(t, reg, ExpoOpts{Exemplars: true})
 	if !strings.Contains(out, `h_bucket{le="1"} 2 # {trace_id="104"} 0.25`) {
 		t.Errorf("newest exemplar did not replace the old one:\n%s", out)
@@ -61,7 +61,7 @@ func TestExemplarOffByteIdentical(t *testing.T) {
 	regA, hA := exemplarReg()
 	regB, hB := exemplarReg()
 	for _, v := range []float64{0.5, 5, 50} {
-		hA.ObserveExemplar(v, "42")
+		hA.ObserveExemplar(v, 42)
 		hB.Observe(v)
 	}
 	plainA := expoText(t, regA, ExpoOpts{})
@@ -72,8 +72,8 @@ func TestExemplarOffByteIdentical(t *testing.T) {
 	if strings.Contains(plainA, " # ") {
 		t.Fatalf("exemplar leaked into unflagged exposition:\n%s", plainA)
 	}
-	// An empty trace degrades to a plain Observe even with the flag on.
-	hB.ObserveExemplar(0.5, "")
+	// A zero trace degrades to a plain Observe even with the flag on.
+	hB.ObserveExemplar(0.5, 0)
 	if out := expoText(t, regB, ExpoOpts{Exemplars: true}); strings.Contains(out, " # ") {
 		t.Fatalf("empty-trace exemplar rendered:\n%s", out)
 	}
@@ -81,7 +81,7 @@ func TestExemplarOffByteIdentical(t *testing.T) {
 
 func TestExemplarParseAndLintRoundTrip(t *testing.T) {
 	reg, h := exemplarReg()
-	h.ObserveExemplar(5, "7")
+	h.ObserveExemplar(5, 7)
 	out := expoText(t, reg, ExpoOpts{Exemplars: true})
 
 	if err := LintText(strings.NewReader(out)); err != nil {

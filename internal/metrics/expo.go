@@ -168,7 +168,7 @@ func writeExemplar(w *bytes.Buffer, exem []exemplar, i int) {
 		return
 	}
 	w.WriteString(` # {trace_id="`)
-	w.WriteString(escapeLabel(exem[i].trace))
+	w.WriteString(strconv.FormatUint(exem[i].trace, 10))
 	w.WriteString(`"} `)
 	w.WriteString(formatValue(exem[i].val))
 }

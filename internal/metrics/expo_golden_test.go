@@ -36,14 +36,14 @@ func goldenRegistry() *Registry {
 	h := reg.NewHistogram(HistogramOpts{Opts: Opts{Name: "g_round_seconds", Help: "Unlabeled histogram."},
 		Buckets: buckets})
 	h.Observe(0.1)
-	h.ObserveExemplar(2, "42")
-	h.ObserveExemplar(9, "43")
+	h.ObserveExemplar(2, 42)
+	h.ObserveExemplar(9, 43)
 	reg.NewHistogramVec(HistogramOpts{Opts: Opts{Name: "g_op_seconds", Help: "One-label histogram."},
 		Buckets: buckets}, "op").With("knn").Observe(0.5)
 	stage := reg.NewHistogramVec(HistogramOpts{Opts: Opts{Name: "g_stage_seconds", Help: "Two-label histogram."},
 		Buckets: buckets}, "op", "stage")
 	stage.With("search", "queue").Observe(0.25)
-	stage.With("knn", "exec").ObserveExemplar(3, "7")
+	stage.With("knn", "exec").ObserveExemplar(3, 7)
 
 	reg.NewGaugeVec(Opts{Name: "g_build_info", Help: "Build identity.", Wall: true},
 		"go_version", "trees").With("go1.x", "4").Set(1)

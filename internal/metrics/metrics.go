@@ -103,7 +103,7 @@ type series struct {
 // observation wins — exemplars point at recent slow ops, not the first
 // one ever seen.
 type exemplar struct {
-	trace string
+	trace uint64 // formatted at exposition, not per observation
 	val   float64
 	ok    bool
 }
@@ -340,12 +340,12 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveExemplar records one value like Observe and attaches trace as the
 // exemplar of the bucket the value lands in (the newest exemplar per bucket
-// is kept). An empty trace degrades to a plain Observe.
-func (h *Histogram) ObserveExemplar(v float64, trace string) {
+// is kept). A zero trace degrades to a plain Observe.
+func (h *Histogram) ObserveExemplar(v float64, trace uint64) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
-	if trace == "" {
+	if trace == 0 {
 		h.Observe(v)
 		return
 	}

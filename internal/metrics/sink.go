@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"strconv"
-
-	"pimzdtree/internal/obs"
-)
+import "pimzdtree/internal/obs"
 
 // ObsSink bridges the obs event stream into a Registry: every closed
 // operation span becomes an op-latency histogram observation, every BSP
@@ -109,11 +105,7 @@ func (s *ObsSink) OnSpanEnd(e obs.Event) {
 		return
 	}
 	s.ops.With(e.Name).Add(1)
-	if e.Trace != 0 {
-		s.opSeconds.With(e.Name).ObserveExemplar(e.Dur, strconv.FormatUint(e.Trace, 10))
-	} else {
-		s.opSeconds.With(e.Name).Observe(e.Dur)
-	}
+	s.opSeconds.With(e.Name).ObserveExemplar(e.Dur, e.Trace)
 	s.opRounds.With(e.Name).Add(float64(e.Rounds))
 }
 

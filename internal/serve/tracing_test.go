@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"math"
@@ -223,7 +224,7 @@ func TestWireCompatOptionalID(t *testing.T) {
 
 	// Old client → new server: the legacy frame carries no trailing ID.
 	legacy := encodeRequest(nil, mkReq(0), 3)
-	got, err := decodeRequest(legacy)
+	got, err := decodeFresh(legacy)
 	if err != nil {
 		t.Fatalf("legacy frame rejected: %v", err)
 	}
@@ -236,7 +237,7 @@ func TestWireCompatOptionalID(t *testing.T) {
 	if len(withID) != len(legacy)+8 {
 		t.Fatalf("ID trailer adds %d bytes, want 8", len(withID)-len(legacy))
 	}
-	got, err = decodeRequest(withID)
+	got, err = decodeFresh(withID)
 	if err != nil {
 		t.Fatalf("ID frame rejected: %v", err)
 	}
@@ -247,7 +248,7 @@ func TestWireCompatOptionalID(t *testing.T) {
 	// Garbage in the optional field position: wrong length, rejected.
 	for _, extra := range []int{1, 5, 9} {
 		bad := append(append([]byte(nil), legacy...), make([]byte, extra)...)
-		if _, err := decodeRequest(bad); err == nil {
+		if _, err := decodeFresh(bad); err == nil {
 			t.Fatalf("frame with %d garbage trailer bytes accepted", extra)
 		}
 	}
@@ -314,7 +315,8 @@ func TestWireGarbageOptionalFieldSurvivesConnection(t *testing.T) {
 
 	roundTrip := func(frame []byte) *Response {
 		t.Helper()
-		if err := writeFrame(conn, frame); err != nil {
+		bw := bufio.NewWriter(conn)
+		if err := writeFrame(bw, frame); err != nil || bw.Flush() != nil {
 			t.Fatalf("write frame: %v", err)
 		}
 		body, err := readFrame(conn, nil)

@@ -70,7 +70,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add(encodeRequest(nil, r, 3))
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		req, err := decodeRequest(frame)
+		req, err := decodeFresh(frame)
 		if err != nil {
 			return
 		}
@@ -78,7 +78,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if len(req.Pts) > payload/4 || len(req.Boxes) > payload/8 {
 			t.Fatalf("%d points, %d boxes from a %d-byte payload", len(req.Pts), len(req.Boxes), payload)
 		}
-		again, err := decodeRequest(encodeRequest(nil, req, frame[2]))
+		again, err := decodeFresh(encodeRequest(nil, req, frame[2]))
 		if err != nil {
 			t.Fatalf("re-encoded request rejected: %v", err)
 		}

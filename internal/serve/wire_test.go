@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"reflect"
 	"runtime"
@@ -44,7 +45,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	for _, want := range cases {
 		t.Run(want.Op.String(), func(t *testing.T) {
 			frame := encodeRequest(nil, want, 3)
-			got, err := decodeRequest(frame)
+			got, err := decodeFresh(frame)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -61,6 +62,12 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeFresh decodes a request frame into a new request.
+func decodeFresh(frame []byte) (*Request, error) {
+	r := NewRequest(0)
+	return r, decodeRequest(frame, r)
+}
+
 func TestWireRequestRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,       // empty
@@ -71,7 +78,7 @@ func TestWireRequestRejectsGarbage(t *testing.T) {
 		{wireV1, byte(OpSearch), 3, 0, 2, 0, 0, 0, 0, 0, 0, 0}, // count/payload mismatch
 	}
 	for i, frame := range cases {
-		if _, err := decodeRequest(frame); err == nil {
+		if _, err := decodeFresh(frame); err == nil {
 			t.Errorf("case %d: garbage frame accepted", i)
 		}
 	}
@@ -201,7 +208,8 @@ func asWireError(err error, out **WireError) bool {
 func TestWireFrameIO(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")
-	if err := writeFrame(&buf, payload); err != nil {
+	bw := bufio.NewWriter(&buf)
+	if err := writeFrame(bw, payload); err != nil || bw.Flush() != nil {
 		t.Fatal(err)
 	}
 	got, err := readFrame(&buf, nil)
