@@ -64,9 +64,9 @@ func (x *Index) KNNBatch(queries []geom.Point, k int) [][]core.Neighbor {
 		for j, r := range rs {
 			qi := idx[offs[s]+j]
 			// A query has one home shard, so its candidates start as that
-			// shard's list itself; the capped capacity makes phase 2's
-			// appends copy instead of writing past it.
-			cands[qi] = r[:len(r):len(r)]
+			// shard's list itself; core caps every list at its length, so
+			// phase 2's appends copy instead of writing into the next one.
+			cands[qi] = r
 			home[qi] = int32(s)
 			x.fanQuery(int(qi))
 			if len(r) >= k {
