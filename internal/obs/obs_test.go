@@ -94,9 +94,9 @@ func TestModuleSampling(t *testing.T) {
 	r := New()
 	r.SetModuleSampling(2)
 	calls := 0
-	loads := func() (cycles, bytes []int64) {
+	loads := func(cycles, bytes []int64) ([]int64, []int64) {
 		calls++
-		return []int64{1, 3}, []int64{10, 30}
+		return append(cycles, 1, 3), append(bytes, 10, 30)
 	}
 	for i := 0; i < 4; i++ {
 		r.RecordRound(RoundInfo{Seconds: 1}, 1, 0, loads)
@@ -169,7 +169,7 @@ func TestExportChromeParses(t *testing.T) {
 	r.SetModuleSampling(1)
 	r.BeginOp("search")
 	r.RecordRound(RoundInfo{ActiveModules: 2, MaxCycles: 10, TotalCycles: 15, Seconds: 2}, 1, 1,
-		func() (cycles, bytes []int64) { return []int64{10, 5}, []int64{8, 8} })
+		func(cycles, bytes []int64) ([]int64, []int64) { return append(cycles, 10, 5), append(bytes, 8, 8) })
 	r.RecordCPUPhase(CPUInfo{Work: 100, Seconds: 1})
 	r.EndOp()
 	r.Add("hits", 3)
@@ -247,7 +247,7 @@ func TestWriteViews(t *testing.T) {
 	r.BeginOp("search")
 	r.BeginPhase("descend")
 	r.RecordRound(RoundInfo{ActiveModules: 2, MaxCycles: 4, TotalCycles: 6, Seconds: 2}, 1, 1,
-		func() (cycles, bytes []int64) { return []int64{4, 2}, []int64{0, 0} })
+		func(cycles, bytes []int64) ([]int64, []int64) { return append(cycles, 4, 2), append(bytes, 0, 0) })
 	r.EndPhase()
 	r.EndOp()
 	r.Add("hits", 1)

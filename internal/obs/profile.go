@@ -28,8 +28,8 @@ type LoadProfile struct {
 // NewLoadProfile summarizes per-module cycle and byte loads. Imbalance is
 // the paper's factor max/mean over cycle loads (1.0 = perfectly balanced;
 // when no module did compute work, byte loads are used so pure-transfer
-// rounds still report their skew). The input slices may be in any order
-// and are not modified.
+// rounds still report their skew). The input slices may be in any order;
+// each is sorted in place.
 func NewLoadProfile(cycles, bytes []int64) LoadProfile {
 	p := LoadProfile{
 		Active: len(cycles),
@@ -45,12 +45,12 @@ func NewLoadProfile(cycles, bytes []int64) LoadProfile {
 	return p
 }
 
-// newDist computes the summary of one load vector.
+// newDist computes the summary of one load vector, sorting it in place.
 func newDist(loads []int64) Dist {
 	if len(loads) == 0 {
 		return Dist{}
 	}
-	sorted := slices.Clone(loads)
+	sorted := loads
 	slices.Sort(sorted)
 	var total int64
 	for _, l := range sorted {

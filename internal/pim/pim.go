@@ -256,15 +256,13 @@ func (s *System) Round(active []int, handler func(m *Module)) RoundStats {
 			BytesFromPIM:  st.BytesFromPIM,
 			Seconds:       st.Seconds,
 			Straggler:     st.Straggler,
-		}, pimSec, st.Seconds-pimSec, func() (cycles, byteLoads []int64) {
+		}, pimSec, st.Seconds-pimSec, func(cycles, byteLoads []int64) ([]int64, []int64) {
 			// Modules are quiescent between rounds; the closure runs only
 			// for sampled rounds, so unsampled rounds never pay the copy.
-			cycles = make([]int64, len(active))
-			byteLoads = make([]int64, len(active))
-			for i, id := range active {
+			for _, id := range active {
 				m := s.modules[id]
-				cycles[i] = m.cycles
-				byteLoads[i] = m.recvBytes + m.sendBytes
+				cycles = append(cycles, m.cycles)
+				byteLoads = append(byteLoads, m.recvBytes+m.sendBytes)
 			}
 			return cycles, byteLoads
 		})
