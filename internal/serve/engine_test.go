@@ -636,3 +636,126 @@ func TestBackendPanicIsContained(t *testing.T) {
 		t.Fatalf("shutdown after backend panics: %v", err)
 	}
 }
+
+// gatedInsertBackend holds its n-th InsertBatch (0-based) until gates[n]
+// closes, announcing on entered that it got there, and panics in the
+// second one once its gate opens.
+type gatedInsertBackend struct {
+	Backend
+	gates   []chan struct{}
+	entered chan struct{}
+	inserts int
+}
+
+func (b *gatedInsertBackend) InsertBatch(pts []geom.Point) {
+	i := b.inserts
+	b.inserts++
+	b.entered <- struct{}{}
+	<-b.gates[i]
+	if i == 1 {
+		panic("injected backend panic in insert batch 2")
+	}
+	b.Backend.InsertBatch(pts)
+}
+
+// TestBackendPanicSparesAFinishedTCPRequest: a TCP connection's request
+// that finished in a plan's read phase is its connection's again, which
+// may reset it and queue it with its next frame before the same plan's
+// update phase panics. The panic fails only the requests the plan left
+// unfinished: the connection's next round trip runs in a later plan, and
+// every reply on the connection answers its own request.
+func TestBackendPanicSparesAFinishedTCPRequest(t *testing.T) {
+	tr, data := testTree(t, 2000)
+	b := &gatedInsertBackend{Backend: NewTreeBackend(tr),
+		gates: []chan struct{}{make(chan struct{}), make(chan struct{})}, entered: make(chan struct{}, 2)}
+	e := New(Config{Backend: b})
+	tcp, err := ServeTCP("127.0.0.1:0", e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeNow(tcp)
+	cl, err := DialTCP(tcp.Addr(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	waitQueued := func(n int64) {
+		t.Helper()
+		for e.Stats().QueuedOps != n {
+			if ctx.Err() != nil {
+				t.Fatalf("admission depth %d, want %d", e.Stats().QueuedOps, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// wireSearch runs one search on the connection in the background and
+	// reports whether it found p.
+	wireSearch := func(p geom.Point) <-chan error {
+		res := make(chan error, 1)
+		go func() {
+			r := searchReq(p)
+			if err := cl.Do(r); err != nil {
+				res <- err
+			} else if len(r.Resp.Found) != 1 || !r.Resp.Found[0] {
+				res <- fmt.Errorf("found %v, want [true]", r.Resp.Found)
+			} else {
+				res <- nil
+			}
+		}()
+		return res
+	}
+	insert := func(p geom.Point) *Request {
+		r := NewRequest(OpInsert)
+		r.Pts = []geom.Point{p}
+		if err := e.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	fresh := geom.P3(1, 2, 3)
+
+	// Plan 1 holds the executor in its insert while plan 2 queues: the
+	// connection's first search, then an insert that will panic.
+	ins1 := insert(fresh)
+	<-b.entered
+	first := wireSearch(data[0])
+	waitQueued(2)
+	ins2 := insert(fresh)
+	waitQueued(3)
+	close(b.gates[0])
+
+	// Plan 2's read phase answers the search; its update phase holds.
+	if err := <-first; err != nil {
+		t.Fatalf("first wire search: %v", err)
+	}
+	<-b.entered
+	// The connection's next frame reuses its request and queues it.
+	second := wireSearch(data[1])
+	waitQueued(2)
+	close(b.gates[1])
+
+	<-ins2.Done()
+	if !errors.Is(ins2.Resp.Err, ErrBackendPanic) {
+		t.Fatalf("insert in the panicking plan: want ErrBackendPanic, got %v", ins2.Resp.Err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("wire search queued behind the panicking plan: %v", err)
+	}
+	r := searchReq(data[2])
+	if err := cl.Do(r); err != nil || !r.Resp.Found[0] {
+		t.Fatalf("wire search after the panic: err=%v found=%v", err, r.Resp.Found)
+	}
+	<-ins1.Done()
+	if ins1.Resp.Err != nil {
+		t.Fatalf("insert before the panic: %v", ins1.Resp.Err)
+	}
+	if got := e.Stats().QueuedOps; got != 0 {
+		t.Fatalf("admission depth %d after the round trips, want 0", got)
+	}
+	if err := e.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -327,4 +328,55 @@ func closeNow(ts *TCPServer) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ts.Shutdown(ctx)
+}
+
+// TestTCPConnectionKeepsOrdinaryBuffers: a connection keeps its request's
+// buffers and its frame buffers between round trips only at ordinary
+// size, so one huge frame pins nothing on an idle connection, and the
+// connection serves what follows it.
+func TestTCPConnectionKeepsOrdinaryBuffers(t *testing.T) {
+	r := NewRequest(OpSearch)
+	r.Pts = make([]geom.Point, 65)
+	r.Boxes = make([]geom.Box, 0, 64)
+	r.Resp.Found = make([]bool, 65)
+	r.trim(64)
+	if r.Pts != nil || r.Resp.Found != nil || cap(r.Boxes) != 64 {
+		t.Fatalf("trim(64): Pts cap %d, Found cap %d, Boxes cap %d; want 0, 0, 64",
+			cap(r.Pts), cap(r.Resp.Found), cap(r.Boxes))
+	}
+	if keptFrame(make([]byte, keptFrameBytes+1)) != nil || keptFrame(make([]byte, 0, keptFrameBytes)) == nil {
+		t.Fatalf("keptFrame keeps a frame buffer up to %d bytes and no larger", keptFrameBytes)
+	}
+
+	tr, data := testTree(t, 5000)
+	e := New(Config{Backend: NewTreeBackend(tr), MaxBatch: 64})
+	ts, err := ServeTCP("127.0.0.1:0", e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeNow(ts)
+	cl, err := DialTCP(ts.Addr(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// 40k points: a 480 KB request frame, past both bounds.
+	big := make([]geom.Point, 40_000)
+	for i := range big {
+		big[i] = data[i%len(data)]
+	}
+	for _, pts := range [][]geom.Point{big, data[:3], big[:1000], data[3:4]} {
+		r := searchReq(pts...)
+		if err := cl.Do(r); err != nil {
+			t.Fatalf("%d-point search: %v", len(pts), err)
+		}
+		if len(r.Resp.Found) != len(pts) || slices.Contains(r.Resp.Found, false) {
+			t.Fatalf("%d-point search: %d answers, some stored point not found", len(pts), len(r.Resp.Found))
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := e.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
 }
