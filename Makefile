@@ -86,8 +86,9 @@ footprint:
 # /snapshot/slo scrapes (the mid-load slow-request capture must analyze)
 # and drain cleanly on SIGTERM, and a short
 # in-process saturation sweep must complete; a sharded server (-trees 4)
-# must boot, take load, export the per-shard metrics families and the
-# /snapshot/shards layout.
+# must boot, take load — including a Zipf-skewed run with a non-default
+# op mix, the hot-shard path, which must complete requests — export the
+# per-shard metrics families and the /snapshot/shards layout.
 smoke:
 	mkdir -p .smoke
 	$(GO) run ./cmd/pimzd-trace -op search -n 20000 -batch 500 -p 256 \
@@ -166,6 +167,9 @@ smoke:
 	test -s .smoke/sport || { kill $$SERVE_PID; echo "serve: no port file"; exit 1; }; \
 	ADDR=$$(cat .smoke/sport); \
 	./.smoke/pimzd-loadgen -http $$ADDR -workers 4 -count 100 -n 20000 > /dev/null && \
+	./.smoke/pimzd-loadgen -http $$ADDR -workers 4 -count 100 -n 20000 -zipf 1.3 \
+		-mix search=40,insert=25,delete=15,knn=10,box=10 > .smoke/zipf.json && \
+	grep -q '"completed": [1-9]' .smoke/zipf.json && \
 	curl -fsS "http://$$ADDR/metrics" > .smoke/shard-metrics.txt && \
 	curl -fsS "http://$$ADDR/snapshot/shards" > .smoke/shards.json; \
 	RC=$$?; \

@@ -1,40 +1,36 @@
 package main
 
 import (
-	"reflect"
 	"strings"
 	"testing"
-
-	"pimzdtree/internal/serve"
 )
 
-// TestParseMix: a weight is a whole non-negative integer and nothing else
-// (fmt.Sscanf's "%d" read "1x" as 1 and "0.5" as 0), every op is one the
-// server serves, and the weights must not all be zero.
-func TestParseMix(t *testing.T) {
-	good, err := parseMix(" search=70, insert=15,delete=5,knn=8 ,box=2,", 4)
-	if err != nil {
-		t.Fatalf("good mix: %v", err)
-	}
-	want := loadMix{
-		ops:     []serve.Op{serve.OpSearch, serve.OpInsert, serve.OpDelete, serve.OpKNN, serve.OpBox},
-		weights: []int{70, 15, 5, 8, 2},
-		total:   100,
-		k:       4,
-	}
-	if !reflect.DeepEqual(good, want) {
-		t.Fatalf("good mix parsed as %+v, want %+v", good, want)
-	}
-
-	for _, tc := range []struct{ mix, want string }{
-		{"search=1x,knn=1", `bad weight "1x" for search`},
-		{"search=1,knn=0.5", `bad weight "0.5" for knn`},
-		{"search=3,insert=-1", `bad weight "-1" for insert`},
-		{"search=1,scan=2", `unknown op "scan"`},
-		{"search=0,knn=0", "zero total weight"},
+// TestCheck: the numeric flags are refused before the pool is generated.
+// -dims follows the server's rule (2-4): 0 and 5 used to panic inside the
+// generators, 300 wrapped to 44 through uint8, and 1 was accepted though
+// no server serves it.
+func TestCheck(t *testing.T) {
+	for _, tc := range []struct {
+		zipf             float64
+		n, workers, dims int
+		want             string // "" = accepted
+	}{
+		{0, 10, 1, 2, ""},
+		{0, 10, 1, 3, ""},
+		{1.3, 10, 4, 4, ""},
+		{0, 10, 1, 0, "dims=0"},
+		{0, 10, 1, 1, "dims=1"},
+		{0, 10, 1, 5, "dims=5"},
+		{0, 10, 1, 300, "dims=300"},
+		{0, 10, 1, -3, "dims=-3"},
+		{1, 10, 1, 3, "-zipf must be > 1"},
+		{0.5, 10, 1, 3, "-zipf must be > 1"},
+		{0, 0, 1, 3, "-n 0"},
+		{0, 10, 0, 3, "-workers 0"},
 	} {
-		if _, err := parseMix(tc.mix, 8); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("parseMix(%q) error %v, want one mentioning %q", tc.mix, err, tc.want)
+		err := check(tc.zipf, tc.n, tc.workers, tc.dims)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("check(zipf %v, n %d, workers %d, dims %d) = %v, want %q", tc.zipf, tc.n, tc.workers, tc.dims, err, tc.want)
 		}
 	}
 }

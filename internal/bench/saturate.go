@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
-	"sort"
 	"time"
 
 	"pimzdtree/internal/core"
-	"pimzdtree/internal/geom"
 	"pimzdtree/internal/serve"
 	"pimzdtree/internal/stats"
 	"pimzdtree/internal/workload"
@@ -28,16 +25,10 @@ import (
 
 // SaturateRow is one (mode, offered-load) step of the sweep.
 type SaturateRow struct {
-	Mode        string
-	OfferedRPS  float64
-	AchievedRPS float64
-	Completed   int
-	Shed        int
-	Errors      int
-	P50         float64 // seconds
-	P99         float64
-	P999        float64
-	Sustained   bool
+	Mode       string
+	OfferedRPS float64
+	LoadStats
+	Sustained bool
 }
 
 // saturateSteps is the offered-load sweep in requests/second. The top
@@ -105,14 +96,14 @@ func Saturate(p Params) []SaturateRow {
 	for _, mode := range []string{"fifo", "pipeline"} {
 		data := workload.Uniform(p.Seed, p.WarmupN, p.Dims)
 		r := newPIMRunner(p, core.ThroughputOptimized, data, nil)
-		boxes := workload.QueryBoxes(p.Seed+1, data, 256, 64)
+		traffic := serve.NewTraffic(data, workload.QueryBoxes(p.Seed+1, data, 256, 64), serve.DefaultMix, 8, 0)
 		eng := serve.New(serve.Config{Backend: serve.NewTreeBackend(r.tree)})
 		submit, stop := submitFunc(eng.Submit), func() {}
 		if mode == "fifo" {
 			d := newFIFODispatcher(eng)
 			submit, stop = d.submit, d.stop
 		}
-		steps := runSaturation(submit, p.Seed, data, boxes, saturateSteps, saturateStepDuration)
+		steps := runSaturation(submit, p.Seed, traffic, saturateSteps, saturateStepDuration)
 		stop()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		eng.Shutdown(ctx)
@@ -130,13 +121,15 @@ func Saturate(p Params) []SaturateRow {
 // offered rate — the generator does NOT wait for responses before the next
 // arrival, so queueing delay cannot throttle the offered load (the classic
 // closed-loop measurement bug that hides saturation). Each step records
-// completed/shed counts and the end-to-end latency distribution.
+// completed/shed counts and the end-to-end latency distribution. Requests
+// and arrival gaps come from serve.DefaultMix's stream: one-point (one-box)
+// requests, kNN at k = 8. Coalescing is the engine's job, not the client's.
 
 // runSaturation offers each load step to submit in turn.
-func runSaturation(submit submitFunc, seed int64, data []geom.Point, boxes []geom.Box, offered []float64, step time.Duration) []SaturateRow {
+func runSaturation(submit submitFunc, seed int64, t *serve.Traffic, offered []float64, step time.Duration) []SaturateRow {
 	rows := make([]SaturateRow, len(offered))
 	for i, rps := range offered {
-		rows[i] = runStep(submit, rand.New(rand.NewSource(seed+int64(i)*7919)), data, boxes, rps, step)
+		rows[i] = runStep(submit, t.Stream(seed+int64(i)*7919), rps, step)
 	}
 	return rows
 }
@@ -150,23 +143,21 @@ type pendingReq struct {
 // runStep runs one offered-load step: a dispatcher submits on the
 // Poisson schedule while a collector awaits completions, so waiting
 // never delays arrivals.
-func runStep(submit submitFunc, rng *rand.Rand, data []geom.Point, boxes []geom.Box, rps float64, dur time.Duration) SaturateRow {
-	pt := SaturateRow{OfferedRPS: rps}
-
+func runStep(submit submitFunc, s *serve.Stream, rps float64, dur time.Duration) SaturateRow {
 	// Sized past any step's arrival count (top step: 32k req/s for 0.4 s),
 	// so handing a request to the collector never blocks the schedule.
 	pending := make(chan pendingReq, 1<<16)
-	latencies := make([]float64, 0, int(rps*dur.Seconds())+16)
+	t := tally{lat: make([]float64, 0, int(rps*dur.Seconds())+16)}
 	collectorDone := make(chan struct{})
 	go func() {
 		defer close(collectorDone)
 		for pr := range pending {
 			<-pr.r.Done()
-			if pr.r.Resp.Err != nil {
-				pt.Errors++
+			if err := pr.r.Resp.Err; err != nil {
+				t.refuse(err, false)
 				continue
 			}
-			latencies = append(latencies, time.Since(pr.start).Seconds())
+			t.complete(pr.r, time.Since(pr.start))
 		}
 	}()
 
@@ -181,65 +172,28 @@ func runStep(submit submitFunc, rng *rand.Rand, data []geom.Point, boxes []geom.
 		if now.Before(next) {
 			time.Sleep(next.Sub(now))
 		}
-		r := makeLoadRequest(rng, data, boxes)
+		r := s.Next()
 		submitAt := time.Now()
 		if err := submit(r); err != nil {
-			pt.Shed++
+			t.refuse(err, true)
 		} else {
 			pending <- pendingReq{r: r, start: submitAt}
 		}
 		// Poisson arrivals: exponential inter-arrival, scheduled on an
 		// absolute timeline so a slow submit bursts to catch up instead
 		// of silently lowering the offered rate.
-		next = next.Add(time.Duration(rng.ExpFloat64() / rps * float64(time.Second)))
+		next = next.Add(s.Gap(rps))
 	}
 	close(pending)
 	<-collectorDone
 
-	pt.Completed = len(latencies)
-	pt.AchievedRPS = float64(pt.Completed) / time.Since(start).Seconds()
-	sort.Float64s(latencies)
-	pt.P50 = quantile(latencies, 0.50)
-	pt.P99 = quantile(latencies, 0.99)
-	pt.P999 = quantile(latencies, 0.999)
+	pt := SaturateRow{OfferedRPS: rps, LoadStats: t.stats(time.Since(start))}
 	// Sustained: shedding stayed under 1% and completions kept up with
 	// arrivals (>= 95%).
 	if total := pt.Completed + pt.Shed + pt.Errors; total > 0 {
 		pt.Sustained = float64(pt.Shed)/float64(total) < 0.01 && pt.AchievedRPS >= 0.95*pt.OfferedRPS
 	}
 	return pt
-}
-
-// makeLoadRequest draws a one-point (one-box) request from the pools under
-// a read-heavy serving mix: 70% search, 15% insert, 5% delete, 8% 8-NN,
-// 2% box count. Coalescing is the engine's job, not the client's.
-func makeLoadRequest(rng *rand.Rand, data []geom.Point, boxes []geom.Box) *serve.Request {
-	var r *serve.Request
-	switch n := rng.Intn(100); {
-	case n < 70:
-		r = serve.NewRequest(serve.OpSearch)
-	case n < 85:
-		r = serve.NewRequest(serve.OpInsert)
-	case n < 90:
-		r = serve.NewRequest(serve.OpDelete)
-	case n < 98:
-		r = serve.NewRequest(serve.OpKNN)
-		r.K = 8
-	default:
-		r = serve.NewRequest(serve.OpBox)
-		r.Boxes = []geom.Box{boxes[rng.Intn(len(boxes))]}
-		return r
-	}
-	r.Pts = []geom.Point{data[rng.Intn(len(data))]}
-	return r
-}
-
-// quantile reads the q-quantile from sorted samples.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 // maxSustained returns the highest sustained achieved rate per mode.

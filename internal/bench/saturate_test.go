@@ -35,9 +35,9 @@ func TestSaturationSweepSmoke(t *testing.T) {
 		t.Skip("short mode")
 	}
 	e, data := saturateTestEngine(t, nil)
-	boxes := workload.QueryBoxes(9, data, 64, 32)
+	traffic := serve.NewTraffic(data, workload.QueryBoxes(9, data, 64, 32), serve.DefaultMix, 8, 0)
 
-	rows := runSaturation(e.Submit, 1, data, boxes, []float64{200, 1000}, 250*time.Millisecond)
+	rows := runSaturation(e.Submit, 1, traffic, []float64{200, 1000}, 250*time.Millisecond)
 	if len(rows) != 2 {
 		t.Fatalf("rows: %d", len(rows))
 	}

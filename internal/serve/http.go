@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"time"
 
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/geom"
@@ -68,14 +72,22 @@ type httpNbr struct {
 // maxHTTPBody bounds request bodies (16 MiB ≈ 1M 3-d points).
 const maxHTTPBody = 16 << 20
 
+// httpPaths is each client op's endpoint: the handler serves from it and
+// HTTPClient posts to it.
+var httpPaths = [...]string{
+	OpSearch: "/v1/search",
+	OpInsert: "/v1/insert",
+	OpDelete: "/v1/delete",
+	OpKNN:    "/v1/knn",
+	OpBox:    "/v1/box",
+}
+
 // NewHTTPHandler serves the /v1/* client API backed by e.
 func NewHTTPHandler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/search", func(w http.ResponseWriter, r *http.Request) { serveOp(e, OpSearch, w, r) })
-	mux.HandleFunc("/v1/insert", func(w http.ResponseWriter, r *http.Request) { serveOp(e, OpInsert, w, r) })
-	mux.HandleFunc("/v1/delete", func(w http.ResponseWriter, r *http.Request) { serveOp(e, OpDelete, w, r) })
-	mux.HandleFunc("/v1/knn", func(w http.ResponseWriter, r *http.Request) { serveOp(e, OpKNN, w, r) })
-	mux.HandleFunc("/v1/box", func(w http.ResponseWriter, r *http.Request) { serveOp(e, OpBox, w, r) })
+	for op := OpSearch; op <= OpBox; op++ {
+		mux.HandleFunc(httpPaths[op], func(w http.ResponseWriter, r *http.Request) { serveOp(e, op, w, r) })
+	}
 	mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -215,4 +227,82 @@ func encodeNeighbors(lists [][]core.Neighbor) [][]httpNbr {
 		out[i] = row
 	}
 	return out
+}
+
+// HTTPClient is the /v1 JSON counterpart of the wire Client, with its
+// contract: Do sends r and fills r.Resp, engine-level refusals come back
+// as *WireError in r.Resp.Err (and are returned; a 503 is Overloaded),
+// and transport errors are returned alone.
+type HTTPClient struct {
+	base string
+	c    http.Client
+}
+
+// NewHTTPClient returns a client of the /v1 API served at addr (host:port).
+func NewHTTPClient(addr string) *HTTPClient {
+	return &HTTPClient{base: "http://" + addr, c: http.Client{Timeout: 30 * time.Second}}
+}
+
+// Close releases the client's idle connections.
+func (h *HTTPClient) Close() error {
+	h.c.CloseIdleConnections()
+	return nil
+}
+
+// Do sends r and fills r.Resp from the JSON answer.
+func (h *HTTPClient) Do(r *Request) error {
+	if r.Op < OpSearch || r.Op > OpBox {
+		r.Resp.Err = &WireError{Status: wireBadRequest, Msg: fmt.Sprintf("no /v1 endpoint for %s", r.Op)}
+		return r.Resp.Err
+	}
+	body := httpReq{K: r.K, ID: r.ID}
+	for i := range r.Pts {
+		body.Points = append(body.Points, r.Pts[i].Coords[:r.Pts[i].Dims])
+	}
+	for i := range r.Boxes {
+		b := &r.Boxes[i]
+		body.Boxes = append(body.Boxes, httpBox{Lo: b.Lo.Coords[:b.Lo.Dims], Hi: b.Hi.Coords[:b.Hi.Dims]})
+	}
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	resp, err := h.c.Post(h.base+httpPaths[r.Op], "application/json", bytes.NewReader(payload))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		we := &WireError{Status: wireBadRequest, Msg: fmt.Sprintf("http %d: %s", resp.StatusCode, bytes.TrimSpace(msg))}
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			we.Status = wireOverloaded
+		}
+		r.Resp.Err = we
+		return we
+	}
+	var hr httpResp
+	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+		return fmt.Errorf("serve: http %s answer: %w", r.Op, err)
+	}
+	io.Copy(io.Discard, resp.Body) // so the connection is reused
+	r.Resp.Found, r.Resp.Applied, r.Resp.Counts = hr.Found, hr.Applied, hr.Counts
+	r.Resp.ID, r.Resp.Epoch, r.Resp.Trace = hr.ID, hr.Epoch, hr.Trace
+	if hr.Neighbors != nil {
+		r.Resp.Neighbors = make([][]core.Neighbor, len(hr.Neighbors))
+		for i, row := range hr.Neighbors {
+			r.Resp.Neighbors[i] = make([]core.Neighbor, len(row))
+			for j, nb := range row {
+				p, err := pointFromCoords(nb.Point)
+				if err != nil {
+					return fmt.Errorf("serve: http knn answer %d.%d: %w", i, j, err)
+				}
+				r.Resp.Neighbors[i][j] = core.Neighbor{Point: p, Dist: nb.Dist}
+			}
+		}
+	}
+	for s, name := range StageNames {
+		r.Resp.StageNanos[s] = int64(math.Round(hr.StageSeconds[name] * 1e9))
+	}
+	return nil
 }

@@ -122,6 +122,14 @@ type parsed struct {
 	objectives []metrics.SLOObjective
 }
 
+// CheckDims is the served dimensionality rule: 2 to 4.
+func CheckDims(dims int) error {
+	if dims < 2 || dims > 4 {
+		return fmt.Errorf("dims=%d: want 2-4", dims)
+	}
+	return nil
+}
+
 func (c Config) validate() (parsed, error) {
 	var p parsed
 	switch {
@@ -129,8 +137,8 @@ func (c Config) validate() (parsed, error) {
 		return p, fmt.Errorf("trees=%d: want at least 1", c.Trees)
 	case c.Modules < 1:
 		return p, fmt.Errorf("p=%d: want at least 1 PIM module", c.Modules)
-	case c.Dims < 2 || c.Dims > 4:
-		return p, fmt.Errorf("dims=%d: want 2-4", c.Dims)
+	case CheckDims(c.Dims) != nil:
+		return p, CheckDims(c.Dims)
 	case c.N < 0:
 		return p, fmt.Errorf("n=%d: want a non-negative warmup size", c.N)
 	}
