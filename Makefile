@@ -84,7 +84,7 @@ footprint:
 # absorb parallel HTTP+TCP clients (pimzd-loadgen, which itself gates on
 # /readyz) with mid-load /metrics + /snapshot/slowrequests +
 # /snapshot/slo scrapes (the mid-load slow-request capture must analyze)
-# and drain cleanly on SIGTERM, and a short
+# and drain cleanly on SIGTERM, and a small
 # in-process saturation sweep must complete; a sharded server (-trees 4)
 # must boot, take load — including a Zipf-skewed run with a non-default
 # op mix, the hot-shard path, which must complete requests — export the
@@ -187,11 +187,12 @@ smoke:
 
 # The paper-fidelity contract, end to end: the modeled experiment CSVs are
 # byte-identical at any GOMAXPROCS — every row, the Pkd-tree/zd-tree
-# baselines included (a baseline tree runs every batch serially).
+# baselines and the serving sweep (replayed on the modeled clock) included
+# (a baseline tree runs every batch serially).
 determinism:
 	mkdir -p .smoke
 	$(GO) build -o .smoke/pimzd-bench ./cmd/pimzd-bench
-	for e in all shardscale; do for g in 1 4 16; do \
+	for e in all shardscale saturate; do for g in 1 4 16; do \
 		GOMAXPROCS=$$g ./.smoke/pimzd-bench -experiment $$e -format csv \
 			-warmup 30000 -batch 3000 -p 256 > .smoke/$$e.$$g.csv && \
 		test -s .smoke/$$e.$$g.csv && \

@@ -44,12 +44,15 @@ type report struct {
 }
 
 // check validates the numeric flags before anything is generated.
-func check(zipf float64, n, workers, dims int) error {
+func check(zipf float64, n, workers, count, dims int) error {
 	if zipf != 0 && zipf <= 1 {
 		return fmt.Errorf("-zipf must be > 1 (or 0 for uniform)")
 	}
 	if n < 1 || workers < 1 {
 		return fmt.Errorf("-n %d, -workers %d: both must be at least 1", n, workers)
+	}
+	if count < 0 {
+		return fmt.Errorf("-count %d must be at least 0 (0 = run for -duration)", count)
 	}
 	return server.CheckDims(dims)
 }
@@ -101,7 +104,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pimzd-loadgen:", err)
 		os.Exit(code)
 	}
-	if err := check(*zipf, *n, *workers, *dims); err != nil {
+	if err := check(*zipf, *n, *workers, *count, *dims); err != nil {
 		fail(2, err)
 	}
 	ds, err := workload.ParseDataset(*dataset)

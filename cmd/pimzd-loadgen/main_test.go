@@ -11,26 +11,28 @@ import (
 // no server serves it.
 func TestCheck(t *testing.T) {
 	for _, tc := range []struct {
-		zipf             float64
-		n, workers, dims int
-		want             string // "" = accepted
+		zipf                    float64
+		n, workers, count, dims int
+		want                    string // "" = accepted
 	}{
-		{0, 10, 1, 2, ""},
-		{0, 10, 1, 3, ""},
-		{1.3, 10, 4, 4, ""},
-		{0, 10, 1, 0, "dims=0"},
-		{0, 10, 1, 1, "dims=1"},
-		{0, 10, 1, 5, "dims=5"},
-		{0, 10, 1, 300, "dims=300"},
-		{0, 10, 1, -3, "dims=-3"},
-		{1, 10, 1, 3, "-zipf must be > 1"},
-		{0.5, 10, 1, 3, "-zipf must be > 1"},
-		{0, 0, 1, 3, "-n 0"},
-		{0, 10, 0, 3, "-workers 0"},
+		{0, 10, 1, 0, 2, ""},
+		{0, 10, 1, 0, 3, ""},
+		{1.3, 10, 4, 0, 4, ""},
+		{0, 10, 1, 100, 3, ""},
+		{0, 10, 1, 0, 0, "dims=0"},
+		{0, 10, 1, 0, 1, "dims=1"},
+		{0, 10, 1, 0, 5, "dims=5"},
+		{0, 10, 1, 0, 300, "dims=300"},
+		{0, 10, 1, 0, -3, "dims=-3"},
+		{1, 10, 1, 0, 3, "-zipf must be > 1"},
+		{0.5, 10, 1, 0, 3, "-zipf must be > 1"},
+		{0, 0, 1, 0, 3, "-n 0"},
+		{0, 10, 0, 0, 3, "-workers 0"},
+		{0, 10, 1, -1, 3, "-count -1"},
 	} {
-		err := check(tc.zipf, tc.n, tc.workers, tc.dims)
+		err := check(tc.zipf, tc.n, tc.workers, tc.count, tc.dims)
 		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
-			t.Errorf("check(zipf %v, n %d, workers %d, dims %d) = %v, want %q", tc.zipf, tc.n, tc.workers, tc.dims, err, tc.want)
+			t.Errorf("check(zipf %v, n %d, workers %d, count %d, dims %d) = %v, want %q", tc.zipf, tc.n, tc.workers, tc.count, tc.dims, err, tc.want)
 		}
 	}
 }

@@ -25,7 +25,8 @@ type LoadStats struct {
 }
 
 // tally collects a load run's outcomes as they happen, from any goroutine:
-// the saturate panel's open loop and ClosedLoop both count in one.
+// ClosedLoop counts in one, and the saturate panel summarizes each replayed
+// step through one.
 type tally struct {
 	mu         sync.Mutex
 	shed, errs int
@@ -65,12 +66,12 @@ func (t *tally) refuse(err error, shed bool) {
 	t.lastErr = err.Error()
 }
 
-// stats summarizes the tally of a run that took elapsed.
-func (t *tally) stats(elapsed time.Duration) LoadStats {
+// stats summarizes the tally of a run that took seconds.
+func (t *tally) stats(seconds float64) LoadStats {
 	slices.Sort(t.lat)
 	return LoadStats{
 		Completed: len(t.lat), Shed: t.shed, Errors: t.errs, LastError: t.lastErr,
-		AchievedRPS: float64(len(t.lat)) / elapsed.Seconds(),
+		AchievedRPS: float64(len(t.lat)) / seconds,
 		P50:         obs.Quantile(t.lat, 0.50),
 		P99:         obs.Quantile(t.lat, 0.99),
 		P999:        obs.Quantile(t.lat, 0.999),
@@ -129,7 +130,7 @@ func (c ClosedLoop) Run(t *serve.Traffic) LoadReport {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	rep := LoadReport{Seconds: elapsed.Seconds(), LoadStats: all.stats(elapsed), OpStages: map[string]StageSummary{}}
+	rep := LoadReport{Seconds: elapsed.Seconds(), LoadStats: all.stats(elapsed.Seconds()), OpStages: map[string]StageSummary{}}
 	for op, st := range all.stages {
 		if st.n == 0 {
 			continue

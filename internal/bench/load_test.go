@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pimzdtree/internal/core"
 	"pimzdtree/internal/serve"
 	"pimzdtree/internal/workload"
 )
@@ -15,7 +16,11 @@ import (
 // through both clients completes every request, and the report carries
 // the stage decompositions the server echoed.
 func TestClosedLoopOverHTTPAndTCP(t *testing.T) {
-	e, data := saturateTestEngine(t, nil)
+	p := Params{Seed: 42, WarmupN: 10_000, Dims: 3, P: 64}
+	p.fill()
+	data := workload.Uniform(p.Seed, p.WarmupN, p.Dims)
+	e := serve.New(serve.Config{Backend: serve.NewTreeBackend(newPIMRunner(p, core.ThroughputOptimized, data, nil).tree)})
+	defer e.Shutdown(context.Background())
 	srv := httptest.NewServer(serve.NewHTTPHandler(e))
 	defer srv.Close()
 	ts, err := serve.ServeTCP("127.0.0.1:0", e)

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/serve"
@@ -12,16 +10,17 @@ import (
 	"pimzdtree/internal/workload"
 )
 
-// Serving-engine saturation sweep: the same open-loop Poisson load is
-// offered to a FIFO engine (one request per tree batch, the conventional
-// request-at-a-time server) and to the epoch pipeline (coalesced batches,
-// reads against the published snapshot). Each step reports achieved
-// throughput, shed rate, and end-to-end latency quantiles; the headline
-// is the ratio of the two modes' maximum sustained load.
-//
-// Unlike the figure panels this measures wall clock, not modeled PIM
-// time, so it is deliberately NOT part of `-experiment all` and has no
-// byte-stable golden CSV.
+// Serving-engine saturation sweep on the modeled clock: the same open-loop
+// Poisson arrivals are offered to a FIFO engine (one request per epoch and
+// per tree batch, the conventional request-at-a-time server) and to the
+// epoch pipeline (everything that arrived during an epoch forms the next
+// one). Both run in serve.Replay over fresh trees on the unscaled machine,
+// as Fig. 7 does: a one-request batch pays the full mux-switch and launch
+// cost that coalescing amortizes. Each step reports achieved throughput,
+// shed requests and modeled latency quantiles; the headline is the ratio
+// of the two modes' maximum sustained load. The CSV is byte-identical at
+// any GOMAXPROCS and any host speed. The sweep is not part of `-experiment
+// all`: it is the serving extension, not a paper panel.
 
 // SaturateRow is one (mode, offered-load) step of the sweep.
 type SaturateRow struct {
@@ -31,169 +30,60 @@ type SaturateRow struct {
 	Sustained bool
 }
 
-// saturateSteps is the offered-load sweep in requests/second. The top
-// step is set well past what request-at-a-time execution can absorb so
-// the FIFO curve visibly collapses while the pipeline keeps climbing.
-var saturateSteps = []float64{500, 1000, 2000, 4000, 8000, 16000, 32000}
+// saturateSteps is the offered-load sweep in requests per modeled second,
+// set past what request-at-a-time execution can absorb so the FIFO curve
+// visibly collapses while the pipeline keeps climbing.
+var saturateSteps = []float64{500, 1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000}
 
-const saturateStepDuration = 400 * time.Millisecond
+// saturateRequests is the number of requests each step offers.
+const saturateRequests = 4000
 
-// submitFunc admits one request or sheds it; an admitted request's Done
-// channel closes once it has been served.
-type submitFunc func(*serve.Request) error
+// Saturate sweeps both serving modes over identical fresh trees. Requests
+// and arrival gaps come from serve.DefaultMix's stream: one-point
+// (one-box) requests, kNN at k = 8.
+func Saturate(p Params) []SaturateRow { return saturate(p, saturateSteps) }
 
-// fifoDispatcher is the request-at-a-time baseline: a bounded arrival
-// queue in front of the same engine the pipeline phase uses, with exactly
-// one request in flight. The engine's executor therefore never drains two
-// requests at once — every request is its own epoch and its own tree
-// batch, served in arrival order — so a sweep through the dispatcher and a
-// sweep straight into the engine differ in batch formation only.
-type fifoDispatcher struct {
-	// queue is bounded like the engine's own admission control (point-ops;
-	// the sweep sends one-point requests), so an overloaded baseline sheds
-	// instead of queueing without limit.
-	queue chan *serve.Request
-	done  chan struct{}
-}
-
-func newFIFODispatcher(e *serve.Engine) *fifoDispatcher {
-	d := &fifoDispatcher{queue: make(chan *serve.Request, 1<<16), done: make(chan struct{})}
-	go func() {
-		defer close(d.done)
-		for r := range d.queue {
-			if err := e.Submit(r); err != nil {
-				// The queue never holds an invalid request and nothing else
-				// feeds or stops the engine: only a bug gets here, and
-				// dropping r would hang whoever waits on it.
-				panic(fmt.Sprintf("bench: fifo dispatcher: engine refused an admitted request: %v", err))
-			}
-			<-r.Done()
-		}
-	}()
-	return d
-}
-
-// submit queues r behind every earlier arrival, shedding at capacity.
-func (d *fifoDispatcher) submit(r *serve.Request) error {
-	select {
-	case d.queue <- r:
-		return nil
-	default:
-		return serve.ErrQueueFull
-	}
-}
-
-// stop serves what is queued and returns once the dispatcher has exited.
-func (d *fifoDispatcher) stop() {
-	close(d.queue)
-	<-d.done
-}
-
-// Saturate sweeps both serving modes over identical fresh trees.
-func Saturate(p Params) []SaturateRow {
+// saturate is Saturate over the given steps.
+func saturate(p Params, steps []float64) []SaturateRow {
 	p.fill()
+	data := workload.Uniform(p.Seed, p.WarmupN, p.Dims)
+	traffic := serve.NewTraffic(data, workload.QueryBoxes(p.Seed+1, data, 256, 64), serve.DefaultMix, 8, 0)
 	var rows []SaturateRow
 	for _, mode := range []string{"fifo", "pipeline"} {
-		data := workload.Uniform(p.Seed, p.WarmupN, p.Dims)
-		r := newPIMRunner(p, core.ThroughputOptimized, data, nil)
-		traffic := serve.NewTraffic(data, workload.QueryBoxes(p.Seed+1, data, 256, 64), serve.DefaultMix, 8, 0)
-		eng := serve.New(serve.Config{Backend: serve.NewTreeBackend(r.tree)})
-		submit, stop := submitFunc(eng.Submit), func() {}
-		if mode == "fifo" {
-			d := newFIFODispatcher(eng)
-			submit, stop = d.submit, d.stop
-		}
-		steps := runSaturation(submit, p.Seed, traffic, saturateSteps, saturateStepDuration)
-		stop()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		eng.Shutdown(ctx)
-		cancel()
-
-		for i := range steps {
-			steps[i].Mode = mode
-		}
-		rows = append(rows, steps...)
+		tree := newRawPIMRunner(p, core.ThroughputOptimized, data).tree
+		rp := serve.NewReplay(serve.Config{Backend: serve.NewTreeBackend(tree)},
+			func() float64 { return tree.System().Metrics().TotalSeconds() }, mode == "fifo")
+		rows = append(rows, saturateSweep(rp, mode, traffic, p.Seed, steps)...)
 	}
 	return rows
 }
 
-// Open-loop load generation. Arrivals follow a Poisson process at the
-// offered rate — the generator does NOT wait for responses before the next
-// arrival, so queueing delay cannot throttle the offered load (the classic
-// closed-loop measurement bug that hides saturation). Each step records
-// completed/shed counts and the end-to-end latency distribution. Requests
-// and arrival gaps come from serve.DefaultMix's stream: one-point (one-box)
-// requests, kNN at k = 8. Coalescing is the engine's job, not the client's.
-
-// runSaturation offers each load step to submit in turn.
-func runSaturation(submit submitFunc, seed int64, t *serve.Traffic, offered []float64, step time.Duration) []SaturateRow {
-	rows := make([]SaturateRow, len(offered))
-	for i, rps := range offered {
-		rows[i] = runStep(submit, t.Stream(seed+int64(i)*7919), rps, step)
-	}
-	return rows
-}
-
-// pendingReq tracks an in-flight request's submit time.
-type pendingReq struct {
-	r     *serve.Request
-	start time.Time
-}
-
-// runStep runs one offered-load step: a dispatcher submits on the
-// Poisson schedule while a collector awaits completions, so waiting
-// never delays arrivals.
-func runStep(submit submitFunc, s *serve.Stream, rps float64, dur time.Duration) SaturateRow {
-	// Sized past any step's arrival count (top step: 32k req/s for 0.4 s),
-	// so handing a request to the collector never blocks the schedule.
-	pending := make(chan pendingReq, 1<<16)
-	t := tally{lat: make([]float64, 0, int(rps*dur.Seconds())+16)}
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		for pr := range pending {
-			<-pr.r.Done()
-			if err := pr.r.Resp.Err; err != nil {
-				t.refuse(err, false)
-				continue
-			}
-			t.complete(pr.r, time.Since(pr.start))
-		}
-	}()
-
-	start := time.Now()
-	deadline := start.Add(dur)
-	next := start
-	for {
-		now := time.Now()
-		if now.After(deadline) {
+// saturateSweep offers rp each of steps in turn (step i draws
+// t.Stream(seed + i*7919)) and stops after the first step rp does not
+// sustain: later steps would only collapse further, and on the modeled
+// clock a collapsed step still executes its whole backlog.
+func saturateSweep(rp *serve.Replay, mode string, t *serve.Traffic, seed int64, steps []float64) []SaturateRow {
+	var rows []SaturateRow
+	for i, rps := range steps {
+		res := rp.Run(t.Stream(seed+int64(i)*7919), rps, saturateRequests)
+		tl := tally{shed: res.Shed, errs: res.Errors, lat: res.Latency}
+		row := SaturateRow{Mode: mode, OfferedRPS: rps, LoadStats: tl.stats(res.End)}
+		row.Sustained = sustained(row.LoadStats, saturateRequests/res.LastArrival)
+		rows = append(rows, row)
+		if !row.Sustained {
 			break
 		}
-		if now.Before(next) {
-			time.Sleep(next.Sub(now))
-		}
-		r := s.Next()
-		submitAt := time.Now()
-		if err := submit(r); err != nil {
-			t.refuse(err, true)
-		} else {
-			pending <- pendingReq{r: r, start: submitAt}
-		}
-		// Poisson arrivals: exponential inter-arrival, scheduled on an
-		// absolute timeline so a slow submit bursts to catch up instead
-		// of silently lowering the offered rate.
-		next = next.Add(s.Gap(rps))
 	}
-	close(pending)
-	<-collectorDone
+	return rows
+}
 
-	pt := SaturateRow{OfferedRPS: rps, LoadStats: t.stats(time.Since(start))}
-	// Sustained: shedding stayed under 1% and completions kept up with
-	// arrivals (>= 95%).
-	if total := pt.Completed + pt.Shed + pt.Errors; total > 0 {
-		pt.Sustained = float64(pt.Shed)/float64(total) < 0.01 && pt.AchievedRPS >= 0.95*pt.OfferedRPS
-	}
-	return pt
+// sustained judges a step: shedding stayed under 1% and completions kept
+// pace (>= 95%) with arrivalRPS, the rate at which the step's requests
+// actually arrived. Against the nominal rate, a step whose Poisson draw
+// came up short would fail even though the engine kept up.
+func sustained(st LoadStats, arrivalRPS float64) bool {
+	total := st.Completed + st.Shed + st.Errors
+	return total > 0 && float64(st.Shed) < 0.01*float64(total) && st.AchievedRPS >= 0.95*arrivalRPS
 }
 
 // maxSustained returns the highest sustained achieved rate per mode.
@@ -209,7 +99,7 @@ func maxSustained(rows []SaturateRow) map[string]float64 {
 
 // RenderSaturate prints the sweep with the pipeline/FIFO capacity ratio.
 func RenderSaturate(w io.Writer, rows []SaturateRow) {
-	fmt.Fprintln(w, "Saturation: open-loop Poisson sweep, FIFO vs epoch pipeline")
+	fmt.Fprintln(w, "Saturation: open-loop Poisson sweep on the modeled clock, FIFO vs epoch pipeline")
 	tb := stats.NewTable("mode", "offered r/s", "achieved r/s", "shed", "err", "p50 ms", "p99 ms", "p999 ms", "sustained")
 	for _, r := range rows {
 		sus := ""

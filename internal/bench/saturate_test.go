@@ -1,7 +1,10 @@
 package bench
 
 import (
-	"context"
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,120 +14,137 @@ import (
 	"pimzdtree/internal/workload"
 )
 
-func saturateTestEngine(t *testing.T, wrap func(*serve.TreeBackend) serve.Backend) (*serve.Engine, []geom.Point) {
-	t.Helper()
-	p := Params{Seed: 42, WarmupN: 10_000, Dims: 3, P: 64}
-	p.fill()
-	data := workload.Uniform(p.Seed, p.WarmupN, p.Dims)
-	tb := serve.NewTreeBackend(newPIMRunner(p, core.ThroughputOptimized, data, nil).tree)
-	var b serve.Backend = tb
-	if wrap != nil {
-		b = wrap(tb)
-	}
-	e := serve.New(serve.Config{Backend: b})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		e.Shutdown(ctx)
-	})
-	return e, data
-}
+// saturateTestParams is the small size the saturate tests replay at.
+var saturateTestParams = Params{Seed: 42, WarmupN: 10_000, Dims: 3, P: 64}
 
-func TestSaturationSweepSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	e, data := saturateTestEngine(t, nil)
-	traffic := serve.NewTraffic(data, workload.QueryBoxes(9, data, 64, 32), serve.DefaultMix, 8, 0)
-
-	rows := runSaturation(e.Submit, 1, traffic, []float64{200, 1000}, 250*time.Millisecond)
-	if len(rows) != 2 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	for i, pt := range rows {
-		if pt.Completed == 0 {
-			t.Fatalf("step %d completed nothing: %+v", i, pt)
+// TestSaturateSweepDeterministic replays a three-step sweep at a small
+// size at GOMAXPROCS 1, 4 and 16 and requires byte-identical CSV, then
+// checks the shape of what it shows: every step completes its requests
+// without error, quantiles are monotone, both modes sustain the gentle
+// first step, the FIFO mode collapses within the sweep and the pipeline
+// sustains more. (TestModeledCSVIdenticalAcrossGOMAXPROCS runs the whole
+// panel.)
+func TestSaturateSweepDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var rows []SaturateRow
+	var first []byte
+	for _, procs := range []int{1, 4, 16} {
+		runtime.GOMAXPROCS(procs)
+		rows = saturate(saturateTestParams, []float64{500, 16000, 128000})
+		var csv bytes.Buffer
+		if err := SaturateCSV(&csv, rows); err != nil {
+			t.Fatal(err)
 		}
-		if pt.Errors > 0 {
-			t.Fatalf("step %d had %d request errors", i, pt.Errors)
-		}
-		if pt.P50 < 0 || pt.P99 < pt.P50 || pt.P999 < pt.P99 {
-			t.Fatalf("step %d quantiles not monotone: %+v", i, pt)
+		if first == nil {
+			first = csv.Bytes()
+		} else if !bytes.Equal(first, csv.Bytes()) {
+			t.Fatalf("CSV differs between GOMAXPROCS 1 and %d:\n%s", procs,
+				diffLines(string(first), csv.String(), "1", fmt.Sprint(procs)))
 		}
 	}
-	// An idle-capable engine must sustain the gentle first step.
-	if !rows[0].Sustained {
-		t.Fatalf("200 rps not sustained: %+v", rows[0])
+
+	seen := map[string]int{}
+	for i, r := range rows {
+		if r.Completed+r.Shed != saturateRequests || r.Errors != 0 {
+			t.Fatalf("row %d: %d completed + %d shed of %d, %d errors", i, r.Completed, r.Shed, saturateRequests, r.Errors)
+		}
+		if !(r.P50 > 0 && r.P50 <= r.P99 && r.P99 <= r.P999) {
+			t.Fatalf("row %d: quantiles not monotone: %+v", i, r)
+		}
+		if seen[r.Mode] == 0 && !r.Sustained {
+			t.Fatalf("%s does not sustain its first step: %+v", r.Mode, r)
+		}
+		seen[r.Mode]++
 	}
-	if v := e.FenceViolations(); v != 0 {
-		t.Fatalf("%d fence violations", v)
+	if last := rows[seen["fifo"]-1]; last.Mode != "fifo" || last.Sustained {
+		t.Fatalf("the fifo mode never collapsed within the sweep: %+v", last)
+	}
+	if ms := maxSustained(rows); !(ms["pipeline"] > ms["fifo"]) {
+		t.Fatalf("max sustained: pipeline %.0f r/s, fifo %.0f r/s", ms["pipeline"], ms["fifo"])
 	}
 }
 
-// batchLog records the points of every search and insert batch the engine
-// hands the tree, in execution order.
-type batchLog struct {
-	*serve.TreeBackend
-	batches [][]geom.Point
+// slowBackend stands for a slow host: it spends 20 µs before every batch
+// (spinning: a timer sleep would round up to the scheduler's tick and
+// slow the test more than the host).
+type slowBackend struct{ *serve.TreeBackend }
+
+func stall() {
+	for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+	}
 }
 
-func (b *batchLog) SearchBatch(pts []geom.Point) []bool {
-	b.batches = append(b.batches, append([]geom.Point(nil), pts...))
+func (b slowBackend) SearchBatch(pts []geom.Point) []bool {
+	stall()
 	return b.TreeBackend.SearchBatch(pts)
 }
 
-func (b *batchLog) InsertBatch(pts []geom.Point) {
-	b.batches = append(b.batches, append([]geom.Point(nil), pts...))
+func (b slowBackend) InsertBatch(pts []geom.Point) {
+	stall()
 	b.TreeBackend.InsertBatch(pts)
 }
 
-// TestFIFODispatcherOneRequestPerEpoch pins what makes the saturate
-// panel's fifo phase a baseline: behind the dispatcher the engine never
-// coalesces — a burst of queued requests runs as one epoch and one tree
-// batch each, in arrival order.
-func TestFIFODispatcherOneRequestPerEpoch(t *testing.T) {
-	var log *batchLog
-	e, data := saturateTestEngine(t, func(tb *serve.TreeBackend) serve.Backend {
-		log = &batchLog{TreeBackend: tb}
-		return log
-	})
-	d := newFIFODispatcher(e)
-	epochs0 := e.Stats().EpochsRun
+func (b slowBackend) DeleteBatch(pts []geom.Point) {
+	stall()
+	b.TreeBackend.DeleteBatch(pts)
+}
 
-	const n = 300
-	reqs := make([]*serve.Request, n)
-	for i := range reqs {
-		op := serve.OpSearch
-		if i%3 == 0 {
-			op = serve.OpInsert
-		}
-		reqs[i] = serve.NewRequest(op)
-		reqs[i].Pts = []geom.Point{data[i]}
-		if err := d.submit(reqs[i]); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	d.stop()
+func (b slowBackend) KNNBatch(pts []geom.Point, k int) [][]core.Neighbor {
+	stall()
+	return b.TreeBackend.KNNBatch(pts, k)
+}
 
-	for i, r := range reqs {
-		select {
-		case <-r.Done():
-		default:
-			t.Fatalf("request %d not served when the dispatcher stopped", i)
+func (b slowBackend) BoxCountBatch(boxes []geom.Box) []int64 {
+	stall()
+	return b.TreeBackend.BoxCountBatch(boxes)
+}
+
+// TestSaturateIgnoresHostSpeed: a backend that stalls before every batch
+// leaves every row unchanged. That is what makes the clock modeled: host
+// time, however slow, never moves an arrival, an epoch cut or a latency.
+func TestSaturateIgnoresHostSpeed(t *testing.T) {
+	p := saturateTestParams
+	p.fill()
+	data := workload.Uniform(p.Seed, p.WarmupN, p.Dims)
+	traffic := serve.NewTraffic(data, workload.QueryBoxes(p.Seed+1, data, 64, 32), serve.DefaultMix, 8, 0)
+	sweep := func(mode string, slow bool) []SaturateRow {
+		tree := newRawPIMRunner(p, core.ThroughputOptimized, data).tree
+		var b serve.Backend = serve.NewTreeBackend(tree)
+		if slow {
+			b = slowBackend{serve.NewTreeBackend(tree)}
 		}
-		if r.Resp.Err != nil {
-			t.Fatalf("request %d: %v", i, r.Resp.Err)
+		rp := serve.NewReplay(serve.Config{Backend: b},
+			func() float64 { return tree.System().Metrics().TotalSeconds() }, mode == "fifo")
+		return saturateSweep(rp, mode, traffic, p.Seed, []float64{16000})
+	}
+	for _, mode := range []string{"fifo", "pipeline"} {
+		want, got := sweep(mode, false), sweep(mode, true)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s rows changed under a slow backend:\nfast %+v\nslow %+v", mode, want, got)
 		}
 	}
-	if got := e.Stats().EpochsRun - epochs0; got != n {
-		t.Fatalf("%d requests ran in %d epochs, want one epoch each", n, got)
-	}
-	if len(log.batches) != n {
-		t.Fatalf("%d requests ran as %d tree batches, want one batch each", n, len(log.batches))
-	}
-	for i, b := range log.batches {
-		if len(b) != 1 || b[0] != data[i] {
-			t.Fatalf("batch %d = %v, want the single point of request %d (%v): not arrival order", i, b, i, data[i])
+}
+
+// TestSustainedJudgesRealizedArrivals: a step is judged against the rate
+// its requests actually arrived at, so a short Poisson draw that the
+// engine kept up with is sustained.
+func TestSustainedJudgesRealizedArrivals(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		st         LoadStats
+		arrivalRPS float64
+		want       bool
+	}{
+		// Nominal 500 r/s, but the draw came in at 461 r/s: kept up.
+		{"short draw kept up", LoadStats{Completed: 4000, AchievedRPS: 461}, 461, true},
+		{"long draw kept up", LoadStats{Completed: 4000, AchievedRPS: 530}, 532, true},
+		{"fell behind", LoadStats{Completed: 4000, AchievedRPS: 8258}, 16050, false},
+		{"shed 1%", LoadStats{Completed: 3960, Shed: 40, AchievedRPS: 1000}, 1000, false},
+		{"shed under 1%", LoadStats{Completed: 3961, Shed: 39, AchievedRPS: 1000}, 1000, true},
+		{"nothing offered", LoadStats{}, 0, false},
+	} {
+		if got := sustained(tc.st, tc.arrivalRPS); got != tc.want {
+			t.Errorf("%s: sustained(%+v, %.0f) = %v, want %v", tc.name, tc.st, tc.arrivalRPS, got, tc.want)
 		}
 	}
 }

@@ -12,10 +12,11 @@ import (
 // cmd/pimzd-bench knows about an experiment id.
 type Experiment struct {
 	ID string
-	// InAll marks the members of `-experiment all`: the panels whose CSV is
-	// modeled time and byte-identical at any GOMAXPROCS. shardscale is
-	// modeled too but is an extension beyond the paper's single-rack
-	// evaluation; saturate measures wall clock.
+	// InAll marks the members of `-experiment all`: the paper's panels.
+	// Every experiment's CSV is modeled time and byte-identical at any
+	// GOMAXPROCS; shardscale and saturate stay out of `all` because they
+	// extend the paper's single-rack, batch-at-a-time evaluation (to
+	// several racks, and to serving one request stream).
 	InAll bool
 	// Run executes the experiment and writes its rows to w, as CSV or as a
 	// rendered table.

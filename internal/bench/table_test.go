@@ -9,9 +9,9 @@ import (
 )
 
 // TestModeledCSVIdenticalAcrossGOMAXPROCS is the paper-fidelity contract,
-// in process: every modeled experiment of the table — all of `-experiment
-// all` plus shardscale; saturate is wall clock by design — emits the same
-// CSV bytes on one proc and on four. The batches and builds are large
+// in process: every experiment of the table — all of `-experiment all`
+// plus shardscale and saturate — emits the same CSV bytes on one proc and
+// on four. The batches and builds are large
 // enough that a baseline forking into the LLC simulator fails here (all
 // 20 Pkd-tree/zd-tree rows of fig5a did when the baselines forked above
 // 4096 elements).
@@ -19,9 +19,6 @@ func TestModeledCSVIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	p := Params{Seed: 42, WarmupN: 20000, BatchOps: 2000, Dims: 3, P: 256}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, e := range Experiments {
-		if e.ID == "saturate" {
-			continue
-		}
 		var out [2]bytes.Buffer
 		for i, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)

@@ -14,19 +14,6 @@ import (
 	"pimzdtree/internal/workload"
 )
 
-// newManualEngine builds an engine WITHOUT its executor goroutine: tests
-// drive execute() directly, which makes epoch-plan formation exact
-// instead of timing-dependent.
-func newManualEngine(cfg Config) *Engine {
-	cfg.fill()
-	return &Engine{
-		cfg:      cfg,
-		in:       newIntake(cfg.Shards, cfg.MaxQueuedOps),
-		m:        newEngineMetrics(cfg.Registry),
-		execDone: make(chan struct{}),
-	}
-}
-
 // coalescedScenario runs a fixed request schedule through the engine's
 // coalescing executor against a fully-instrumented tree and returns the
 // modeled-only metrics exposition.
@@ -42,8 +29,9 @@ func coalescedScenario(t *testing.T) []byte {
 	data := workload.Uniform(1234, 30000, 3)
 	tr := core.New(core.Config{Dims: 3, Machine: m, Tuning: core.ThroughputOptimized, Obs: rec}, data[:25000])
 
-	// MaxBatch below the epoch sizes so chunk splitting is exercised too.
-	e := newManualEngine(Config{Backend: NewTreeBackend(tr), MaxBatch: 1024})
+	// No executor goroutine: the test cuts the plans. MaxBatch below the
+	// epoch sizes so chunk splitting is exercised too.
+	e := newEngine(Config{Backend: NewTreeBackend(tr), MaxBatch: 1024})
 
 	mkSearch := func(pts []geom.Point) *Request {
 		r := NewRequest(OpSearch)

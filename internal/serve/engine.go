@@ -173,6 +173,14 @@ type Engine struct {
 
 // New starts an engine (its executor goroutine) over cfg.Backend.
 func New(cfg Config) *Engine {
+	e := newEngine(cfg)
+	go e.executor()
+	return e
+}
+
+// newEngine builds an engine without starting its executor: New starts
+// the goroutine, a Replay drives the epochs itself.
+func newEngine(cfg Config) *Engine {
 	cfg.fill()
 	e := &Engine{
 		cfg:      cfg,
@@ -190,16 +198,15 @@ func New(cfg Config) *Engine {
 			}
 		}
 	}
-	go e.executor()
 	return e
 }
 
-// Submit enqueues r for a future epoch; the caller waits on r.Done().
-// Errors (validation, shed, shutdown) mean r was NOT enqueued and Done
-// will never close.
+// Submit enqueues r for a future epoch; the caller receives once from
+// r.Done(). Errors (validation, shed, shutdown) mean r was NOT enqueued
+// and Done will never deliver.
 func (e *Engine) Submit(r *Request) error {
 	if r.done == nil {
-		r.done = make(chan struct{})
+		r.done = make(chan struct{}, 1)
 	}
 	r.stamp(bAdmitted)
 	r.enq = time.Now()
@@ -309,11 +316,16 @@ func (e *Engine) executor() {
 				return
 			}
 		}
-		stampAll(buf, bDrained)
-		stampAll(buf, bPlanned)
-		e.runPlan(&epochPlan{all: buf})
+		e.runCut(buf)
 		clear(buf) // the requests are finished; do not pin them
 	}
+}
+
+// runCut runs the requests cut from the intake as one epoch.
+func (e *Engine) runCut(reqs []*Request) {
+	stampAll(reqs, bDrained)
+	stampAll(reqs, bPlanned)
+	e.runPlan(&epochPlan{all: reqs})
 }
 
 // runPlan executes one plan and contains a panicking backend: the plan's

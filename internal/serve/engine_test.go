@@ -438,7 +438,7 @@ func waitDone(t *testing.T, r *Request) {
 // request. The afterShard seam stages exactly this interleaving.
 func TestBarrierSeesWorkPushedBehindTheDrain(t *testing.T) {
 	tr, _ := testTree(t, 2000)
-	e := newManualEngine(Config{Backend: NewTreeBackend(tr), Shards: 2})
+	e := newEngine(Config{Backend: NewTreeBackend(tr), Shards: 2})
 	insert := func(x uint32) *Request {
 		r := NewRequest(OpInsert)
 		r.Pts = []geom.Point{{Dims: 3, Coords: [4]uint32{x, 7, 7, 0}}}

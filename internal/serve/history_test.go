@@ -161,7 +161,7 @@ func TestEngineHistoryMatchesOracle(t *testing.T) {
 				}
 				initial := pool[:1000]
 				b, size, check := tc.backend(initial)
-				e := newManualEngine(Config{Backend: b, MaxBatch: 16})
+				e := newEngine(Config{Backend: b, MaxBatch: 16})
 				oracle := historyOracle{}
 				for _, p := range initial {
 					oracle[p]++

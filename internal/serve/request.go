@@ -78,9 +78,10 @@ func badReq(format string, args ...any) error {
 }
 
 // Request is one client operation: a batch of points (search, insert,
-// delete, knn) or boxes (box count). Submit enqueues it; Done() closes
-// once the engine has filled Resp. A Request must not be reused (the TCP
-// server's per-connection request is the one exception, see reuse).
+// delete, knn) or boxes (box count). Submit enqueues it; Done() delivers
+// one token once the engine has filled Resp. A Request must not be reused
+// (the TCP server's per-connection request is the one exception, see
+// reuse).
 type Request struct {
 	Op    Op
 	Pts   []geom.Point
@@ -96,16 +97,10 @@ type Request struct {
 
 	Resp Response
 
+	// done has room for the one token complete sends per round trip, so
+	// a request reused round trip after round trip keeps one channel.
 	done chan struct{}
 	enq  time.Time
-
-	// reused marks a request its owner serves again and again (the TCP
-	// server's per-connection request): its done channel has room for one
-	// token, which complete sends instead of closing the channel, so one
-	// channel serves every round trip. Every other request's channel is
-	// closed, which releases any number of waiters (the saturate panel's
-	// FIFO dispatcher and its collector both wait on one request).
-	reused bool
 
 	// ts holds the monotonic stage-boundary stamps (see stages.go).
 	ts [numBoundaries]int64
@@ -122,29 +117,18 @@ type Request struct {
 	fanSpans  []obs.FanoutSpan
 }
 
-// NewRequest builds a request with its completion channel armed.
+// NewRequest builds a request with its completion channel armed (Submit
+// arms a request built without it).
 func NewRequest(op Op) *Request {
-	return &Request{Op: op, done: make(chan struct{})}
+	return &Request{Op: op, done: make(chan struct{}, 1)}
 }
 
-// Done returns the completion channel: closed once Resp is filled (a
-// reused request's receives one token instead).
+// Done returns the completion channel. It delivers one token once Resp is
+// filled, so exactly one waiter receives per round trip.
 func (r *Request) Done() <-chan struct{} { return r.done }
 
-// complete fills the terminal state and releases the waiter.
-func (r *Request) complete() {
-	if r.reused {
-		r.done <- struct{}{}
-	} else {
-		close(r.done)
-	}
-}
-
-// newReusedRequest returns a request for an owner that serves one request
-// at a time and reuses it for the next (see reuse).
-func newReusedRequest() *Request {
-	return &Request{done: make(chan struct{}, 1), reused: true}
-}
+// complete releases the waiter.
+func (r *Request) complete() { r.done <- struct{}{} }
 
 // reuse clears the request for its next round trip, keeping its
 // completion channel and the capacity of its point, box and search answer
@@ -152,11 +136,10 @@ func newReusedRequest() *Request {
 // longer references the request, and its token has been received.
 func (r *Request) reuse() {
 	*r = Request{
-		Pts:    r.Pts[:0],
-		Boxes:  r.Boxes[:0],
-		Resp:   Response{Found: r.Resp.Found[:0]},
-		done:   r.done,
-		reused: r.reused,
+		Pts:   r.Pts[:0],
+		Boxes: r.Boxes[:0],
+		Resp:  Response{Found: r.Resp.Found[:0]},
+		done:  r.done,
 	}
 }
 

@@ -84,7 +84,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	// frames of keptFrameBytes): one huge frame must not pin its buffers
 	// on an idle connection for the connection's life.
 	var inBuf, outBuf []byte
-	req := newReusedRequest()
+	req := NewRequest(0) // decodeRequest sets the op of each round trip
 	keep := s.e.cfg.MaxBatch
 	for {
 		frame, err := readFrame(br, inBuf)
