@@ -84,8 +84,7 @@ footprint:
 # absorb parallel HTTP+TCP clients (pimzd-loadgen, which itself gates on
 # /readyz) with mid-load /metrics + /snapshot/slowrequests +
 # /snapshot/slo scrapes (the mid-load slow-request capture must analyze)
-# and drain cleanly on SIGTERM, and a small
-# in-process saturation sweep must complete; a sharded server (-trees 4)
+# and drain cleanly on SIGTERM; a sharded server (-trees 4)
 # must boot, take load — including a Zipf-skewed run with a non-default
 # op mix, the hot-shard path, which must complete requests — export the
 # per-shard metrics families and the /snapshot/shards layout.
@@ -180,9 +179,6 @@ smoke:
 	test $$RC -eq 0 && test $$G1 -eq 0 && test $$G2 -eq 0 && \
 	test $$G3 -eq 0 && test $$WRC -eq 0
 	$(GO) run ./tools/checkjson -promtext .smoke/shard-metrics.txt
-	$(GO) run ./cmd/pimzd-bench -experiment saturate -format csv \
-		-warmup 10000 -batch 1000 -p 128 > .smoke/saturate.csv
-	test -s .smoke/saturate.csv
 	rm -rf .smoke
 
 # The paper-fidelity contract, end to end: the modeled experiment CSVs are

@@ -26,6 +26,7 @@ import (
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/metrics"
 	"pimzdtree/internal/obs"
+	"pimzdtree/internal/server"
 	"pimzdtree/internal/workload"
 )
 
@@ -81,6 +82,16 @@ func writeTraces(dir, id string, rec *obs.Recorder) error {
 	return export(id+".jsonl", rec.ExportJSONL)
 }
 
+// check validates -format and -dims before anything is generated, profiled
+// or served. -dims follows the served rule (2-4): outside it the workload
+// generators or the tree's configuration panic.
+func check(format string, dims int) error {
+	if format != "table" && format != "csv" {
+		return fmt.Errorf("unknown format %q", format)
+	}
+	return server.CheckDims(dims)
+}
+
 func main() {
 	var (
 		experiment = flag.String("experiment", "all", bench.ExperimentUsage())
@@ -105,6 +116,9 @@ func main() {
 	)
 	flag.Parse()
 	selected, err := bench.Select(*experiment)
+	if err == nil {
+		err = check(*format, *dims)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -210,12 +224,13 @@ func main() {
 		P:        *modules,
 	}
 
+	// An experiment writes both forms; the one not asked for is dropped.
 	csvMode := *format == "csv"
-	if *format != "table" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "unknown format %q\n", *format)
-		os.Exit(2)
+	csvOut, text := io.Discard, io.Writer(os.Stdout)
+	if csvMode {
+		csvOut, text = os.Stdout, io.Discard
 	}
-	check := func(err error) {
+	must := func(err error) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "csv: %v\n", err)
 			os.Exit(1)
@@ -232,7 +247,7 @@ func main() {
 		// nothing changes.
 		rec := newRecorder()
 		p.Obs = rec
-		check(e.Run(p, os.Stdout, csvMode))
+		must(e.Run(p, csvOut, text))
 		if rec != nil && *traceOut != "" {
 			if err := writeTraces(*traceOut, e.ID, rec); err != nil {
 				fmt.Fprintf(os.Stderr, "trace export: %v\n", err)
@@ -266,7 +281,7 @@ func main() {
 		}
 		rows := bench.Fig5Custom(pts, p)
 		if csvMode {
-			check(bench.Fig5CSV(os.Stdout, rows))
+			must(bench.Fig5CSV(os.Stdout, rows))
 		} else {
 			fmt.Printf("custom dataset %s: %d points, dims=%d, gini=%.3f\n",
 				*file, len(pts), pts[0].Dims, workload.Gini(pts, 2048))

@@ -18,6 +18,7 @@ import (
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/costmodel"
 	"pimzdtree/internal/obs"
+	"pimzdtree/internal/server"
 	"pimzdtree/internal/stats"
 	"pimzdtree/internal/workload"
 )
@@ -33,6 +34,10 @@ func main() {
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if err := server.CheckDims(*dims); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	obs.ServePprof(*pprof)
 
 	ds, err := workload.ParseDataset(*dataset)

@@ -1,20 +1,6 @@
 package bench
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-
-	"pimzdtree/internal/workload"
-)
-
-// tiny returns fast parameters for smoke tests. Batches must still be
-// large enough to amortize the per-round mux-switch overhead (the Fig. 7
-// effect), or the PIM system pays fixed costs the paper's 50M-op batches
-// never see.
-func tiny() Params {
-	return Params{Seed: 1, WarmupN: 40000, BatchOps: 16000, Dims: 3, P: 256}
-}
+import "testing"
 
 func TestDefaultsFill(t *testing.T) {
 	var p Params
@@ -31,385 +17,5 @@ func TestOpCostMath(t *testing.T) {
 	}
 	if c.TrafficPerElem() != 64 {
 		t.Fatal("traffic")
-	}
-}
-
-func TestFig5SmokeAndShape(t *testing.T) {
-	rows := Fig5(workload.DatasetUniform, tiny())
-	if len(rows) != 3*len(OpNames) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byKey := map[string]Fig5Row{}
-	for _, r := range rows {
-		if r.Throughput <= 0 {
-			t.Fatalf("non-positive throughput: %+v", r)
-		}
-		byKey[r.System+"/"+r.Op] = r
-	}
-	// Core paper claim: PIM-zd-tree beats the baselines on BoxCount (the
-	// largest reported speedups, 4.25x and 518x).
-	for _, base := range []string{"Pkd-tree", "zd-tree"} {
-		if byKey["PIM-zd-tree/BC-10"].Throughput <= byKey[base+"/BC-10"].Throughput {
-			t.Errorf("PIM-zd-tree BC-10 (%.3g) not faster than %s (%.3g)",
-				byKey["PIM-zd-tree/BC-10"].Throughput, base, byKey[base+"/BC-10"].Throughput)
-		}
-	}
-	var buf bytes.Buffer
-	RenderFig5(&buf, workload.DatasetUniform, rows)
-	if !strings.Contains(buf.String(), "geomean speedup") {
-		t.Fatal("render missing aggregates")
-	}
-}
-
-func TestFig6Smoke(t *testing.T) {
-	rows := Fig6(tiny())
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		sum := r.CPUFrac + r.PIMFrac + r.CommFrac
-		if sum < 0.99 || sum > 1.01 {
-			t.Fatalf("%s fractions sum to %f", r.Op, sum)
-		}
-	}
-	var buf bytes.Buffer
-	RenderFig6(&buf, rows)
-	if !strings.Contains(buf.String(), "Insert") {
-		t.Fatal("render")
-	}
-}
-
-func TestFig7Smoke(t *testing.T) {
-	rows := Fig7(tiny())
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Larger batches amortize rounds: throughput should broadly rise
-	// from the smallest to the largest batch.
-	if rows[len(rows)-1].Throughput <= rows[0].Throughput {
-		t.Fatalf("batch scaling inverted: %.3g -> %.3g",
-			rows[0].Throughput, rows[len(rows)-1].Throughput)
-	}
-	var buf bytes.Buffer
-	RenderFig7(&buf, rows)
-	_ = buf
-}
-
-func TestFig8Smoke(t *testing.T) {
-	rows := Fig8(tiny())
-	if len(rows) != 15 { // 5 sizes x 3 systems
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// PIM-zd-tree's throughput must be stable across sizes (the paper's
-	// n-independence claim): smallest vs largest within 2x.
-	var small, large float64
-	for _, r := range rows {
-		if r.System != "PIM-zd-tree" {
-			continue
-		}
-		if small == 0 {
-			small = r.Throughput
-		}
-		large = r.Throughput
-	}
-	ratio := small / large
-	if ratio < 0.4 || ratio > 2.5 {
-		t.Fatalf("PIM-zd-tree 1-NN throughput unstable across sizes: ratio %f", ratio)
-	}
-	var buf bytes.Buffer
-	RenderFig8(&buf, rows)
-	_ = buf
-}
-
-func TestFig9Smoke(t *testing.T) {
-	rows := Fig9(tiny())
-	if len(rows) != 18 { // 9 fractions x 2 tunings
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Skew-resistant tuning must be more stable than throughput-optimized
-	// at the highest skew level.
-	var toAt0, toAt2, srAt0, srAt2 float64
-	for _, r := range rows {
-		switch {
-		case r.Tuning == "throughput-optimized" && r.VardenFrac == 0:
-			toAt0 = r.Throughput
-		case r.Tuning == "throughput-optimized" && r.VardenFrac == 0.02:
-			toAt2 = r.Throughput
-		case r.Tuning == "skew-resistant" && r.VardenFrac == 0:
-			srAt0 = r.Throughput
-		case r.Tuning == "skew-resistant" && r.VardenFrac == 0.02:
-			srAt2 = r.Throughput
-		}
-	}
-	toDegrade := toAt0 / toAt2
-	srDegrade := srAt0 / srAt2
-	if srDegrade > toDegrade {
-		t.Fatalf("skew-resistant degraded more (%.2fx) than throughput-optimized (%.2fx)",
-			srDegrade, toDegrade)
-	}
-	var buf bytes.Buffer
-	RenderFig9(&buf, rows)
-	_ = buf
-}
-
-func TestTable3Smoke(t *testing.T) {
-	rows := Table3(tiny())
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		for op, v := range r.Slowdowns {
-			if v <= 0 {
-				t.Fatalf("%s/%s slowdown %f", r.Technique, op, v)
-			}
-		}
-	}
-	// Removing the fast z-order must slow inserts (every op recomputes
-	// keys on the host).
-	for _, r := range rows {
-		if r.Technique == "Fast z-order" {
-			if v := r.Slowdowns["Insert"]; v < 1.0 {
-				t.Fatalf("fast z-order ablation sped up inserts: %f", v)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	RenderTable3(&buf, rows)
-	if !strings.Contains(buf.String(), "N.A.") {
-		t.Fatal("table should mark non-applicable cells")
-	}
-}
-
-func TestLatencySmoke(t *testing.T) {
-	rows := Latency(tiny())
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.P99 < r.P50 {
-			t.Fatalf("%s: P99 %f < P50 %f", r.System, r.P99, r.P50)
-		}
-		if r.P99 <= 0 {
-			t.Fatalf("%s: non-positive latency", r.System)
-		}
-	}
-	var buf bytes.Buffer
-	RenderLatency(&buf, rows)
-	_ = buf
-}
-
-func TestDimsSmoke(t *testing.T) {
-	rows := Dims(tiny())
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Speedup <= 0 {
-			t.Fatalf("%s: speedup %f", r.Op, r.Speedup)
-		}
-	}
-	var buf bytes.Buffer
-	RenderDims(&buf, rows)
-	_ = buf
-}
-
-func TestTable2Smoke(t *testing.T) {
-	rows := Table2(tiny())
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	to, sr := rows[0], rows[1]
-	if to.Tuning != "throughput-optimized" || sr.Tuning != "skew-resistant" {
-		t.Fatal("tuning order")
-	}
-	// Throughput-optimized: O(1) rounds per batch.
-	if to.SearchRounds > 4 {
-		t.Fatalf("throughput-optimized search rounds = %f", to.SearchRounds)
-	}
-	if to.SpaceBytes <= 0 || sr.SpaceBytes <= 0 {
-		t.Fatal("space not measured")
-	}
-	var buf bytes.Buffer
-	RenderTable2(&buf, rows)
-	_ = buf
-}
-
-func TestDatasetInfo(t *testing.T) {
-	var buf bytes.Buffer
-	DatasetInfo(&buf, tiny())
-	s := buf.String()
-	for _, name := range []string{"uniform", "cosmos", "osm"} {
-		if !strings.Contains(s, name) {
-			t.Fatalf("missing dataset %s:\n%s", name, s)
-		}
-	}
-}
-
-func TestStrawmanSmoke(t *testing.T) {
-	rows := Strawman(tiny())
-	if len(rows) != 8 { // 4 designs x 2 batches
-		t.Fatalf("rows = %d", len(rows))
-	}
-	get := func(design, batch string) StrawmanRow {
-		for _, r := range rows {
-			if r.Design == design && r.Batch == batch {
-				return r
-			}
-		}
-		t.Fatalf("missing %s/%s", design, batch)
-		return StrawmanRow{}
-	}
-	// §3's two failure modes must be visible:
-	// (1) range partitioning collapses under the adversarial batch;
-	rp := get("range-partitioned", "uniform")
-	rpAdv := get("range-partitioned", "adversarial")
-	if rpAdv.Throughput*3 > rp.Throughput {
-		t.Fatalf("range-partitioned did not collapse: %.3g -> %.3g",
-			rp.Throughput, rpAdv.Throughput)
-	}
-	// (2) node hashing pays a round per level.
-	nh := get("node-hashed", "uniform")
-	if nh.Rounds < 8 {
-		t.Fatalf("node-hashed rounds = %d", nh.Rounds)
-	}
-	// PIM-zd-tree dominates node hashing everywhere and resists the
-	// adversarial batch far better than range partitioning.
-	pim := get("PIM-zd-tree (throughput)", "uniform")
-	pimAdv := get("PIM-zd-tree (throughput)", "adversarial")
-	if pim.Throughput <= nh.Throughput {
-		t.Fatal("PIM-zd-tree should beat node hashing on uniform batches")
-	}
-	if pimAdv.Throughput <= rpAdv.Throughput {
-		t.Fatal("PIM-zd-tree should beat range partitioning on adversarial batches")
-	}
-	var buf bytes.Buffer
-	RenderStrawman(&buf, rows)
-	if !strings.Contains(buf.String(), "range-partitioned") {
-		t.Fatal("render")
-	}
-	buf.Reset()
-	if err := StrawmanCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPScaleSmoke(t *testing.T) {
-	rows := PScale(tiny())
-	if len(rows) != 8 { // 4 module counts x 2 ops
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// More modules must not make kNN slower (aggregate bandwidth grows).
-	var first, last float64
-	for _, r := range rows {
-		if r.Op != "10-NN" {
-			continue
-		}
-		if first == 0 {
-			first = r.Throughput
-		}
-		last = r.Throughput
-	}
-	if last < first*0.8 {
-		t.Fatalf("throughput fell with more modules: %.3g -> %.3g", first, last)
-	}
-	var buf bytes.Buffer
-	RenderPScale(&buf, rows)
-	buf.Reset()
-	if err := PScaleCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFutureSmoke(t *testing.T) {
-	rows := Future(tiny())
-	if len(rows) != len(OpNames) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	improved := 0
-	for _, r := range rows {
-		if r.TodayThroughput <= 0 || r.FutureThroughput <= 0 {
-			t.Fatalf("non-positive throughput: %+v", r)
-		}
-		if r.FutureThroughput > r.TodayThroughput {
-			improved++
-		}
-	}
-	// The stronger machine must improve the (channel/PIM-bound) majority
-	// of operations.
-	if improved < len(rows)/2 {
-		t.Fatalf("only %d/%d ops improved on the future machine", improved, len(rows))
-	}
-	var buf bytes.Buffer
-	RenderFuture(&buf, rows)
-	buf.Reset()
-	if err := FutureCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBoundsSmoke(t *testing.T) {
-	rows := Bounds(tiny())
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if !r.WithinBounds {
-			t.Fatalf("config (theta0=%d theta1=%d B=%d) violated a bound: %+v",
-				r.ThetaL0, r.ThetaL1, r.B, r)
-		}
-	}
-	var buf bytes.Buffer
-	RenderBounds(&buf, rows)
-	buf.Reset()
-	if err := BoundsCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBuildSmoke(t *testing.T) {
-	rows := Build(tiny())
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Throughput <= 0 || r.Points == 0 {
-			t.Fatalf("bad row %+v", r)
-		}
-	}
-	// All three systems must build far above the §8 GPU reference point
-	// at reproduction scale.
-	for _, r := range rows {
-		if r.Throughput < 1e6 {
-			t.Fatalf("%s builds at only %.3g points/s", r.System, r.Throughput)
-		}
-	}
-	var buf bytes.Buffer
-	RenderBuild(&buf, rows)
-	buf.Reset()
-	if err := BuildCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReconSmoke(t *testing.T) {
-	rows := Recon(tiny())
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	dynamic, recon := rows[0], rows[1]
-	// §2.2: reconstruction-based maintenance must be far costlier in both
-	// time and traffic than batch-dynamic updates.
-	if recon.OpsPerSec*2 > dynamic.OpsPerSec {
-		t.Fatalf("reconstruction not clearly slower: %.3g vs %.3g",
-			recon.OpsPerSec, dynamic.OpsPerSec)
-	}
-	if recon.BytesPerOp <= dynamic.BytesPerOp {
-		t.Fatal("reconstruction should move more bytes per op")
-	}
-	var buf bytes.Buffer
-	RenderRecon(&buf, rows)
-	buf.Reset()
-	if err := ReconCSV(&buf, rows); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -41,10 +41,7 @@ const saturateRequests = 4000
 // Saturate sweeps both serving modes over identical fresh trees. Requests
 // and arrival gaps come from serve.DefaultMix's stream: one-point
 // (one-box) requests, kNN at k = 8.
-func Saturate(p Params) []SaturateRow { return saturate(p, saturateSteps) }
-
-// saturate is Saturate over the given steps.
-func saturate(p Params, steps []float64) []SaturateRow {
+func Saturate(p Params) []SaturateRow {
 	p.fill()
 	data := workload.Uniform(p.Seed, p.WarmupN, p.Dims)
 	traffic := serve.NewTraffic(data, workload.QueryBoxes(p.Seed+1, data, 256, 64), serve.DefaultMix, 8, 0)
@@ -53,7 +50,7 @@ func saturate(p Params, steps []float64) []SaturateRow {
 		tree := newRawPIMRunner(p, core.ThroughputOptimized, data).tree
 		rp := serve.NewReplay(serve.Config{Backend: serve.NewTreeBackend(tree)},
 			func() float64 { return tree.System().Metrics().TotalSeconds() }, mode == "fifo")
-		rows = append(rows, saturateSweep(rp, mode, traffic, p.Seed, steps)...)
+		rows = append(rows, saturateSweep(rp, mode, traffic, p.Seed, saturateSteps)...)
 	}
 	return rows
 }

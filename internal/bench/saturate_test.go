@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"bytes"
-	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -14,55 +11,9 @@ import (
 	"pimzdtree/internal/workload"
 )
 
-// saturateTestParams is the small size the saturate tests replay at.
+// saturateTestParams is the small size TestSaturateIgnoresHostSpeed
+// replays at.
 var saturateTestParams = Params{Seed: 42, WarmupN: 10_000, Dims: 3, P: 64}
-
-// TestSaturateSweepDeterministic replays a three-step sweep at a small
-// size at GOMAXPROCS 1, 4 and 16 and requires byte-identical CSV, then
-// checks the shape of what it shows: every step completes its requests
-// without error, quantiles are monotone, both modes sustain the gentle
-// first step, the FIFO mode collapses within the sweep and the pipeline
-// sustains more. (TestModeledCSVIdenticalAcrossGOMAXPROCS runs the whole
-// panel.)
-func TestSaturateSweepDeterministic(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var rows []SaturateRow
-	var first []byte
-	for _, procs := range []int{1, 4, 16} {
-		runtime.GOMAXPROCS(procs)
-		rows = saturate(saturateTestParams, []float64{500, 16000, 128000})
-		var csv bytes.Buffer
-		if err := SaturateCSV(&csv, rows); err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = csv.Bytes()
-		} else if !bytes.Equal(first, csv.Bytes()) {
-			t.Fatalf("CSV differs between GOMAXPROCS 1 and %d:\n%s", procs,
-				diffLines(string(first), csv.String(), "1", fmt.Sprint(procs)))
-		}
-	}
-
-	seen := map[string]int{}
-	for i, r := range rows {
-		if r.Completed+r.Shed != saturateRequests || r.Errors != 0 {
-			t.Fatalf("row %d: %d completed + %d shed of %d, %d errors", i, r.Completed, r.Shed, saturateRequests, r.Errors)
-		}
-		if !(r.P50 > 0 && r.P50 <= r.P99 && r.P99 <= r.P999) {
-			t.Fatalf("row %d: quantiles not monotone: %+v", i, r)
-		}
-		if seen[r.Mode] == 0 && !r.Sustained {
-			t.Fatalf("%s does not sustain its first step: %+v", r.Mode, r)
-		}
-		seen[r.Mode]++
-	}
-	if last := rows[seen["fifo"]-1]; last.Mode != "fifo" || last.Sustained {
-		t.Fatalf("the fifo mode never collapsed within the sweep: %+v", last)
-	}
-	if ms := maxSustained(rows); !(ms["pipeline"] > ms["fifo"]) {
-		t.Fatalf("max sustained: pipeline %.0f r/s, fifo %.0f r/s", ms["pipeline"], ms["fifo"])
-	}
-}
 
 // slowBackend stands for a slow host: it spends 20 µs before every batch
 // (spinning: a timer sleep would round up to the scheduler's tick and

@@ -29,8 +29,8 @@ import (
 //	          range across shards.
 //
 // Throughput here is modeled, so the CSV is byte-identical at any
-// GOMAXPROCS like the figure panels' (same test, same CI step), and
-// TestShardScaleClaims asserts the three headlines. The sweep is
+// GOMAXPROCS like the figure panels' (same test, same CI step), and the
+// claims table in claims_test.go asserts the three headlines. The sweep is
 // deliberately NOT part of `-experiment all`: the sharded index is an
 // extension beyond the paper's single-rack evaluation.
 

@@ -18,14 +18,14 @@ type Experiment struct {
 	// extend the paper's single-rack, batch-at-a-time evaluation (to
 	// several racks, and to serving one request stream).
 	InAll bool
-	// Run executes the experiment and writes its rows to w, as CSV or as a
-	// rendered table.
-	Run func(p Params, w io.Writer, csv bool) error
+	// Run executes the experiment once and writes its rows both ways: as
+	// CSV to csv and as a rendered table to text.
+	Run func(p Params, csv, text io.Writer) error
 }
 
 // Experiments is the table, in `-experiment all` order.
 var Experiments = []Experiment{
-	{"datasets", true, func(p Params, w io.Writer, _ bool) error { DatasetInfo(w, p); return nil }},
+	{"datasets", true, func(p Params, csv, text io.Writer) error { DatasetInfo(io.MultiWriter(csv, text), p); return nil }},
 	{"fig5a", true, fig5Panel(workload.DatasetUniform)},
 	{"fig5b", true, fig5Panel(workload.DatasetCosmos)},
 	{"fig5c", true, fig5Panel(workload.DatasetOSM)},
@@ -49,18 +49,15 @@ var Experiments = []Experiment{
 }
 
 // panel adapts an experiment's rows/CSV/render triple to Experiment.Run.
-func panel[R any](rows func(Params) []R, csv func(io.Writer, []R) error, render func(io.Writer, []R)) func(Params, io.Writer, bool) error {
-	return func(p Params, w io.Writer, asCSV bool) error {
+func panel[R any](rows func(Params) []R, csv func(io.Writer, []R) error, render func(io.Writer, []R)) func(Params, io.Writer, io.Writer) error {
+	return func(p Params, csvOut, text io.Writer) error {
 		r := rows(p)
-		if asCSV {
-			return csv(w, r)
-		}
-		render(w, r)
-		return nil
+		render(text, r)
+		return csv(csvOut, r)
 	}
 }
 
-func fig5Panel(ds workload.Dataset) func(Params, io.Writer, bool) error {
+func fig5Panel(ds workload.Dataset) func(Params, io.Writer, io.Writer) error {
 	return panel(
 		func(p Params) []Fig5Row { return Fig5(ds, p) },
 		Fig5CSV,

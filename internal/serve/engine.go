@@ -124,12 +124,6 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 	}
 }
 
-// epochPlan is one coalesced unit of work: every request one executor
-// drain picked up, in drain order.
-type epochPlan struct {
-	all []*Request
-}
-
 // Engine is the concurrent serving engine. Construct with New; stop with
 // Shutdown.
 type Engine struct {
@@ -325,37 +319,38 @@ func (e *Engine) executor() {
 func (e *Engine) runCut(reqs []*Request) {
 	stampAll(reqs, bDrained)
 	stampAll(reqs, bPlanned)
-	e.runPlan(&epochPlan{all: reqs})
+	e.runPlan(reqs)
 }
 
-// runPlan executes one plan and contains a panicking backend: the plan's
+// runPlan executes one plan (every request one executor drain picked up,
+// in drain order) and contains a panicking backend: the plan's
 // unfinished requests fail with ErrBackendPanic (releasing their admission
 // ops through finish), the panic is reported and counted, and the executor
 // moves on to the next plan. Whatever state the backend was left in is the
 // backend's problem; the engine's own state is rebuilt per plan.
-func (e *Engine) runPlan(p *epochPlan) {
+func (e *Engine) runPlan(plan []*Request) {
 	defer func() {
 		if v := recover(); v != nil {
 			fmt.Fprintf(os.Stderr, "serve: backend panic: %v\n%s", v, debug.Stack())
 			e.m.panics.Add(1)
-			e.failUnfinished(p)
+			e.failUnfinished(plan)
 		}
 		clear(e.finished) // the requests are finished; do not pin them
 		e.finished = e.finished[:0]
 	}()
-	e.execute(p)
+	e.execute(plan)
 }
 
-// failUnfinished fails the requests of p that the executor has not
+// failUnfinished fails the requests of plan that the executor has not
 // finished with ErrBackendPanic. It tells them apart by e.finished, never
 // by a request's own fields: a finished request is its owner's again, and
 // the TCP connection's may already be reset and queued for a later plan.
-func (e *Engine) failUnfinished(p *epochPlan) {
+func (e *Engine) failUnfinished(plan []*Request) {
 	done := make(map[*Request]bool, len(e.finished))
 	for _, r := range e.finished {
 		done[r] = true
 	}
-	for _, r := range p.all {
+	for _, r := range plan {
 		if !done[r] {
 			r.Resp.Err = ErrBackendPanic
 			e.finish(r)
@@ -365,16 +360,16 @@ func (e *Engine) failUnfinished(p *epochPlan) {
 
 // execute runs one epoch: read phase against the published snapshot
 // (epoch-fenced), then the update phase, then barrier completion.
-func (e *Engine) execute(p *epochPlan) {
+func (e *Engine) execute(plan []*Request) {
 	if e.aborted.Load() {
-		e.failAll(p.all)
+		e.failAll(plan)
 		return
 	}
-	stampAll(p.all, bFenced)
+	stampAll(plan, bFenced)
 	for op := range e.byOp {
 		e.byOp[op] = e.byOp[op][:0]
 	}
-	for _, r := range p.all {
+	for _, r := range plan {
 		e.byOp[r.Op] = append(e.byOp[r.Op], r)
 	}
 	defer func() {
