@@ -51,8 +51,9 @@ benchmark-module:
 # TestPulledScanMultiWorker, fork-join updates/relayout via
 # TestUpdateMultiWorker) only exercise their parallel paths above one proc.
 # (The determinism tests of bench/zdtree/pkdtree set GOMAXPROCS themselves.)
-# The engine's ordering tests (barriers, epoch coalescing) run 20 more
-# times so an ordering regression fails every run, not one in hundreds.
+# The engine's ordering tests (barriers from concurrent submitters, the
+# intake's Submit order, epoch coalescing) run 20 more times so an
+# ordering regression fails every run, not one in hundreds.
 race:
 	GOMAXPROCS=4 $(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race -count=20 -run 'TestBarrier|TestArrivalsDuringAnEpochShareTheNext' ./internal/serve

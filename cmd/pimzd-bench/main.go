@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,14 +83,17 @@ func writeTraces(dir, id string, rec *obs.Recorder) error {
 	return export(id+".jsonl", rec.ExportJSONL)
 }
 
-// check validates -format and -dims before anything is generated, profiled
-// or served. -dims follows the served rule (2-4): outside it the workload
-// generators or the tree's configuration panic.
-func check(format string, dims int) error {
+// check validates -format, -dims and the size flags before anything is
+// generated, profiled or served. -dims follows the served rule (2-4):
+// outside it the workload generators or the tree's configuration panic.
+// A size below 1 would panic in the tree's configuration (-p) or, read as
+// unset, silently run at the default size.
+func check(format string, dims, modules, warmup, batch int) error {
 	if format != "table" && format != "csv" {
 		return fmt.Errorf("unknown format %q", format)
 	}
-	return server.CheckDims(dims)
+	return errors.Join(server.CheckDims(dims), server.CheckSize("p", modules),
+		server.CheckSize("warmup", warmup), server.CheckSize("batch", batch))
 }
 
 func main() {
@@ -117,7 +121,7 @@ func main() {
 	flag.Parse()
 	selected, err := bench.Select(*experiment)
 	if err == nil {
-		err = check(*format, *dims)
+		err = check(*format, *dims, *modules, *warmup, *batch)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +35,7 @@ func main() {
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-	if err := server.CheckDims(*dims); err != nil {
+	if err := check(*dims, *modules, *n); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -99,6 +100,12 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// check validates -dims and the size flags before anything is generated:
+// outside 2-4 dims, or with -p below 1, the tree's configuration panics.
+func check(dims, modules, n int) error {
+	return errors.Join(server.CheckDims(dims), server.CheckSize("p", modules), server.CheckSize("n", n))
 }
 
 func placement(onModules bool) string {

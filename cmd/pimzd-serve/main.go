@@ -55,7 +55,6 @@ func main() {
 		sample      = flag.Int("sample", 32, "snapshot module loads every N rounds (0 = off)")
 		duration    = flag.Duration("duration", 0, "exit after this long (0 = run until killed)")
 
-		shards   = flag.Int("shards", 0, "intake queue shards (0 = GOMAXPROCS)")
 		queueOps = flag.Int64("queue", 0, "admission control: max queued point-ops (0 = default)")
 		maxBatch = flag.Int("max-batch", 0, "max point-ops per coalesced tree batch (0 = default)")
 
@@ -85,7 +84,6 @@ func main() {
 		N:            *n,
 		Seed:         *seed,
 		Sample:       *sample,
-		IntakeShards: *shards,
 		MaxQueuedOps: *queueOps,
 		MaxBatch:     *maxBatch,
 		Flight: obs.FlightConfig{

@@ -36,6 +36,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,9 +47,23 @@ import (
 	"pimzdtree/internal/obs"
 	"pimzdtree/internal/pim"
 	"pimzdtree/internal/serve"
+	"pimzdtree/internal/server"
 	"pimzdtree/internal/shard"
 	"pimzdtree/internal/workload"
 )
+
+// check validates -format, -profile and the size flags before anything is
+// generated: with -p below 1 the tree's configuration panics, and an empty
+// warmup set or batch traces nothing.
+func check(format, profile string, n, batch, modules int) error {
+	if format != "table" && format != "chrome" && format != "jsonl" {
+		return fmt.Errorf("unknown format %q", format)
+	}
+	if profile != "" && profile != "modules" {
+		return fmt.Errorf("unknown profile %q", profile)
+	}
+	return errors.Join(server.CheckSize("p", modules), server.CheckSize("n", n), server.CheckSize("batch", batch))
+}
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "analyze" {
@@ -72,16 +87,12 @@ func main() {
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if err := check(*format, *profile, *n, *batch, *modules); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	obs.ServePprof(*pprof)
 
-	if *format != "table" && *format != "chrome" && *format != "jsonl" {
-		fmt.Fprintf(os.Stderr, "unknown format %q\n", *format)
-		os.Exit(2)
-	}
-	if *profile != "" && *profile != "modules" {
-		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
-		os.Exit(2)
-	}
 	if *profile == "modules" && *sample == 0 {
 		*sample = 1
 	}

@@ -67,12 +67,12 @@ func coalescedScenario(t *testing.T) []byte {
 	del1 := NewRequest(OpDelete)
 	del1.Pts = data[100:600]
 	plan1 = append(plan1, del1)
-	e.execute(plan1)
+	e.runCut(plan1)
 
 	// Epoch 2: reads over the epoch-1 mutations.
 	var plan2 []*Request
 	plan2 = append(plan2, mkSearch(data[25000:26000]), mkSearch(data[100:600]), mkKNN(queries[:64], 8))
-	e.execute(plan2)
+	e.runCut(plan2)
 
 	var buf bytes.Buffer
 	if err := reg.WriteTextOpts(&buf, metrics.ExpoOpts{ModeledOnly: true}); err != nil {

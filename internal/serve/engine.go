@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync/atomic"
@@ -20,8 +19,6 @@ import (
 type Config struct {
 	// Backend is the index being served (required).
 	Backend Backend
-	// Shards is the intake shard count (0 = GOMAXPROCS).
-	Shards int
 	// MaxQueuedOps bounds admitted-but-incomplete point-ops; beyond it
 	// submissions shed with ErrQueueFull (0 = 65536).
 	MaxQueuedOps int64
@@ -59,9 +56,6 @@ func (c *Config) fill() {
 	if c.Backend == nil {
 		panic("serve: Config.Backend is required")
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
 	if c.MaxQueuedOps <= 0 {
 		c.MaxQueuedOps = 1 << 16
 	}
@@ -97,7 +91,7 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 			Help: "Client requests shed by admission control, by operation.", Wall: true}, "op"),
 		reqSec: reg.NewHistogramVec(metrics.HistogramOpts{Opts: metrics.Opts{
 			Name: "pimzd_request_seconds",
-			Help: "End-to-end request latency (enqueue to response), wall clock.",
+			Help: "End-to-end request latency (admitted to replied), wall clock.",
 			Wall: true}, Buckets: metrics.WallSecondsBuckets()}, "op"),
 		queueOps: reg.NewGauge(metrics.Opts{Name: "pimzd_intake_queue_ops",
 			Help: "Admitted-but-incomplete point-ops (admission-control depth).", Wall: true}),
@@ -178,7 +172,7 @@ func newEngine(cfg Config) *Engine {
 	cfg.fill()
 	e := &Engine{
 		cfg:      cfg,
-		in:       newIntake(cfg.Shards, cfg.MaxQueuedOps),
+		in:       newIntake(cfg.MaxQueuedOps),
 		m:        newEngineMetrics(cfg.Registry),
 		execDone: make(chan struct{}),
 	}
@@ -203,7 +197,6 @@ func (e *Engine) Submit(r *Request) error {
 		r.done = make(chan struct{}, 1)
 	}
 	r.stamp(bAdmitted)
-	r.enq = time.Now()
 	if e.closed.Load() {
 		e.m.shed.With(r.Op.String()).Add(1)
 		return ErrShuttingDown
@@ -315,52 +308,30 @@ func (e *Engine) executor() {
 	}
 }
 
-// runCut runs the requests cut from the intake as one epoch.
-func (e *Engine) runCut(reqs []*Request) {
-	stampAll(reqs, bDrained)
-	stampAll(reqs, bPlanned)
-	e.runPlan(reqs)
-}
-
-// runPlan executes one plan (every request one executor drain picked up,
-// in drain order) and contains a panicking backend: the plan's
-// unfinished requests fail with ErrBackendPanic (releasing their admission
-// ops through finish), the panic is reported and counted, and the executor
-// moves on to the next plan. Whatever state the backend was left in is the
-// backend's problem; the engine's own state is rebuilt per plan.
-func (e *Engine) runPlan(plan []*Request) {
+// runCut runs one epoch over the requests one drain cut from the intake,
+// in drain order: read phase against the published snapshot
+// (epoch-fenced), then the update phase, then barrier completion. It
+// contains a panicking backend: the epoch's unfinished requests fail with
+// ErrBackendPanic (releasing their admission ops through finish), the
+// panic is reported and counted, and the executor moves on to the next
+// cut. Whatever state the backend was left in is the backend's problem;
+// the engine's own state is rebuilt per epoch.
+func (e *Engine) runCut(plan []*Request) {
+	stampAll(plan, bDrained)
+	stampAll(plan, bPlanned)
 	defer func() {
 		if v := recover(); v != nil {
 			fmt.Fprintf(os.Stderr, "serve: backend panic: %v\n%s", v, debug.Stack())
 			e.m.panics.Add(1)
 			e.failUnfinished(plan)
 		}
-		clear(e.finished) // the requests are finished; do not pin them
+		// The requests are finished; do not pin them.
+		for op := range e.byOp {
+			clear(e.byOp[op])
+		}
+		clear(e.finished)
 		e.finished = e.finished[:0]
 	}()
-	e.execute(plan)
-}
-
-// failUnfinished fails the requests of plan that the executor has not
-// finished with ErrBackendPanic. It tells them apart by e.finished, never
-// by a request's own fields: a finished request is its owner's again, and
-// the TCP connection's may already be reset and queued for a later plan.
-func (e *Engine) failUnfinished(plan []*Request) {
-	done := make(map[*Request]bool, len(e.finished))
-	for _, r := range e.finished {
-		done[r] = true
-	}
-	for _, r := range plan {
-		if !done[r] {
-			r.Resp.Err = ErrBackendPanic
-			e.finish(r)
-		}
-	}
-}
-
-// execute runs one epoch: read phase against the published snapshot
-// (epoch-fenced), then the update phase, then barrier completion.
-func (e *Engine) execute(plan []*Request) {
 	if e.aborted.Load() {
 		e.failAll(plan)
 		return
@@ -372,11 +343,6 @@ func (e *Engine) execute(plan []*Request) {
 	for _, r := range plan {
 		e.byOp[r.Op] = append(e.byOp[r.Op], r)
 	}
-	defer func() {
-		for op := range e.byOp {
-			clear(e.byOp[op]) // the requests are finished; do not pin them
-		}
-	}()
 	searches, knns, boxes := e.byOp[OpSearch], e.byOp[OpKNN], e.byOp[OpBox]
 	inserts, deletes, barriers := e.byOp[OpInsert], e.byOp[OpDelete], e.byOp[opBarrier]
 
@@ -411,6 +377,23 @@ func (e *Engine) execute(plan []*Request) {
 	}
 	e.epochsRun.Add(1)
 	e.m.epochs.Add(1)
+}
+
+// failUnfinished fails the requests of plan that the executor has not
+// finished with ErrBackendPanic. It tells them apart by e.finished, never
+// by a request's own fields: a finished request is its owner's again, and
+// the TCP connection's may already be reset and queued for a later plan.
+func (e *Engine) failUnfinished(plan []*Request) {
+	done := make(map[*Request]bool, len(e.finished))
+	for _, r := range e.finished {
+		done[r] = true
+	}
+	for _, r := range plan {
+		if !done[r] {
+			r.Resp.Err = ErrBackendPanic
+			e.finish(r)
+		}
+	}
 }
 
 // lastTrace returns the flight recorder's most recent trace ID (0 when
@@ -645,16 +628,12 @@ func (e *Engine) attachFanout(r *Request, off, n int) {
 	}
 }
 
-// finish completes one request: latency histogram (exemplared with the
-// serving batch's trace ID when available), completion counters,
-// admission release.
+// finish completes one request: stage and latency observation,
+// completion counters, admission release.
 func (e *Engine) finish(r *Request) {
 	r.stamp(bReplied)
 	e.observeStages(r)
-	wall := time.Since(r.enq).Seconds()
-	op := r.Op.String()
-	e.m.requests.With(op).Add(1)
-	e.m.reqSec.With(op).ObserveExemplar(wall, r.Resp.Trace)
+	e.m.requests.With(r.Op.String()).Add(1)
 	e.in.releaseOps(r.opCount())
 	e.m.queueOps.Set(float64(e.in.queuedOps()))
 	r.complete()
@@ -663,7 +642,9 @@ func (e *Engine) finish(r *Request) {
 
 // observeStages seals the request's stage stamps and feeds every consumer
 // of the decomposition: Response.StageNanos, the per-(op,stage) wall
-// histograms, the SLO tracker, and slow-request capture. Allocation-free
+// histograms, the admitted→replied total to pimzd_request_seconds
+// (exemplared with the serving batch's trace ID when available), the SLO
+// tracker, and slow-request capture. Allocation-free
 // on the steady-state path (pre-resolved histogram table, constant op
 // strings, capture fast path compares under a lock and returns).
 func (e *Engine) observeStages(r *Request) {
@@ -677,7 +658,9 @@ func (e *Engine) observeStages(r *Request) {
 			h.Observe(r.stageSeconds(s))
 		}
 	}
-	e.cfg.SLO.Observe(r.Op.String(), total, r.Resp.Err != nil)
+	op := r.Op.String()
+	e.m.reqSec.With(op).ObserveExemplar(total, r.Resp.Trace)
+	e.cfg.SLO.Observe(op, total, r.Resp.Err != nil)
 	e.cfg.Requests.offer(r, total)
 }
 

@@ -396,27 +396,89 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestBarrierOrdersAllPriorWork: a barrier completes only after every
+// request its caller submitted before it, at an epoch no earlier than
+// theirs, while several callers submit and cut barriers at once. And a
+// drain hands over each submitter's requests in Submit order, which
+// Replay's pairing of drained requests with their arrival times needs.
 func TestBarrierOrdersAllPriorWork(t *testing.T) {
-	e, _ := testEngine(t, 2000)
-	var reqs []*Request
-	for i := 0; i < 20; i++ {
+	const submitters, rounds, perRound = 4, 5, 10
+	insert := func(g, i int) *Request {
 		r := NewRequest(OpInsert)
-		r.Pts = []geom.Point{{Dims: 3, Coords: [4]uint32{uint32(i), 5, 5, 0}}}
-		if err := e.Submit(r); err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		reqs = append(reqs, r)
+		r.Pts = []geom.Point{{Dims: 3, Coords: [4]uint32{uint32(g), uint32(i), 5, 0}}}
+		return r
 	}
+	// concurrently runs submit(g) on every submitter at once.
+	concurrently := func(submit func(g int)) {
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				submit(g)
+			}()
+		}
+		wg.Wait()
+	}
+
+	e, _ := testEngine(t, 2000)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := e.Barrier(ctx); err != nil {
-		t.Fatalf("barrier: %v", err)
+	concurrently(func(g int) {
+		for round := 0; round < rounds; round++ {
+			var reqs []*Request
+			for i := 0; i < perRound; i++ {
+				r := insert(g, round*perRound+i)
+				if err := e.Submit(r); err != nil {
+					t.Errorf("submitter %d: submit: %v", g, err)
+					return
+				}
+				reqs = append(reqs, r)
+			}
+			barrier := NewRequest(opBarrier)
+			if err := e.Do(ctx, barrier); err != nil {
+				t.Errorf("submitter %d: barrier: %v", g, err)
+				return
+			}
+			for i, r := range reqs {
+				select {
+				case <-r.Done():
+				default:
+					t.Errorf("submitter %d round %d: request %d not complete when its barrier returned", g, round, i)
+					return
+				}
+				// Every update batch publishes a new epoch: an insert
+				// applied after the barrier's epoch would report a later one.
+				if r.Resp.Epoch > barrier.Resp.Epoch {
+					t.Errorf("submitter %d round %d: barrier completed at epoch %d, before request %d (epoch %d)",
+						g, round, barrier.Resp.Epoch, i, r.Resp.Epoch)
+				}
+			}
+		}
+	})
+
+	// No executor: one drain takes everything the submitters pushed.
+	tr, _ := testTree(t, 100)
+	e = newEngine(Config{Backend: NewTreeBackend(tr)})
+	concurrently(func(g int) {
+		for i := 0; i < rounds*perRound; i++ {
+			if err := e.Submit(insert(g, i)); err != nil {
+				t.Errorf("submitter %d: submit: %v", g, err)
+				return
+			}
+		}
+	})
+	next := make([]uint32, submitters)
+	for _, r := range e.in.drain(nil) {
+		g, i := r.Pts[0].Coords[0], r.Pts[0].Coords[1]
+		if i != next[g] {
+			t.Fatalf("submitter %d: drained request %d where %d was next", g, i, next[g])
+		}
+		next[g]++
 	}
-	for i, r := range reqs {
-		select {
-		case <-r.Done():
-		default:
-			t.Fatalf("request %d not complete when barrier returned", i)
+	for g, n := range next {
+		if n != rounds*perRound {
+			t.Errorf("submitter %d: drained %d requests, want %d", g, n, rounds*perRound)
 		}
 	}
 }
@@ -431,64 +493,11 @@ func waitDone(t *testing.T, r *Request) {
 	}
 }
 
-// TestBarrierSeesWorkPushedBehindTheDrain: a drain pass visits the intake
-// shards in order while pushes go round-robin, so a request can land in a
-// shard the pass has already left while a barrier submitted after it lands
-// in one the pass has yet to reach. The barrier must still order that
-// request. The afterShard seam stages exactly this interleaving.
-func TestBarrierSeesWorkPushedBehindTheDrain(t *testing.T) {
-	tr, _ := testTree(t, 2000)
-	e := newEngine(Config{Backend: NewTreeBackend(tr), Shards: 2})
-	insert := func(x uint32) *Request {
-		r := NewRequest(OpInsert)
-		r.Pts = []geom.Point{{Dims: 3, Coords: [4]uint32{x, 7, 7, 0}}}
-		return r
-	}
-	first, late, barrier := insert(1), insert(2), NewRequest(opBarrier)
-	staged := false
-	e.in.afterShard = func(i int) {
-		if i != 0 || staged {
-			return
-		}
-		staged = true
-		// Round-robin goes on from first's shard 1: late lands in shard 0,
-		// which this pass has left, and barrier in shard 1, which it has
-		// not reached yet.
-		for _, r := range []*Request{late, barrier} {
-			if err := e.Submit(r); err != nil {
-				t.Errorf("submit %s: %v", r.Op, err)
-			}
-		}
-	}
-	if err := e.Submit(first); err != nil { // shard 1
-		t.Fatal(err)
-	}
-	go e.executor()
-	t.Cleanup(func() { e.Shutdown(context.Background()) })
-
-	waitDone(t, barrier)
-	waitDone(t, late)
-	if !staged {
-		t.Fatal("the drain never staged the interleaving")
-	}
-	// Every update batch publishes a new epoch: a late insert applied
-	// after the barrier's epoch would report a later one.
-	if late.Resp.Epoch > barrier.Resp.Epoch {
-		t.Fatalf("barrier completed at epoch %d, before a request submitted ahead of it (epoch %d)",
-			barrier.Resp.Epoch, late.Resp.Epoch)
-	}
-}
-
-// intakeLen counts requests waiting in the intake shards.
+// intakeLen counts requests waiting in the intake.
 func intakeLen(e *Engine) int {
-	n := 0
-	for i := range e.in.shards {
-		s := &e.in.shards[i]
-		s.mu.Lock()
-		n += len(s.q)
-		s.mu.Unlock()
-	}
-	return n
+	e.in.mu.Lock()
+	defer e.in.mu.Unlock()
+	return len(e.in.q)
 }
 
 // TestArrivalsDuringAnEpochShareTheNext pins the coalescing contract:

@@ -177,7 +177,7 @@ func TestEngineHistoryMatchesOracle(t *testing.T) {
 						plan = slices.Insert(plan, cut.Intn(len(plan)+1), NewRequest(opBarrier))
 					}
 					epoch0 := b.Epoch()
-					e.execute(plan)
+					e.runCut(plan)
 					if err := checkPlan(oracle, plan, epoch0, b.Epoch()); err != nil {
 						t.Fatalf("plan %d (%d requests): %v", i, len(plan), err)
 					}

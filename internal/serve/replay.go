@@ -25,7 +25,6 @@ type Replay struct {
 // (request-at-a-time service, one epoch and one tree batch per request)
 // instead of everything that has arrived.
 func NewReplay(cfg Config, clock func() float64, fifo bool) *Replay {
-	cfg.Shards = 1 // one intake shard drains in submission order
 	return &Replay{e: newEngine(cfg), clock: clock, fifo: fifo}
 }
 

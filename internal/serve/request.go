@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/geom"
@@ -100,7 +99,6 @@ type Request struct {
 	// done has room for the one token complete sends per round trip, so
 	// a request reused round trip after round trip keeps one channel.
 	done chan struct{}
-	enq  time.Time
 
 	// ts holds the monotonic stage-boundary stamps (see stages.go).
 	ts [numBoundaries]int64

@@ -9,14 +9,14 @@
 // hardware, becomes the bottleneck. This package recovers the batch
 // shape from concurrent traffic:
 //
-//	clients ──► sharded intake queues ──► executor ──► responses
-//	             (admission control)      (drain into an epoch plan,
-//	                                       epoch fence + batch ops)
+//	clients ──► FIFO intake ──► executor ──► responses
+//	            (admission      (drain into an epoch plan,
+//	             control)        epoch fence + batch ops)
 //
-// Concurrent client requests land in finely-locked sharded MPSC queues
+// Concurrent client requests land in one mutex-guarded FIFO queue
 // (admission-controlled: a full queue sheds instead of building unbounded
 // backlog). One executor goroutine, whenever it is free, drains the
-// shards and coalesces whatever has accumulated into an epoch plan — one
+// queue and coalesces whatever has accumulated into an epoch plan — one
 // native batch per operation type (Search/Insert/Delete/KNN/BoxCount are
 // already the fast path) — and runs it against the tree: all read
 // batches of an epoch execute against the root snapshot published by the

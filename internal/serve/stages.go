@@ -11,7 +11,7 @@ import "time"
 // request's wall time decomposes into:
 //
 //	admit  validation + intake push (Submit)
-//	queue  waiting in the sharded intake for the epoch in flight to end
+//	queue  waiting in the intake for the epoch in flight to end
 //	build  the executor's cut of the drained requests into an epoch plan
 //	fence  the executor's epoch pin of that plan
 //	exec   the coalesced native tree batches (the backend's share)
@@ -29,7 +29,7 @@ import "time"
 const (
 	bAdmitted = iota // Submit: validated, about to enter the intake
 	bEnqueued        // intake accepted the request
-	bDrained         // the executor drained it from its intake shard
+	bDrained         // the executor drained it from the intake
 	bPlanned         // its epoch plan was cut
 	bFenced          // the executor pinned the plan's read epoch
 	bExecuted        // its native tree batches returned

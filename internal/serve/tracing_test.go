@@ -8,6 +8,8 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,7 +173,9 @@ func TestHotShardStormAttribution(t *testing.T) {
 
 // TestObserveStagesZeroAlloc pins the acceptance bound: the finish-path
 // stage observation (histograms + SLO + capture fast path) allocates
-// nothing in steady state.
+// nothing in steady state. It also pins the one request clock: a request
+// served through Submit observes as pimzd_request_seconds exactly the sum
+// of its stages.
 func TestObserveStagesZeroAlloc(t *testing.T) {
 	tr, _ := testTree(t, 2000)
 	reg := metrics.New()
@@ -191,6 +195,26 @@ func TestObserveStagesZeroAlloc(t *testing.T) {
 		defer cancel()
 		e.Shutdown(ctx)
 	}()
+
+	served := mustDo(t, e, searchReq(geom.Point{Dims: 3}))
+	var stages int64
+	for _, ns := range served.StageNanos {
+		stages += ns
+	}
+	var expo bytes.Buffer
+	if err := reg.WriteTextOpts(&expo, metrics.ExpoOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	const sumLine = `pimzd_request_seconds_sum{op="search"} `
+	var observed string
+	for _, line := range strings.Split(expo.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, sumLine); ok {
+			observed = v
+		}
+	}
+	if want := strconv.FormatFloat(float64(stages)/1e9, 'g', -1, 64); observed != want {
+		t.Fatalf("pimzd_request_seconds sum %q, want the stage sum %s (%v ns)", observed, want, served.StageNanos)
+	}
 
 	r := NewRequest(OpSearch)
 	base := nowNanos()

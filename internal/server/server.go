@@ -93,9 +93,8 @@ type Config struct {
 	// Sample snapshots per-module loads every this many rounds (0 = off).
 	Sample int
 
-	// IntakeShards, MaxQueuedOps and MaxBatch size the serving engine
-	// (see serve.Config; 0 = its defaults).
-	IntakeShards int
+	// MaxQueuedOps and MaxBatch size the serving engine (see
+	// serve.Config; 0 = its defaults).
 	MaxQueuedOps int64
 	MaxBatch     int
 
@@ -126,6 +125,15 @@ type parsed struct {
 func CheckDims(dims int) error {
 	if dims < 2 || dims > 4 {
 		return fmt.Errorf("dims=%d: want 2-4", dims)
+	}
+	return nil
+}
+
+// CheckSize is the CLIs' size-flag rule: a count of points, PIM modules or
+// operations is at least 1. Zero is refused, not read as "use the default".
+func CheckSize(flag string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("-%s %d: want at least 1", flag, n)
 	}
 	return nil
 }
@@ -361,7 +369,6 @@ func (s *Server) warm(p parsed, rec *obs.Recorder) {
 	s.idx.SetFanoutCapture(true)
 	s.eng = serve.New(serve.Config{
 		Backend:      s.idx,
-		Shards:       cfg.IntakeShards,
 		MaxQueuedOps: cfg.MaxQueuedOps,
 		MaxBatch:     cfg.MaxBatch,
 		Registry:     s.reg,
