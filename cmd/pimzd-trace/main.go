@@ -53,16 +53,18 @@ import (
 )
 
 // check validates -format, -profile and the size flags before anything is
-// generated: with -p below 1 the tree's configuration panics, and an empty
-// warmup set or batch traces nothing.
-func check(format, profile string, n, batch, modules int) error {
+// generated: with -p below 1 the tree's configuration panics, an empty
+// warmup set or batch traces nothing, -k below 1 asks for no neighbours and
+// -trees below 1 for no index.
+func check(format, profile string, n, batch, modules, k, trees int) error {
 	if format != "table" && format != "chrome" && format != "jsonl" {
 		return fmt.Errorf("unknown format %q", format)
 	}
 	if profile != "" && profile != "modules" {
 		return fmt.Errorf("unknown profile %q", profile)
 	}
-	return errors.Join(server.CheckSize("p", modules), server.CheckSize("n", n), server.CheckSize("batch", batch))
+	return errors.Join(server.CheckSize("p", modules), server.CheckSize("n", n), server.CheckSize("batch", batch),
+		server.CheckSize("k", k), server.CheckSize("trees", trees))
 }
 
 func main() {
@@ -87,7 +89,7 @@ func main() {
 		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-	if err := check(*format, *profile, *n, *batch, *modules); err != nil {
+	if err := check(*format, *profile, *n, *batch, *modules, *k, *trees); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

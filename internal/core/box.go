@@ -95,7 +95,7 @@ func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, counts []int64, foun
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		work += 4
-		if !n.Box.Intersects(box) {
+		if !t.cell(n).Intersects(box) {
 			return
 		}
 		// Non-L0 nodes are delegated to their chunk's module even when
@@ -105,12 +105,12 @@ func (t *Tree) expandL0Box(qi int32, n *Node, box geom.Box, counts []int64, foun
 			*frontier = append(*frontier, entry{qi: qi, node: n})
 			return
 		}
-		if box.ContainsBox(n.Box) && !fetchMode {
+		if box.ContainsBox(t.cell(n)) && !fetchMode {
 			atomic.AddInt64(&counts[qi], n.Size)
 			return
 		}
 		if n.IsLeaf() {
-			work += int64(len(n.Keys)) * int64(t.cfg.Dims)
+			work += n.Size * int64(t.cfg.Dims)
 			if fetchMode {
 				forEachLeafBoxHit(n, box, func(i int) {
 					*found = append(*found, foundPoint{qi: qi, p: n.point(i)})
@@ -138,7 +138,7 @@ func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, counts []int64, fou
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		work += 4
-		if !n.Box.Intersects(box) {
+		if !t.cell(n).Intersects(box) {
 			return
 		}
 		if n.Chunk != c {
@@ -146,7 +146,7 @@ func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, counts []int64, fou
 			outBytes += resultMsgBytes
 			return
 		}
-		if box.ContainsBox(n.Box) {
+		if box.ContainsBox(t.cell(n)) {
 			if !fetch {
 				// The chunk master holds this node's exact size locally.
 				atomic.AddInt64(&counts[e.qi], n.Size)
@@ -162,7 +162,7 @@ func (t *Tree) boxChunkScan(c *Chunk, e entry, box geom.Box, counts []int64, fou
 			return
 		}
 		if n.IsLeaf() {
-			work += int64(len(n.Keys)) * int64(t.cfg.Dims)
+			work += n.Size * int64(t.cfg.Dims)
 			if fetch {
 				forEachLeafBoxHit(n, box, func(i int) {
 					*found = append(*found, foundPoint{qi: e.qi, p: n.point(i)})
@@ -195,10 +195,10 @@ func fetchSubtreeChunk(c *Chunk, qi int32, n *Node, found *[]foundPoint, exits *
 		return 1, resultMsgBytes
 	}
 	if n.IsLeaf() {
-		for i := range n.Keys {
+		for i := range int(n.Size) {
 			*found = append(*found, foundPoint{qi: qi, p: n.point(i)})
 		}
-		return int64(len(n.Keys)), int64(len(n.Keys)) * pointBytes
+		return n.Size, n.Size * pointBytes
 	}
 	wl, bl := fetchSubtreeChunk(c, qi, n.Left, found, exits)
 	wr, br := fetchSubtreeChunk(c, qi, n.Right, found, exits)

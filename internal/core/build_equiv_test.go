@@ -15,7 +15,7 @@ import (
 // entry point builds it (New, Insert into an empty tree, Rebuild) and
 // however many workers sort and construct it.
 
-// sameSubtree compares structure and payload: keys, prefix lengths, boxes,
+// sameSubtree compares structure and payload: keys, prefix lengths, cells,
 // sizes and leaf contents.
 func sameSubtree(a, b *Node, path string) error {
 	if a == nil || b == nil {
@@ -24,16 +24,16 @@ func sameSubtree(a, b *Node, path string) error {
 		}
 		return nil
 	}
-	if a.Key != b.Key || a.PrefixLen != b.PrefixLen || a.Size != b.Size || a.Box != b.Box || a.IsLeaf() != b.IsLeaf() {
+	if a.Key != b.Key || a.PrefixLen != b.PrefixLen || a.Size != b.Size || a.lo != b.lo || a.dims != b.dims || a.IsLeaf() != b.IsLeaf() {
 		return fmt.Errorf("%s: node differs: key %x/%x plen %d/%d size %d/%d leaf %v/%v",
 			path, a.Key, b.Key, a.PrefixLen, b.PrefixLen, a.Size, b.Size, a.IsLeaf(), b.IsLeaf())
 	}
 	if a.IsLeaf() {
-		if len(a.Keys) != len(b.Keys) || len(a.lanes) != len(b.lanes) {
-			return fmt.Errorf("%s: leaf holds %d/%d keys", path, len(a.Keys), len(b.Keys))
+		if len(a.lanes) != len(b.lanes) {
+			return fmt.Errorf("%s: leaf lanes hold %d/%d coordinates", path, len(a.lanes), len(b.lanes))
 		}
-		for i := range a.Keys {
-			if a.Keys[i] != b.Keys[i] || a.point(i) != b.point(i) {
+		for i := range int(a.Size) {
+			if a.point(i) != b.point(i) {
 				return fmt.Errorf("%s: leaf entry %d differs", path, i)
 			}
 		}

@@ -171,20 +171,25 @@ const layerNew Layer = 0xFF
 
 // Node is one logical zd-tree node. Leaves have Left == nil.
 //
-// Fields are ordered for size: 144 bytes, a Go size class, with the
-// one-byte fields packed behind the Box. Host bytes are not modeled bytes —
-// the model prices nodes and leaves by the declared constants (nodeBytes,
-// leafBytesOf), not by this struct.
+// A node keeps only what it cannot derive: 96 bytes, a Go size class, with
+// the one-byte fields packed behind the cell corner. Its box is the z-order
+// prefix cell of Key and PrefixLen, kept as the low corner (the high corner
+// is tabulated per prefix length: Tree.cell), and a leaf's keys are the
+// Morton codes of the points in its lanes. Host bytes are not modeled
+// bytes — the model prices nodes and leaves by the declared constants
+// (nodeBytes, leafBytesOf), not by this struct.
 type Node struct {
 	Left, Right *Node
-	Key         uint64 // representative key
-	Box         geom.Box
-	PrefixLen   uint8
-	Layer       Layer
+	Key         uint64 // representative key (a leaf's: that of point 0)
+
+	lo        [geom.MaxDims]uint32 // low corner of the prefix cell
+	PrefixLen uint8
+	Layer     Layer
 
 	// dirty marks structural modification since the last relayout, so the
 	// layout pass only charges movement for chunks that actually changed.
 	dirty bool
+	dims  uint8 // the tree's dimensionality, for point
 
 	// Subtree-size counters (§3.4): Size is the exact count known to the
 	// master copy (masters lie on every update path, so they stay exact at
@@ -196,33 +201,39 @@ type Node struct {
 
 	Chunk *Chunk // meta-node containing this node (nil for L0 nodes)
 
-	// Leaf payload, sorted by key: Keys[i] is the key of point i, whose
-	// coordinates are stored once, dim-major, in lanes:
-	// lanes[d*len(Keys)+i] is coordinate d of point i. The fused leaf
-	// kernels (kernels.go) stream these contiguous lanes; a geom.Point is
-	// materialised (point) only where an API hands one out.
-	Keys  []uint64
+	// Leaf payload: the leaf's Size points in key order, stored once,
+	// dim-major: lanes[d*Size+i] is coordinate d of point i. The fused
+	// leaf kernels (kernels.go) stream these contiguous lanes; a
+	// geom.Point is materialised (point) only where an API hands one out,
+	// and a key (leafKey) only where an order is needed.
 	lanes []uint32
 }
 
 // IsLeaf reports whether n is a leaf.
 func (n *Node) IsLeaf() bool { return n.Left == nil }
 
-// point materialises point i of leaf n from its lanes (a leaf's Box carries
-// the dimensionality).
+// point materialises point i of leaf n from its lanes.
 func (n *Node) point(i int) geom.Point {
-	m := len(n.Keys)
-	p := geom.Point{Dims: n.Box.Lo.Dims}
+	m := int(n.Size)
+	p := geom.Point{Dims: n.dims}
 	for d := range int(p.Dims) {
 		p.Coords[d] = n.lanes[d*m+i]
 	}
 	return p
 }
 
+// leafKey returns the Morton key of point i of leaf n.
+func (n *Node) leafKey(i int) uint64 {
+	return morton.EncodePoint(n.point(i))
+}
+
 // Pts yields a leaf's points with their indexes, in key order (nothing for
 // an internal node): for i, p := range n.Pts.
 func (n *Node) Pts(yield func(int, geom.Point) bool) {
-	for i := range n.Keys {
+	if !n.IsLeaf() {
+		return
+	}
+	for i := range int(n.Size) {
 		if !yield(i, n.point(i)) {
 			return
 		}
@@ -268,11 +279,17 @@ type Tree struct {
 	root *Node
 
 	thetaL0, thetaL1, chunkB int64
+	l1Window                 int64 // L1 counter window (deltaWindow), set with the thresholds
 	thetaBaseN               int64 // lazily re-based n for threshold stability
 	bootstrapped             bool  // initial layout done (placement may inherit)
 	rehomeThreshold          int64 // per-module footprint above which chunks rehome
 
 	keyBits uint // bits in a key: morton.KeyBits(Dims), fixed at New
+
+	// cellMasks[l] holds the coordinate bits a prefix of l key bits leaves
+	// free (morton.PrefixMask), for l = 0..keyBits (at most 64): a node's
+	// cell is [lo, lo|cellMasks[PrefixLen]]. Built at New.
+	cellMasks [65][geom.MaxDims]uint32
 
 	l0OnModules bool  // L0 replicated on modules instead of the CPU cache
 	l0Count     int64 // number of L0 nodes
@@ -353,6 +370,9 @@ func New(cfg Config, points []geom.Point) *Tree {
 		sys:     pim.NewSystem(machine),
 		keyBits: morton.KeyBits(int(cfg.Dims)),
 		chunks:  make(map[uint64]*Chunk),
+	}
+	for l := range t.keyBits + 1 {
+		t.cellMasks[l] = morton.PrefixMask(l, cfg.Dims)
 	}
 	t.sys.DirectAPI = !cfg.DisableDirectAPI
 	t.sys.SetRecorder(cfg.Obs)
@@ -521,9 +541,9 @@ func (t *Tree) buildLogical(b batch) *Node {
 		PrefixLen: uint8(plen),
 		Size:      int64(b.len()),
 		SC:        int64(b.len()),
-		Box:       morton.PrefixBox(first, plen, t.cfg.Dims),
 		Layer:     layerNew,
 	}
+	t.setCell(n)
 	if b.len() > 4096 {
 		parallel.Do(
 			func() { n.Left = t.buildLogical(b.slice(0, split)) },
@@ -539,28 +559,46 @@ func (t *Tree) buildLogical(b batch) *Node {
 func (t *Tree) newLeaf(b batch) *Node {
 	dims := int(t.cfg.Dims)
 	n := &Node{
-		Key:   b.keys[0],
-		Size:  int64(b.len()),
-		SC:    int64(b.len()),
-		Layer: layerNew,
-		Keys:  make([]uint64, b.len()),
-		lanes: make([]uint32, b.len()*dims),
+		Key:       b.keys[0],
+		PrefixLen: t.leafPrefixLen(b.keys[0], b.keys[b.len()-1]),
+		Size:      int64(b.len()),
+		SC:        int64(b.len()),
+		Layer:     layerNew,
+		lanes:     make([]uint32, b.len()*dims),
 	}
-	copy(n.Keys, b.keys)
 	b.gather(n.lanes, dims)
-	n.PrefixLen = t.leafPrefixLen(n.Keys)
-	n.Box = morton.PrefixBox(n.Key, uint(n.PrefixLen), t.cfg.Dims)
+	t.setCell(n)
 	return n
 }
 
-// leafPrefixLen returns the prefix length of a leaf holding the sorted,
-// non-empty keys: the full key for a single point, else the common prefix
-// of the two ends.
-func (t *Tree) leafPrefixLen(keys []uint64) uint8 {
-	if len(keys) == 1 {
-		return uint8(t.keyBits)
+// leafPrefixLen returns the prefix length of a leaf whose sorted keys run
+// from first to last: their common prefix, the full key when they are
+// equal (a single point, or copies of one).
+func (t *Tree) leafPrefixLen(first, last uint64) uint8 {
+	return uint8(morton.CommonPrefixLen(first, last, int(t.cfg.Dims)))
+}
+
+// setCell derives n's cell from its Key and PrefixLen: the low corner is
+// the decoded key with the prefix's free bits cleared.
+func (t *Tree) setCell(n *Node) {
+	p := morton.DecodePoint(n.Key, t.cfg.Dims)
+	m := &t.cellMasks[n.PrefixLen]
+	for d := range n.lo {
+		n.lo[d] = p.Coords[d] &^ m[d]
 	}
-	return uint8(morton.CommonPrefixLen(keys[0], keys[len(keys)-1], int(t.cfg.Dims)))
+	n.dims = t.cfg.Dims
+}
+
+// cell returns n's box, the prefix cell
+// morton.PrefixBox(n.Key, n.PrefixLen, dims): the stored low corner and,
+// one OR per dimension above it, the high corner.
+func (t *Tree) cell(n *Node) geom.Box {
+	m := &t.cellMasks[n.PrefixLen]
+	b := geom.Box{Lo: geom.Point{Coords: n.lo, Dims: n.dims}, Hi: geom.Point{Dims: n.dims}}
+	for d := range m {
+		b.Hi.Coords[d] = n.lo[d] | m[d]
+	}
+	return b
 }
 
 // splitAtBit returns the index of the first key with the given bit set;
@@ -593,7 +631,7 @@ func (t *Tree) splitBit(n *Node) uint {
 
 // leafBytes returns the modeled size of a leaf's payload.
 func leafBytesOf(n *Node) int64 {
-	return leafHeaderBytes + int64(len(n.Keys))*pointBytes
+	return leafHeaderBytes + n.Size*pointBytes
 }
 
 // nodeFootprint returns the modeled bytes of one node (leaf or internal).
@@ -613,8 +651,8 @@ func (t *Tree) Points() []geom.Point {
 			return
 		}
 		if n.IsLeaf() {
-			for i := range n.Keys {
-				out = append(out, n.point(i))
+			for _, p := range n.Pts {
+				out = append(out, p)
 			}
 			return
 		}

@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // Lazy counters (§3.4, Table 1). Every node's master keeps the exact
 // subtree size (Size): masters lie on the search path of each update, so
 // keeping them exact costs no extra communication. What is expensive is
@@ -25,17 +23,7 @@ func (t *Tree) deltaWindow(n *Node) (lo, hi int64) {
 	case L0:
 		m = t.thetaL0
 	case L1:
-		l := int64(1)
-		if t.thetaL0 > t.thetaL1 && t.chunkB > 1 {
-			l = int64(math.Ceil(math.Log(float64(t.thetaL0)/float64(t.thetaL1)) / math.Log(float64(t.chunkB))))
-		}
-		m = t.thetaL1
-		if l < m {
-			m = l
-		}
-		if m < 1 {
-			m = 1
-		}
+		m = t.l1Window
 	case L2:
 		return 0, 0
 	}

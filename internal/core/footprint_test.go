@@ -83,10 +83,10 @@ func TestBuildKeepsNoBuildScratch(t *testing.T) {
 	tr := New(testConfig(ThroughputOptimized), pts)
 	perPoint := float64(liveHeap()-before) / n
 	t.Logf("built tree keeps %.1f B/point", perPoint)
-	// Measured 52.0 B/point (Go 1.24, linux/amd64): keys and coordinate
-	// lanes (20 B a point before size-class rounding) plus 0.21 nodes of
-	// 144 B a point. The limit adds a margin of 4 B.
-	const limit = 56
+	// Measured 33.2–33.6 B/point (Go 1.24, linux/amd64): coordinate lanes
+	// (12 B a point before size-class rounding) plus 0.21 nodes of 96 B a
+	// point. The limit adds a margin of about 2.5 B.
+	const limit = 36
 	if perPoint > limit {
 		t.Errorf("built tree keeps %.1f B/point of live heap, want <= %d", perPoint, limit)
 	}
@@ -160,11 +160,12 @@ func TestAlternatingBatchesKeepScratch(t *testing.T) {
 	}
 }
 
-// A leaf stores each point once: its key and its coordinate lanes. The node
-// itself must stay in the 144-byte size class.
+// A leaf stores each point once, in its coordinate lanes, and a node keeps
+// only what it cannot derive (no key array, no high box corner). The node
+// itself must stay in the 96-byte size class.
 func TestNodeSize(t *testing.T) {
-	if size := unsafe.Sizeof(Node{}); size > 144 {
-		t.Errorf("Node is %d bytes, want <= 144", size)
+	if size := unsafe.Sizeof(Node{}); size > 96 {
+		t.Errorf("Node is %d bytes, want <= 96", size)
 	}
 }
 

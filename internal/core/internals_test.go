@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pimzdtree/internal/geom"
+	"pimzdtree/internal/morton"
 	"pimzdtree/internal/obs"
 )
 
@@ -48,6 +49,27 @@ func TestDeltaWindowPerLayer(t *testing.T) {
 	_, hi = tr.deltaWindow(l1)
 	if hi > theta1 {
 		t.Fatalf("L1 hi = %d exceeds theta1 %d", hi, theta1)
+	}
+}
+
+// A node keeps its cell's low corner and the tree tabulates, per prefix
+// length, the bits above it: the cell they give must be exactly the prefix
+// box, at every dimensionality and every prefix length.
+func TestCellIsPrefixBox(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for dims := uint8(2); dims <= geom.MaxDims; dims++ {
+		cfg := testConfig(ThroughputOptimized)
+		cfg.Dims = dims
+		tr := New(cfg, nil)
+		for plen := uint(0); plen <= tr.keyBits; plen++ {
+			for range 32 {
+				n := &Node{Key: rng.Uint64() >> (64 - tr.keyBits), PrefixLen: uint8(plen)}
+				tr.setCell(n)
+				if got, want := tr.cell(n), morton.PrefixBox(n.Key, plen, dims); got != want {
+					t.Fatalf("dims %d, key %#x, prefix %d: cell %v, want %v", dims, n.Key, plen, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ func leafCoarseDists(data []uint32, total, off, m int, q geom.Point, metric geom
 // current bound (the ones add would keep) are materialised.
 func scanLeafKNN(n *Node, q geom.Point, coarse geom.Metric, cs *candState, k int) {
 	var dist [leafBlock]uint64
-	total := len(n.Keys)
+	total := int(n.Size)
 	for off := 0; off < total; off += leafBlock {
 		m := min(total-off, leafBlock)
 		leafCoarseDists(n.lanes, total, off, m, q, coarse, &dist)
@@ -88,7 +88,7 @@ func scanLeafKNN(n *Node, q geom.Point, coarse geom.Metric, cs *candState, k int
 func scanLeafSphere(n *Node, q geom.Point, coarse geom.Metric, bound uint64, emit func(geom.Point)) int64 {
 	var dist [leafBlock]uint64
 	var hits int64
-	total := len(n.Keys)
+	total := int(n.Size)
 	for off := 0; off < total; off += leafBlock {
 		m := min(total-off, leafBlock)
 		leafCoarseDists(n.lanes, total, off, m, q, coarse, &dist)
@@ -126,7 +126,7 @@ func leafBoxFlags(data []uint32, total, off, m int, box geom.Box, flags *[leafBl
 func countLeafBox(n *Node, box geom.Box) int64 {
 	var flags [leafBlock]uint64
 	var cnt uint64
-	total := len(n.Keys)
+	total := int(n.Size)
 	for off := 0; off < total; off += leafBlock {
 		m := min(total-off, leafBlock)
 		leafBoxFlags(n.lanes, total, off, m, box, &flags)
@@ -141,7 +141,7 @@ func countLeafBox(n *Node, box geom.Box) int64 {
 // inside box, in increasing index order.
 func forEachLeafBoxHit(n *Node, box geom.Box, emit func(int)) {
 	var flags [leafBlock]uint64
-	total := len(n.Keys)
+	total := int(n.Size)
 	for off := 0; off < total; off += leafBlock {
 		m := min(total-off, leafBlock)
 		leafBoxFlags(n.lanes, total, off, m, box, &flags)

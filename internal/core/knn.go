@@ -399,7 +399,7 @@ func dedupeNeighbors(ns []Neighbor) []Neighbor {
 func (t *Tree) lowestEnclosing(trace []*Node, q geom.Point, margin uint64) *Node {
 	for i := len(trace) - 1; i >= 0; i-- {
 		n := trace[i]
-		if ballInBox(q, margin, n.Box) {
+		if ballInBox(q, margin, t.cell(n)) {
 			return n
 		}
 	}
@@ -527,7 +527,7 @@ func (cw *candWalk) afterWave(exits []entry) []entry {
 	}
 	next := exits[:0]
 	for _, e := range exits {
-		if e.node.Box.MinDistTo(ks.queries[e.qi], ks.coarse) <= ks.bounds[e.qi] {
+		if t.cell(e.node).MinDistTo(ks.queries[e.qi], ks.coarse) <= ks.bounds[e.qi] {
 			next = append(next, e)
 		}
 	}
@@ -559,7 +559,7 @@ func (t *Tree) expandL0KNN(qi int32, n *Node, q geom.Point, cs *candState, k int
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		work += 4
-		if n.Box.MinDistTo(q, coarse) > cs.bound {
+		if t.cell(n).MinDistTo(q, coarse) > cs.bound {
 			return
 		}
 		if n.Layer != L0 {
@@ -568,12 +568,12 @@ func (t *Tree) expandL0KNN(qi int32, n *Node, q geom.Point, cs *candState, k int
 		}
 		if n.IsLeaf() {
 			scanLeafKNN(n, q, coarse, cs, k)
-			work += int64(len(n.Keys)) * (int64(q.Dims) + costmodel.WorkHeapOp)
+			work += n.Size * (int64(q.Dims) + costmodel.WorkHeapOp)
 			return
 		}
 		// Nearer child first to tighten the bound early.
 		a, b := n.Left, n.Right
-		if b.Box.MinDistTo(q, coarse) < a.Box.MinDistTo(q, coarse) {
+		if t.cell(b).MinDistTo(q, coarse) < t.cell(a).MinDistTo(q, coarse) {
 			a, b = b, a
 		}
 		rec(a)
@@ -600,7 +600,7 @@ func (t *Tree) knnChunkScan(c *Chunk, e entry, q geom.Point, local *candState, k
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		work += 4
-		if n.Box.MinDistTo(q, coarse) > local.bound {
+		if t.cell(n).MinDistTo(q, coarse) > local.bound {
 			return
 		}
 		if n.Chunk != c {
@@ -610,11 +610,11 @@ func (t *Tree) knnChunkScan(c *Chunk, e entry, q geom.Point, local *candState, k
 		}
 		if n.IsLeaf() {
 			scanLeafKNN(n, q, coarse, local, k)
-			work += int64(len(n.Keys)) * pimDistCost(coarse, q.Dims)
+			work += n.Size * pimDistCost(coarse, q.Dims)
 			return
 		}
 		a, b := n.Left, n.Right
-		if b.Box.MinDistTo(q, coarse) < a.Box.MinDistTo(q, coarse) {
+		if t.cell(b).MinDistTo(q, coarse) < t.cell(a).MinDistTo(q, coarse) {
 			a, b = b, a
 		}
 		rec(a)
@@ -685,7 +685,7 @@ func (t *Tree) expandL0Sphere(qi int32, n *Node, q geom.Point, bound uint64, coa
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		work += 4
-		if n.Box.MinDistTo(q, coarse) > bound {
+		if t.cell(n).MinDistTo(q, coarse) > bound {
 			return
 		}
 		if n.Layer != L0 {
@@ -693,7 +693,7 @@ func (t *Tree) expandL0Sphere(qi int32, n *Node, q geom.Point, bound uint64, coa
 			return
 		}
 		if n.IsLeaf() {
-			work += int64(len(n.Keys)) * int64(q.Dims)
+			work += n.Size * int64(q.Dims)
 			scanLeafSphere(n, q, coarse, bound, func(p geom.Point) {
 				*found = append(*found, foundPoint{qi: qi, p: p})
 			})
@@ -713,7 +713,7 @@ func (t *Tree) sphereChunkScan(c *Chunk, e entry, q geom.Point, bound uint64, co
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		work += 4
-		if n.Box.MinDistTo(q, coarse) > bound {
+		if t.cell(n).MinDistTo(q, coarse) > bound {
 			return
 		}
 		if n.Chunk != c {
@@ -722,7 +722,7 @@ func (t *Tree) sphereChunkScan(c *Chunk, e entry, q geom.Point, bound uint64, co
 			return
 		}
 		if n.IsLeaf() {
-			work += int64(len(n.Keys)) * distCost
+			work += n.Size * distCost
 			outBytes += scanLeafSphere(n, q, coarse, bound, addPoint) * pointBytes
 			return
 		}

@@ -61,6 +61,13 @@ func (t *Tree) computeThresholds() {
 	if t.thetaL1 > t.thetaL0 {
 		t.thetaL1 = t.thetaL0
 	}
+	// The L1 counter window m = min{ThetaL1, log_B(ThetaL0/ThetaL1)},
+	// at least 1 (§3.4; counters.go).
+	l := int64(1)
+	if t.thetaL0 > t.thetaL1 && t.chunkB > 1 {
+		l = int64(math.Ceil(math.Log(float64(t.thetaL0)/float64(t.thetaL1)) / math.Log(float64(t.chunkB))))
+	}
+	t.l1Window = max(min(t.thetaL1, l), 1)
 }
 
 // layerOf returns the layer a node belongs to given its lazy snapshot and

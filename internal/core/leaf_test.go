@@ -11,10 +11,10 @@ import (
 	"pimzdtree/internal/morton"
 )
 
-// Leaf payload maintenance. A leaf stores each point once — its key in Keys,
-// its coordinates in the dim-major lanes — and every update rewrites both:
-// deletes compact them in place, merges that fit refresh the leaf in place,
-// merges that overflow split it. Every case runs at each supported
+// Leaf payload maintenance. A leaf stores each point once, its coordinates
+// in the dim-major lanes (its keys are derived from them), and every update
+// rewrites them: deletes compact the lanes in place, merges that fit
+// refresh the leaf in place, merges that overflow split it. Every case runs at each supported
 // dimensionality, with the leaf alone in the tree and under a background of
 // far-away points, and checks the tree against a brute-force multiset after
 // every batch.
@@ -102,8 +102,8 @@ func TestLeafPayloadMaintenance(t *testing.T) {
 					cfg.Dims = dims
 					tr := New(cfg, want)
 					home := terminalOf(tr, c[0])
-					if !home.IsLeaf() || len(home.Keys) != len(leaf) {
-						t.Fatalf("starting leaf holds %d points, want %d", len(home.Keys), len(leaf))
+					if !home.IsLeaf() || int(home.Size) != len(leaf) {
+						t.Fatalf("starting leaf holds %d points, want %d", home.Size, len(leaf))
 					}
 					checkLeafState(t, tr, want, c)
 					for step, op := range tc.ops(c, more) {
@@ -126,8 +126,8 @@ func TestLeafPayloadMaintenance(t *testing.T) {
 						}
 					}
 					if tc.name == "merge-splits-leaf" {
-						if n := terminalOf(tr, c[0]); len(n.Keys) > tr.cfg.LeafCap {
-							t.Errorf("merged leaf holds %d points, over the cap of %d", len(n.Keys), tr.cfg.LeafCap)
+						if n := terminalOf(tr, c[0]); int(n.Size) > tr.cfg.LeafCap {
+							t.Errorf("merged leaf holds %d points, over the cap of %d", n.Size, tr.cfg.LeafCap)
 						}
 					}
 				})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pimzdtree/internal/geom"
+	"pimzdtree/internal/morton"
 	"pimzdtree/internal/pim"
 	"pimzdtree/internal/workload"
 )
@@ -254,9 +255,9 @@ func hashNode(h uint64, n *Node) uint64 {
 	h = fnvStep(h, uint64(n.Size-n.SC)) // the lazy-counter drift
 	h = fnvStep(h, uint64(n.Layer))
 	if n.IsLeaf() {
-		for i, k := range n.Keys {
-			h = fnvStep(h, k)
-			h = fnvStep(h, hashPoint(n.point(i)))
+		for _, p := range n.Pts {
+			h = fnvStep(h, morton.EncodePoint(p))
+			h = fnvStep(h, hashPoint(p))
 		}
 		return h
 	}

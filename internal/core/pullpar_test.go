@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pimzdtree/internal/geom"
-	"pimzdtree/internal/morton"
 	"pimzdtree/internal/obs"
 	"pimzdtree/internal/pim"
 	"pimzdtree/internal/workload"
@@ -49,16 +48,15 @@ func TestPulledScanMultiWorker(t *testing.T) {
 		if r.Terminal == nil || !r.Terminal.IsLeaf() {
 			t.Fatalf("query %d: stored point did not terminate at a leaf", i)
 		}
-		key := morton.EncodePoint(hot[i])
 		found := false
-		for _, k := range r.Terminal.Keys {
-			if k == key {
+		for _, p := range r.Terminal.Pts {
+			if p.Equal(hot[i]) {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Fatalf("query %d: terminal leaf does not hold the query key", i)
+			t.Fatalf("query %d: terminal leaf does not hold the query point", i)
 		}
 	}
 

@@ -36,19 +36,17 @@ type searchOpts struct {
 // three-phase push-pull search of Alg. 1 and returns one result per query,
 // in a fresh slice the caller owns.
 func (t *Tree) Search(points []geom.Point) []SearchResult {
-	res, _ := t.search(points)
-	return append([]SearchResult(nil), res...)
+	return append([]SearchResult(nil), t.search(points)...)
 }
 
-// search is Search returning the batch's results and keys in Tree scratch:
-// valid until the next batch operation.
-func (t *Tree) search(points []geom.Point) ([]SearchResult, []uint64) {
+// search is Search returning the batch's results in Tree scratch: valid
+// until the next batch operation.
+func (t *Tree) search(points []geom.Point) []SearchResult {
 	rec := t.sys.Recorder()
 	rec.BeginOp("search")
 	defer rec.EndOp()
 	defer t.trimScratch()
-	keys := t.encodeKeys(points)
-	return t.searchKeys(keys, searchOpts{}), keys
+	return t.searchKeys(t.encodeKeys(points), searchOpts{})
 }
 
 // encodeKeys computes Morton keys on the host, charging the configured
@@ -506,14 +504,13 @@ func (t *Tree) ContainsBatch(points []geom.Point) []bool {
 	if t.root == nil {
 		return found
 	}
-	res, keys := t.search(points)
-	for i, r := range res {
+	for i, r := range t.search(points) {
 		term := r.Terminal
-		if term == nil || !term.IsLeaf() {
+		if term == nil {
 			continue
 		}
-		for j, k := range term.Keys {
-			if k == keys[i] && term.point(j).Equal(points[i]) {
+		for _, p := range term.Pts {
+			if p.Equal(points[i]) {
 				found[i] = true
 				break
 			}

@@ -254,10 +254,10 @@ func (t *Tree) insertRec(n *Node, b batch, st *updateStats) *Node {
 		parent := &Node{
 			Key:       n.Key,
 			PrefixLen: uint8(dp),
-			Box:       morton.PrefixBox(n.Key, dp, t.cfg.Dims),
 			Layer:     layerNew,
 			dirty:     true,
 		}
+		t.setCell(parent)
 		st.newNodes++
 		// Captured before the recursion: the sub-merge may refresh n in
 		// place (detaching it from its chunk), but the new sibling subtree
@@ -332,32 +332,31 @@ func (t *Tree) insertSplitForked(n *Node, sameSide, otherSide batch, st *updateS
 
 // insertIntoLeaf merges the sorted batch b into leaf n (Alg. 2 steps
 // 2a/2b), splitting overflowing leaves. The merge runs in the arena-owned
-// scratch; when the result still fits one leaf, n is refreshed in place
-// (reusing its key and lane arrays) into exactly the state a freshly built
-// leaf would have, so the fit path allocates nothing in steady state.
+// scratch, encoding the leaf's keys from its lanes (a stored point goes
+// before a batch point with an equal key); when the result still fits one
+// leaf, n is refreshed in place (reusing its lane array) into exactly the
+// state a freshly built leaf would have, so the fit path allocates nothing
+// in steady state.
 func (t *Tree) insertIntoLeaf(n *Node, b batch, st *updateStats) *Node {
 	mod := nonNeg(t.moduleOf(n))
+	m := int(n.Size)
 	st.leafIn[mod] += int64(b.len()) * pointBytes
-	st.leafWork[mod] += int64(len(n.Keys)+b.len()) * 2
+	st.leafWork[mod] += int64(m+b.len()) * 2
 
-	want := len(n.Keys) + b.len()
+	want := m + b.len()
 	if cap(st.mergedKeys) < want {
 		st.mergedKeys = make([]uint64, 0, want)
 		st.mergedPts = make([]geom.Point, 0, want)
 	}
 	keys, pts := st.mergedKeys[:0], st.mergedPts[:0]
-	i, j := 0, 0
-	for i < len(n.Keys) && j < b.len() {
-		if n.Keys[i] <= b.keys[j] {
-			keys, pts = append(keys, n.Keys[i]), append(pts, n.point(i))
-			i++
-		} else {
+	j := 0
+	for i := range m {
+		p := n.point(i)
+		k := morton.EncodePoint(p)
+		for ; j < b.len() && b.keys[j] < k; j++ {
 			keys, pts = append(keys, b.keys[j]), append(pts, b.pt(j))
-			j++
 		}
-	}
-	for ; i < len(n.Keys); i++ {
-		keys, pts = append(keys, n.Keys[i]), append(pts, n.point(i))
+		keys, pts = append(keys, k), append(pts, p)
 	}
 	for ; j < b.len(); j++ {
 		keys, pts = append(keys, b.keys[j]), append(pts, b.pt(j))
@@ -381,20 +380,19 @@ func (t *Tree) insertIntoLeaf(n *Node, b batch, st *updateStats) *Node {
 // refreshLeaf rewrites leaf n over the merged payload, field for field what
 // newLeaf plus markNew would produce for it (layer unassigned, no chunk,
 // dirty, counters exact) — so the layout diff treats the refreshed node
-// exactly like a replacement, while the key and lane arrays are reused.
+// exactly like a replacement, while the lane array is reused.
 func (t *Tree) refreshLeaf(n *Node, b batch) {
 	dims := int(t.cfg.Dims)
-	n.Keys = append(n.Keys[:0], b.keys...)
 	n.lanes = slices.Grow(n.lanes[:0], b.len()*dims)[:b.len()*dims]
 	b.gather(n.lanes, dims)
-	n.Key = n.Keys[0]
+	n.Key = b.keys[0]
 	n.Size = int64(b.len())
 	n.SC = n.Size
 	n.Layer = layerNew
 	n.Chunk = nil
 	n.dirty = true
-	n.PrefixLen = t.leafPrefixLen(n.Keys)
-	n.Box = morton.PrefixBox(n.Key, uint(n.PrefixLen), t.cfg.Dims)
+	n.PrefixLen = t.leafPrefixLen(b.keys[0], b.keys[b.len()-1])
+	t.setCell(n)
 }
 
 // cplWithNode caps the common prefix length of key with n at n's prefix.
@@ -598,10 +596,11 @@ func (t *Tree) deleteForked(n *Node, b batch, split int, st *updateStats) int64 
 }
 
 // deleteFromLeaf removes one stored instance of each matching batch point
-// from leaf n, compacting its keys and lanes in place.
+// from leaf n, compacting its lanes in place. Points match on their
+// coordinates (equal keys mean equal points, so no key is needed).
 func (t *Tree) deleteFromLeaf(n *Node, b batch, st *updateStats) (*Node, int64) {
 	mod := nonNeg(t.moduleOf(n))
-	st.leafWork[mod] += int64(len(n.Keys)) * 2
+	st.leafWork[mod] += n.Size * 2
 	if cap(st.used) < b.len() {
 		st.used = make([]bool, b.len())
 	}
@@ -612,11 +611,11 @@ func (t *Tree) deleteFromLeaf(n *Node, b batch, st *updateStats) (*Node, int64) 
 	// Survivors move down to index keep, lane by lane at the old stride m
 	// (keep <= i, so no unread coordinate is overwritten); the lanes close
 	// up to the new stride once keep is known.
-	m, dims, keep := len(n.Keys), int(t.cfg.Dims), 0
+	m, dims, keep := int(n.Size), int(t.cfg.Dims), 0
 	for i := range m {
-		hit := false
-		for j, k := range b.keys {
-			if !used[j] && k == n.Keys[i] && b.pt(j).Equal(n.point(i)) {
+		p, hit := n.point(i), false
+		for j := range used {
+			if !used[j] && b.pt(j).Equal(p) {
 				used[j] = true
 				hit = true
 				break
@@ -625,7 +624,6 @@ func (t *Tree) deleteFromLeaf(n *Node, b batch, st *updateStats) (*Node, int64) 
 		if hit {
 			continue
 		}
-		n.Keys[keep] = n.Keys[i]
 		for d := range dims {
 			n.lanes[d*m+keep] = n.lanes[d*m+i]
 		}
@@ -642,13 +640,12 @@ func (t *Tree) deleteFromLeaf(n *Node, b batch, st *updateStats) (*Node, int64) 
 	for d := 1; d < dims; d++ {
 		copy(n.lanes[d*keep:], n.lanes[d*m:d*m+keep])
 	}
-	n.Keys = n.Keys[:keep]
 	n.lanes = n.lanes[:keep*dims]
 	n.Size = int64(keep)
 	n.SC = n.Size
-	n.PrefixLen = t.leafPrefixLen(n.Keys)
-	n.Key = n.Keys[0]
-	n.Box = morton.PrefixBox(n.Key, uint(n.PrefixLen), t.cfg.Dims)
+	n.Key = n.leafKey(0)
+	n.PrefixLen = t.leafPrefixLen(n.Key, n.leafKey(keep-1))
+	t.setCell(n)
 	return n, removed
 }
 
@@ -669,28 +666,33 @@ func (t *Tree) CheckInvariants() error {
 		if n.Layer == L0 && n.Chunk != nil {
 			return 0, errf("L0 node with chunk")
 		}
+		if t.cell(n) != morton.PrefixBox(n.Key, uint(n.PrefixLen), t.cfg.Dims) {
+			return 0, errf("node cell %v is not the cell of its prefix", t.cell(n))
+		}
 		if n.IsLeaf() {
-			if len(n.Keys) == 0 {
+			m := int(n.Size)
+			if m < 1 {
 				return 0, errf("empty leaf")
 			}
-			if int64(len(n.Keys)) != n.Size {
-				return 0, errf("leaf size %d != %d", n.Size, len(n.Keys))
+			if len(n.lanes) != m*int(t.cfg.Dims) {
+				return 0, errf("leaf lane length %d != %d points x %d dims", len(n.lanes), m, t.cfg.Dims)
 			}
-			if len(n.lanes) != len(n.Keys)*int(t.cfg.Dims) {
-				return 0, errf("leaf lane length %d != %d points x %d dims", len(n.lanes), len(n.Keys), t.cfg.Dims)
+			if n.leafKey(0) != n.Key {
+				return 0, errf("leaf key is not the key of its first point")
 			}
-			for i, k := range n.Keys {
-				if morton.EncodePoint(n.point(i)) != k {
-					return 0, errf("leaf key/point mismatch at point %d", i)
+			last := n.Key
+			for i := 1; i < m; i++ {
+				k := n.leafKey(i)
+				if k < last {
+					return 0, errf("leaf points out of key order")
 				}
-				if i > 0 && k < n.Keys[i-1] {
-					return 0, errf("leaf keys unsorted")
-				}
-				if !t.sharesPrefix(k, n) {
-					return 0, errf("leaf key outside prefix")
-				}
+				last = k
 			}
-			if len(n.Keys) > t.cfg.LeafCap && n.Keys[0] != n.Keys[len(n.Keys)-1] {
+			first := n.Key
+			if n.PrefixLen != t.leafPrefixLen(first, last) {
+				return 0, errf("leaf prefix length %d, its points share %d", n.PrefixLen, t.leafPrefixLen(first, last))
+			}
+			if m > t.cfg.LeafCap && first != last {
 				return 0, errf("over-full leaf with distinct keys")
 			}
 			return n.Size, nil

@@ -56,6 +56,19 @@ func PrefixBox(key uint64, prefixLen uint, dims uint8) geom.Box {
 	return geom.Box{Lo: lo, Hi: hi}
 }
 
+// PrefixMask returns, per coordinate, the bits a z-order prefix of
+// prefixLen key bits leaves free (zero beyond dims). Decoding is a bit
+// permutation, so the cell PrefixBox(key, prefixLen, dims) is [lo, lo|mask]
+// with lo its low corner: a caller that keeps lo derives the high corner
+// with one OR per dimension from a table of these masks.
+func PrefixMask(prefixLen uint, dims uint8) [geom.MaxDims]uint32 {
+	total := KeyBits(int(dims))
+	if prefixLen > total {
+		prefixLen = total
+	}
+	return DecodePoint(blockMask(total-prefixLen), dims).Coords
+}
+
 // blockMask returns a mask of the low free bits (free >= 64 saturates).
 func blockMask(free uint) uint64 {
 	if free >= 64 {
