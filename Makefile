@@ -69,7 +69,9 @@ footprint:
 	$(GO) test -count=1 -run 'TestTCPReadRoundTripAllocs' -v ./internal/serve
 
 # CLI smoke tests: the trace exporters must emit parseable output
-# (Chrome trace-event JSON with events, and valid JSONL); pimzd-inspect
+# (Chrome trace-event JSON with events, and valid JSONL) for one tree and
+# through the shard router (-trees 4, with module sampling), and the trace
+# table must print a sampled module load profile under -sample; pimzd-inspect
 # must find Lemma 3.1 and the structural invariants holding on a built
 # tree under both tunings (it exits 1 otherwise); the admin server
 # must come up with the flight recorder armed, pass its readiness probe
@@ -97,6 +99,15 @@ smoke:
 	$(GO) run ./cmd/pimzd-trace -op search -n 20000 -batch 500 -p 256 \
 		-format jsonl -out .smoke/search.jsonl
 	$(GO) run ./tools/checkjson -jsonl .smoke/search.jsonl
+	$(GO) run ./cmd/pimzd-trace -op knn -trees 4 -n 20000 -batch 500 -p 256 \
+		-format chrome -out .smoke/knn.trace.json
+	$(GO) run ./tools/checkjson -chrome .smoke/knn.trace.json
+	$(GO) run ./cmd/pimzd-trace -op knn -trees 4 -n 20000 -batch 500 -p 256 \
+		-format jsonl -sample 2 -out .smoke/knn.jsonl
+	$(GO) run ./tools/checkjson -jsonl .smoke/knn.jsonl
+	$(GO) run ./cmd/pimzd-trace -op knn -n 20000 -batch 500 -p 256 \
+		-sample 2 -out .smoke/knn.txt
+	sed -n '/^module load profiles:/{n;n;p;q;}' .smoke/knn.txt | grep -q knn
 	$(GO) run ./cmd/pimzd-inspect -n 20000 -p 128 -tuning throughput > /dev/null
 	$(GO) run ./cmd/pimzd-inspect -n 20000 -p 128 -tuning skew > /dev/null
 	$(GO) build -o .smoke/pimzd-serve ./cmd/pimzd-serve

@@ -18,7 +18,6 @@ import (
 
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/costmodel"
-	"pimzdtree/internal/obs"
 	"pimzdtree/internal/server"
 	"pimzdtree/internal/stats"
 	"pimzdtree/internal/workload"
@@ -32,14 +31,12 @@ func main() {
 		tuning  = flag.String("tuning", "throughput", "tuning: throughput or skew")
 		dims    = flag.Int("dims", 3, "dimensionality (2-4)")
 		seed    = flag.Int64("seed", 42, "workload seed")
-		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 	if err := check(*dims, *modules, *n); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	obs.ServePprof(*pprof)
 
 	ds, err := workload.ParseDataset(*dataset)
 	if err != nil {

@@ -21,6 +21,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,8 +44,9 @@ type report struct {
 	bench.LoadReport
 }
 
-// check validates the numeric flags before anything is generated.
-func check(zipf float64, n, workers, count, dims int) error {
+// check validates the numeric flags before anything is generated. -k below
+// 1 would fail every knn request the server is sent.
+func check(zipf float64, n, workers, count, k, dims int) error {
 	if zipf != 0 && zipf <= 1 {
 		return fmt.Errorf("-zipf must be > 1 (or 0 for uniform)")
 	}
@@ -54,7 +56,7 @@ func check(zipf float64, n, workers, count, dims int) error {
 	if count < 0 {
 		return fmt.Errorf("-count %d must be at least 0 (0 = run for -duration)", count)
 	}
-	return server.CheckDims(dims)
+	return errors.Join(server.CheckSize("k", k), server.CheckDims(dims))
 }
 
 // waitReady polls base's /readyz until it answers 200, bounded by
@@ -104,7 +106,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pimzd-loadgen:", err)
 		os.Exit(code)
 	}
-	if err := check(*zipf, *n, *workers, *count, *dims); err != nil {
+	if err := check(*zipf, *n, *workers, *count, *k, *dims); err != nil {
 		fail(2, err)
 	}
 	ds, err := workload.ParseDataset(*dataset)

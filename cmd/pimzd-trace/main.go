@@ -10,25 +10,25 @@
 //   - jsonl: one JSON object per event, suitable for CI diffing (runs are
 //     deterministic, so identical inputs produce byte-identical output).
 //
-// -profile modules adds per-round per-module load snapshots (cycles and
-// bytes p50/p99/max plus an imbalance factor), sampled every -sample
-// rounds.
+// -sample N adds per-module load snapshots (cycles and bytes p50/p99/max
+// plus an imbalance factor), taken every N rounds; the table prints them as
+// module load profiles.
 //
 // The analyze subcommand reads a flight-recorder dump (pimzd-serve
-// -flight-out, pimzd-bench -flight-out, or /snapshot/flightrecorder) and
-// prints the deterministic critical-path report: per-op-type p50/p99
-// attribution to CPU/PIM/comm, the top straggler modules, and the per-op
-// round-imbalance ranking. With -requests the input is a slow-request
-// dump instead (pimzd-serve -requests-out or /snapshot/slowrequests) and
-// the report is the request-lifecycle view: per-op stage-latency
-// quantiles with the dominant pipeline stage, plus the top cross-shard
-// fan-out offenders with their costliest shard.
+// -flight-out or /snapshot/flightrecorder) and prints the deterministic
+// critical-path report: per-op-type p50/p99 attribution to CPU/PIM/comm,
+// the top straggler modules, and the per-op round-imbalance ranking. With
+// -requests the input is a slow-request dump instead (pimzd-serve
+// -requests-out or /snapshot/slowrequests) and the report is the
+// request-lifecycle view: per-op stage-latency quantiles with the dominant
+// pipeline stage, plus the top cross-shard fan-out offenders with their
+// costliest shard.
 //
 // Usage:
 //
 //	pimzd-trace -op knn -n 200000 -batch 5000 -tuning skew
 //	pimzd-trace -op knn -format chrome -out knn.trace.json
-//	pimzd-trace -op search -profile modules -sample 4
+//	pimzd-trace -op search -sample 4
 //	pimzd-trace analyze flight.json
 //	pimzd-trace analyze -top 20 -out report.txt flight.json
 //	pimzd-trace analyze -requests requests.json
@@ -41,6 +41,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/costmodel"
@@ -52,16 +54,22 @@ import (
 	"pimzdtree/internal/workload"
 )
 
-// check validates -format, -profile and the size flags before anything is
+// ops are the operations -op accepts.
+var ops = []string{"search", "insert", "delete", "knn", "boxcount", "boxfetch"}
+
+// check validates -format, -op and the size flags before anything is
 // generated: with -p below 1 the tree's configuration panics, an empty
 // warmup set or batch traces nothing, -k below 1 asks for no neighbours and
-// -trees below 1 for no index.
-func check(format, profile string, n, batch, modules, k, trees int) error {
+// -trees below 1 for no index. boxfetch has no sharded path.
+func check(format, op string, n, batch, modules, k, trees int) error {
 	if format != "table" && format != "chrome" && format != "jsonl" {
 		return fmt.Errorf("unknown format %q", format)
 	}
-	if profile != "" && profile != "modules" {
-		return fmt.Errorf("unknown profile %q", profile)
+	if !slices.Contains(ops, op) {
+		return fmt.Errorf("unknown op %q", op)
+	}
+	if op == "boxfetch" && trees > 1 {
+		return fmt.Errorf("boxfetch is not routed through -trees; use -trees 1")
 	}
 	return errors.Join(server.CheckSize("p", modules), server.CheckSize("n", n), server.CheckSize("batch", batch),
 		server.CheckSize("k", k), server.CheckSize("trees", trees))
@@ -73,7 +81,7 @@ func main() {
 		return
 	}
 	var (
-		op      = flag.String("op", "search", "operation: search, insert, delete, knn, boxcount, boxfetch")
+		op      = flag.String("op", "search", "operation: "+strings.Join(ops, ", "))
 		dataset = flag.String("dataset", "uniform", "workload: uniform, cosmos, osm, varden")
 		n       = flag.Int("n", 200_000, "warmup points")
 		batch   = flag.Int("batch", 10_000, "batch size")
@@ -83,20 +91,13 @@ func main() {
 		k       = flag.Int("k", 10, "k for knn")
 		seed    = flag.Int64("seed", 42, "workload seed")
 		format  = flag.String("format", "table", "output format: table, chrome, jsonl")
-		profile = flag.String("profile", "", "extra profiling: modules (per-round per-module load snapshots)")
-		sample  = flag.Int("sample", 0, "snapshot module loads every N rounds (0 = off; -profile modules defaults it to 1)")
+		sample  = flag.Int("sample", 0, "snapshot module loads every N rounds and print their profiles (0 = off)")
 		out     = flag.String("out", "", "write output to file instead of stdout")
-		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-	if err := check(*format, *profile, *n, *batch, *modules, *k, *trees); err != nil {
+	if err := check(*format, *op, *n, *batch, *modules, *k, *trees); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	obs.ServePprof(*pprof)
-
-	if *profile == "modules" && *sample == 0 {
-		*sample = 1
 	}
 
 	ds, err := workload.ParseDataset(*dataset)
@@ -184,19 +185,12 @@ func main() {
 			tree.BoxCount(boxes)
 		}
 		elements = len(boxes)
-	case "boxfetch":
-		if idx != nil {
-			fmt.Fprintln(os.Stderr, "boxfetch is not routed through -trees; use -trees 1")
-			os.Exit(2)
-		}
+	case "boxfetch": // check refuses it with -trees > 1
 		boxes := workload.QueryBoxes(*seed+5, data, *batch, 10)
 		res := tree.BoxFetch(boxes)
 		for _, pts := range res {
 			elements += len(pts)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown op %q\n", *op)
-		os.Exit(2)
 	}
 
 	var w io.Writer = os.Stdout
@@ -228,12 +222,12 @@ func main() {
 	}
 
 	fmt.Fprintf(w, "%s over %s (n=%d, batch=%d, trees=%d, P=%d/tree, %v)\n\n",
-		*op, *dataset, *n, *batch, max(*trees, 1), *modules, cfg.Tuning)
+		*op, *dataset, *n, *batch, *trees, *modules, cfg.Tuning)
 	fmt.Fprintln(w, "spans:")
 	rec.WriteSpanTree(w)
 	fmt.Fprintln(w, "\nrounds:")
 	rec.WriteRounds(w)
-	if *profile == "modules" {
+	if *sample > 0 {
 		fmt.Fprintln(w, "\nmodule load profiles:")
 		rec.WriteModuleProfiles(w)
 	}
@@ -316,11 +310,4 @@ func analyzeMain(args []string) {
 		os.Exit(1)
 	}
 	dump.WriteAnalysis(w, *top)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -29,7 +29,6 @@ import (
 	"pimzdtree/internal/costmodel"
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/memsim"
-	"pimzdtree/internal/obs"
 	"pimzdtree/internal/pkdtree"
 	"pimzdtree/internal/workload"
 	"pimzdtree/internal/zdtree"
@@ -42,11 +41,6 @@ type Params struct {
 	BatchOps int   // point operations per measured batch
 	Dims     uint8 // point dimensionality
 	P        int   // PIM modules
-
-	// Obs, when non-nil, is attached to every system an experiment builds,
-	// so one run yields the full span/round/counter stream. nil (the
-	// default) keeps experiments exactly as before.
-	Obs *obs.Recorder
 }
 
 // Defaults returns the standard scaled-down parameters.
@@ -140,7 +134,7 @@ func scaledPIMMachine(p Params, rawRounds bool) costmodel.Machine {
 
 // newPIMRunner builds a warmed PIM-zd-tree.
 func newPIMRunner(p Params, tuning core.Tuning, warmup []geom.Point, mutate func(*core.Config)) *pimRunner {
-	cfg := core.Config{Dims: p.Dims, Machine: scaledPIMMachine(p, false), Tuning: tuning, Obs: p.Obs}
+	cfg := core.Config{Dims: p.Dims, Machine: scaledPIMMachine(p, false), Tuning: tuning}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -149,7 +143,7 @@ func newPIMRunner(p Params, tuning core.Tuning, warmup []geom.Point, mutate func
 
 // newRawPIMRunner builds a PIM-zd-tree on the unscaled machine (Fig. 7).
 func newRawPIMRunner(p Params, tuning core.Tuning, warmup []geom.Point) *pimRunner {
-	cfg := core.Config{Dims: p.Dims, Machine: scaledPIMMachine(p, true), Tuning: tuning, Obs: p.Obs}
+	cfg := core.Config{Dims: p.Dims, Machine: scaledPIMMachine(p, true), Tuning: tuning}
 	return &pimRunner{name: "PIM-zd-tree", tree: core.New(cfg, warmup)}
 }
 
@@ -281,7 +275,7 @@ func newZDRunner(p Params, warmup []geom.Point) *cpuRunner {
 	machine := costmodel.BaselineServer()
 	cache := memsim.NewCache(scaledLLC(machine, p.WarmupN), machine.LLCWays)
 	work, chase := new(atomic.Int64), new(atomic.Int64)
-	tree := zdtree.New(zdtree.Config{Dims: p.Dims, Cache: cache, Work: work, Chase: chase, Obs: p.Obs}, warmup)
+	tree := zdtree.New(zdtree.Config{Dims: p.Dims, Cache: cache, Work: work, Chase: chase}, warmup)
 	return &cpuRunner{
 		name:    "zd-tree",
 		machine: machine,
@@ -318,7 +312,7 @@ func newPKDRunner(p Params, warmup []geom.Point) *cpuRunner {
 	machine := costmodel.BaselineServer()
 	cache := memsim.NewCache(scaledLLC(machine, p.WarmupN), machine.LLCWays)
 	work, chase := new(atomic.Int64), new(atomic.Int64)
-	tree := pkdtree.New(pkdtree.Config{Dims: p.Dims, Cache: cache, Work: work, Chase: chase, Obs: p.Obs},
+	tree := pkdtree.New(pkdtree.Config{Dims: p.Dims, Cache: cache, Work: work, Chase: chase},
 		append([]geom.Point(nil), warmup...))
 	return &cpuRunner{
 		name:    "Pkd-tree",

@@ -56,7 +56,6 @@ func newShardIndex(p Params, s int, data []geom.Point, rebalance bool) *shard.In
 		Dims:    p.Dims,
 		Machine: scaledPIMMachine(p, false),
 		Tuning:  core.ThroughputOptimized,
-		Obs:     p.Obs,
 	}
 	if rebalance {
 		cfg.LoadStats = true

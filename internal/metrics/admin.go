@@ -261,9 +261,6 @@ func StartAdmin(addr string, cfg AdminConfig) (*AdminServer, error) {
 // Addr returns the bound address (host:port).
 func (s *AdminServer) Addr() string { return s.l.Addr().String() }
 
-// Close stops the server immediately, dropping in-flight requests.
-func (s *AdminServer) Close() error { return s.srv.Close() }
-
 // Shutdown drains the server gracefully: in-flight requests get until the
 // deadline to finish, then the server closes hard.
 func (s *AdminServer) Shutdown(deadline time.Duration) error {

@@ -21,7 +21,7 @@ func TestAdminClosesSlowHeaderConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(0)
 
 	slow, err := net.Dial("tcp", srv.Addr())
 	if err != nil {

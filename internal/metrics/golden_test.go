@@ -19,8 +19,7 @@ import (
 
 // runRegistry drives a fixed op sequence against a core tree with a
 // streaming (retention-free) recorder feeding a fresh registry — the exact
-// wiring pimzd-serve and pimzd-bench -serve use — and returns the registry
-// plus the tree.
+// wiring pimzd-serve uses — and returns the registry plus the tree.
 func runRegistry(t *testing.T) (*metrics.Registry, *core.Tree) {
 	t.Helper()
 	machine := costmodel.UPMEMServer()
@@ -161,7 +160,7 @@ func TestStartAdmin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(0)
 	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,6 @@ func (t *Tree) knnRec(n *node, q geom.Point, k int, metric geom.Metric, h *neigh
 
 // KNNBatch answers a batch of kNN queries, one after another.
 func (t *Tree) KNNBatch(qs []geom.Point, k int, metric geom.Metric) [][]Neighbor {
-	defer t.beginOp("knn")()
 	out := make([][]Neighbor, len(qs))
 	for i := range out {
 		out[i] = t.KNN(qs[i], k, metric)
@@ -152,7 +151,6 @@ func (t *Tree) boxFetchRec(n *node, box geom.Box, out *[]geom.Point) {
 
 // BoxCountBatch answers a batch of count queries.
 func (t *Tree) BoxCountBatch(boxes []geom.Box) []int {
-	defer t.beginOp("box-count")()
 	out := make([]int, len(boxes))
 	for i := range out {
 		out[i] = t.BoxCount(boxes[i])
@@ -162,7 +160,6 @@ func (t *Tree) BoxCountBatch(boxes []geom.Box) []int {
 
 // BoxFetchBatch answers a batch of fetch queries.
 func (t *Tree) BoxFetchBatch(boxes []geom.Box) [][]geom.Point {
-	defer t.beginOp("box-fetch")()
 	out := make([][]geom.Point, len(boxes))
 	for i := range out {
 		out[i] = t.BoxFetch(boxes[i])

@@ -13,7 +13,6 @@ func (t *Tree) Insert(points []geom.Point) {
 	if len(points) == 0 {
 		return
 	}
-	defer t.beginOp("insert")()
 	parallel.For(len(points), func(i int) {
 		if points[i].Dims != t.cfg.Dims {
 			panic("pkdtree: point dims mismatch")
@@ -104,7 +103,6 @@ func (t *Tree) Delete(points []geom.Point) {
 	if len(points) == 0 || t.root == nil {
 		return
 	}
-	defer t.beginOp("delete")()
 	batch := append([]geom.Point(nil), points...)
 	t.root = t.deleteRec(t.root, batch)
 }

@@ -23,7 +23,6 @@ import (
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/memsim"
 	"pimzdtree/internal/morton"
-	"pimzdtree/internal/obs"
 	"pimzdtree/internal/parallel"
 )
 
@@ -55,11 +54,6 @@ type Config struct {
 	Alloc *memsim.Allocator
 	Work  *atomic.Int64
 	Chase *atomic.Int64
-
-	// Obs, when non-nil, receives one op span per batch operation carrying
-	// the operation's work/traffic/chase deltas (the shared-memory analogue
-	// of the PIM tree's phase decomposition).
-	Obs *obs.Recorder
 }
 
 func (c *Config) fill() {
@@ -118,36 +112,11 @@ func New(cfg Config, points []geom.Point) *Tree {
 	if len(points) == 0 {
 		return t
 	}
-	defer t.beginOp("build")()
 	kps := t.makeKeyed(points)
 	t.sorter.SortBy(kps, func(kp keyed) uint64 { return kp.key })
 	t.chargeSort(len(kps))
 	t.root = t.build(kps)
 	return t
-}
-
-// beginOp opens an obs span for one batch operation and returns its closer.
-// The closer records the op's work/traffic/chase deltas as a single CPU
-// event before ending the span, so exports show what each batch cost even
-// though the shared-memory baselines model no seconds.
-func (t *Tree) beginOp(name string) func() {
-	rec := t.cfg.Obs
-	if !rec.Enabled() {
-		return func() {}
-	}
-	snapshot := func() (w, d, c int64) {
-		if t.cfg.Cache != nil {
-			d = t.cfg.Cache.Stats().DRAMBytes()
-		}
-		return t.cfg.Work.Load(), d, t.cfg.Chase.Load()
-	}
-	w0, d0, c0 := snapshot()
-	rec.BeginOp(name)
-	return func() {
-		w1, d1, c1 := snapshot()
-		rec.RecordCPUPhase(obs.CPUInfo{Work: w1 - w0, Traffic: d1 - d0, Chase: c1 - c0})
-		rec.EndOp()
-	}
 }
 
 type keyed struct {

@@ -13,7 +13,6 @@ func (t *Tree) Insert(points []geom.Point) {
 	if len(points) == 0 {
 		return
 	}
-	defer t.beginOp("insert")()
 	kps := t.makeKeyed(points)
 	t.sorter.SortBy(kps, func(kp keyed) uint64 { return kp.key })
 	t.chargeSort(len(kps))
@@ -147,7 +146,6 @@ func (t *Tree) Delete(points []geom.Point) {
 	if len(points) == 0 || t.root == nil {
 		return
 	}
-	defer t.beginOp("delete")()
 	kps := t.makeKeyed(points)
 	t.sorter.SortBy(kps, func(kp keyed) uint64 { return kp.key })
 	t.chargeSort(len(kps))

@@ -34,7 +34,7 @@ func main() {
 		chrome   = flag.String("chrome", "", "validate a Chrome trace-event JSON file")
 		jsonl    = flag.String("jsonl", "", "validate a JSONL file line by line")
 		promtext = flag.String("promtext", "", "lint a Prometheus text exposition file")
-		flight   = flag.String("flight", "", "validate a flight-recorder dump (pimzd-serve/-bench -flight-out)")
+		flight   = flag.String("flight", "", "validate a flight-recorder dump (pimzd-serve -flight-out)")
 		slo      = flag.String("slo", "", "validate an SLO snapshot (pimzd-serve /snapshot/slo)")
 	)
 	flag.Parse()
