@@ -71,26 +71,29 @@ footprint:
 # CLI smoke tests: the trace exporters must emit parseable output
 # (Chrome trace-event JSON with events, and valid JSONL) for one tree and
 # through the shard router (-trees 4, with module sampling), and the trace
-# table must print a sampled module load profile under -sample; pimzd-inspect
-# must find Lemma 3.1 and the structural invariants holding on a built
-# tree under both tunings (it exits 1 otherwise); the admin server
-# must come up with the flight recorder armed, pass its readiness probe
-# (/readyz, which gates on the published index, not just liveness), take
-# pimzd-loadgen traffic (the server generates none of its own), serve a
-# lint-clean Prometheus exposition, both flight snapshots, the
-# slow-request capture, a valid SLO snapshot and — at -trees 1, where the
-# index runs its one router path over a single shard — the shard layout,
-# the per-shard tree stats and the per-shard families, and — on SIGTERM —
-# drain gracefully and flush valid flight + slow-request dumps whose analyze
-# reports (critical-path and -requests stage attribution) are
-# byte-identical across GOMAXPROCS; the concurrent serving engine must
-# absorb parallel HTTP+TCP clients (pimzd-loadgen, which itself gates on
-# /readyz) with mid-load /metrics + /snapshot/slowrequests +
-# /snapshot/slo scrapes (the mid-load slow-request capture must analyze)
-# and drain cleanly on SIGTERM; a sharded server (-trees 4)
-# must boot, take load — including a Zipf-skewed run with a non-default
-# op mix, the hot-shard path, which must complete requests — export the
-# per-shard metrics families and the /snapshot/shards layout.
+# table must print a sampled module load profile under -sample, whose first
+# row is a knn round, for one tree and through the shard router;
+# pimzd-inspect must find Lemma 3.1 and the structural invariants holding
+# on a built tree under both tunings (it exits 1 otherwise); the admin
+# server (whose observability setup is fixed: flight recorder, slow-request
+# capture, SLO table) must pass its readiness probe (/readyz, which gates
+# on the published index, not just liveness), take pimzd-loadgen traffic
+# (the server generates none of its own), serve a lint-clean Prometheus
+# exposition, the flight snapshot, the slow-request capture, a valid SLO
+# snapshot and — at -trees 1, where the index runs its one router path
+# over a single shard — the shard layout, the per-shard tree stats and the
+# per-shard families, and — on SIGTERM — drain gracefully and flush valid
+# flight + slow-request dumps whose analyze reports (critical-path and
+# -requests stage attribution) are byte-identical across GOMAXPROCS; the
+# concurrent serving engine must absorb parallel HTTP+TCP clients
+# (pimzd-loadgen, which itself gates on /readyz) with mid-load /metrics +
+# /snapshot/flightrecorder + /snapshot/slowrequests + /snapshot/slo
+# scrapes (the mid-load flight snapshot must pass the dump's schema check
+# and the mid-load slow-request capture must analyze) and drain cleanly on
+# SIGTERM; a sharded server (-trees 4) must boot, take load — including a
+# Zipf-skewed run with a non-default op mix, the hot-shard path, which
+# must complete requests — export the per-shard metrics families and the
+# /snapshot/shards layout.
 smoke:
 	mkdir -p .smoke
 	$(GO) run ./cmd/pimzd-trace -op search -n 20000 -batch 500 -p 256 \
@@ -108,6 +111,9 @@ smoke:
 	$(GO) run ./cmd/pimzd-trace -op knn -n 20000 -batch 500 -p 256 \
 		-sample 2 -out .smoke/knn.txt
 	sed -n '/^module load profiles:/{n;n;p;q;}' .smoke/knn.txt | grep -q knn
+	$(GO) run ./cmd/pimzd-trace -op knn -trees 4 -n 20000 -batch 500 -p 256 \
+		-sample 2 -out .smoke/knn4.txt
+	sed -n '/^module load profiles:/{n;n;p;q;}' .smoke/knn4.txt | grep -q knn
 	$(GO) run ./cmd/pimzd-inspect -n 20000 -p 128 -tuning throughput > /dev/null
 	$(GO) run ./cmd/pimzd-inspect -n 20000 -p 128 -tuning skew > /dev/null
 	$(GO) build -o .smoke/pimzd-serve ./cmd/pimzd-serve
@@ -115,8 +121,7 @@ smoke:
 	$(GO) build -o .smoke/pimzd-loadgen ./cmd/pimzd-loadgen
 	./.smoke/pimzd-serve -addr 127.0.0.1:0 -port-file .smoke/port \
 		-n 20000 -p 128 -duration 60s \
-		-flight 128 -slow-k 8 -flight-out .smoke/flight.json \
-		-req-slow-k 8 -requests-out .smoke/requests.json & \
+		-flight-out .smoke/flight.json -requests-out .smoke/requests.json & \
 	SERVE_PID=$$!; \
 	for i in $$(seq 1 100); do test -s .smoke/port && break; sleep 0.1; done; \
 	test -s .smoke/port || { kill $$SERVE_PID; echo "serve: no port file"; exit 1; }; \
@@ -128,7 +133,6 @@ smoke:
 	curl -fsS "http://$$ADDR/metrics?exemplars=1" > /dev/null && \
 	curl -fsS "http://$$ADDR/snapshot/modules" > /dev/null && \
 	curl -fsS "http://$$ADDR/snapshot/flightrecorder" > /dev/null && \
-	curl -fsS "http://$$ADDR/snapshot/slowops" > /dev/null && \
 	curl -fsS "http://$$ADDR/snapshot/slowrequests" > /dev/null && \
 	curl -fsS "http://$$ADDR/snapshot/slo" > .smoke/slo.json && \
 	curl -fsS "http://$$ADDR/snapshot/shards" > /dev/null && \
@@ -159,6 +163,7 @@ smoke:
 	LOAD_PID=$$!; \
 	sleep 2; \
 	curl -fsS "http://$$ADDR/metrics" > .smoke/serve-metrics.txt && \
+	curl -fsS "http://$$ADDR/snapshot/flightrecorder" > .smoke/load-flight.json && \
 	curl -fsS "http://$$ADDR/snapshot/slowrequests" > .smoke/load-requests.json && \
 	curl -fsS "http://$$ADDR/snapshot/slo" > .smoke/load-slo.json; \
 	MRC=$$?; wait $$LOAD_PID; LRC=$$?; \
@@ -170,6 +175,7 @@ smoke:
 	test $$SRC -eq 0 && test $$ORC -eq 0 && test $$WRC -eq 0
 	$(GO) run ./tools/checkjson -promtext .smoke/serve-metrics.txt
 	$(GO) run ./tools/checkjson -slo .smoke/load-slo.json
+	$(GO) run ./tools/checkjson -flight .smoke/load-flight.json
 	./.smoke/pimzd-trace analyze -requests .smoke/load-requests.json > .smoke/load-req.txt
 	./.smoke/pimzd-serve -addr 127.0.0.1:0 -port-file .smoke/sport \
 		-trees 4 -n 20000 -p 128 -duration 60s & \

@@ -44,8 +44,9 @@ type report struct {
 	bench.LoadReport
 }
 
-// check validates the numeric flags before anything is generated. -k below
-// 1 would fail every knn request the server is sent.
+// check validates the numeric flags before anything is generated. -k
+// outside [1, serve.DefaultMaxK] would fail every knn request the server
+// is sent.
 func check(zipf float64, n, workers, count, k, dims int) error {
 	if zipf != 0 && zipf <= 1 {
 		return fmt.Errorf("-zipf must be > 1 (or 0 for uniform)")
@@ -55,6 +56,9 @@ func check(zipf float64, n, workers, count, k, dims int) error {
 	}
 	if count < 0 {
 		return fmt.Errorf("-count %d must be at least 0 (0 = run for -duration)", count)
+	}
+	if k > serve.DefaultMaxK {
+		return fmt.Errorf("-k %d: want at most %d", k, serve.DefaultMaxK)
 	}
 	return errors.Join(server.CheckSize("k", k), server.CheckDims(dims))
 }

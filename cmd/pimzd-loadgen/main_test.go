@@ -32,6 +32,8 @@ func TestCheck(t *testing.T) {
 		{0, 10, 1, -1, 8, 3, "-count -1"},
 		{0, 10, 1, 0, 0, 3, "-k 0: want at least 1"},
 		{0, 10, 1, 0, -4, 3, "-k -4: want at least 1"},
+		{0, 10, 1, 0, 128, 3, ""},
+		{0, 10, 1, 0, 129, 3, "-k 129: want at most 128"},
 	} {
 		err := check(tc.zipf, tc.n, tc.workers, tc.count, tc.k, tc.dims)
 		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {

@@ -5,7 +5,9 @@
 // /readyz, /snapshot/*, /debug/pprof/). All index access flows through the
 // epoch-pipelined serving engine (internal/serve). The server generates no
 // traffic of its own: drive it with pimzd-loadgen or any HTTP /
-// wire-protocol client.
+// wire-protocol client. Observability has no knobs: internal/server runs
+// one fixed setup (module sampling, flight recorder, slow-request capture,
+// SLO table) and documents it.
 //
 // The admin listener is up (and -port-file written) before the warmup
 // build, so probes can poll /readyz. SIGINT/SIGTERM — or -duration
@@ -34,8 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"pimzdtree/internal/obs"
-	"pimzdtree/internal/serve"
 	"pimzdtree/internal/server"
 )
 
@@ -52,24 +52,11 @@ func main() {
 		dims        = flag.Int("dims", 3, "point dimensionality (2-4)")
 		seed        = flag.Int64("seed", 42, "warmup data seed")
 		tuning      = flag.String("tuning", "throughput", "tuning: throughput or skew")
-		sample      = flag.Int("sample", 32, "snapshot module loads every N rounds (0 = off)")
 		duration    = flag.Duration("duration", 0, "exit after this long (0 = run until killed)")
 
-		queueOps = flag.Int64("queue", 0, "admission control: max queued point-ops (0 = default)")
-		maxBatch = flag.Int("max-batch", 0, "max point-ops per coalesced tree batch (0 = default)")
-
-		flightRing   = flag.Int("flight", 256, "flight-recorder ring capacity in ops (0 disables per-op tracing)")
-		slowMs       = flag.Float64("slow-ms", 0, "capture ops whose wall time reaches this many milliseconds (0 = top-K by latency)")
-		slowModeled  = flag.Float64("slow-modeled-us", 0, "capture ops whose modeled time reaches this many microseconds")
-		slowK        = flag.Int("slow-k", 16, "retained slow-op records")
-		flightOut    = flag.String("flight-out", "", "write the final flight-recorder dump (JSON) to this file on exit")
 		drainTimeout = flag.Duration("drain-timeout", 5*time.Second, "graceful drain deadline on shutdown (engine, TCP, admin each)")
-
-		reqSlowMs   = flag.Float64("req-slow-ms", 0, "capture requests whose total wall time reaches this many milliseconds (0 = top-K by latency)")
-		reqSlowK    = flag.Int("req-slow-k", 16, "retained slow-request records (0 disables slow-request capture)")
-		requestsOut = flag.String("requests-out", "", "write the final slow-request dump (JSON) to this file on exit")
-		sloSpec     = flag.String("slo", "search=50:0.99,insert=50:0.99,delete=50:0.99,knn=100:0.99,box=100:0.99",
-			"latency SLOs as op=millis:target, comma-separated (empty disables SLO tracking)")
+		flightOut    = flag.String("flight-out", "", "write the final flight-recorder dump (JSON) to this file on exit")
+		requestsOut  = flag.String("requests-out", "", "write the final slow-request dump (JSON) to this file on exit")
 	)
 	flag.Parse()
 
@@ -83,17 +70,6 @@ func main() {
 		Dataset:      *dataset,
 		N:            *n,
 		Seed:         *seed,
-		Sample:       *sample,
-		MaxQueuedOps: *queueOps,
-		MaxBatch:     *maxBatch,
-		Flight: obs.FlightConfig{
-			Ring:               *flightRing,
-			SlowWallSeconds:    *slowMs / 1e3,
-			SlowModeledSeconds: *slowModeled / 1e6,
-			SlowK:              *slowK,
-		},
-		Requests:     serve.RequestTraceConfig{SlowWallSeconds: *reqSlowMs / 1e3, SlowK: *reqSlowK},
-		SLO:          *sloSpec,
 		FlightOut:    *flightOut,
 		RequestsOut:  *requestsOut,
 		DrainTimeout: *drainTimeout,

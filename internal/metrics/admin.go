@@ -30,8 +30,8 @@ import (
 //	                       p50/p99/max/mean cycles+bytes and the Fig. 7
 //	                       imbalance factor.
 //	GET /snapshot/flightrecorder  JSON flight-recorder dump: the ring of
-//	                       recent per-op records plus the slow-op set.
-//	GET /snapshot/slowops  JSON slow-op records only (full round detail).
+//	                       recent per-op records plus the slow-op set
+//	                       (full round detail).
 //	GET /snapshot/slo      JSON SLO status: rolling 1m/5m/1h error rates
 //	                       and burn rates per latency objective.
 //	GET /debug/pprof/*     Go runtime profiles.
@@ -52,7 +52,7 @@ type AdminConfig struct {
 	// ModuleLoads returns the cumulative per-module cycle and byte loads
 	// (pim.System.ModuleLoads) backing /snapshot/modules.
 	ModuleLoads func() (cycles, bytes []int64)
-	// Flight backs /snapshot/flightrecorder and /snapshot/slowops.
+	// Flight backs /snapshot/flightrecorder.
 	Flight *obs.FlightRecorder
 	// Health returns nil when the server should report healthy.
 	Health func() error
@@ -97,8 +97,7 @@ func NewAdminHandler(cfg AdminConfig) http.Handler {
 			"  /readyz                    readiness probe (503 until serving)\n"+
 			"  /snapshot/tree             JSON tree statistics\n"+
 			"  /snapshot/modules          JSON per-module load heatmap\n"+
-			"  /snapshot/flightrecorder   JSON per-op flight-recorder dump\n"+
-			"  /snapshot/slowops          JSON slow-op records (full round detail)\n"+
+			"  /snapshot/flightrecorder   JSON per-op flight-recorder dump (ring + slow-op set)\n"+
 			"  /snapshot/slo              JSON SLO burn-rate status\n"+
 			"  /debug/pprof/              Go runtime profiles\n")
 	})
@@ -175,14 +174,6 @@ func NewAdminHandler(cfg AdminConfig) http.Handler {
 			return
 		}
 		writeJSON(w, cfg.Flight.Snapshot())
-	})
-
-	mux.HandleFunc("/snapshot/slowops", func(w http.ResponseWriter, r *http.Request) {
-		if !cfg.Flight.Enabled() {
-			http.Error(w, "flight recorder not enabled", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, cfg.Flight.SlowOps())
 	})
 
 	for pattern, h := range cfg.Extra {

@@ -17,7 +17,7 @@ import (
 )
 
 // TestFlightEndpointsUnderLoad scrapes /snapshot/flightrecorder and
-// /snapshot/slowops while batches run — the race detector (make race) is the
+// /metrics while batches run — the race detector (make race) is the
 // point: snapshot publication and scraping must not share unsynchronized
 // state with the recording path.
 func TestFlightEndpointsUnderLoad(t *testing.T) {
@@ -62,7 +62,7 @@ func TestFlightEndpointsUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				for _, path := range []string{"/snapshot/flightrecorder", "/snapshot/slowops", "/metrics?exemplars=1"} {
+				for _, path := range []string{"/snapshot/flightrecorder", "/metrics?exemplars=1"} {
 					resp, err := http.Get(srv.URL + path)
 					if err != nil {
 						t.Errorf("%s: %v", path, err)
@@ -122,17 +122,15 @@ func TestFlightEndpointsUnderLoad(t *testing.T) {
 		t.Fatalf("exemplar exposition lint: %v", err)
 	}
 
-	// Without a flight recorder both endpoints 404.
+	// Without a flight recorder the endpoint 404s.
 	bare := httptest.NewServer(metrics.NewAdminHandler(metrics.AdminConfig{Registry: reg}))
 	defer bare.Close()
-	for _, path := range []string{"/snapshot/flightrecorder", "/snapshot/slowops"} {
-		resp, err := http.Get(bare.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 404 {
-			t.Fatalf("bare %s: %d, want 404", path, resp.StatusCode)
-		}
+	resp, err = http.Get(bare.URL + "/snapshot/flightrecorder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 404 {
+		t.Fatalf("bare /snapshot/flightrecorder: %d, want 404", resp.StatusCode)
 	}
 }

@@ -140,7 +140,7 @@ func TestAdminEndpoints(t *testing.T) {
 	// Unconfigured sources 404 rather than panic.
 	bare := httptest.NewServer(metrics.NewAdminHandler(metrics.AdminConfig{Registry: reg}))
 	defer bare.Close()
-	for _, path := range []string{"/snapshot/tree", "/snapshot/modules"} {
+	for _, path := range []string{"/snapshot/tree", "/snapshot/modules", "/snapshot/slo"} {
 		resp, err := http.Get(bare.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -13,9 +13,8 @@ import (
 // peak active-module count, and the per-round straggler attribution derived
 // from the dense module loads the simulator already computes. Records land
 // in an always-on bounded ring (the flight recorder proper: what were the
-// last N operations doing), and operations that exceed a latency threshold
-// (or rank in the top K by latency) are retained with their full round
-// detail by the slow-op capturer.
+// last N operations doing), and the K operations with the longest modeled
+// time are retained with their full round detail by the slow-op capturer.
 //
 // Determinism contract: everything except WallSeconds derives from modeled
 // quantities, so two identical runs produce identical records (and
@@ -36,32 +35,24 @@ const FlightDumpFormat = "pimzd-flight-v1"
 type FlightConfig struct {
 	// Ring is the flight-recorder ring capacity in records (<= 0: 256).
 	Ring int
-	// RingRounds caps the per-record round detail kept in the ring; rounds
-	// past the cap are counted but not detailed (<= 0: 64). Slow-op records
-	// always keep full detail (up to MaxRounds).
-	RingRounds int
-	// MaxRounds bounds the in-flight round-detail scratch, a safety net for
-	// pathological single ops (<= 0: 4096).
-	MaxRounds int
-	// SlowWallSeconds, when > 0, captures any op whose wall time reaches it.
-	SlowWallSeconds float64
-	// SlowModeledSeconds, when > 0, captures any op whose modeled total
-	// (CPU+PIM+comm) reaches it.
-	SlowModeledSeconds float64
-	// SlowK bounds the retained slow-op set (<= 0: 16). With both
-	// thresholds zero the capturer keeps the top K by latency outright.
+	// SlowK bounds the retained slow-op set, the top K ops by modeled
+	// time (<= 0: 16).
 	SlowK int
 }
+
+const (
+	// ringRounds caps the per-record round detail kept in the ring; rounds
+	// past the cap are counted but not detailed. Slow-op records always
+	// keep full detail (up to maxRounds).
+	ringRounds = 64
+	// maxRounds bounds the in-flight round-detail scratch, a safety net
+	// for pathological single ops.
+	maxRounds = 4096
+)
 
 func (c *FlightConfig) fill() {
 	if c.Ring <= 0 {
 		c.Ring = 256
-	}
-	if c.RingRounds <= 0 {
-		c.RingRounds = 64
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 4096
 	}
 	if c.SlowK <= 0 {
 		c.SlowK = 16
@@ -103,7 +94,7 @@ type OpRecord struct {
 
 	RoundDetail []FlightRound `json:"round_detail,omitempty"`
 	// Truncated marks a record whose RoundDetail was capped (ring records
-	// past RingRounds, or any op past MaxRounds).
+	// past ringRounds, or any op past maxRounds).
 	Truncated bool `json:"truncated,omitempty"`
 }
 
@@ -126,8 +117,6 @@ type FlightDump struct {
 // NewFlightRecorder and attach to a Recorder with SetFlight; nil disables
 // per-op tracing at the cost of one pointer test per op.
 type FlightRecorder struct {
-	cfg FlightConfig
-
 	mu       sync.Mutex
 	seq      uint64 // last assigned trace ID
 	captured int64
@@ -152,7 +141,6 @@ type FlightRecorder struct {
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	cfg.fill()
 	return &FlightRecorder{
-		cfg:  cfg,
 		ring: make([]OpRecord, cfg.Ring),
 		slow: NewTopK[OpRecord](cfg.SlowK),
 	}
@@ -182,7 +170,7 @@ func (f *FlightRecorder) opOpen() bool { return f != nil && f.curOpen }
 // addRound appends one BSP round to the in-flight record. Called by the
 // owning Recorder from RecordRound.
 func (f *FlightRecorder) addRound(ri RoundInfo, pimSec, commSec float64) {
-	if len(f.curRounds) >= f.cfg.MaxRounds {
+	if len(f.curRounds) >= maxRounds {
 		f.cur.Truncated = true
 		f.noteStraggler(ri.Straggler)
 		if ri.ActiveModules > f.cur.MaxActive {
@@ -264,13 +252,13 @@ func (f *FlightRecorder) endOp(breakdown Breakdown, rounds int64) {
 }
 
 // publishRing copies the record into the next ring slot, reusing the
-// slot's round slice and capping detail at RingRounds; caller holds f.mu.
+// slot's round slice and capping detail at ringRounds; caller holds f.mu.
 func (f *FlightRecorder) publishRing(rec OpRecord) {
 	slot := &f.ring[f.ringNext]
 	detail := f.curRounds
 	truncated := rec.Truncated
-	if len(detail) > f.cfg.RingRounds {
-		detail = detail[:f.cfg.RingRounds]
+	if len(detail) > ringRounds {
+		detail = detail[:ringRounds]
 		truncated = true
 	}
 	rounds := slot.RoundDetail
@@ -285,35 +273,11 @@ func (f *FlightRecorder) publishRing(rec OpRecord) {
 	}
 }
 
-// slowKey is the latency the slow-op capturer ranks by: wall time when a
-// wall threshold is configured (the operator's view), modeled time
-// otherwise (the deterministic view).
-func (f *FlightRecorder) slowKey(rec *OpRecord) float64 {
-	if f.cfg.SlowWallSeconds > 0 {
-		return rec.WallSeconds
-	}
-	return rec.ModeledSeconds()
-}
-
-// qualifiesSlow applies the capture rule: any configured threshold reached,
-// or — with no thresholds — every op competes for the top K.
-func (f *FlightRecorder) qualifiesSlow(rec *OpRecord) bool {
-	if f.cfg.SlowWallSeconds > 0 && rec.WallSeconds >= f.cfg.SlowWallSeconds {
-		return true
-	}
-	if f.cfg.SlowModeledSeconds > 0 && rec.ModeledSeconds() >= f.cfg.SlowModeledSeconds {
-		return true
-	}
-	return f.cfg.SlowWallSeconds == 0 && f.cfg.SlowModeledSeconds == 0
-}
-
-// publishSlow retains the record in the top-K slow set with full round
-// detail, reusing an evicted slot's round slice; caller holds f.mu.
+// publishSlow offers the record to the top-K slow set, ranked by modeled
+// time (the deterministic view), keeping full round detail and reusing an
+// evicted slot's round slice; caller holds f.mu.
 func (f *FlightRecorder) publishSlow(rec OpRecord) {
-	if !f.qualifiesSlow(&rec) {
-		return
-	}
-	slot := f.slow.Slot(f.slowKey(&rec), rec.Trace)
+	slot := f.slow.Slot(rec.ModeledSeconds(), rec.Trace)
 	if slot == nil {
 		return
 	}
@@ -355,16 +319,6 @@ func (f *FlightRecorder) Snapshot() FlightDump {
 		d.Ring = append(d.Ring, cloneRecord(f.ring[(start+i)%len(f.ring)]))
 	}
 	return d
-}
-
-// SlowOps returns a deep copy of the captured slow-op set, slowest first.
-func (f *FlightRecorder) SlowOps() []OpRecord {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.slow.Sorted(cloneRecord)
 }
 
 // cloneRecord deep-copies a record's round detail.

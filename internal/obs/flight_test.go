@@ -42,9 +42,6 @@ func TestFlightNilSafe(t *testing.T) {
 	if f.LastTrace() != 0 {
 		t.Fatal("nil LastTrace != 0")
 	}
-	if got := f.SlowOps(); got != nil {
-		t.Fatalf("nil SlowOps = %v", got)
-	}
 	d := f.Snapshot()
 	if d.Format != FlightDumpFormat || len(d.Ring) != 0 || len(d.Slow) != 0 {
 		t.Fatalf("nil Snapshot = %+v", d)
@@ -109,8 +106,8 @@ func TestFlightRingEvictionOrder(t *testing.T) {
 }
 
 func TestFlightRingRoundTruncation(t *testing.T) {
-	rec, f := flightRec(FlightConfig{RingRounds: 2, SlowK: 4})
-	rounds := make([][2]int64, 5)
+	rec, f := flightRec(FlightConfig{SlowK: 4})
+	rounds := make([][2]int64, ringRounds+6)
 	for i := range rounds {
 		rounds[i] = [2]int64{int64(10 + i), int64(i % 3)}
 	}
@@ -120,17 +117,17 @@ func TestFlightRingRoundTruncation(t *testing.T) {
 		t.Fatalf("ring length = %d, want 1", len(d.Ring))
 	}
 	r := d.Ring[0]
-	if !r.Truncated || len(r.RoundDetail) != 2 || r.Rounds != 5 {
-		t.Fatalf("ring record = truncated %v, detail %d, rounds %d; want true, 2, 5",
-			r.Truncated, len(r.RoundDetail), r.Rounds)
+	if !r.Truncated || len(r.RoundDetail) != ringRounds || r.Rounds != int64(len(rounds)) {
+		t.Fatalf("ring record = truncated %v, detail %d, rounds %d; want true, %d, %d",
+			r.Truncated, len(r.RoundDetail), r.Rounds, ringRounds, len(rounds))
 	}
 	// The slow copy keeps full detail.
 	if len(d.Slow) != 1 {
 		t.Fatalf("slow length = %d, want 1", len(d.Slow))
 	}
 	s := d.Slow[0]
-	if s.Truncated || len(s.RoundDetail) != 5 {
-		t.Fatalf("slow record = truncated %v, detail %d; want false, 5", s.Truncated, len(s.RoundDetail))
+	if s.Truncated || len(s.RoundDetail) != len(rounds) {
+		t.Fatalf("slow record = truncated %v, detail %d; want false, %d", s.Truncated, len(s.RoundDetail), len(rounds))
 	}
 }
 
@@ -140,26 +137,13 @@ func TestFlightTopKRetention(t *testing.T) {
 	for _, c := range []int64{30, 10, 50, 20, 40} {
 		runOp(rec, "search", [2]int64{c, 0})
 	}
-	slow := f.SlowOps()
+	slow := f.Snapshot().Slow
 	if len(slow) != 2 {
 		t.Fatalf("slow set size = %d, want 2", len(slow))
 	}
 	// Slowest first: cycles 50 (trace 3) then 40 (trace 5).
 	if slow[0].Trace != 3 || slow[1].Trace != 5 {
 		t.Fatalf("slow traces = %d, %d; want 3, 5", slow[0].Trace, slow[1].Trace)
-	}
-}
-
-func TestFlightModeledThreshold(t *testing.T) {
-	// 1000 cycles at the runOp scale is 1e-6 modeled seconds; threshold
-	// between the two op sizes captures only the big one.
-	rec, f := flightRec(FlightConfig{SlowModeledSeconds: 5e-7, SlowK: 8})
-	runOp(rec, "small", [2]int64{100, 0})
-	runOp(rec, "big", [2]int64{1000, 0})
-	runOp(rec, "small", [2]int64{100, 0})
-	slow := f.SlowOps()
-	if len(slow) != 1 || slow[0].Op != "big" {
-		t.Fatalf("slow set = %+v, want exactly the big op", slow)
 	}
 }
 

@@ -34,10 +34,12 @@ func (w Window) Empty() bool {
 }
 
 // TakeWindow detaches the recorder's accumulated state and resets it for
-// the next window: events, counters, totals, rounds and the modeled clock
-// all return to zero while configuration (retention, sampling, sink,
-// flight) is preserved. The recorder must have no open spans — windows
-// are cut at operation boundaries, never inside one.
+// the next window: events, counters, totals and the modeled clock all
+// return to zero while configuration (retention, sampling, sink, flight)
+// is preserved. The round count keeps running, so module sampling keeps
+// its cadence across windows instead of restarting it in each one. The
+// recorder must have no open spans — windows are cut at operation
+// boundaries, never inside one.
 func (r *Recorder) TakeWindow() Window {
 	if r == nil {
 		return Window{}
@@ -51,15 +53,26 @@ func (r *Recorder) TakeWindow() Window {
 		Events:   r.events,
 		Counters: r.counters,
 		Total:    r.total,
-		Rounds:   r.rounds,
+		Rounds:   r.rounds - r.windowStart,
 		Clock:    r.clock,
 	}
 	r.events = nil
 	r.counters = make(map[string]int64)
 	r.total = Breakdown{}
-	r.rounds = 0
+	r.windowStart = r.rounds
 	r.clock = 0
 	return w
+}
+
+// NewLocal returns a fresh recorder, retaining events, for windows that
+// will be merged into r: it samples module loads at r's cadence, so the
+// merged rounds carry profiles as r's own rounds would.
+func (r *Recorder) NewLocal() *Recorder {
+	l := New()
+	r.mu.Lock()
+	l.sampleEvery = r.sampleEvery
+	r.mu.Unlock()
+	return l
 }
 
 // MergeWindow replays a detached window into r as if its events had been

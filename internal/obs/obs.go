@@ -179,7 +179,9 @@ type Recorder struct {
 
 	clock  float64   // modeled-time cursor
 	total  Breakdown // running decomposition totals
-	rounds int64
+	rounds int64     // rounds recorded or merged, never reset: Seq and the sampling phase
+	// windowStart is rounds at the last TakeWindow (see merge.go).
+	windowStart int64
 
 	events   []Event
 	stack    []spanRef

@@ -7,9 +7,9 @@ import (
 
 // TopK is the bounded slow capture shared by the flight recorder's slow-op
 // set and serve's slow-request set: it retains the K values with the
-// largest keys. Callers decide which values qualify and what their key
-// and tie ID are; TopK owns the eviction rule and the snapshot order. It
-// is not safe for concurrent use: both callers hold their own lock.
+// largest keys. Callers decide each value's key and tie ID; TopK owns the
+// eviction rule and the snapshot order. It is not safe for concurrent
+// use: both callers hold their own lock.
 type TopK[T any] struct {
 	k    int
 	ents []topKEntry[T]

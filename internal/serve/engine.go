@@ -15,6 +15,10 @@ import (
 	"pimzdtree/internal/obs"
 )
 
+// DefaultMaxK is the largest kNN k an engine takes when Config.MaxK is
+// unset, as it is in pimzd-serve.
+const DefaultMaxK = 128
+
 // Config configures an Engine.
 type Config struct {
 	// Backend is the index being served (required).
@@ -25,7 +29,7 @@ type Config struct {
 	// MaxBatch caps the points/boxes per coalesced tree batch; larger
 	// epochs split into several native batches (0 = 8192).
 	MaxBatch int
-	// MaxK bounds OpKNN's k (0 = 128).
+	// MaxK bounds OpKNN's k (0 = DefaultMaxK).
 	MaxK int
 	// Registry, when non-nil, receives the serving metrics families (all
 	// Wall-marked: request latency, queue depth, epoch occupancy, shed
@@ -63,7 +67,7 @@ func (c *Config) fill() {
 		c.MaxBatch = 8192
 	}
 	if c.MaxK <= 0 {
-		c.MaxK = 128
+		c.MaxK = DefaultMaxK
 	}
 }
 

@@ -9,12 +9,11 @@ import (
 )
 
 // Bounded slow-request capture: the request-level sibling of the
-// flight recorder's slow-op set. Requests whose total wall time reaches
-// the threshold (or, with no threshold, rank in the top K outright) are
-// retained with their full stage decomposition, the flight-recorder
-// trace IDs of the coalesced batches that served them, and — for
-// sharded backends with fan-out capture on — the per-shard fan-out
-// breakdown. /snapshot/slowrequests serves the dump;
+// flight recorder's slow-op set. The K requests with the longest total
+// wall time are retained with their full stage decomposition, the
+// flight-recorder trace IDs of the coalesced batches that served them,
+// and — for sharded backends with fan-out capture on — the per-shard
+// fan-out breakdown. /snapshot/slowrequests serves the dump;
 // `pimzd-trace analyze -requests` turns it into a stage-attribution
 // report.
 //
@@ -24,14 +23,11 @@ import (
 // RequestDumpFormat identifies the JSON dump schema version.
 const RequestDumpFormat = "pimzd-requests-v1"
 
-// RequestTraceConfig sizes a RequestTracer, mirroring the slow-capture
-// knobs of obs.FlightConfig.
+// RequestTraceConfig sizes a RequestTracer, mirroring obs.FlightConfig's
+// SlowK.
 type RequestTraceConfig struct {
-	// SlowWallSeconds, when > 0, captures any request whose total wall
-	// time reaches it. With the threshold zero the capturer keeps the
-	// top K by wall time outright.
-	SlowWallSeconds float64
-	// SlowK bounds the retained slow-request set (<= 0: 16).
+	// SlowK bounds the retained slow-request set, the top K requests by
+	// wall time (<= 0: 16).
 	SlowK int
 }
 
@@ -91,8 +87,6 @@ type RequestDump struct {
 // RequestTracer is the bounded slow-request store. Create with
 // NewRequestTracer and hand to the engine via Config.Requests.
 type RequestTracer struct {
-	cfg RequestTraceConfig
-
 	mu       sync.Mutex
 	seq      uint64
 	observed int64
@@ -102,16 +96,13 @@ type RequestTracer struct {
 // NewRequestTracer returns an enabled tracer.
 func NewRequestTracer(cfg RequestTraceConfig) *RequestTracer {
 	cfg.fill()
-	return &RequestTracer{cfg: cfg, slow: obs.NewTopK[RequestRecord](cfg.SlowK)}
+	return &RequestTracer{slow: obs.NewTopK[RequestRecord](cfg.SlowK)}
 }
-
-// Enabled reports whether requests are being captured.
-func (t *RequestTracer) Enabled() bool { return t != nil }
 
 // offer considers one finished request for capture. wall is the sealed
 // total; the request's stamps, fan-out fields and Resp are final. The
-// fast path (request under the threshold with a full slow set) takes the
-// lock, compares, and returns without allocating.
+// fast path (a full slow set whose fastest member is at least as slow)
+// takes the lock, compares, and returns without allocating.
 func (t *RequestTracer) offer(r *Request, wall float64) {
 	if t == nil {
 		return
@@ -120,9 +111,6 @@ func (t *RequestTracer) offer(r *Request, wall float64) {
 	defer t.mu.Unlock()
 	t.observed++
 	t.seq++
-	if t.cfg.SlowWallSeconds > 0 && wall < t.cfg.SlowWallSeconds {
-		return
-	}
 	rec := t.slow.Slot(wall, t.seq)
 	if rec == nil {
 		return

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// TestRequestTracerCaptureRule drives the slow-request capture (the
-// threshold in offer plus the shared obs.TopK) through every branch of
-// its rule: a request under the threshold is rejected, the set fills to
-// K, only a strictly slower request evicts the fastest one, a tie keeps
-// the incumbent, and the snapshot is slowest first with ties by
+// TestRequestTracerCaptureRule drives the slow-request capture (offer
+// over the shared obs.TopK) through every branch of its rule: the set
+// fills to K, only a strictly slower request evicts the fastest one, a
+// tie keeps the incumbent, and the snapshot is slowest first with ties by
 // ascending capture sequence.
 func TestRequestTracerCaptureRule(t *testing.T) {
 	type kept struct {
@@ -17,27 +16,24 @@ func TestRequestTracerCaptureRule(t *testing.T) {
 		wall float64
 	}
 	for _, c := range []struct {
-		name      string
-		threshold float64
-		k         int
-		walls     []float64
-		want      []kept
+		name  string
+		k     int
+		walls []float64
+		want  []kept
 	}{
-		{"threshold reject", 0.5, 4, []float64{0.1, 0.6, 0.4, 0.5},
-			[]kept{{2, 0.6}, {4, 0.5}}},
-		{"fill", 0, 3, []float64{1, 3, 2},
+		{"fill", 3, []float64{1, 3, 2},
 			[]kept{{2, 3}, {3, 2}, {1, 1}}},
-		{"strictly greater evicts the minimum", 0, 3, []float64{5, 1, 3, 4},
+		{"strictly greater evicts the minimum", 3, []float64{5, 1, 3, 4},
 			[]kept{{1, 5}, {4, 4}, {3, 3}}},
-		{"tie keeps the incumbent", 0, 2, []float64{1, 2, 1},
+		{"tie keeps the incumbent", 2, []float64{1, 2, 1},
 			[]kept{{2, 2}, {1, 1}}},
-		{"equal stream settles", 0, 2, []float64{2, 2, 2, 2},
+		{"equal stream settles", 2, []float64{2, 2, 2, 2},
 			[]kept{{1, 2}, {2, 2}}},
-		{"snapshot ties by ascending seq", 0, 3, []float64{1, 2, 1},
+		{"snapshot ties by ascending seq", 3, []float64{1, 2, 1},
 			[]kept{{2, 2}, {1, 1}, {3, 1}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			tr := NewRequestTracer(RequestTraceConfig{SlowWallSeconds: c.threshold, SlowK: c.k})
+			tr := NewRequestTracer(RequestTraceConfig{SlowK: c.k})
 			for _, w := range c.walls {
 				tr.offer(NewRequest(OpSearch), w)
 			}

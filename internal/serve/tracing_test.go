@@ -183,9 +183,7 @@ func TestObserveStagesZeroAlloc(t *testing.T) {
 		Objectives: []metrics.SLOObjective{{Op: "search", LatencySeconds: 0.05, Target: 0.99}},
 		Registry:   reg,
 	})
-	// Threshold capture: sub-threshold requests take the compare-and-return
-	// fast path, the steady state under a healthy server.
-	tracer := NewRequestTracer(RequestTraceConfig{SlowWallSeconds: 3600, SlowK: 4})
+	tracer := NewRequestTracer(RequestTraceConfig{SlowK: 4})
 	e := New(Config{
 		Backend:  NewTreeBackend(tr),
 		Registry: reg, Requests: tracer, SLO: slo,
@@ -216,6 +214,12 @@ func TestObserveStagesZeroAlloc(t *testing.T) {
 		t.Fatalf("pimzd_request_seconds sum %q, want the stage sum %s (%v ns)", observed, want, served.StageNanos)
 	}
 
+	// A full slow set of hour-long requests: the measured request takes
+	// the capture's compare-and-return fast path, the steady state under
+	// a healthy server.
+	for i := 0; i < 4; i++ {
+		tracer.offer(NewRequest(OpSearch), 3600)
+	}
 	r := NewRequest(OpSearch)
 	base := nowNanos()
 	prime := func() {

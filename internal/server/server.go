@@ -4,6 +4,12 @@
 // tears it down again in drain order. cmd/pimzd-serve is flag parsing and
 // a signal wait around it.
 //
+// Observability has one setup, the one the serve-mixed benchmark
+// measures: module load profiles every 32 rounds, a flight recorder
+// keeping the last 256 ops and the 16 slowest by modeled time, the 16
+// slowest requests by wall time, and a fixed latency SLO table (50 ms for
+// search, insert and delete, 100 ms for kNN and box, each at 99%).
+//
 // The index is a shard.Index at every Trees value, one router path at
 // every S, and all access to it flows through the epoch-pipelined serving
 // engine (internal/serve). Client APIs:
@@ -13,8 +19,7 @@
 //	Config.TCPAddr                            length-prefixed binary frames
 //	                                          (see internal/serve wire.go)
 //
-// Admin/observability endpoints (same listener as /v1; a snapshot whose
-// source is not armed answers 404):
+// Admin/observability endpoints (same listener as /v1):
 //
 //	/metrics                  Prometheus text exposition v0.0.4: modeled
 //	                          tree counters plus Wall-marked serving
@@ -34,8 +39,9 @@
 //	                          (S racks concatenated in shard order)
 //	/snapshot/shards          JSON per-shard layout, load windows and
 //	                          migration counters
-//	/snapshot/flightrecorder  JSON per-op flight-recorder dump
-//	/snapshot/slowops         JSON slow-op records with full round detail
+//	/snapshot/flightrecorder  JSON per-op flight-recorder dump: the ring
+//	                          of recent ops and the slow-op set with full
+//	                          round detail
 //	/snapshot/slowrequests    JSON slow-request capture: per-request stage
 //	                          decomposition, flight trace IDs, cross-shard
 //	                          fan-out spans (feed to
@@ -51,12 +57,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,22 +94,6 @@ type Config struct {
 	Dataset string
 	N       int
 	Seed    int64
-	// Sample snapshots per-module loads every this many rounds (0 = off).
-	Sample int
-
-	// MaxQueuedOps and MaxBatch size the serving engine (see
-	// serve.Config; 0 = its defaults).
-	MaxQueuedOps int64
-	MaxBatch     int
-
-	// Flight arms the per-op flight recorder; Flight.Ring == 0 leaves it
-	// off (and with it per-op trace IDs).
-	Flight obs.FlightConfig
-	// Requests arms slow-request capture; Requests.SlowK == 0 leaves it off.
-	Requests serve.RequestTraceConfig
-	// SLO lists latency objectives as "op=millis:target,..." ("" = no SLO
-	// tracking).
-	SLO string
 
 	// FlightOut and RequestsOut, when set, receive the final flight and
 	// slow-request dumps (JSON) during Shutdown.
@@ -116,9 +104,21 @@ type Config struct {
 
 // parsed is the typed form of a Config's string-valued fields.
 type parsed struct {
-	tuning     core.Tuning
-	dataset    workload.Dataset
-	objectives []metrics.SLOObjective
+	tuning  core.Tuning
+	dataset workload.Dataset
+}
+
+// sampleEvery is the module-load sampling cadence in rounds.
+const sampleEvery = 32
+
+// objectives is the latency SLO table /snapshot/slo and the
+// pimzd_slo_* families track.
+var objectives = []metrics.SLOObjective{
+	{Op: "search", LatencySeconds: 0.050, Target: 0.99},
+	{Op: "insert", LatencySeconds: 0.050, Target: 0.99},
+	{Op: "delete", LatencySeconds: 0.050, Target: 0.99},
+	{Op: "knn", LatencySeconds: 0.100, Target: 0.99},
+	{Op: "box", LatencySeconds: 0.100, Target: 0.99},
 }
 
 // CheckDims is the served dimensionality rule: 2 to 4.
@@ -157,56 +157,7 @@ func (c Config) validate() (parsed, error) {
 	if p.dataset, err = workload.ParseDataset(c.Dataset); err != nil {
 		return p, err
 	}
-	if p.objectives, err = parseSLO(c.SLO); err != nil {
-		return p, fmt.Errorf("slo: %w", err)
-	}
 	return p, nil
-}
-
-// parseSLO parses "op=millis:target,..." into SLO objectives: one per
-// served op at most, a finite latency above zero and a target in (0, 1).
-func parseSLO(spec string) ([]metrics.SLOObjective, error) {
-	var objs []metrics.SLOObjective
-	seen := map[string]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		op, rest, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("%q: want op=millis:target", part)
-		}
-		ms, tgt, ok := strings.Cut(rest, ":")
-		if !ok {
-			return nil, fmt.Errorf("%q: want op=millis:target", part)
-		}
-		switch op = strings.TrimSpace(op); op {
-		case "search", "insert", "delete", "knn", "box":
-		default:
-			return nil, fmt.Errorf("%q: unknown op %q (search, insert, delete, knn, box)", part, op)
-		}
-		if seen[op] {
-			return nil, fmt.Errorf("%q: duplicate op %q", part, op)
-		}
-		seen[op] = true
-		lat, err := strconv.ParseFloat(ms, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%q: bad millis: %v", part, err)
-		}
-		if !(lat > 0) || math.IsInf(lat, 1) {
-			return nil, fmt.Errorf("%q: millis %v: want finite and > 0", part, lat)
-		}
-		target, err := strconv.ParseFloat(tgt, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%q: bad target: %v", part, err)
-		}
-		if !(target > 0 && target < 1) {
-			return nil, fmt.Errorf("%q: target %v: want in (0, 1)", part, target)
-		}
-		objs = append(objs, metrics.SLOObjective{Op: op, LatencySeconds: lat / 1e3, Target: target})
-	}
-	return objs, nil
 }
 
 // Server is a running server. Start returns it listening on Addr and
@@ -267,17 +218,11 @@ func start(cfg Config, beforeBuild func()) (*Server, error) {
 	rec := obs.New()
 	rec.SetRetainEvents(false)
 	rec.SetSink(metrics.NewObsSink(s.reg))
-	rec.SetModuleSampling(cfg.Sample)
-	if cfg.Flight.Ring > 0 {
-		s.flight = obs.NewFlightRecorder(cfg.Flight)
-		rec.SetFlight(s.flight)
-	}
-	if cfg.Requests.SlowK > 0 {
-		s.reqs = serve.NewRequestTracer(cfg.Requests)
-	}
-	if len(p.objectives) > 0 {
-		s.slo = metrics.NewSLOTracker(metrics.SLOConfig{Objectives: p.objectives, Registry: s.reg})
-	}
+	rec.SetModuleSampling(sampleEvery)
+	s.flight = obs.NewFlightRecorder(obs.FlightConfig{})
+	rec.SetFlight(s.flight)
+	s.reqs = serve.NewRequestTracer(serve.RequestTraceConfig{})
+	s.slo = metrics.NewSLOTracker(metrics.SLOConfig{Objectives: objectives, Registry: s.reg})
 	s.reg.NewGaugeVec(metrics.Opts{Name: "pimzd_build_info",
 		Help: "Build and configuration identity (value is always 1).", Wall: true},
 		"go_version", "trees").With(runtime.Version(), strconv.Itoa(cfg.Trees)).Set(1)
@@ -285,10 +230,6 @@ func start(cfg Config, beforeBuild func()) (*Server, error) {
 	extra := map[string]http.Handler{
 		"/v1/": s.whenReady(func(w http.ResponseWriter, r *http.Request) { s.api.ServeHTTP(w, r) }),
 		"/snapshot/slowrequests": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			if !s.reqs.Enabled() {
-				http.Error(w, "slow-request capture not enabled", http.StatusNotFound)
-				return
-			}
 			w.Header().Set("Content-Type", "application/json")
 			if err := s.reqs.WriteJSON(w); err != nil {
 				fmt.Fprintf(os.Stderr, "server: slowrequests: %v\n", err)
@@ -368,13 +309,11 @@ func (s *Server) warm(p parsed, rec *obs.Recorder) {
 	}, warm)
 	s.idx.SetFanoutCapture(true)
 	s.eng = serve.New(serve.Config{
-		Backend:      s.idx,
-		MaxQueuedOps: cfg.MaxQueuedOps,
-		MaxBatch:     cfg.MaxBatch,
-		Registry:     s.reg,
-		Flight:       s.flight,
-		Requests:     s.reqs,
-		SLO:          s.slo,
+		Backend:  s.idx,
+		Registry: s.reg,
+		Flight:   s.flight,
+		Requests: s.reqs,
+		SLO:      s.slo,
 	})
 	s.api = serve.NewHTTPHandler(s.eng)
 	publish := s.gaugePublisher()
@@ -494,12 +433,12 @@ func (s *Server) shutdown(after func(stage string)) error {
 	close(s.tickStop)
 	<-s.tickDone
 
-	if s.cfg.FlightOut != "" && s.flight.Enabled() {
+	if s.cfg.FlightOut != "" {
 		if err := writeDump(s.cfg.FlightOut, s.flight.WriteJSON); err != nil {
 			errs = append(errs, fmt.Errorf("server: flight dump: %w", err))
 		}
 	}
-	if s.cfg.RequestsOut != "" && s.reqs.Enabled() {
+	if s.cfg.RequestsOut != "" {
 		if err := writeDump(s.cfg.RequestsOut, s.reqs.WriteJSON); err != nil {
 			errs = append(errs, fmt.Errorf("server: slow-request dump: %w", err))
 		}

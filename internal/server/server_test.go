@@ -18,22 +18,19 @@ import (
 
 	"pimzdtree/internal/core"
 	"pimzdtree/internal/geom"
-	"pimzdtree/internal/obs"
+	"pimzdtree/internal/metrics"
 	"pimzdtree/internal/serve"
 	"pimzdtree/internal/workload"
 )
 
 const testN = 20_000
 
-// testConfig is a fully armed single-tree server on ephemeral ports.
+// testConfig is a single-tree server on ephemeral ports.
 func testConfig() Config {
 	return Config{
 		Addr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0",
 		Trees: 1, Modules: 64, Dims: 3,
-		Tuning: "throughput", Dataset: "uniform", N: testN, Seed: 42, Sample: 32,
-		Flight:       obs.FlightConfig{Ring: 64, SlowK: 4},
-		Requests:     serve.RequestTraceConfig{SlowK: 4},
-		SLO:          "search=50:0.99,insert=50:0.99",
+		Tuning: "throughput", Dataset: "uniform", N: testN, Seed: 42,
 		DrainTimeout: 5 * time.Second,
 	}
 }
@@ -95,19 +92,6 @@ func TestConfigRejectedBeforeBind(t *testing.T) {
 		{"negative n", func(c *Config) { c.N = -1 }, "n=-1"},
 		{"unknown tuning", func(c *Config) { c.Tuning = "fast" }, `unknown tuning "fast"`},
 		{"unknown dataset", func(c *Config) { c.Dataset = "mars" }, `unknown dataset "mars"`},
-		{"slo without target", func(c *Config) { c.SLO = "search=50" }, "want op=millis:target"},
-		{"slo bad millis", func(c *Config) { c.SLO = "search=fast:0.99" }, "bad millis"},
-		{"slo bad target", func(c *Config) { c.SLO = "search=50:most" }, "bad target"},
-		{"slo unknown op", func(c *Config) { c.SLO = "serach=50:0.99" }, `unknown op "serach"`},
-		{"slo duplicate op", func(c *Config) { c.SLO = "search=50:0.99,knn=9:0.9,search=20:0.9" }, `duplicate op "search"`},
-		{"slo negative millis", func(c *Config) { c.SLO = "search=-5:0.99" }, "millis -5: want finite and > 0"},
-		{"slo zero millis", func(c *Config) { c.SLO = "search=0:0.99" }, "millis 0: want finite and > 0"},
-		{"slo NaN millis", func(c *Config) { c.SLO = "search=NaN:0.99" }, "millis NaN: want finite and > 0"},
-		{"slo Inf millis", func(c *Config) { c.SLO = "search=Inf:0.99" }, "millis +Inf: want finite and > 0"},
-		{"slo target above 1", func(c *Config) { c.SLO = "search=50:1.5" }, "target 1.5: want in (0, 1)"},
-		{"slo target 1", func(c *Config) { c.SLO = "search=50:1" }, "target 1: want in (0, 1)"},
-		{"slo target 0", func(c *Config) { c.SLO = "search=50:0" }, "target 0: want in (0, 1)"},
-		{"slo NaN target", func(c *Config) { c.SLO = "search=50:NaN" }, "target NaN: want in (0, 1)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,7 +122,7 @@ func TestConfigRejectedBeforeBind(t *testing.T) {
 
 // TestServerLifecycle boots the index unsharded and sharded on :0 and
 // walks the whole surface: warmup probes, client APIs on both transports,
-// every snapshot endpoint armed and unarmed, and /snapshot/tree scrapes
+// every snapshot endpoint, the fixed SLO table, and /snapshot/tree scrapes
 // racing an insert stream (the index's own lock orders them; run under
 // -race).
 func TestServerLifecycle(t *testing.T) {
@@ -149,9 +133,6 @@ func TestServerLifecycle(t *testing.T) {
 	}{
 		{"trees1", func(*Config) {}},
 		{"trees4", func(c *Config) { c.Trees = 4 }},
-		{"trees1-unarmed", func(c *Config) {
-			c.Flight, c.Requests, c.SLO = obs.FlightConfig{}, serve.RequestTraceConfig{}, ""
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -202,24 +183,29 @@ func TestServerLifecycle(t *testing.T) {
 				t.Fatalf("tcp knn: err=%v resp=%+v", err, r.Resp.Neighbors)
 			}
 
-			// Snapshots: 200 when their source is armed, 404 when not.
-			armed := cfg.Flight.Ring > 0
-			for path, want := range map[string]bool{
-				"/snapshot/tree":           true,
-				"/snapshot/modules":        true,
-				"/snapshot/shards":         true,
-				"/snapshot/flightrecorder": armed,
-				"/snapshot/slowops":        armed,
-				"/snapshot/slowrequests":   armed,
-				"/snapshot/slo":            armed,
+			// Snapshots: every source is always on.
+			for _, path := range []string{
+				"/snapshot/tree", "/snapshot/modules", "/snapshot/shards",
+				"/snapshot/flightrecorder", "/snapshot/slowrequests", "/snapshot/slo",
 			} {
-				code, body := get(t, base+path)
-				if want && (code != 200 || !json.Valid([]byte(body))) {
+				if code, body := get(t, base+path); code != 200 || !json.Valid([]byte(body)) {
 					t.Errorf("%s: %d, want 200 with JSON: %.80s", path, code, body)
 				}
-				if !want && code != 404 {
-					t.Errorf("%s: %d, want 404 (not armed)", path, code)
-				}
+			}
+
+			// The SLO table is fixed: 50 ms for point ops, 100 ms for kNN
+			// and box, each at 99% (the snapshot sorts by op).
+			_, body = get(t, base+"/snapshot/slo")
+			var slo metrics.SLOSnapshot
+			if err := json.Unmarshal([]byte(body), &slo); err != nil {
+				t.Fatalf("/snapshot/slo: %v: %.80s", err, body)
+			}
+			var objs []string
+			for _, o := range slo.Objectives {
+				objs = append(objs, fmt.Sprintf("%s=%g:%g", o.Op, o.LatencySeconds*1e3, o.Target))
+			}
+			if got, want := strings.Join(objs, ","), "box=100:0.99,delete=50:0.99,insert=50:0.99,knn=100:0.99,search=50:0.99"; got != want {
+				t.Errorf("/snapshot/slo objectives %s, want %s", got, want)
 			}
 			if code, body := get(t, base+"/metrics"); code != 200 || !strings.Contains(body, "pimzd_build_info{") {
 				t.Errorf("/metrics: %d, build_info present=%v", code, strings.Contains(body, "pimzd_build_info{"))

@@ -210,9 +210,10 @@ func New(cfg Config, points []geom.Point) *Index {
 
 // shardRecorders is the one recorder rule for shards, given a shard's
 // current local recorder: a shard records into a recorder of its own
-// (local, kept when it has one) only when the router opens an op span to
-// merge it under. With no router the tree records straight into
-// Config.Obs and there is no local recorder to drain.
+// (local, kept when it has one; new ones sample module loads at
+// Config.Obs's cadence) only when the router opens an op span to merge it
+// under. With no router the tree records straight into Config.Obs and
+// there is no local recorder to drain.
 func (x *Index) shardRecorders(local *obs.Recorder) (drain, tree *obs.Recorder) {
 	switch {
 	case !x.cfg.Obs.Enabled():
@@ -220,7 +221,7 @@ func (x *Index) shardRecorders(local *obs.Recorder) (drain, tree *obs.Recorder) 
 	case x.router == nil:
 		return nil, x.cfg.Obs
 	case local == nil:
-		local = obs.New()
+		local = x.cfg.Obs.NewLocal()
 	}
 	return local, local
 }

@@ -582,3 +582,46 @@ func BenchmarkSmallBatch(b *testing.B) {
 		})
 	}
 }
+
+// TestShardRecordersSampleModules: the shard-local recorders take the
+// parent recorder's module-sampling cadence, so merged rounds carry load
+// profiles. At cadence 1 every merged round has one. At cadence 16, a
+// stream of one-point searches, each far shorter than 16 rounds per
+// shard, still gets profiles: the sampling phase runs across windows.
+func TestShardRecordersSampleModules(t *testing.T) {
+	data := workload.Uniform(7, 8000, 3)
+	profiled := func(every int, run func(x *Index)) (rounds, profiles int) {
+		rec := obs.New()
+		rec.SetModuleSampling(every)
+		cfg := testConfig(4)
+		cfg.Obs = rec
+		run(New(cfg, data))
+		for _, ev := range rec.Events() {
+			if ev.Kind != obs.KindRound {
+				continue
+			}
+			rounds++
+			if ev.Profile != nil {
+				profiles++
+			}
+		}
+		return rounds, profiles
+	}
+
+	rounds, profiles := profiled(1, func(x *Index) {
+		x.KNNBatch(data[:200], 8)
+		x.SearchBatch(data[200:400])
+	})
+	if rounds == 0 || profiles != rounds {
+		t.Fatalf("cadence 1: %d of %d merged rounds carry a profile, want all", profiles, rounds)
+	}
+
+	rounds, profiles = profiled(16, func(x *Index) {
+		for i := 0; i < 64; i++ {
+			x.SearchBatch(data[i : i+1])
+		}
+	})
+	if profiles == 0 {
+		t.Fatalf("cadence 16: no profile on %d merged rounds of one-point searches", rounds)
+	}
+}
